@@ -3,8 +3,8 @@
 Configuration comes from a JSON document (the same dialect as the curve and
 field files); command-line flags override config keys, which override
 defaults.  Exit codes: 0 success, 1 numerical failure, 2 usage or
-validation error.  Identical config and seed produce byte-identical
-outputs (floats are written with shortest round-trip decimals).
+validation error.  Identical config produces byte-identical outputs
+(floats are written with shortest round-trip decimals).
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .energy import build_context
 from .errors import PrescurveError
 from .fields import (
     DECAYING_ADMISSIBLE_NORM,
-    PERIODIC_ADMISSIBLE_SUP,
+    PERIODIC_ADMISSIBLE_OSCILLATION,
     CurvatureField,
-    RadialCurvature,
+    field_from_dict,
+    radial_curvature_from_dict,
     read_field,
     read_radial_curvature,
 )
@@ -68,7 +69,6 @@ def _load_config(args) -> dict:
         cfg[key.replace("-", "_")] = value
     cfg.setdefault("out", "out")
     cfg.setdefault("jobs", 1)
-    cfg.setdefault("seed", 0)
     return cfg
 
 
@@ -87,16 +87,7 @@ def _load_field(cfg) -> CurvatureField:
         if not path.exists():
             raise UsageError(f"field file not found: {path}")
         return read_field(path)
-    from .fields import RadialDecaying
-
-    radial = None
-    if entry.get("radial") is not None:
-        radial = RadialDecaying(table=(entry["radial"]["r"], entry["radial"]["h"]))
-    return CurvatureField.from_parts(
-        constant=float(entry.get("constant", 0.0)),
-        periodic=entry.get("periodic_grid"),
-        radial=radial,
-    )
+    return field_from_dict(entry)
 
 
 def _warn_hypotheses(field: CurvatureField) -> None:
@@ -104,9 +95,9 @@ def _warn_hypotheses(field: CurvatureField) -> None:
     report = field.admissibility()
     if report.get("periodic_ok") is False:
         print(
-            f"warning: periodic oscillation {report['periodic_sup']:.4g} exceeds "
-            f"the smallness threshold {PERIODIC_ADMISSIBLE_SUP:.4g}; existence "
-            "is not guaranteed",
+            f"warning: periodic oscillation {report['periodic_oscillation']:.4g} "
+            f"exceeds the smallness threshold {PERIODIC_ADMISSIBLE_OSCILLATION:.4g}; "
+            "existence is not guaranteed",
             file=sys.stderr,
         )
     if report.get("decaying_ok") is False:
@@ -133,7 +124,6 @@ def _minimize_options(cfg) -> MinimizeOptions:
         "tol_area",
         "recenter",
         "recenter_every",
-        "seed",
     ):
         if key in cfg:
             kwargs[key] = cfg[key]
@@ -240,19 +230,13 @@ def _immersed_one(args):
 
 def cmd_immersed(cfg) -> int:
     params = cfg.get("radial_params")
-    if params is None and isinstance(cfg.get("field"), str):
-        h = read_radial_curvature(cfg["field"])
-    elif params is not None:
+    if params is not None:
         try:
-            h = RadialCurvature(
-                A=float(params["A"]),
-                gamma=float(params["gamma"]),
-                beta=params.get("beta"),
-                htilde=None,
-                s0=float(params.get("s0", 1.0)),
-            )
-        except (KeyError, ValueError) as exc:
+            h = radial_curvature_from_dict(params)
+        except ValueError as exc:
             raise UsageError(f"invalid radial parameters: {exc}") from exc
+    elif isinstance(cfg.get("field"), str):
+        h = read_radial_curvature(cfg["field"])
     else:
         raise UsageError("need 'radial_params' or a field file with them")
 
@@ -430,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--jobs", type=int, help="parallel workers")
-        p.add_argument("--seed", type=int, help="random seed")
 
     p = sub.add_parser("solve", help="area-constrained minimization")
     common(p)
@@ -475,7 +458,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        np.random.default_rng(int(cfg.get("seed", 0)))
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from .errors import DegenerateSpeed, PointOnCurve
 __all__ = [
     "ClosedCurve",
     "rot90",
+    "apply_symbol",
     "derivative",
     "length",
     "signed_area",
@@ -100,16 +101,20 @@ class ClosedCurve:
         return float(np.hypot(*(hi - lo)))
 
 
-def _spectral_derivative(values: np.ndarray, period: float, order: int) -> np.ndarray:
-    """Differentiate uniformly sampled periodic data along axis 0."""
+def apply_symbol(values: np.ndarray, symbol) -> np.ndarray:
+    """Apply a Fourier multiplier to uniformly sampled periodic data.
+
+    ``values`` has N samples along axis 0; ``symbol(k)`` receives the mode
+    numbers k = 0..N/2 as floats and returns the multiplier of each mode of
+    the real FFT.  The inverse transform keeps only the real part of the
+    Nyquist product, so an odd (imaginary) symbol annihilates that mode and
+    an even one scales it as a cosine.
+    """
+    values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    coef = np.fft.rfft(values, axis=0)
-    k = np.arange(n // 2 + 1)
-    factor = (2j * np.pi * k / period) ** order
-    if order % 2:
-        factor[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
-    shape = (n // 2 + 1,) + (1,) * (values.ndim - 1)
-    return np.fft.irfft(coef * factor.reshape(shape), n=n, axis=0)
+    factor = np.asarray(symbol(np.arange(n // 2 + 1, dtype=float)))
+    factor = factor.reshape(factor.shape + (1,) * (values.ndim - 1))
+    return np.fft.irfft(np.fft.rfft(values, axis=0) * factor, n=n, axis=0)
 
 
 def derivative(curve: ClosedCurve, order: int = 1) -> np.ndarray:
@@ -119,7 +124,9 @@ def derivative(curve: ClosedCurve, order: int = 1) -> np.ndarray:
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    return _spectral_derivative(curve.samples, curve.period, order)
+    return apply_symbol(
+        curve.samples, lambda k: (2j * np.pi * k / curve.period) ** order
+    )
 
 
 def _speed(curve: ClosedCurve) -> np.ndarray:
@@ -195,45 +202,20 @@ def winding_number(curve: ClosedCurve, point) -> int:
     return int(np.count_nonzero(up)) - int(np.count_nonzero(down))
 
 
-def _full_fft_modes(values: np.ndarray):
-    """Complex Fourier coefficients c_k and integer frequencies for axis 0."""
-    n = values.shape[0]
-    coef = np.fft.fft(values, axis=0) / n
-    freq = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    return coef, freq
-
-
-def trig_resample(values: np.ndarray, period: float, t: np.ndarray, order: int = 0):
+def trig_resample(values: np.ndarray, period: float, t: np.ndarray):
     """Evaluate the trigonometric interpolant of periodic samples at ``t``.
 
     ``values`` may be (N,) or (N, m); the result has matching trailing shape.
-    ``order`` selects a derivative of the interpolant (Nyquist mode treated
-    as a pure cosine, dropped for odd orders).
+    The interpolant is the real part of the half-spectrum sum with modes
+    1..N/2-1 doubled, so the Nyquist mode enters as a pure cosine.
     """
     values = np.asarray(values, dtype=float)
-    squeeze = values.ndim == 1
-    if squeeze:
-        values = values[:, None]
-    coef, freq = _full_fft_modes(values)
     n = values.shape[0]
-    omega = 2.0 * np.pi / period
+    coef = np.fft.rfft(values, axis=0) / n
+    coef[1 : n // 2] *= 2.0
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    nyq = n // 2
-    keep = freq != -nyq
-    k = freq[keep]
-    c = coef[keep]
-    phase = np.exp(1j * omega * np.outer(t, k))
-    fac = (1j * omega * k) ** order if order else np.ones_like(k, dtype=complex)
-    out = (phase * fac) @ c
-    if order % 2 == 0:
-        # Nyquist contribution cos(nyq * omega * t), with even derivatives
-        cn = coef[freq == -nyq][0]
-        sgn = (-1) ** (order // 2)
-        out = out + sgn * (nyq * omega) ** order * np.cos(nyq * omega * t)[:, None] * cn
-    res = out.real
-    if squeeze:
-        res = res[:, 0]
-    return res
+    phase = (2j * np.pi / period) * np.outer(t, np.arange(n // 2 + 1))
+    return (np.exp(phase, out=phase) @ coef).real
 
 
 def reparametrize_constant_speed(curve: ClosedCurve) -> ClosedCurve:
@@ -245,16 +227,15 @@ def reparametrize_constant_speed(curve: ClosedCurve) -> ClosedCurve:
     speed = _speed(curve)
     _require_regular(curve, speed)
     n, period = curve.n, curve.period
-    total = speed.sum() * period / n
 
     # spectral antiderivative of the speed: S(t) = mean*t + oscillatory part
-    coef = np.fft.rfft(speed)
-    k = np.arange(n // 2 + 1)
-    mean = coef[0].real / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        anti = np.where(k > 0, coef / (2j * np.pi * k / period), 0.0)
-    anti[-1] = 0.0
-    osc0 = np.fft.irfft(anti, n=n)
+    mean = speed.mean()
+    osc0 = apply_symbol(
+        speed,
+        lambda k: np.divide(
+            period, 2j * np.pi * k, out=np.zeros(k.shape, complex), where=k > 0
+        ),
+    )
 
     def arclen(t):
         osc = trig_resample(osc0, period, t)
@@ -263,7 +244,7 @@ def reparametrize_constant_speed(curve: ClosedCurve) -> ClosedCurve:
     def spd(t):
         return trig_resample(speed, period, t)
 
-    targets = total * np.arange(n) / n
+    targets = mean * curve.params
     # monotone initial guess from a dense table, then Newton refinement
     t_dense = period * np.arange(8 * n) / (8 * n)
     s_dense = arclen(t_dense)

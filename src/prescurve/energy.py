@@ -19,7 +19,7 @@ import numpy as np
 
 from .curves import (
     ClosedCurve,
-    _spectral_derivative,
+    apply_symbol,
     curvature,
     derivative,
     length,
@@ -94,7 +94,8 @@ def energy_gradient(curve: ClosedCurve, ctx: EnergyContext) -> np.ndarray:
         raise DegenerateSpeed("energy gradient needs a regular curve")
     tangent = du / speed[:, None]
     h = field_value(ctx.field, curve.samples)
-    return -_spectral_derivative(tangent, curve.period, 1) + h[:, None] * rot90(du)
+    dtangent = apply_symbol(tangent, lambda k: 2j * np.pi * k / curve.period)
+    return -dtangent + h[:, None] * rot90(du)
 
 
 def shape_derivative(curve: ClosedCurve, field, variation: np.ndarray) -> float:

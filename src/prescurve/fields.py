@@ -39,6 +39,8 @@ __all__ = [
     "q_eval",
     "field_value",
     "periodic_from_callable",
+    "field_from_dict",
+    "radial_curvature_from_dict",
     "read_field",
     "read_radial_curvature",
     "write_field",
@@ -49,7 +51,7 @@ TORUS_GRADIENT_CONSTANT = math.sqrt(2.0) / 8.0
 #: Sharp constant of the decaying-case gradient bound.
 PLANE_GRADIENT_CONSTANT = (math.pi / 2.0) ** 1.5
 #: Admissibility threshold for the periodic oscillation.
-PERIODIC_ADMISSIBLE_SUP = 2.0 * math.sqrt(2.0)
+PERIODIC_ADMISSIBLE_OSCILLATION = 2.0 * math.sqrt(2.0)
 #: Admissibility threshold for the decaying rearranged-integral norm.
 DECAYING_ADMISSIBLE_NORM = (2.0 / math.pi) ** 1.5
 
@@ -123,20 +125,20 @@ class CurvatureField:
     ``periodic`` is an M x M grid of zero-mean values on the unit cell
     (``periodic[i, j] = H1(i/M, j/M)``); use :meth:`from_parts` to fold a
     nonzero grid mean into the constant.  ``radial`` tends to zero at
-    infinity.  ``smoothness`` is a free-form tag recording what the caller
-    knows about regularity.
+    infinity.
     """
 
     constant: float = 0.0
     periodic: np.ndarray | None = field(default=None, repr=False)
     radial: RadialDecaying | None = None
-    smoothness: str = "C2"
 
     def __post_init__(self):
         if self.periodic is not None:
             grid = np.ascontiguousarray(self.periodic, dtype=float)
             if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
                 raise ValueError("periodic part must be a square grid")
+            if not np.all(np.isfinite(grid)):
+                raise ValueError("periodic part must be finite")
             scale = max(np.abs(grid).max(), abs(self.constant), 1.0)
             if abs(grid.mean()) > 1e-12 * scale:
                 raise ValueError(
@@ -149,17 +151,12 @@ class CurvatureField:
             object.__setattr__(self, "_spline", None)
 
     @classmethod
-    def from_parts(cls, constant=0.0, periodic=None, radial=None, smoothness="C2"):
+    def from_parts(cls, constant=0.0, periodic=None, radial=None):
         if periodic is not None:
             periodic = np.asarray(periodic, dtype=float)
             constant = float(constant) + float(periodic.mean())
             periodic = periodic - periodic.mean()
-        return cls(
-            constant=float(constant),
-            periodic=periodic,
-            radial=radial,
-            smoothness=smoothness,
-        )
+        return cls(constant=float(constant), periodic=periodic, radial=radial)
 
     def value(self, points) -> np.ndarray:
         """Evaluate H at an (..., 2) array of plane points."""
@@ -192,16 +189,16 @@ class CurvatureField:
         """The theory's smallness hypotheses, reported but not enforced."""
         report = {}
         if self.periodic is not None:
-            sup = self.periodic_sup()
-            report["periodic_sup"] = sup
-            report["periodic_ok"] = sup < PERIODIC_ADMISSIBLE_SUP
+            osc = self.periodic_oscillation()
+            report["periodic_oscillation"] = osc
+            report["periodic_ok"] = osc < PERIODIC_ADMISSIBLE_OSCILLATION
         if self.radial is not None:
             norm = lorentz_norm_21(self.radial)
             report["lorentz_21"] = norm
             report["decaying_ok"] = norm < DECAYING_ADMISSIBLE_NORM
         if self.periodic is not None and self.radial is not None:
             combined = (
-                math.sqrt(2.0) / 4.0 * report["periodic_sup"]
+                TORUS_GRADIENT_CONSTANT * report["periodic_oscillation"]
                 + PLANE_GRADIENT_CONSTANT * report["lorentz_21"]
             )
             report["combined"] = combined
@@ -421,7 +418,6 @@ class VectorPotential:
     radial_r: np.ndarray | None = field(default=None, repr=False)
     radial_f: np.ndarray | None = field(default=None, repr=False)
     linear_coefficient: float = 0.0
-    interp_order: int = 3
 
     def __post_init__(self):
         if self.periodic_gradient is not None:
@@ -526,35 +522,70 @@ def radial_potential(h: RadialCurvature, r_max: float = 100.0, nr: int = 32768):
     return VectorPotential(radial_r=r, radial_f=decay, linear_coefficient=1.0)
 
 
-def read_field(path) -> CurvatureField:
-    """Read a field file: JSON with optional keys
-    {"constant", "periodic_grid", "radial": {"r": [...], "h": [...]}}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    radial = None
-    if doc.get("radial") is not None:
-        radial = RadialDecaying(table=(doc["radial"]["r"], doc["radial"]["h"]))
+def _number(doc: dict, key: str, default=None) -> float:
+    """The finite number stored under ``key``; ``ValueError`` names the key."""
+    value = doc.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"key {key!r} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"key {key!r} must be finite, got {value!r}")
+    return number
+
+
+def field_from_dict(doc) -> CurvatureField:
+    """Build a field from a parsed field document: a JSON object with
+    optional keys {"constant", "periodic_grid", "radial": {"r", "h"}}.
+
+    Raises ``ValueError`` naming the problem when the document is not an
+    object, the constant is not a finite number, or "radial" is not an
+    object.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a field must be a JSON object, not {type(doc).__name__}")
+    radial = doc.get("radial")
+    if radial is not None:
+        if not isinstance(radial, dict):
+            raise ValueError("key 'radial' must be an object with 'r' and 'h'")
+        radial = RadialDecaying(table=(radial["r"], radial["h"]))
     return CurvatureField.from_parts(
-        constant=float(doc.get("constant", 0.0)),
+        constant=_number(doc, "constant", 0.0),
         periodic=doc.get("periodic_grid"),
         radial=radial,
     )
 
 
-def read_radial_curvature(path) -> RadialCurvature:
-    """Read the "radial_params" block of a field file as a RadialCurvature."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    params = doc.get("radial_params")
-    if params is None:
-        raise ValueError(f"{path}: no 'radial_params' block")
+def radial_curvature_from_dict(params) -> RadialCurvature:
+    """Build a RadialCurvature from a "radial_params" object
+    {"A", "gamma", "beta", "s0"}; "A" and "gamma" are required."""
+    if not isinstance(params, dict):
+        raise ValueError("'radial_params' must be a JSON object")
     return RadialCurvature(
-        A=float(params["A"]),
-        gamma=float(params["gamma"]),
+        A=_number(params, "A"),
+        gamma=_number(params, "gamma"),
         beta=params.get("beta"),
         htilde=None,
-        s0=float(params.get("s0", 1.0)),
+        s0=_number(params, "s0", 1.0),
     )
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def read_field(path) -> CurvatureField:
+    """Read a field file; see :func:`field_from_dict` for the format."""
+    return field_from_dict(_read_json(path))
+
+
+def read_radial_curvature(path) -> RadialCurvature:
+    """Read the "radial_params" block of a field file as a RadialCurvature."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or doc.get("radial_params") is None:
+        raise ValueError(f"{path}: no 'radial_params' block")
+    return radial_curvature_from_dict(doc["radial_params"])
 
 
 def write_field(field_: CurvatureField, path, radial_params: dict | None = None):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ClosedCurve, trig_resample
+from .curves import ClosedCurve, apply_symbol, trig_resample
 from .errors import (
     DegenerateSpeed,
     MaxIterationsExceeded,
@@ -97,9 +97,6 @@ class PeriodicScalar:
     def n(self) -> int:
         return len(self.samples)
 
-    def deriv(self, order: int = 1) -> np.ndarray:
-        return _sderiv(self.samples, order)
-
     def mode(self, k: int) -> complex:
         coef = np.fft.rfft(self.samples) / self.n
         return complex(coef[k]) if k <= self.n // 2 else 0.0
@@ -137,13 +134,7 @@ class LSConfig:
 
 def _sderiv(values: np.ndarray, order: int) -> np.ndarray:
     """Spectral derivative of 2 pi-periodic samples."""
-    n = len(values)
-    coef = np.fft.rfft(values)
-    k = np.arange(n // 2 + 1, dtype=float)
-    factor = (1j * k) ** order
-    if order % 2:
-        factor[-1] = 0.0
-    return np.fft.irfft(coef * factor, n=n)
+    return apply_symbol(values, lambda k: (1j * k) ** order)
 
 
 class _Frame:
@@ -202,17 +193,12 @@ def ansatz_eval(params: AnsatzParams, num_samples: int = 512):
 def linf_apply(phi: np.ndarray) -> np.ndarray:
     """The model operator phi'' + phi, applied as the single per-mode
     symbol (1 - k^2) so the kernel modes are annihilated exactly."""
-    phi = np.asarray(phi, dtype=float)
-    coef = np.fft.rfft(phi)
-    k = np.arange(len(coef), dtype=float)
-    return np.fft.irfft(coef * (1.0 - k**2), n=len(phi))
+    return apply_symbol(phi, lambda k: 1.0 - k**2)
 
 
 def project_perp(f: np.ndarray) -> np.ndarray:
     """Remove the cos t and sin t modes."""
-    coef = np.fft.rfft(np.asarray(f, dtype=float))
-    coef[1] = 0.0
-    return np.fft.irfft(coef, n=len(f))
+    return apply_symbol(f, lambda k: np.where(k == 1.0, 0.0, 1.0))
 
 
 def linf_invert_perp(f: np.ndarray) -> np.ndarray:
@@ -221,26 +207,30 @@ def linf_invert_perp(f: np.ndarray) -> np.ndarray:
     Mode k maps to 1/(1 - k^2); the kernel modes are projected away, so the
     identity L(Linv f) = P f holds exactly on the truncated spectrum.
     """
-    f = np.asarray(f, dtype=float)
-    coef = np.fft.rfft(f)
-    k = np.arange(len(coef), dtype=float)
-    coef[1] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef[2:] = coef[2:] / (1.0 - k[2:] ** 2)
-    return np.fft.irfft(coef, n=len(f))
+    return apply_symbol(
+        f,
+        lambda k: np.divide(1.0, 1.0 - k**2, out=np.zeros_like(k), where=k != 1.0),
+    )
 
 
-def _gap(frame: _Frame, phi: np.ndarray, h: RadialCurvature) -> np.ndarray:
-    """K - H of the normal perturbation u + phi * normal, sampled."""
-    dphi = _sderiv(phi, 1)
-    d2phi = _sderiv(phi, 2)
+def _perturb(frame: _Frame, phi, dphi, d2phi):
+    """The normal perturbation w = u + phi * normal at the frame's nodes.
+
+    Takes the profile and its first two derivatives in the frame's
+    parameter; returns ``(w, dw, kappa)`` with the signed curvature of w.
+    """
     w = frame.u + phi * frame.nu
     dw = frame.du + dphi * frame.nu + phi * frame.dnu
     d2w = frame.d2u + d2phi * frame.nu + 2.0 * dphi * frame.dnu + phi * frame.d2nu
     speed = np.abs(dw)
     if speed.min() <= 1e-12 * speed.max():
         raise DegenerateSpeed("normal perturbation destroys regularity")
-    kappa = (dw.conjugate() * d2w).imag / speed**3
+    return w, dw, (dw.conjugate() * d2w).imag / speed**3
+
+
+def _gap(frame: _Frame, phi: np.ndarray, h: RadialCurvature) -> np.ndarray:
+    """K - H of the normal perturbation u + phi * normal, sampled."""
+    w, _, kappa = _perturb(frame, phi, _sderiv(phi, 1), _sderiv(phi, 2))
     return kappa - h(np.abs(w))
 
 
@@ -442,11 +432,10 @@ def verify_second_multiplier(result: LSResult, h: RadialCurvature):
     phi = result.phi.samples
     num = len(phi)
     t = 2.0 * np.pi * np.arange(num) / num
-    frame = _Frame(params, t)
-    gap = _gap(frame, phi, h)
-    dphi = _sderiv(phi, 1)
-    w = frame.u + phi * frame.nu
-    dw = frame.du + dphi * frame.nu + phi * frame.dnu
+    w, dw, kappa = _perturb(
+        _Frame(params, t), phi, _sderiv(phi, 1), _sderiv(phi, 2)
+    )
+    gap = kappa - h(np.abs(w))
     radial_rate = (w.conjugate() * dw).real
     identity = float((-gap * radial_rate).sum() * 2.0 * np.pi / num)
     return abs(result.lambda2), identity
@@ -476,28 +465,15 @@ def build_immersed_loop(
     rho = params.rescale / n  # d(rescaled)/d(full parameter)
     s = rho * t_full
     phi = result.phi.samples
-    big_phi = trig_resample(phi, 2.0 * np.pi, s)
-    big_dphi = rho * trig_resample(_sderiv(phi, 1), 2.0 * np.pi, s)
-    big_d2phi = rho**2 * trig_resample(_sderiv(phi, 2), 2.0 * np.pi, s)
-
-    w = frame.u + big_phi * frame.nu
-    dw = frame.du + big_dphi * frame.nu + big_phi * frame.dnu
-    d2w = (
-        frame.d2u
-        + big_d2phi * frame.nu
-        + 2.0 * big_dphi * frame.dnu
-        + big_phi * frame.d2nu
-    )
-    speed = np.abs(dw)
-    if speed.min() <= 1e-12 * speed.max():
-        raise DegenerateSpeed("assembled loop is not immersed")
+    jet = np.stack([phi, _sderiv(phi, 1), _sderiv(phi, 2)], axis=1)
+    big = trig_resample(jet, 2.0 * np.pi, s)
+    w, _, kappa = _perturb(frame, big[:, 0], rho * big[:, 1], rho**2 * big[:, 2])
     min_dist = float(np.abs(w).min())
     if min_dist <= h.s0:
         raise ValueError(
             f"assembled loop reaches |p| = {min_dist:.3f} inside the "
             f"mollification radius {h.s0:g}; the result would depend on it"
         )
-    kappa = (dw.conjugate() * d2w).imag / speed**3
     residual = float(np.abs(kappa - h(np.abs(w))).max())
     curve = ClosedCurve(
         period=2.0 * np.pi * n,

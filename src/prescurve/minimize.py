@@ -26,6 +26,7 @@ import numpy as np
 
 from .curves import (
     ClosedCurve,
+    apply_symbol,
     circle,
     curvature,
     curve_reverse,
@@ -55,6 +56,11 @@ SHARP_ISOPERIMETRIC = math.sqrt(4.0 * math.pi)
 
 SWEEP_CSV_HEADER = "tau,S_H,lambda,residual,area_error,simple,converged"
 
+#: Zero-mode weight of the Sobolev preconditioner.
+PRECOND_EPS = 1.0
+#: Sufficient-decrease constant of the backtracking line search.
+ARMIJO = 1e-4
+
 
 @dataclass(frozen=True)
 class MinimizeOptions:
@@ -66,10 +72,6 @@ class MinimizeOptions:
     recenter: bool = True
     recenter_every: int = 50
     initial: ClosedCurve | None = None
-    seed: int = 0
-    precond_eps: float = 1.0
-    armijo: float = 1e-4
-    verbose: bool = False
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,12 @@ def _project_area(samples: np.ndarray, period: float, tau: float) -> np.ndarray:
     return center + math.sqrt(tau / area) * (samples - center)
 
 
-def _precondition(grad: np.ndarray, period: float, dval: float, eps: float):
-    """Mode-wise Sobolev smoothing of a sampled L^2 gradient."""
-    n = grad.shape[0]
-    coef = np.fft.rfft(grad, axis=0)
-    k = np.arange(n // 2 + 1)
-    weight = 1.0 / (eps + (2.0 * np.pi * k / period) ** 2 / max(dval, 1e-12))
-    return np.fft.irfft(coef * weight[:, None], n=n, axis=0)
+def _precondition(grad: np.ndarray, dval: float) -> np.ndarray:
+    """Mode-wise Sobolev smoothing of a sampled L^2 gradient (period 1)."""
+    scale = max(dval, 1e-12)
+    return apply_symbol(
+        grad, lambda k: 1.0 / (PRECOND_EPS + (2.0 * np.pi * k) ** 2 / scale)
+    )
 
 
 def _disc_center_score(ctx: EnergyContext, center, radius: float) -> float:
@@ -221,11 +222,11 @@ def minimize_area_constrained(
         dval = math.sqrt((speed**2).sum() / u.n)
         h = field_value(ctx.field, samples)
         idu = rot90(du)
-        grad = -_spectral_second(samples) / dval + h[:, None] * idu
+        grad = -derivative(u, 2) / dval + h[:, None] * idu
 
         # tangent projection onto the constraint, in the smoothed metric
-        mg = _precondition(grad, 1.0, dval, opts.precond_eps)
-        ma = _precondition(idu, 1.0, dval, opts.precond_eps)
+        mg = _precondition(grad, dval)
+        ma = _precondition(idu, dval)
         denom = float(np.einsum("ij,ij->", idu, ma))
         coef = float(np.einsum("ij,ij->", idu, mg)) / denom
         direction = mg - coef * ma
@@ -243,7 +244,7 @@ def minimize_area_constrained(
                 alpha *= 0.5  # step left the projectable region; shrink
                 continue
             f_try = _objective(trial, ctx)
-            if f_try <= f_cur - opts.armijo * alpha * decrement:
+            if f_try <= f_cur - ARMIJO * alpha * decrement:
                 accepted = True
                 break
             alpha *= 0.5
@@ -259,9 +260,6 @@ def minimize_area_constrained(
         ):
             shift = np.round(samples.mean(axis=0))
             samples = samples - shift
-
-        if opts.verbose and iterations % 100 == 0:
-            print(f"  it {iterations}: f={f_cur:.9f} dec={decrement:.3e}")
 
     final = reparametrize_constant_speed(ClosedCurve(period=1.0, samples=samples))
     final = ClosedCurve(period=1.0, samples=_project_area(final.samples, 1.0, tau))
@@ -284,13 +282,6 @@ def minimize_area_constrained(
         iterations=iterations,
         converged=converged,
     )
-
-
-def _spectral_second(samples: np.ndarray) -> np.ndarray:
-    n = samples.shape[0]
-    coef = np.fft.rfft(samples, axis=0)
-    k = np.arange(n // 2 + 1)
-    return np.fft.irfft(coef * -((2.0 * np.pi * k) ** 2)[:, None], n=n, axis=0)
 
 
 def extract_lagrange_multiplier(curve: ClosedCurve, ctx: EnergyContext) -> float:

@@ -76,6 +76,26 @@ class TestSolve:
         assert code in (0, 1)  # existence is not guaranteed out of hypothesis
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('[{"constant": 1.0}]', "JSON object"),
+        ('{"constant": NaN}', "'constant'"),
+        ('{"constant": null}', "'constant'"),
+        ('{"radial": [1, 2]}', "'radial'"),
+        ('{"periodic_grid": [[0.0, NaN], [0.0, 0.0]]}', "periodic"),
+    ],
+)
+def test_malformed_field_exit_2(tmp_path, capsys, text, key):
+    path = tmp_path / "bad_field.json"
+    path.write_text(text)
+    code = main(["solve", "--field", str(path), "--tau", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err
+
+
 class TestSweep:
     def test_flat_scaling_column(self, tmp_path, field_zero):
         out = tmp_path / "out"
@@ -179,6 +199,12 @@ class TestImmersed:
             json.dumps({"radial_params": {"A": 1.0, "gamma": 0.8}, "n_list": [32]})
         )
         assert main(["immersed", "--config", str(cfg)]) == 2
+
+    def test_missing_gamma_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"radial_params": {"A": 1.0}, "n_list": [32]}))
+        assert main(["immersed", "--config", str(cfg)]) == 2
+        assert "'gamma'" in capsys.readouterr().err
 
     def test_zero_amplitude_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

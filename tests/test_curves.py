@@ -60,6 +60,18 @@ class TestDerivative:
         with pytest.raises(ValueError):
             derivative(unit_circle(), 4)
 
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_nyquist_mode(self, n):
+        # the Nyquist mode is a pure cosine on the nodes: odd derivatives
+        # vanish, the second derivative scales it by -(pi N / T)^2
+        period = 2.5
+        mode = np.cos(np.pi * np.arange(n))
+        c = ClosedCurve(period, np.stack([mode, -0.5 * mode], axis=1))
+        for order in (1, 3):
+            assert np.abs(derivative(c, order)).max() == 0.0
+        exact = -((np.pi * n / period) ** 2) * c.samples
+        assert np.abs(derivative(c, 2) - exact).max() <= 1e-12 * np.abs(exact).max()
+
 
 class TestLength:
     def test_unit_circle(self):
@@ -332,3 +344,22 @@ def test_trig_resample_reproduces_samples():
     c = ClosedCurve(1.0, samples)
     vals = trig_resample(samples, 1.0, c.params)
     assert np.abs(vals - samples).max() < 1e-11
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_trig_resample_full_spectrum_off_grid(n):
+    # oracle: the explicit Fourier sum of the interpolant, modes -N/2+1..N/2-1
+    # plus the Nyquist mode as a cosine; tolerance 1e-12 relative to the data
+    rng = np.random.default_rng(n)
+    period = 2.5
+    values = rng.normal(size=(n, 2))
+    t = rng.uniform(-period, 2 * period, size=40)
+    j = np.arange(n)
+    k = np.arange(-n // 2 + 1, n // 2)
+    coef = np.exp(-2j * np.pi * np.outer(k, j) / n) @ values / n
+    nyq = np.cos(np.pi * j) @ values / n
+    oracle = (np.exp(2j * np.pi * np.outer(t, k) / period) @ coef).real
+    oracle += np.cos(np.pi * n * t / period)[:, None] * nyq
+    tol = 1e-12 * np.abs(values).max()
+    assert np.abs(trig_resample(values, period, t) - oracle).max() <= tol
+    assert np.abs(trig_resample(values[:, 1], period, t) - oracle[:, 1]).max() <= tol

@@ -321,6 +321,11 @@ class TestCurvatureFieldType:
         assert rep["periodic_ok"]
         loud = CurvatureField.from_parts(periodic=5.0 * np.sin(2 * np.pi * xx))
         assert not loud.admissibility()["periodic_ok"]
+        # sup |H1| = 2 < 2 sqrt 2, but the oscillation 4 is not
+        wide = CurvatureField.from_parts(periodic=2.0 * np.sin(2 * np.pi * xx))
+        rep = wide.admissibility()
+        assert rep["periodic_oscillation"] == pytest.approx(4.0)
+        assert not rep["periodic_ok"]
 
 
 class TestFieldIO:
