@@ -114,19 +114,38 @@ def _warn_hypotheses(field: CurvatureField) -> None:
         )
 
 
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _config_value(key: str, value, kind):
+    """``value`` as ``kind`` (int, float or bool); ints, unlike bools, also
+    pass as floats, and floats must be finite.  Raises ``ValueError`` naming
+    ``key`` otherwise."""
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = isinstance(value, (int, float) if kind is float else int)
+        ok = ok and not isinstance(value, bool) and math.isfinite(value)
+    if not ok:
+        raise ValueError(f"config key '{key}' must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
 def _minimize_options(cfg) -> MinimizeOptions:
-    kwargs = {}
-    for key in (
-        "n_samples",
-        "max_iter",
-        "tol_grad",
-        "tol_residual",
-        "tol_area",
-        "recenter",
-        "recenter_every",
-    ):
-        if key in cfg:
-            kwargs[key] = cfg[key]
+    kinds = {
+        "n_samples": int,
+        "max_iter": int,
+        "tol_grad": float,
+        "tol_residual": float,
+        "tol_area": float,
+        "recenter": bool,
+        "recenter_every": int,
+    }
+    kwargs = {
+        key: _config_value(key, cfg[key], kind)
+        for key, kind in kinds.items()
+        if key in cfg
+    }
     if cfg.get("initial_curve"):
         kwargs["initial"] = read_curve(cfg["initial_curve"])
     return MinimizeOptions(**kwargs)
@@ -142,16 +161,19 @@ def cmd_solve(cfg) -> int:
     field = _load_field(cfg)
     _warn_hypotheses(field)
     tau = cfg.get("tau")
-    if tau is None or float(tau) == 0.0:
+    if tau is not None:
+        tau = _config_value("tau", tau, float)
+    if not tau:
         raise UsageError("need a nonzero area value (config key 'tau' or --tau)")
+    opts = _minimize_options(cfg)
     ctx = build_context(field)
-    result = minimize_area_constrained(ctx, float(tau), _minimize_options(cfg))
+    result = minimize_area_constrained(ctx, tau, opts)
     out = _out_dir(cfg)
     write_curve(result.curve, out / "minimizer_curve.json")
     _write_json(
         out / "solve_report.json",
         {
-            "tau": float(tau),
+            "tau": tau,
             "lambda": result.lam,
             "energy": result.energy_value,
             "curvature_residual": result.curvature_residual,
@@ -183,13 +205,16 @@ def cmd_sweep(cfg) -> int:
     grid = cfg.get("tau_grid")
     if not grid:
         raise UsageError("need a nonempty 'tau_grid'")
+    if not isinstance(grid, list):
+        raise ValueError(f"config key 'tau_grid' must be a list, got {grid!r}")
+    grid = [_config_value("tau_grid", t, float) for t in grid]
+    opts = _minimize_options(cfg)
     ctx = build_context(field)
     warm = cfg.get("warm_start", True)
     jobs = int(cfg.get("jobs", 1))
-    opts = _minimize_options(cfg)
     if not warm and jobs > 1 and len(grid) > 1:
         # rows are independent without warm starting; one writer below
-        taus = sorted(float(t) for t in grid)
+        taus = sorted(grid)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row_task, [(ctx, t, opts) for t in taus]))
     else:

@@ -202,20 +202,61 @@ def winding_number(curve: ClosedCurve, point) -> int:
     return int(np.count_nonzero(up)) - int(np.count_nonzero(down))
 
 
+#: Oversampling factor of the table that ``trig_resample`` reads off.
+RESAMPLE_GRID = 16
+#: Number of equispaced table nodes in each Lagrange stencil.
+RESAMPLE_STENCIL = 12
+
+# stencil node offsets -5..6 around the node left of the target, and the
+# constant Lagrange denominators prod_{l != m} (d_m - d_l), exact in floats
+_STENCIL_OFFSETS = np.arange(RESAMPLE_STENCIL) - (RESAMPLE_STENCIL // 2 - 1)
+_STENCIL_DENOM = np.array(
+    [
+        float(np.prod([dm - dl for dl in _STENCIL_OFFSETS if dl != dm]))
+        for dm in _STENCIL_OFFSETS
+    ]
+)
+
+
+def _lagrange_weights(frac: np.ndarray) -> np.ndarray:
+    """Stencil weights at fractional offsets ``frac`` in [0, 1).
+
+    Each numerator prod_{l != m} (frac - d_l) is built from prefix and suffix
+    products rather than by dividing out one factor, so a target on a node
+    (frac = 0) gets exact Kronecker weights.
+    """
+    diff = frac[:, None] - _STENCIL_OFFSETS
+    left = np.ones_like(diff)
+    right = np.ones_like(diff)
+    left[:, 1:] = np.cumprod(diff[:, :-1], axis=1)
+    right[:, :-1] = np.cumprod(diff[:, :0:-1], axis=1)[:, ::-1]
+    return left * right / _STENCIL_DENOM
+
+
 def trig_resample(values: np.ndarray, period: float, t: np.ndarray):
     """Evaluate the trigonometric interpolant of periodic samples at ``t``.
 
     ``values`` may be (N,) or (N, m); the result has matching trailing shape.
-    The interpolant is the real part of the half-spectrum sum with modes
-    1..N/2-1 doubled, so the Nyquist mode enters as a pure cosine.
+    The interpolant, with the Nyquist mode as a pure cosine, is tabulated on
+    ``RESAMPLE_GRID * N`` uniform points by a zero-padded real FFT and read
+    off at ``t`` by ``RESAMPLE_STENCIL``-point equispaced Lagrange
+    interpolation (gridding, as in the NUFFT).  The cost is O(N log N) plus
+    O(len(t)); on full-spectrum data the error is on a par with summing the
+    Fourier series directly in double precision.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    coef = np.fft.rfft(values, axis=0) / n
-    coef[1 : n // 2] *= 2.0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    phase = (2j * np.pi / period) * np.outer(t, np.arange(n // 2 + 1))
-    return (np.exp(phase, out=phase) @ coef).real
+    size = RESAMPLE_GRID * n
+    coef = np.fft.rfft(values, axis=0)
+    if n % 2 == 0:
+        # on the finer grid the Nyquist mode gains a conjugate partner
+        coef[n // 2] *= 0.5
+    table = np.fft.irfft(coef, n=size, axis=0) * RESAMPLE_GRID
+    x = np.atleast_1d(np.asarray(t, dtype=float)) * (size / period)
+    left = np.floor(x)
+    nodes = (left.astype(np.int64)[:, None] + _STENCIL_OFFSETS) % size
+    weights = _lagrange_weights(x - left)
+    return np.einsum("pk,pk...->p...", weights, table[nodes])
 
 
 def reparametrize_constant_speed(curve: ClosedCurve) -> ClosedCurve:
@@ -274,6 +315,37 @@ def _arcs_interleave(r1, r2, r3, r4) -> bool:
     return in3 != in4
 
 
+def _candidate_pairs(a: np.ndarray, b: np.ndarray, tol: float):
+    """Non-adjacent segment pairs (i < j) whose tol-padded boxes overlap.
+
+    Sort and sweep over x-extents (Shamos & Hoey 1976): after sorting the
+    segments by their padded left end, the segments whose x-extent meets
+    that of segment p are the ones up to ``searchsorted`` of its right end.
+    The pairs come back in row-major order, as ``triu_indices`` lists them.
+    """
+    n = len(a)
+    lo = np.minimum(a, b) - tol
+    hi = np.maximum(a, b) + tol
+    order = np.argsort(lo[:, 0], kind="stable")
+    stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    counts = stop - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), counts)
+    start = np.cumsum(counts) - counts
+    second = first + 1 + np.arange(first.size) - np.repeat(start, counts)
+    p, q = order[first], order[second]
+    idx_i, idx_j = np.minimum(p, q), np.maximum(p, q)
+    keep = (
+        (lo[idx_i, 1] <= hi[idx_j, 1])
+        & (lo[idx_j, 1] <= hi[idx_i, 1])
+        & (idx_j - idx_i > 1)
+        # the pair (0, n-1) is adjacent through the wrap-around
+        & (idx_j - idx_i < n - 1)
+    )
+    idx_i, idx_j = idx_i[keep], idx_j[keep]
+    row_major = np.lexsort((idx_j, idx_i))
+    return idx_i[row_major], idx_j[row_major]
+
+
 def is_simple(curve: ClosedCurve):
     """Whether the sample polyline has no transverse self-intersection.
 
@@ -281,7 +353,9 @@ def is_simple(curve: ClosedCurve):
     (t_i, t_j) of crossing locations.  Two detection passes run: proper
     interior crossings of non-adjacent segment pairs, and coincident-node
     contacts (within 1e-10 * diameter) that the angular interleaving test
-    classifies as transverse.  Sampling density is the caller's
+    classifies as transverse.  Both tests run only on the segment pairs
+    whose bounding boxes, padded by that tolerance, overlap; those include
+    every pair either test can flag.  Sampling density is the caller's
     responsibility.
     """
     pts = curve.samples
@@ -292,10 +366,7 @@ def is_simple(curve: ClosedCurve):
     dt = curve.period / n
     pairs = []
 
-    idx_i, idx_j = np.triu_indices(n, k=2)
-    # the pair (0, n-1) is adjacent through the wrap-around
-    keep = ~((idx_i == 0) & (idx_j == n - 1))
-    idx_i, idx_j = idx_i[keep], idx_j[keep]
+    idx_i, idx_j = _candidate_pairs(a, b, tol)
 
     p, r = a[idx_i], b[idx_i] - a[idx_i]
     q, s = a[idx_j], b[idx_j] - a[idx_j]

@@ -36,6 +36,7 @@ from .curves import (
     reparametrize_constant_speed,
     rot90,
     signed_area,
+    trig_resample,
 )
 from .energy import EnergyContext, anisotropic_area, energy
 from .errors import DegenerateSpeed, FieldTooLarge, SignIncompatible
@@ -193,8 +194,6 @@ def minimize_area_constrained(
     if opts.initial is not None:
         start = opts.initial
         if start.n != opts.n_samples:
-            from .curves import trig_resample
-
             t_new = start.period * np.arange(opts.n_samples) / opts.n_samples
             start = ClosedCurve(
                 period=start.period,

@@ -96,6 +96,33 @@ def test_malformed_field_exit_2(tmp_path, capsys, text, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("solve", '{"tau": [1]}', "'tau'"),
+        ("solve", '{"tau": NaN}', "'tau'"),
+        ("solve", '{"tau": 1, "n_samples": "x"}', "'n_samples'"),
+        ("solve", '{"tau": 1, "max_iter": null}', "'max_iter'"),
+        ("solve", '{"tau": 1, "recenter_every": 2.5}', "'recenter_every'"),
+        ("solve", '{"tau": 1, "tol_area": Infinity}', "'tol_area'"),
+        ("solve", '{"tau": 1, "recenter": "yes"}', "'recenter'"),
+        ("sweep", '{"tau_grid": [0.5, "1"]}', "'tau_grid'"),
+        ("sweep", '{"tau_grid": 1.0}', "'tau_grid'"),
+        ("sweep", '{"tau_grid": [1.0], "n_samples": true}', "'n_samples'"),
+    ],
+)
+def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main(
+        [command, "--field", field_zero, "--config", str(cfg), "--out", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err
+
+
 class TestSweep:
     def test_flat_scaling_column(self, tmp_path, field_zero):
         out = tmp_path / "out"

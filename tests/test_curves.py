@@ -20,7 +20,13 @@ from prescurve import (
     winding_number,
     write_curve,
 )
-from prescurve.curves import circle, curve_reverse, curve_translate, trig_resample
+from prescurve.curves import (
+    _arcs_interleave,
+    circle,
+    curve_reverse,
+    curve_translate,
+    trig_resample,
+)
 
 from conftest import random_loop
 
@@ -288,6 +294,89 @@ class TestIsSimple:
         assert brute_crossings(c.samples) == len(pairs)
 
 
+def brute_is_simple(curve):
+    """Reference ``is_simple``: both tests on every non-adjacent segment pair."""
+    pts = curve.samples
+    n = curve.n
+    a = pts
+    b = np.roll(pts, -1, axis=0)
+    tol = 1e-10 * max(curve.diameter(), 1e-300)
+    dt = curve.period / n
+    pairs = []
+
+    idx_i, idx_j = np.triu_indices(n, k=2)
+    keep = ~((idx_i == 0) & (idx_j == n - 1))
+    idx_i, idx_j = idx_i[keep], idx_j[keep]
+
+    p, r = a[idx_i], b[idx_i] - a[idx_i]
+    q, s = a[idx_j], b[idx_j] - a[idx_j]
+    denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+    qp = q - p
+    t_num = qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]
+    u_num = qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]
+
+    scale_r = np.hypot(r[:, 0], r[:, 1])
+    scale_s = np.hypot(s[:, 0], s[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tpar = t_num / denom
+        upar = u_num / denom
+    eps_t = tol / np.where(scale_r > 0, scale_r, 1.0)
+    eps_u = tol / np.where(scale_s > 0, scale_s, 1.0)
+    transverse = (
+        (np.abs(denom) > tol * np.maximum(scale_r, scale_s))
+        & (tpar > eps_t)
+        & (tpar < 1.0 - eps_t)
+        & (upar > eps_u)
+        & (upar < 1.0 - eps_u)
+    )
+    for h in np.nonzero(transverse)[0]:
+        pairs.append(
+            (float((idx_i[h] + tpar[h]) * dt), float((idx_j[h] + upar[h]) * dt))
+        )
+
+    d2 = np.sum((pts[idx_i] - pts[idx_j]) ** 2, axis=1)
+    contact = (d2 <= tol**2) & (idx_j - idx_i > 1) & (idx_j - idx_i < n - 1)
+    for h in np.nonzero(contact)[0]:
+        i, j = int(idx_i[h]), int(idx_j[h])
+        r1 = pts[(i - 1) % n] - pts[i]
+        r2 = pts[(i + 1) % n] - pts[i]
+        r3 = pts[(j - 1) % n] - pts[j]
+        r4 = pts[(j + 1) % n] - pts[j]
+        if min(map(np.linalg.norm, (r1, r2, r3, r4))) <= tol:
+            continue
+        if _arcs_interleave(r1, r2, r3, r4):
+            pairs.append((float(i * dt), float(j * dt)))
+
+    return len(pairs) == 0, pairs
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 128),
+    st.sampled_from(["random", "lattice", "jittered", "doubled"]),
+)
+@settings(max_examples=150)
+def test_is_simple_matches_brute_force(seed, half_n, kind):
+    # lattice rounding makes coincident nodes, collinear overlapping
+    # segments and crossings through nodes; jitter far below the contact
+    # tolerance makes those contacts near-coincident instead of exact
+    rng = np.random.default_rng(seed)
+    n = 2 * half_n
+    if kind == "random":
+        pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+    elif kind in ("lattice", "jittered"):
+        pts = np.round(rng.uniform(-1.0, 1.0, size=(n, 2)) * rng.integers(1, 5)) / 4
+        if kind == "jittered":
+            pts += rng.uniform(-1e-12, 1e-12, size=(n, 2))
+    else:
+        # a loop run twice, shifted by a quarter of itself: it winds twice,
+        # and on the lattice some of its crossings fall on nodes
+        loop = random_loop(rng, n=n, modes=6)
+        pts = np.round((loop[2 * np.arange(n) % n] + 0.25 * loop) * 8) / 8
+    c = ClosedCurve(rng.choice([1.0, 2 * np.pi]), pts)
+    assert is_simple(c) == brute_is_simple(c)
+
+
 class TestIsoperimetricInequality:
     @given(st.integers(0, 2**32 - 1))
     def test_sharp_constant(self, seed):
@@ -346,20 +435,28 @@ def test_trig_resample_reproduces_samples():
     assert np.abs(vals - samples).max() < 1e-11
 
 
-@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("n", [15, 16, 64, 256, 1024])
 def test_trig_resample_full_spectrum_off_grid(n):
     # oracle: the explicit Fourier sum of the interpolant, modes -N/2+1..N/2-1
-    # plus the Nyquist mode as a cosine; tolerance 1e-12 relative to the data
+    # plus, for even N, the Nyquist mode as a cosine; tolerance 1e-12
+    # relative to the data.  Besides random targets, uniform grids of M
+    # points visited in the order t = T (m j mod M) / M, as loop assembly,
+    # the cylinder lift and a change of N ask for them, with M below and
+    # above N.
     rng = np.random.default_rng(n)
     period = 2.5
     values = rng.normal(size=(n, 2))
-    t = rng.uniform(-period, 2 * period, size=40)
+    grids = [
+        period * (5 * np.arange(size) % size) / size for size in (n // 2 + 1, 2 * n + 1)
+    ]
+    t = np.concatenate([rng.uniform(-period, 2 * period, size=40)] + grids)
     j = np.arange(n)
-    k = np.arange(-n // 2 + 1, n // 2)
+    k = np.arange(-((n - 1) // 2), (n + 1) // 2)
     coef = np.exp(-2j * np.pi * np.outer(k, j) / n) @ values / n
-    nyq = np.cos(np.pi * j) @ values / n
     oracle = (np.exp(2j * np.pi * np.outer(t, k) / period) @ coef).real
-    oracle += np.cos(np.pi * n * t / period)[:, None] * nyq
+    if n % 2 == 0:
+        nyq = np.cos(np.pi * j) @ values / n
+        oracle += np.cos(np.pi * n * t / period)[:, None] * nyq
     tol = 1e-12 * np.abs(values).max()
     assert np.abs(trig_resample(values, period, t) - oracle).max() <= tol
     assert np.abs(trig_resample(values[:, 1], period, t) - oracle[:, 1]).max() <= tol
