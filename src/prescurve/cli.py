@@ -131,21 +131,29 @@ def _config_value(key: str, value, kind):
     return kind(value)
 
 
-def _minimize_options(cfg) -> MinimizeOptions:
-    kinds = {
-        "n_samples": int,
-        "max_iter": int,
-        "tol_grad": float,
-        "tol_residual": float,
-        "tol_area": float,
-        "recenter": bool,
-        "recenter_every": int,
-    }
-    kwargs = {
+def _config_values(cfg, kinds: dict) -> dict:
+    """The keys of ``kinds`` present in ``cfg``, each checked against its
+    kind by ``_config_value``."""
+    return {
         key: _config_value(key, cfg[key], kind)
         for key, kind in kinds.items()
         if key in cfg
     }
+
+
+def _minimize_options(cfg) -> MinimizeOptions:
+    kwargs = _config_values(
+        cfg,
+        {
+            "n_samples": int,
+            "max_iter": int,
+            "tol_grad": float,
+            "tol_residual": float,
+            "tol_area": float,
+            "recenter": bool,
+            "recenter_every": int,
+        },
+    )
     if cfg.get("initial_curve"):
         kwargs["initial"] = read_curve(cfg["initial_curve"])
     return MinimizeOptions(**kwargs)
@@ -211,7 +219,7 @@ def cmd_sweep(cfg) -> int:
     opts = _minimize_options(cfg)
     ctx = build_context(field)
     warm = cfg.get("warm_start", True)
-    jobs = int(cfg.get("jobs", 1))
+    jobs = _config_value("jobs", cfg["jobs"], int)
     if not warm and jobs > 1 and len(grid) > 1:
         # rows are independent without warm starting; one writer below
         taus = sorted(grid)
@@ -268,15 +276,31 @@ def cmd_immersed(cfg) -> int:
     n_list = cfg.get("n_list", [32, 64])
     if not n_list:
         raise UsageError("'n_list' must be nonempty")
-    ls_kwargs = {}
-    for key in ("num_samples", "tol_fp", "tol_root", "max_iter", "samples_per_loop"):
-        if key in cfg:
-            ls_kwargs[key] = cfg[key]
-    if cfg.get("r_bracket"):
-        ls_kwargs["r_bracket"] = tuple(cfg["r_bracket"])
+    if not isinstance(n_list, list):
+        raise ValueError(f"config key 'n_list' must be a list, got {n_list!r}")
+    n_list = [_config_value("n_list", n, int) for n in n_list]
+    ls_kwargs = _config_values(
+        cfg,
+        {
+            "num_samples": int,
+            "tol_fp": float,
+            "tol_root": float,
+            "max_iter": int,
+            "samples_per_loop": int,
+        },
+    )
+    bracket = cfg.get("r_bracket")
+    if bracket:
+        if not (isinstance(bracket, list) and len(bracket) == 2):
+            raise ValueError(
+                f"config key 'r_bracket' must be a list of two numbers, got {bracket!r}"
+            )
+        ls_kwargs["r_bracket"] = tuple(
+            _config_value("r_bracket", r, float) for r in bracket
+        )
 
-    jobs = int(cfg.get("jobs", 1))
-    tasks = [(int(n), h, ls_kwargs) for n in n_list]
+    jobs = _config_value("jobs", cfg["jobs"], int)
+    tasks = [(n, h, ls_kwargs) for n in n_list]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_immersed_one, tasks))
@@ -298,7 +322,7 @@ def cmd_immersed(cfg) -> int:
                 "lambda2": res.lambda2,
                 "residual": res.residual,
                 "iterations": res.iterations,
-                "bisections": res.bisections,
+                "radius_evals": res.radius_evals,
                 "converged": res.converged,
                 "phi": [float(v) for v in res.phi.samples],
                 "curve_file": f"immersed_n{n}_curve.json",

@@ -455,11 +455,10 @@ def read_curve(path) -> ClosedCurve:
 
 
 def write_curve(curve: ClosedCurve, path) -> None:
-    # json emits floats via repr, i.e. shortest round-trip decimals
-    doc = {
-        "period": float(curve.period),
-        "samples": [[float(x), float(y)] for x, y in curve.samples],
-    }
+    # json emits floats via repr, i.e. shortest round-trip decimals; dumps,
+    # unlike dump to a file, takes the C encoder
+    text = json.dumps(
+        {"period": float(curve.period), "samples": curve.samples.tolist()}
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text + "\n")

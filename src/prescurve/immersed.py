@@ -9,7 +9,9 @@ component, removed by root-finding in the radius parameter:
 1. for fixed (n, R), iterate phi <- Linv P (L phi - G(phi)) with
    G(phi) = K(u + phi nu) - H(u + phi nu) until the update stalls,
    leaving G = lambda1 cos + lambda2 sin;
-2. bisect in r (with R = (r n)^(1/(gamma+2))) until lambda1 vanishes;
+2. search r (with R = (r n)^(1/(gamma+2))) by Brent's bracketed method
+   until lambda1 vanishes, starting each fixed point from the profile of
+   the nearest radius already solved;
 3. lambda2 vanishes by the rotational symmetry of the energy, which the
    even parity of the iteration preserves exactly.
 
@@ -22,6 +24,7 @@ and spectral derivatives of the profile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +119,7 @@ class LSResult:
     lambda2: float
     residual: float
     iterations: int
-    bisections: int
+    radius_evals: int
     trace: tuple
     converged: bool
 
@@ -127,7 +130,6 @@ class LSConfig:
     tol_fp: float = 1e-10
     tol_root: float = 1e-8
     max_iter: int = 200
-    max_bisect: int = 200
     r_bracket: tuple | None = None
     samples_per_loop: int = 64
 
@@ -264,11 +266,13 @@ def fixed_point_solve(
     tol_fp: float = 1e-10,
     max_iter: int = 200,
     num_samples: int = 512,
+    phi0=None,
 ):
     """Contract to the profile solving the projected curvature equation.
 
-    The map is Q(phi) = Linv(L phi - G(phi)), started from phi = 0 and run
-    until its defect sup|Q(phi) - phi| drops below ``tol_fp``.  Steps use
+    The map is Q(phi) = Linv(L phi - G(phi)), started from ``phi0``
+    (``num_samples`` values; default zero) and run until its defect
+    sup|Q(phi) - phi| drops below ``tol_fp``.  Steps use
     secant (depth-1 Anderson) mixing of the last two map evaluations, which
     has the same fixed points as the plain iteration but roughly squares
     the convergence rate; the plain step is the first iterate.  Returns
@@ -279,7 +283,12 @@ def fixed_point_solve(
     """
     t = 2.0 * np.pi * np.arange(num_samples) / num_samples
     frame = _Frame(params, t)
-    phi = np.zeros(num_samples)
+    if phi0 is None:
+        phi = np.zeros(num_samples)
+    else:
+        phi = np.array(phi0, dtype=float)
+        if phi.shape != (num_samples,):
+            raise ValueError(f"phi0 must have shape ({num_samples},), got {phi.shape}")
     phi_prev = None
     res_prev = None
     trace = []
@@ -328,6 +337,54 @@ def _radius(r: float, n: int, gamma: float) -> float:
     return (r * n) ** (1.0 / (gamma + 2.0))
 
 
+MAX_ROOT_STEPS = 200
+
+
+def _brent(f, a: float, fa: float, b: float, fb: float, tol_f: float):
+    """Root of ``f`` in the bracket [a, b] with fa * fb < 0 (Brent 1973).
+
+    Takes inverse-quadratic or secant steps while they stay inside the
+    bracket and shrink it fast enough, and bisection otherwise.  Stops when
+    |f| <= ``tol_f``, when the bracket is narrower than 1e-15 max(1, |x|),
+    or after ``MAX_ROOT_STEPS`` evaluations; returns the last iterate
+    ``(x, f(x))``.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(MAX_ROOT_STEPS):
+        if fb * fc > 0.0:
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5e-15 * max(1.0, abs(b))
+        m = 0.5 * (c - b)
+        if abs(fb) <= tol_f or abs(c - b) < 2.0 * tol:
+            break
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    return b, fb
+
+
 def find_radius(
     n: int,
     h: RadialCurvature,
@@ -335,11 +392,14 @@ def find_radius(
     tol_root: float = 1e-8,
     config: LSConfig | None = None,
 ) -> LSResult:
-    """Bisect the radius parameter until the cosine multiplier vanishes.
+    """Search the radius parameter until the cosine multiplier vanishes.
 
-    Each evaluation runs the full fixed point at R = (r n)^(1/(gamma+2)).
-    The bracket must satisfy the root-existence inequalities and produce a
-    sign change, else ``NoSignChange``.
+    Each evaluation runs the full fixed point at R = (r n)^(1/(gamma+2)),
+    started from the profile of the nearest radius solved so far; Brent's
+    bracketed method picks the next radius.  The bracket must satisfy the
+    root-existence inequalities and produce a sign change, else
+    ``NoSignChange``; ``MaxIterationsExceeded`` if |lambda1| stays above
+    ``tol_root``.
     """
     config = config or LSConfig()
     mirror = h.tilde_amplitude < 0.0
@@ -350,15 +410,17 @@ def find_radius(
             f"bracket ({r0:g}, {r1:g}) violates the root-existence inequalities"
         )
 
-    evals = []
+    solved = {}  # r -> (phi, lambda1, lambda2, trace), in evaluation order
 
-    def lam1_at(r: float):
+    def lam1_at(r: float) -> float:
         params = AnsatzParams(n=n, R=_radius(r, n, h.gamma), mirror=mirror)
-        phi, lam1, lam2, trace = fixed_point_solve(
-            params, h, config.tol_fp, config.max_iter, config.num_samples
+        nearest = min(solved, key=lambda s: abs(s - r), default=None)
+        phi0 = None if nearest is None else solved[nearest][0].samples
+        sol = fixed_point_solve(
+            params, h, config.tol_fp, config.max_iter, config.num_samples, phi0
         )
-        evals.append((r, lam1, len(trace)))
-        return phi, lam1, lam2, trace
+        solved[r] = sol
+        return sol[1]
 
     def endpoint(r: float, other: float):
         # Below the asymptotic regime the contraction can fail near an
@@ -373,33 +435,22 @@ def find_radius(
             f"fixed point fails everywhere near the bracket end {r:g}"
         )
 
-    r0, (phi_lo, f_lo, lam2_lo, trace_lo) = endpoint(r0, r1)
-    r1, (phi_hi, f_hi, lam2_hi, trace_hi) = endpoint(r1, r0)
+    r0, f_lo = endpoint(r0, r1)
+    r1, f_hi = endpoint(r1, r0)
     if f_lo == 0.0:
-        best = (r0, phi_lo, f_lo, lam2_lo, trace_lo)
+        r_n = r0
     elif f_hi == 0.0:
-        best = (r1, phi_hi, f_hi, lam2_hi, trace_hi)
+        r_n = r1
     elif f_lo * f_hi > 0.0:
         raise NoSignChange(
             f"lambda1({r0:g}) = {f_lo:.3e} and lambda1({r1:g}) = {f_hi:.3e}"
         )
     else:
-        best = None
-        lo, hi = r0, r1
-        for _ in range(config.max_bisect):
-            mid = 0.5 * (lo + hi)
-            phi_m, f_m, lam2_m, trace_m = lam1_at(mid)
-            best = (mid, phi_m, f_m, lam2_m, trace_m)
-            if abs(f_m) <= tol_root or hi - lo < 1e-15 * max(1.0, abs(hi)):
-                break
-            if f_m * f_lo < 0.0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_m
-        if best is None or abs(best[2]) > tol_root:
-            raise MaxIterationsExceeded("bisection did not reach tol_root")
+        r_n, f_n = _brent(lam1_at, r0, f_lo, r1, f_hi, tol_root)
+        if abs(f_n) > tol_root:
+            raise MaxIterationsExceeded("radius search did not reach tol_root")
 
-    r_n, phi, lam1, lam2, trace = best
+    phi, lam1, lam2, trace = solved[r_n]
     params = AnsatzParams(n=n, R=_radius(r_n, n, h.gamma), mirror=mirror)
     gap = curvature_gap(params, phi, h).samples
     t = 2.0 * np.pi * np.arange(len(gap)) / len(gap)
@@ -415,8 +466,8 @@ def find_radius(
         lambda2=lam2,
         residual=residual,
         iterations=len(trace),
-        bisections=len(evals),
-        trace=tuple(evals),
+        radius_evals=len(solved),
+        trace=tuple((r, s[1], len(s[3])) for r, s in solved.items()),
         converged=converged,
     )
 
@@ -489,7 +540,7 @@ def build_immersed_loop(
         lambda2=result.lambda2,
         residual=residual,
         iterations=result.iterations,
-        bisections=result.bisections,
+        radius_evals=result.radius_evals,
         trace=result.trace,
         converged=result.converged and residual <= 10.0 * config.tol_root,
     )

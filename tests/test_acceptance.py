@@ -284,7 +284,8 @@ def test_criterion_07_immersed_pipeline(model_radial):
         gap_sup = abs(res.lambda1) + abs(res.lambda2) + res.residual
         ok &= res.iterations <= 50
         ok &= abs(res.lambda1) <= 1e-8
-        ok &= abs(res.lambda2) <= 1e-8 * max(gap_sup, 1e-12)
+        h_sup = float(np.abs(h(np.hypot(*curve.samples.T))).max())
+        ok &= abs(res.lambda2) <= 1e-8 * gap_sup + 4 * np.finfo(float).eps * h_sup
         ok &= res.residual <= 1e-6
         ok &= r0 < res.r < r1
         details.append(f"n={n}: it={res.iterations} l1={res.lambda1:.1e}")

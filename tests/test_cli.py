@@ -109,6 +109,7 @@ def test_malformed_field_exit_2(tmp_path, capsys, text, key):
         ("sweep", '{"tau_grid": [0.5, "1"]}', "'tau_grid'"),
         ("sweep", '{"tau_grid": 1.0}', "'tau_grid'"),
         ("sweep", '{"tau_grid": [1.0], "n_samples": true}', "'n_samples'"),
+        ("sweep", '{"tau_grid": [1.0], "jobs": null}', "'jobs'"),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, key):
@@ -117,6 +118,32 @@ def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, ke
     code = main(
         [command, "--field", field_zero, "--config", str(cfg), "--out", str(tmp_path)]
     )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ('"tol_fp": "x"', "'tol_fp'"),
+        ('"tol_root": NaN', "'tol_root'"),
+        ('"max_iter": 2.5', "'max_iter'"),
+        ('"num_samples": null', "'num_samples'"),
+        ('"samples_per_loop": true', "'samples_per_loop'"),
+        ('"n_list": [32, "64"]', "'n_list'"),
+        ('"n_list": 32', "'n_list'"),
+        ('"r_bracket": [0.1]', "'r_bracket'"),
+        ('"r_bracket": [0.1, Infinity]', "'r_bracket'"),
+        ('"r_bracket": "0.1, 2"', "'r_bracket'"),
+        ('"jobs": null', "'jobs'"),
+    ],
+)
+def test_malformed_immersed_config_exit_2(tmp_path, capsys, extra, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"radial_params": {"A": 1.0, "gamma": 2.0}, ' + extra + "}")
+    code = main(["immersed", "--config", str(cfg), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
     assert key in err

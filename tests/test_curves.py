@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -399,6 +400,27 @@ class TestCurveIO:
         back = read_curve(path)
         assert back.period == c.period
         assert np.array_equal(back.samples, c.samples)
+
+    def test_text_matches_json_dump(self, tmp_path):
+        # the written text is exactly what json.dump of per-sample Python
+        # floats gives, awkward decimals and signed zero included
+        awkward = [0.1, 1.0 / 3.0, -0.0, 1e-300, 1e17, -2.5e-8, 7.0, -1.0 / 3.0]
+        samples = np.array(awkward * 4).reshape(16, 2)
+        c = ClosedCurve(2.0 * np.pi * 3, samples)
+        path = tmp_path / "curve.json"
+        write_curve(c, path)
+        old = tmp_path / "old.json"
+        with open(old, "w", encoding="utf-8") as fh:
+            json.dump(
+                {
+                    "period": float(c.period),
+                    "samples": [[float(x), float(y)] for x, y in c.samples],
+                },
+                fh,
+            )
+            fh.write("\n")
+        assert path.read_bytes() == old.read_bytes()
+        assert "-0.0" in path.read_text() and "1e-300" in path.read_text()
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

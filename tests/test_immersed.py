@@ -30,6 +30,20 @@ def grid_2pi(n=512):
     return 2 * np.pi * np.arange(n) / n
 
 
+EPS = np.finfo(float).eps
+
+
+def h_sup(params, phi, h):
+    """max |H(|w|)| over the perturbed curve w = u + phi * normal: the size
+    of the O(1) terms whose K - H cancellation leaves lambda2 as roundoff."""
+    data = ansatz_eval(params, len(phi))
+    return float(np.abs(h(np.abs(data["u"] + phi * data["normal"]))).max())
+
+
+# the four radial profiles of the immersed-family benchmark, both mirrors
+FAMILY = ((1.0, 2.0), (-1.0, 2.0), (0.5, 3.0), (-0.5, 1.5))
+
+
 class TestAnsatz:
     def test_start_point(self):
         data = ansatz_eval(AnsatzParams(n=8, R=3.0), 128)
@@ -221,13 +235,44 @@ class TestFindRadius:
         assert abs(res.lambda1) <= 1e-8
         assert res.converged
 
+    def test_evaluation_count(self, h_model):
+        # Brent with warm-started solves needs 9 radius evaluations here
+        res = find_radius(64, h_model)
+        assert res.converged
+        assert res.radius_evals == len(res.trace) <= 12
+
+    @pytest.mark.parametrize("amp, gamma", FAMILY)
+    def test_family_converges_from_default_bracket(self, amp, gamma):
+        h = RadialCurvature(A=amp, gamma=gamma)
+        res = find_radius(64, h)
+        assert res.converged
+        assert res.mirror == (amp < 0)
+        assert abs(res.lambda1) <= 1e-8
+        r0, r1 = default_bracket(h)
+        assert r0 < res.r < r1
+
 
 class TestSecondMultiplier:
     def test_vanishes(self, h_model):
         res = find_radius(64, h_model)
         gap_sup = res.residual + abs(res.lambda1)
         lam2, rot = verify_second_multiplier(res, h_model)
-        assert lam2 <= 1e-8 * max(gap_sup, 1e-12)
+        params = AnsatzParams(n=64, R=res.R, mirror=res.mirror)
+        assert lam2 <= 1e-8 * gap_sup + 4 * EPS * h_sup(params, res.phi.samples, h_model)
+
+    @pytest.mark.parametrize("amp, gamma", [(1.0, 2.0), (-0.5, 1.5)])
+    def test_parity_at_every_radius_evaluation(self, amp, gamma):
+        # lambda2 is roundoff of the K - H sum at every radius the search
+        # visits, not only at the root, and for a cold start as well
+        h = RadialCurvature(A=amp, gamma=gamma)
+        res = find_radius(64, h)
+        assert len(res.trace) >= 3
+        for r, _, _ in res.trace:
+            params = AnsatzParams(
+                n=64, R=(r * 64) ** (1.0 / (gamma + 2.0)), mirror=res.mirror
+            )
+            phi, _, lam2, _ = fixed_point_solve(params, h)
+            assert abs(lam2) <= 4 * EPS * h_sup(params, phi.samples, h)
 
     def test_rotational_identity(self, h_model):
         res = find_radius(64, h_model)
