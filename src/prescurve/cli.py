@@ -14,11 +14,12 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .curves import read_curve, write_curve
+from .curves import derivative, length, read_curve, write_curve
 from .energy import build_context
 from .errors import PrescurveError
 from .fields import (
@@ -139,6 +140,24 @@ def _config_values(cfg, kinds: dict) -> dict:
         for key, kind in kinds.items()
         if key in cfg
     }
+
+
+def _config_pair(cfg, key: str, kind, default=None) -> tuple:
+    """The two-entry list under ``key`` as a tuple of ``kind`` (see
+    ``_config_value``), or ``default`` when the key is absent."""
+    if key not in cfg:
+        return default
+    value = cfg[key]
+    if not (isinstance(value, list) and len(value) == 2):
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"config key '{key}' must be a list of two {noun}, got {value!r}")
+    return tuple(_config_value(key, v, kind) for v in value)
+
+
+def _config_lam(cfg) -> float:
+    """The multiplier shift under 'lam' (or 'lambda'), default 0."""
+    key = "lam" if "lam" in cfg else "lambda"
+    return _config_value(key, cfg.get(key, 0.0), float)
 
 
 def _minimize_options(cfg) -> MinimizeOptions:
@@ -289,15 +308,8 @@ def cmd_immersed(cfg) -> int:
             "samples_per_loop": int,
         },
     )
-    bracket = cfg.get("r_bracket")
-    if bracket:
-        if not (isinstance(bracket, list) and len(bracket) == 2):
-            raise ValueError(
-                f"config key 'r_bracket' must be a list of two numbers, got {bracket!r}"
-            )
-        ls_kwargs["r_bracket"] = tuple(
-            _config_value("r_bracket", r, float) for r in bracket
-        )
+    if cfg.get("r_bracket"):
+        ls_kwargs["r_bracket"] = _config_pair(cfg, "r_bracket", float)
 
     jobs = _config_value("jobs", cfg["jobs"], int)
     tasks = [(n, h, ls_kwargs) for n in n_list]
@@ -333,40 +345,53 @@ def cmd_immersed(cfg) -> int:
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
+@dataclass(frozen=True)
+class _ShiftedField:
+    """Field strength b = scale * (H - lam) of a curvature field H, read
+    one point at a time by ``simulate_magnetic``."""
+
+    field: CurvatureField
+    scale: float
+    lam: float
+
+    def at(self, x: float, y: float) -> float:
+        return self.scale * (self.field.at(x, y) - self.lam)
+
+
 def cmd_magnetic(cfg) -> int:
+    kwargs = _config_values(
+        cfg,
+        {
+            "charge": float,
+            "mass": float,
+            "speed": float,
+            "v_parallel": float,
+            "t_final": float,
+            "steps": int,
+        },
+    )
+    for key in ("position", "direction"):
+        if key in cfg:
+            kwargs[key] = _config_pair(cfg, key, float)
     b = cfg.get("b")
-    if b is None and cfg.get("b_field"):
+    if b is not None:
+        b = _config_value("b", b, float)
+    elif cfg.get("b_field"):
         # derive the intensity from a curvature field: b = -m v (H - lam)/e,
         # so the transverse orbit follows the shifted-curvature loop
-        field = read_field(Path(cfg["b_field"]))
-        lam = float(cfg.get("lam", cfg.get("lambda", 0.0)))
-        mass = float(cfg.get("mass", 1.0))
-        speed = float(cfg.get("speed", 1.0))
-        charge = float(cfg.get("charge", 1.0))
-
-        def b(p):  # noqa: F811
-            return -mass * speed / charge * (
-                float(field.value(np.atleast_2d(p))[0]) - lam
-            )
-
-    if b is None:
+        lam = _config_lam(cfg)
+        charge = kwargs.get("charge", 1.0)
+        if charge == 0:
+            raise UsageError("config key 'charge' must be nonzero with 'b_field'")
+        path = Path(cfg["b_field"])
+        if not path.exists():
+            raise UsageError(f"config key 'b_field': field file not found: {path}")
+        scale = -kwargs.get("mass", 1.0) * kwargs.get("speed", 1.0) / charge
+        b = _ShiftedField(read_field(path), scale, lam)
+    else:
         raise UsageError("need a field strength 'b' or a 'b_field' file")
-    kwargs = {}
-    for key in (
-        "charge",
-        "mass",
-        "speed",
-        "v_parallel",
-        "position",
-        "direction",
-        "t_final",
-        "steps",
-    ):
-        if key in cfg:
-            val = cfg[key]
-            kwargs[key] = tuple(val) if isinstance(val, list) else val
     try:
-        mc = MagneticConfig(b=b if callable(b) else float(b), **kwargs)
+        mc = MagneticConfig(b=b, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     sim = simulate_magnetic(mc)
@@ -382,10 +407,8 @@ def cmd_magnetic(cfg) -> int:
         "closure_defect": sim.closure_defect,
         "speed_drift": sim.speed_drift,
     }
-    if not callable(b):
-        report["gyroradius_expected"] = mc.mass * mc.speed / (
-            abs(mc.charge) * abs(float(b))
-        )
+    if isinstance(b, float):
+        report["gyroradius_expected"] = mc.mass * mc.speed / (abs(mc.charge) * abs(b))
     _write_json(out / "magnetic_report.json", report)
     return EXIT_OK
 
@@ -396,9 +419,9 @@ def cmd_cylinder(cfg) -> int:
     path = Path(cfg["curve"])
     if not path.exists():
         raise UsageError(f"curve file not found: {path}")
+    r_range = _config_pair(cfg, "r_range", float, (0.5, 2.0))
+    grid = _config_pair(cfg, "grid", int, (128, 33))
     curve = read_curve(path)
-    r_range = tuple(cfg.get("r_range", (0.5, 2.0)))
-    grid = tuple(cfg.get("grid", (128, 33)))
     lift = lift_to_cylinder(curve, r_range, grid)
     out = _out_dir(cfg)
     lift.write_off(out / "cylinder.off")
@@ -414,6 +437,8 @@ def cmd_cylinder(cfg) -> int:
 
 
 def cmd_check(cfg) -> int:
+    opts = _config_values(cfg, {"steps": int, "tol": float})
+    lam = _config_lam(cfg)
     if not cfg.get("curve"):
         raise UsageError("need a curve file (config key 'curve' or --curve)")
     path = Path(cfg["curve"])
@@ -424,18 +449,15 @@ def cmd_check(cfg) -> int:
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot parse curve file {path}: {exc}") from exc
     field = _load_field(cfg)
-    lam = float(cfg.get("lam", cfg.get("lambda", 0.0)))
     ctx = build_context(field)
     report = verify_solution(curve, ctx, lam)
     # closure of the curvature ODE restarted from the curve's initial data
-    from .curves import derivative, length
-
     du = derivative(curve, 1)
     v0 = du[0] / np.hypot(*du[0])
     ode = integrate_curvature_ode(
-        field, lam, curve.samples[0], v0, length(curve), steps=int(cfg.get("steps", 4096))
+        field, lam, curve.samples[0], v0, length(curve), steps=opts.get("steps", 4096)
     )
-    tol = float(cfg.get("tol", 1e-3))
+    tol = opts.get("tol", 1e-3)
     doc = {
         "speed_variation": report.speed_variation,
         "curvature_residual": report.curvature_residual,

@@ -65,6 +65,16 @@ class _PeriodicSpline2D:
     def __init__(self, grid: np.ndarray):
         self.m = grid.shape[0]
         self._coeffs = ndimage.spline_filter(grid, order=3, mode="grid-wrap")
+        self._flat = memoryview(self._coeffs.reshape(-1))
+
+    def __getstate__(self):
+        # a memoryview does not pickle; __setstate__ makes a new one
+        return {"m": self.m, "_coeffs": self._coeffs}
+
+    def __setstate__(self, state):
+        self.m = state["m"]
+        self._coeffs = state["_coeffs"]
+        self._flat = memoryview(self._coeffs.reshape(-1))
 
     def __call__(self, x, y):
         m = self.m
@@ -74,6 +84,44 @@ class _PeriodicSpline2D:
         return ndimage.map_coordinates(
             self._coeffs, coords, order=3, mode="grid-wrap", prefilter=False
         )
+
+    def at(self, x: float, y: float) -> float:
+        """The spline at one point, as a float.
+
+        Reads the 4 x 4 wrapped stencil of coefficients through a flat
+        float view and sums it with ``map_coordinates``' weights, in its
+        order, so it matches :meth:`__call__` to rounding (bit for bit
+        with scipy 1.17).
+        """
+        m, flat = self.m, self._flat
+        # wrap the grid coordinates into the cell first, as map_coordinates
+        # does: for negative coordinates this rounds the offset the same way
+        cx, cy = (x * m) % m, (y * m) % m
+        fx, fy = math.floor(cx), math.floor(cy)
+        wx = _cubic_weights(cx - fx)
+        w0, w1, w2, w3 = _cubic_weights(cy - fy)
+        j0, j1, j2, j3 = (fy - 1) % m, fy % m, (fy + 1) % m, (fy + 2) % m
+        total = 0.0
+        for d, w in zip((-1, 0, 1, 2), wx):
+            row = (fx + d) % m * m
+            total = (
+                total
+                + flat[row + j0] * w * w0
+                + flat[row + j1] * w * w1
+                + flat[row + j2] * w * w2
+                + flat[row + j3] * w * w3
+            )
+        return total
+
+
+def _cubic_weights(t: float) -> tuple:
+    """Cubic B-spline weights of the nodes -1, 0, 1, 2 at offset t in [0, 1),
+    written as ``scipy.ndimage`` computes them."""
+    z = 1.0 - t
+    w0 = z * z * z / 6.0
+    w1 = (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0
+    w2 = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
+    return w0, w1, w2, 1.0 - w0 - w1 - w2
 
 
 class RadialDecaying:
@@ -167,6 +215,19 @@ class CurvatureField:
         if self.radial is not None:
             out = out + self.radial(np.hypot(pts[..., 0], pts[..., 1]))
         return out
+
+    def at(self, x: float, y: float) -> float:
+        """H at the single point (x, y), as a float.
+
+        Agrees with ``value([[x, y]])[0]`` to rounding without building
+        arrays; one-point callers such as the orbit integrators use it.
+        """
+        h = float(self.constant)
+        if self.periodic is not None:
+            h = h + self._spline.at(x, y)
+        if self.radial is not None:
+            h = h + float(self.radial(math.hypot(x, y)))
+        return h
 
     def periodic_oscillation(self) -> float:
         """max - min of the periodic part over the grid (0 if absent)."""

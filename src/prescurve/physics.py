@@ -49,20 +49,47 @@ class OdeResult:
     speed_drift: float = 0.0
 
 
-def _rk4(rhs, y0: np.ndarray, t_final: float, steps: int) -> np.ndarray:
-    """Classical fixed-step one-step integration of y' = rhs(y)."""
+def _rk4(rhs, state, t_final: float, steps: int) -> np.ndarray:
+    """Classical fixed-step RK4 for the state (x, y, u, v) of four floats.
+
+    ``rhs(x, y, u, v)`` returns the four derivatives.  Returns the
+    (steps + 1, 4) array of states at t = k t_final / steps.
+    """
     dt = t_final / steps
-    out = np.empty((steps + 1, len(y0)))
-    out[0] = y0
-    y = y0
-    for i in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = y
-    return out
+    h = 0.5 * dt
+    w = dt / 6.0
+    x, y, u, v = state
+    out = [(x, y, u, v)]
+    for _ in range(steps):
+        a1, b1, c1, d1 = rhs(x, y, u, v)
+        a2, b2, c2, d2 = rhs(x + h * a1, y + h * b1, u + h * c1, v + h * d1)
+        a3, b3, c3, d3 = rhs(x + h * a2, y + h * b2, u + h * c2, v + h * d2)
+        a4, b4, c4, d4 = rhs(x + dt * a3, y + dt * b3, u + dt * c3, v + dt * d3)
+        x = x + w * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+        y = y + w * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+        u = u + w * (((c1 + 2.0 * c2) + 2.0 * c3) + c4)
+        v = v + w * (((d1 + 2.0 * d2) + 2.0 * d3) + d4)
+        out.append((x, y, u, v))
+    return np.array(out)
+
+
+def _point_function(f, batch: bool):
+    """``(x, y) -> float``: a curvature or field strength at one point.
+
+    Uses ``f.at`` when ``f`` has it, else ``f.value`` on a (1, 2) array,
+    else calls ``f`` on a (1, 2) array (``batch``) or on a length-2
+    array; anything else is a constant.
+    """
+    if hasattr(f, "at"):
+        return f.at
+    if hasattr(f, "value"):
+        return lambda x, y: float(f.value(np.array([[x, y]]))[0])
+    if callable(f):
+        if batch:
+            return lambda x, y: float(np.asarray(f(np.array([[x, y]])), dtype=float)[0])
+        return lambda x, y: float(f(np.array([x, y])))
+    const = float(f)
+    return lambda x, y: const
 
 
 def integrate_curvature_ode(
@@ -88,13 +115,15 @@ def integrate_curvature_ode(
     v0 = np.asarray(v0, dtype=float)
     if abs(np.hypot(*v0) - 1.0) > 1e-10:
         raise ValueError("v0 must be a unit vector")
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    h_at = _point_function(field_like, batch=True)
+    lam = float(lam)
 
     def make_rhs(lg):
-        def rhs(y):
-            pos, vel = y[:2], y[2:]
-            h = float(field_value(field_like, pos[None, :])[0])
-            acc = lg * (h - lam) * np.array([-vel[1], vel[0]])
-            return np.concatenate([vel, acc])
+        def rhs(x, y, u, v):
+            s = lg * (h_at(x, y) - lam)
+            return u, v, -(s * v), s * u
 
         return rhs
 
@@ -103,13 +132,14 @@ def integrate_curvature_ode(
         # probe past t = 1 so the closest return is found whether the
         # guess over- or under-shoots, then rescale by the return time
         probe_steps = int(1.6 * steps)
-        path = _rk4(make_rhs(lg), np.concatenate([u0, lg * v0]), 1.6, probe_steps)
+        y0 = np.concatenate([u0, lg * v0]).tolist()
+        path = _rk4(make_rhs(lg), y0, 1.6, probe_steps)
         dist = np.hypot(path[:, 0] - u0[0], path[:, 1] - u0[1])
         lo = probe_steps // 4
         k = lo + int(np.argmin(dist[lo:]))
         lg = lg * 1.6 * k / probe_steps
 
-    y0 = np.concatenate([u0, lg * v0])
+    y0 = np.concatenate([u0, lg * v0]).tolist()
     path = _rk4(make_rhs(lg), y0, 1.0, steps)
     speeds = np.hypot(path[:, 2], path[:, 3])
     drift = float(np.abs(speeds - lg).max() / lg)
@@ -145,14 +175,10 @@ class MagneticConfig:
     def __post_init__(self):
         if self.mass <= 0 or self.speed <= 0:
             raise ValueError("mass and transverse speed must be positive")
-
-
-def _b_value(b, pos: np.ndarray) -> float:
-    if callable(b):
-        return float(b(pos))
-    if hasattr(b, "value"):
-        return float(b.value(pos[None, :])[0])
-    return float(b)
+        if self.steps < 1:
+            raise ValueError("steps must be positive")
+        if not np.hypot(*self.direction) > 0:
+            raise ValueError("direction must be a nonzero vector")
 
 
 def simulate_magnetic(cfg: MagneticConfig) -> OdeResult:
@@ -164,15 +190,16 @@ def simulate_magnetic(cfg: MagneticConfig) -> OdeResult:
     """
     direction = np.asarray(cfg.direction, dtype=float)
     direction = direction / np.hypot(*direction)
-    em = cfg.charge / cfg.mass
+    em = float(cfg.charge / cfg.mass)
+    b_at = _point_function(cfg.b, batch=False)
 
-    def rhs(y):
-        pos, vel = y[:2], y[2:]
-        bval = _b_value(cfg.b, pos)
-        acc = -em * bval * np.array([-vel[1], vel[0]])
-        return np.concatenate([vel, acc])
+    def rhs(x, y, u, v):
+        s = -em * b_at(x, y)
+        return u, v, -(s * v), s * u
 
-    y0 = np.concatenate([np.asarray(cfg.position, dtype=float), cfg.speed * direction])
+    y0 = np.concatenate(
+        [np.asarray(cfg.position, dtype=float), cfg.speed * direction]
+    ).tolist()
     path = _rk4(rhs, y0, cfg.t_final, cfg.steps)
     speeds = np.hypot(path[:, 2], path[:, 3])
     drift = float(np.abs(speeds - cfg.speed).max() / cfg.speed)
@@ -207,31 +234,31 @@ class CylinderLift:
     vertices: np.ndarray = field(repr=False)  # (ntheta, nr, 3)
 
     def faces(self) -> np.ndarray:
-        """Triangle indices into the flattened vertex grid, wrapping theta."""
+        """Triangle indices into the flattened vertex grid, wrapping theta.
+
+        Quad (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1),
+        d = (i, j+1) and gives triangles (a, b, c), (a, c, d), in order of
+        i, then j.
+        """
         nt, nr = self.vertices.shape[:2]
-        quads = []
-        for i in range(nt):
-            i2 = (i + 1) % nt
-            for j in range(nr - 1):
-                a = i * nr + j
-                b = i2 * nr + j
-                c = i2 * nr + j + 1
-                d = i * nr + j + 1
-                quads.append((a, b, c))
-                quads.append((a, c, d))
-        return np.asarray(quads, dtype=int)
+        j = np.arange(nr - 1)
+        a = np.arange(nt)[:, None] * nr + j
+        b = (np.arange(1, nt + 1) % nt)[:, None] * nr + j
+        tris = np.stack(
+            [np.stack([a, b, b + 1], axis=-1), np.stack([a, b + 1, a + 1], axis=-1)],
+            axis=2,
+        )
+        return tris.reshape(-1, 3)
 
     def write_off(self, path) -> None:
         """ASCII OFF mesh: vertices then triangular faces."""
-        verts = self.vertices.reshape(-1, 3)
-        faces = self.faces()
+        verts = self.vertices.reshape(-1, 3).tolist()
+        faces = self.faces().tolist()
+        lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
+        lines += [f"{x!r} {y!r} {z!r}" for x, y, z in verts]
+        lines += [f"3 {a} {b} {c}" for a, b, c in faces]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("OFF\n")
-            fh.write(f"{len(verts)} {len(faces)} 0\n")
-            for x, y, z in verts:
-                fh.write(f"{x!r} {y!r} {z!r}\n")
-            for a, b, c in faces:
-                fh.write(f"3 {a} {b} {c}\n")
+            fh.write("\n".join(lines) + "\n")
 
     def conformality_residual(self) -> float:
         """Finite-difference sup of dU/dr . dU/dtheta over the mesh."""

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from prescurve.fields import CurvatureField
+
 settings.register_profile(
     "default",
     max_examples=25,
@@ -27,3 +29,17 @@ def random_loop(rng, n=256, modes=4, scale=1.0, period=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def value_calls(monkeypatch):
+    """Shapes of the points passed to ``CurvatureField.value`` during the test."""
+    calls = []
+    value = CurvatureField.value
+
+    def counting_value(self, points):
+        calls.append(np.shape(points))
+        return value(self, points)
+
+    monkeypatch.setattr(CurvatureField, "value", counting_value)
+    return calls

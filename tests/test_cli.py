@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prescurve.cli import main
-from prescurve.curves import read_curve
+from prescurve.curves import circle, read_curve, write_curve
 from prescurve.fields import CurvatureField, periodic_from_callable, write_field
 
 
@@ -144,6 +144,50 @@ def test_malformed_immersed_config_exit_2(tmp_path, capsys, extra, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"radial_params": {"A": 1.0, "gamma": 2.0}, ' + extra + "}")
     code = main(["immersed", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("check", {"steps": None}, "'steps'"),
+        ("check", {"steps": 2.5}, "'steps'"),
+        ("check", {"tol": "x"}, "'tol'"),
+        ("check", {"lam": None}, "'lam'"),
+        ("check", {"lambda": math.nan}, "'lambda'"),
+        ("cylinder", {"grid": 5}, "'grid'"),
+        ("cylinder", {"grid": [64, 2.5]}, "'grid'"),
+        ("cylinder", {"r_range": [2, "a"]}, "'r_range'"),
+        ("cylinder", {"r_range": [0.5]}, "'r_range'"),
+        ("magnetic", {"b": 1.0, "steps": "x"}, "'steps'"),
+        ("magnetic", {"b": 1.0, "position": 3}, "'position'"),
+        ("magnetic", {"b": 1.0, "direction": [1.0, None]}, "'direction'"),
+        ("magnetic", {"b": "strong"}, "'b'"),
+        ("magnetic", {"b": 1.0, "t_final": math.inf}, "'t_final'"),
+        ("magnetic", {"b": 1.0, "mass": None}, "'mass'"),
+        ("magnetic", {"b": 1.0, "speed": [1.0]}, "'speed'"),
+        ("magnetic", {"b": 1.0, "charge": True}, "'charge'"),
+        ("magnetic", {"b": 1.0, "v_parallel": math.nan}, "'v_parallel'"),
+        ("magnetic", {"b_field": "FIELD", "lam": "x"}, "'lam'"),
+        ("magnetic", {"b_field": "FIELD", "charge": 0}, "'charge'"),
+        ("magnetic", {"b_field": "no_such_field.json"}, "'b_field'"),
+    ],
+)
+def test_malformed_physics_config_exit_2(tmp_path, capsys, field_zero, command, doc, key):
+    curve = tmp_path / "curve.json"
+    write_curve(circle(1.0, n=64), curve)
+    doc = {k: field_zero if v == "FIELD" else v for k, v in doc.items()}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command in ("check", "cylinder"):
+        argv += ["--curve", str(curve)]
+    if command == "check":
+        argv += ["--field", field_zero]
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert key in err
@@ -326,6 +370,15 @@ class TestMagneticCylinderCheck:
         assert main(["magnetic", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "magnetic_report.json").read_text())
         assert report["speed_drift"] < 1e-8
+
+    def test_field_orbit_evaluates_points_with_at(self, tmp_path, field_periodic, value_calls):
+        # the b_field orbit reads H one point at a time, never via value()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"b_field": field_periodic, "lam": 1.8, "t_final": 2.0, "steps": 64})
+        )
+        assert main(["magnetic", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert value_calls == []
 
     def test_cylinder_and_check_pipeline(self, tmp_path, field_zero):
         solve_out = tmp_path / "solve"

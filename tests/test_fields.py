@@ -1,7 +1,9 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 from prescurve import (
@@ -326,6 +328,72 @@ class TestCurvatureFieldType:
         rep = wide.admissibility()
         assert rep["periodic_oscillation"] == pytest.approx(4.0)
         assert not rep["periodic_ok"]
+
+
+def _rough_grid(m, seed):
+    # random nodal data: every spline coefficient of the stencil matters
+    grid = np.random.default_rng(seed).normal(size=(m, m))
+    return grid - grid.mean()
+
+
+_RADIAL_R = np.linspace(0.0, 3.0, 48)
+POINT_FIELDS = {
+    "periodic": CurvatureField.from_parts(periodic=_rough_grid(32, 0)),
+    "constant+periodic": CurvatureField.from_parts(
+        constant=-1.5, periodic=_rough_grid(16, 1)
+    ),
+    "radial": CurvatureField.from_parts(
+        radial=RadialDecaying(table=(_RADIAL_R, np.exp(-(_RADIAL_R**2))))
+    ),
+    "periodic+radial": CurvatureField.from_parts(
+        constant=0.25,
+        periodic=_rough_grid(8, 2),
+        radial=RadialDecaying(table=(_RADIAL_R, (1.0 - _RADIAL_R / 3.0) ** 3)),
+    ),
+}
+# k/32 is a grid node of every field above when 32 | k*M
+_COORD = st.one_of(
+    st.integers(-32_000, 32_000).map(lambda k: k / 32),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+
+
+class TestPointEvaluation:
+    @given(name=st.sampled_from(sorted(POINT_FIELDS)), x=_COORD, y=_COORD)
+    @example(name="periodic", x=0.0, y=0.0)
+    @example(name="periodic+radial", x=-0.125, y=0.375)
+    @example(name="constant+periodic", x=-1000.0, y=999.96875)
+    @example(name="periodic+radial", x=1e-300, y=-1e-300)
+    def test_at_matches_value(self, name, x, y):
+        field = POINT_FIELDS[name]
+        h = field.at(x, y)
+        assert type(h) is float
+        expected = field.value(np.array([[x, y]]))[0]
+        assert abs(h - expected) <= 1e-14 * max(1.0, field.sup_norm())
+        if field.radial is None:
+            # same weights, coordinate wrap and summation order as
+            # scipy.ndimage.map_coordinates: the same bits
+            assert h == expected
+
+    @pytest.mark.parametrize("name", ["periodic", "constant+periodic"])
+    def test_at_bitwise_on_random_points(self, name, rng):
+        field = POINT_FIELDS[name]
+        # normal draws carry all 53 bits, so wrapping a negative grid
+        # coordinate into the cell rounds it (uniform(-1, 1) draws do not)
+        pts = np.concatenate(
+            [rng.normal(scale=0.5, size=(1000, 2)), rng.normal(scale=300.0, size=(200, 2))]
+        )
+        got = np.array([field.at(x, y) for x, y in pts.tolist()])
+        np.testing.assert_array_equal(got, field.value(pts))
+
+    def test_pickle_after_at(self):
+        field = POINT_FIELDS["periodic+radial"]
+        pts = np.array([[0.3, -0.7], [12.5, 3.25], [-0.01, 0.02]])
+        before = [field.at(x, y) for x, y in pts]
+        copy = pickle.loads(pickle.dumps(field))
+        assert [copy.at(x, y) for x, y in pts] == before
+        np.testing.assert_array_equal(copy.value(pts), field.value(pts))
 
 
 class TestFieldIO:

@@ -14,8 +14,82 @@ from prescurve import (
     verify_solution,
 )
 from prescurve.curves import circle, derivative, length
-from prescurve.fields import CurvatureField, periodic_from_callable
+from prescurve.fields import CurvatureField, field_value, periodic_from_callable
 from prescurve.physics import gyroradius
+
+
+def reference_rk4(rhs, y0, t_final, steps):
+    """Array-state RK4: the reference the four-float stepper is held to."""
+    dt = t_final / steps
+    out = np.empty((steps + 1, len(y0)))
+    out[0] = y0
+    y = y0
+    for i in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = y
+    return out
+
+
+def reference_ode_path(field_like, lam, u0, v0, lg, steps, refine_length=False):
+    """(steps + 1, 4) states of ``integrate_curvature_ode`` by the oracle,
+    the curvature read through ``field_value`` on (1, 2) arrays."""
+    u0, v0 = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
+
+    def make_rhs(lg):
+        def rhs(y):
+            h = float(field_value(field_like, y[None, :2])[0])
+            return np.concatenate([y[2:], lg * (h - lam) * np.array([-y[3], y[2]])])
+
+        return rhs
+
+    if refine_length:
+        probe = int(1.6 * steps)
+        path = reference_rk4(make_rhs(lg), np.concatenate([u0, lg * v0]), 1.6, probe)
+        dist = np.hypot(path[:, 0] - u0[0], path[:, 1] - u0[1])
+        k = probe // 4 + int(np.argmin(dist[probe // 4 :]))
+        lg = lg * 1.6 * k / probe
+    return reference_rk4(make_rhs(lg), np.concatenate([u0, lg * v0]), 1.0, steps)
+
+
+def reference_magnetic_path(cfg):
+    """(steps + 1, 4) transverse states of ``simulate_magnetic`` by the
+    oracle: callables get the length-2 position, fields a (1, 2) array."""
+    direction = np.asarray(cfg.direction, dtype=float)
+    direction = direction / np.hypot(*direction)
+    em = cfg.charge / cfg.mass
+
+    def b_value(pos):
+        if callable(cfg.b):
+            return float(cfg.b(pos))
+        if hasattr(cfg.b, "value"):
+            return float(cfg.b.value(pos[None, :])[0])
+        return float(cfg.b)
+
+    def rhs(y):
+        return np.concatenate([y[2:], -em * b_value(y[:2]) * np.array([-y[3], y[2]])])
+
+    y0 = np.concatenate([np.asarray(cfg.position, dtype=float), cfg.speed * direction])
+    return reference_rk4(rhs, y0, cfg.t_final, cfg.steps)
+
+
+def reference_faces(nt, nr):
+    """Triangle list built by loops: the reference for ``CylinderLift.faces``."""
+    quads = []
+    for i in range(nt):
+        i2 = (i + 1) % nt
+        for j in range(nr - 1):
+            a, b, c, d = i * nr + j, i2 * nr + j, i2 * nr + j + 1, i * nr + j + 1
+            quads += [(a, b, c), (a, c, d)]
+    return np.asarray(quads, dtype=int)
+
+
+def assert_matches_oracle(states, path):
+    assert states.shape == path.shape
+    assert np.abs(states - path).max() <= 1e-12 * max(1.0, np.abs(path).max())
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +130,10 @@ class TestCurvatureOde:
         with pytest.raises(ValueError):
             integrate_curvature_ode(1.0, 0.0, (0, 0), (2.0, 0.0), 1.0)
 
+    def test_zero_steps_rejected(self):
+        with pytest.raises(ValueError):
+            integrate_curvature_ode(1.0, 0.0, (0, 0), (1.0, 0.0), 1.0, steps=0)
+
     def test_coarse_steps_raise(self):
         with pytest.raises(StepTooLarge):
             integrate_curvature_ode(2.0, 0.0, (1.0, 0.0), (0.0, 1.0), 4 * math.pi, steps=8)
@@ -72,6 +150,63 @@ class TestCurvatureOde:
             refine_length=True,
         )
         assert fixed.closure_defect < 1e-2 * bad.closure_defect
+
+
+class TestAgainstArrayOracle:
+    def test_curvature_ode_on_field(self, periodic_setup):
+        ctx, _ = periodic_setup
+        res = integrate_curvature_ode(ctx.field, 0.3, (0.2, 0.1), (0.6, 0.8), 5.0, steps=512)
+        path = reference_ode_path(ctx.field, 0.3, (0.2, 0.1), (0.6, 0.8), 5.0, 512)
+        assert_matches_oracle(np.hstack([res.trajectory, res.velocities]), path)
+
+    def test_curvature_ode_with_refinement(self, periodic_setup):
+        ctx, mres = periodic_setup
+        du = derivative(mres.curve, 1)
+        v0 = du[0] / np.hypot(*du[0])
+        lg = 1.3 * length(mres.curve)
+        u0 = mres.curve.samples[0]
+        res = integrate_curvature_ode(
+            ctx.field, mres.lam, u0, v0, lg, steps=512, refine_length=True
+        )
+        path = reference_ode_path(ctx.field, mres.lam, u0, v0, lg, 512, refine_length=True)
+        assert_matches_oracle(np.hstack([res.trajectory, res.velocities]), path)
+
+    @pytest.mark.parametrize(
+        "field_like",
+        [1.5, lambda p: 1.0 + 0.2 * np.sin(p[:, 0]) * np.cos(p[:, 1])],
+        ids=["constant", "callable"],
+    )
+    def test_curvature_ode_constant_and_callable(self, field_like):
+        res = integrate_curvature_ode(field_like, 0.1, (1.0, -0.5), (0.0, 1.0), 4.0, steps=256)
+        path = reference_ode_path(field_like, 0.1, (1.0, -0.5), (0.0, 1.0), 4.0, 256)
+        assert_matches_oracle(np.hstack([res.trajectory, res.velocities]), path)
+
+    @pytest.mark.parametrize("kind", ["constant", "callable", "field"])
+    def test_magnetic(self, periodic_setup, kind):
+        ctx, _ = periodic_setup
+        b = {
+            "constant": 1.7,
+            "callable": lambda p: 1.0 + 0.3 * math.sin(p[0] + 2.0 * p[1]),
+            "field": ctx.field,
+        }[kind]
+        cfg = MagneticConfig(
+            b=b, charge=-0.8, mass=1.3, speed=0.9, position=(0.3, -0.2),
+            direction=(1.0, 2.0), t_final=6.0, steps=512,
+        )
+        sim = simulate_magnetic(cfg)
+        path = reference_magnetic_path(cfg)
+        assert_matches_oracle(np.hstack([sim.trajectory[:, :2], sim.velocities]), path)
+
+    def test_field_integration_skips_value(self, periodic_setup, value_calls):
+        # one-point reads go through CurvatureField.at, never the array path
+        ctx, _ = periodic_setup
+        integrate_curvature_ode(
+            ctx.field, 0.3, (0.2, 0.1), (1.0, 0.0), 5.0, steps=128, refine_length=True
+        )
+        simulate_magnetic(MagneticConfig(b=ctx.field, t_final=2.0, steps=128))
+        assert value_calls == []
+        ctx.field.value(np.zeros((3, 2)))
+        assert value_calls == [(3, 2)]
 
 
 class TestMagnetic:
@@ -121,6 +256,13 @@ class TestMagnetic:
         with pytest.raises(ValueError):
             MagneticConfig(b=1.0, mass=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"steps": 0}, {"direction": (0.0, 0.0)}], ids=["steps", "direction"]
+    )
+    def test_degenerate_config(self, kwargs):
+        with pytest.raises(ValueError):
+            MagneticConfig(b=1.0, **kwargs)
+
 
 class TestCylinderLift:
     def test_unit_circle_cylinder(self):
@@ -168,6 +310,19 @@ class TestCylinderLift:
         lines = path.read_text().splitlines()
         assert lines[0] == "OFF"
         assert lines[1] == f"{16 * 5} {len(faces)} 0"
+        assert len(lines) == 2 + 16 * 5 + len(faces)
+        verts = np.array([[float(tok) for tok in line.split()] for line in lines[2:82]])
+        np.testing.assert_array_equal(verts, lift.vertices.reshape(-1, 3))
+        tris = np.array([[int(tok) for tok in line.split()] for line in lines[82:]])
+        assert (tris[:, 0] == 3).all()
+        np.testing.assert_array_equal(tris[:, 1:], faces)
+        assert faces.min() >= 0 and faces.max() < 16 * 5
+        np.testing.assert_array_equal(faces, reference_faces(16, 5))
+
+    @pytest.mark.parametrize("grid", [(3, 2), (1, 4), (64, 33)])
+    def test_faces_match_loop(self, grid):
+        lift = lift_to_cylinder(circle(1.0, n=64), (0.5, 2.0), grid)
+        np.testing.assert_array_equal(lift.faces(), reference_faces(*grid))
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
