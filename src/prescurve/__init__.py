@@ -14,89 +14,21 @@ differentiation (:mod:`prescurve.curves`) and on vector potentials whose
 divergence is the prescribed curvature (:mod:`prescurve.fields`).
 """
 
-from .curves import (
-    ClosedCurve,
-    curvature,
-    derivative,
-    dirichlet,
-    is_simple,
-    length,
-    read_curve,
-    reparametrize_constant_speed,
-    rot90,
-    signed_area,
-    winding_number,
-    write_curve,
-)
-from .errors import (
-    DegenerateSpeed,
-    FieldTooLarge,
-    MaxIterationsExceeded,
-    NoSignChange,
-    NonIntegrable,
-    NonZeroMean,
-    NotContracting,
-    PointOnCurve,
-    SignIncompatible,
-    StepTooLarge,
-)
-from .fields import (
-    CurvatureField,
-    RadialCurvature,
-    VectorPotential,
-    build_potential,
-    lorentz_norm_21,
-    mean_unit_cell,
-    q_eval,
-    radial_potential,
-    read_field,
-    solve_plane_poisson_decaying,
-    solve_torus_poisson,
-    write_field,
-)
-from .energy import (
-    EnergyContext,
-    anisotropic_area,
-    anisotropic_area_by_winding,
-    build_context,
-    energy,
-    energy_gradient,
-    pair,
-    rescaled_anisotropic_area,
-    shape_derivative,
-)
-from .minimize import (
-    MinimizeOptions,
-    MinimizeResult,
-    SweepRow,
-    check_multiplier_bounds,
-    extract_lagrange_multiplier,
-    minimize_area_constrained,
-    sweep_isoperimetric,
-)
-from .immersed import (
-    AnsatzParams,
-    LSConfig,
-    LSResult,
-    PeriodicScalar,
-    ansatz_eval,
-    build_immersed_loop,
-    curvature_gap,
-    find_radius,
-    fixed_point_solve,
-    linearized_coeffs,
-    linf_apply,
-    linf_invert_perp,
-    verify_second_multiplier,
-)
-from .physics import (
-    CylinderLift,
-    MagneticConfig,
-    SolutionReport,
-    integrate_curvature_ode,
-    lift_to_cylinder,
-    simulate_magnetic,
-    verify_solution,
-)
+from .curves import write_curve
+from .energy import build_context
+from .fields import RadialCurvature
+from .immersed import build_immersed_loop
+from .minimize import minimize_area_constrained, sweep_isoperimetric
+from .physics import simulate_magnetic
+
+__all__ = [
+    "RadialCurvature",
+    "build_context",
+    "build_immersed_loop",
+    "minimize_area_constrained",
+    "simulate_magnetic",
+    "sweep_isoperimetric",
+    "write_curve",
+]
 
 __version__ = "0.1.0"

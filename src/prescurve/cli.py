@@ -35,8 +35,10 @@ from .immersed import LSConfig, build_immersed_loop
 from .minimize import (
     SWEEP_CSV_HEADER,
     MinimizeOptions,
+    check_tau_grid,
     minimize_area_constrained,
     sweep_isoperimetric,
+    sweep_row,
 )
 from .physics import (
     MagneticConfig,
@@ -79,16 +81,24 @@ def _out_dir(cfg) -> Path:
     return out
 
 
+def _config_path(cfg, key: str) -> Path:
+    """The existing file named under ``key``; ``UsageError`` naming the key
+    when the value is not a non-empty string or names no file."""
+    value = cfg.get(key)
+    if not (isinstance(value, str) and value):
+        raise UsageError(f"config key '{key}' must be a file path, got {value!r}")
+    path = Path(value)
+    if not path.is_file():
+        raise UsageError(f"config key '{key}': file not found: {path}")
+    return path
+
+
 def _load_field(cfg) -> CurvatureField:
     if "field" not in cfg:
         raise UsageError("no field given (config key 'field' or --field PATH)")
-    entry = cfg["field"]
-    if isinstance(entry, str):
-        path = Path(entry)
-        if not path.exists():
-            raise UsageError(f"field file not found: {path}")
-        return read_field(path)
-    return field_from_dict(entry)
+    if isinstance(cfg["field"], str):
+        return read_field(_config_path(cfg, "field"))
+    return field_from_dict(cfg["field"])
 
 
 def _warn_hypotheses(field: CurvatureField) -> None:
@@ -173,8 +183,8 @@ def _minimize_options(cfg) -> MinimizeOptions:
             "recenter_every": int,
         },
     )
-    if cfg.get("initial_curve"):
-        kwargs["initial"] = read_curve(cfg["initial_curve"])
+    if "initial_curve" in cfg:
+        kwargs["initial"] = read_curve(_config_path(cfg, "initial_curve"))
     return MinimizeOptions(**kwargs)
 
 
@@ -220,8 +230,6 @@ def cmd_solve(cfg) -> int:
 
 
 def _sweep_row_task(args):
-    from .minimize import sweep_row
-
     ctx, tau, opts = args
     return sweep_row(ctx, tau, opts)
 
@@ -234,16 +242,15 @@ def cmd_sweep(cfg) -> int:
         raise UsageError("need a nonempty 'tau_grid'")
     if not isinstance(grid, list):
         raise ValueError(f"config key 'tau_grid' must be a list, got {grid!r}")
-    grid = [_config_value("tau_grid", t, float) for t in grid]
+    grid = check_tau_grid([_config_value("tau_grid", t, float) for t in grid])
+    warm = _config_value("warm_start", cfg.get("warm_start", True), bool)
+    jobs = _config_value("jobs", cfg["jobs"], int)
     opts = _minimize_options(cfg)
     ctx = build_context(field)
-    warm = cfg.get("warm_start", True)
-    jobs = _config_value("jobs", cfg["jobs"], int)
     if not warm and jobs > 1 and len(grid) > 1:
         # rows are independent without warm starting; one writer below
-        taus = sorted(grid)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row_task, [(ctx, t, opts) for t in taus]))
+            rows = list(pool.map(_sweep_row_task, [(ctx, t, opts) for t in grid]))
     else:
         rows = sweep_isoperimetric(ctx, grid, opts, warm_start=warm)
     out = _out_dir(cfg)
@@ -288,7 +295,7 @@ def cmd_immersed(cfg) -> int:
         except ValueError as exc:
             raise UsageError(f"invalid radial parameters: {exc}") from exc
     elif isinstance(cfg.get("field"), str):
-        h = read_radial_curvature(cfg["field"])
+        h = read_radial_curvature(_config_path(cfg, "field"))
     else:
         raise UsageError("need 'radial_params' or a field file with them")
 
@@ -376,18 +383,15 @@ def cmd_magnetic(cfg) -> int:
     b = cfg.get("b")
     if b is not None:
         b = _config_value("b", b, float)
-    elif cfg.get("b_field"):
+    elif "b_field" in cfg:
         # derive the intensity from a curvature field: b = -m v (H - lam)/e,
         # so the transverse orbit follows the shifted-curvature loop
         lam = _config_lam(cfg)
         charge = kwargs.get("charge", 1.0)
         if charge == 0:
             raise UsageError("config key 'charge' must be nonzero with 'b_field'")
-        path = Path(cfg["b_field"])
-        if not path.exists():
-            raise UsageError(f"config key 'b_field': field file not found: {path}")
         scale = -kwargs.get("mass", 1.0) * kwargs.get("speed", 1.0) / charge
-        b = _ShiftedField(read_field(path), scale, lam)
+        b = _ShiftedField(read_field(_config_path(cfg, "b_field")), scale, lam)
     else:
         raise UsageError("need a field strength 'b' or a 'b_field' file")
     try:
@@ -396,10 +400,10 @@ def cmd_magnetic(cfg) -> int:
         raise UsageError(str(exc)) from exc
     sim = simulate_magnetic(mc)
     out = _out_dir(cfg)
+    rows = np.column_stack([sim.times, sim.trajectory]).tolist()
+    text = "".join(f"{t!r},{x!r},{y!r},{z!r}\n" for t, x, y, z in rows)
     with open(out / "trajectory.csv", "w", encoding="utf-8") as fh:
-        fh.write("t,x,y,z\n")
-        for t, (x, y, z) in zip(sim.times, sim.trajectory):
-            fh.write(f"{float(t)!r},{float(x)!r},{float(y)!r},{float(z)!r}\n")
+        fh.write("t,x,y,z\n" + text)
     center = sim.trajectory[:-1, :2].mean(axis=0)
     radii = np.hypot(*(sim.trajectory[:, :2] - center).T)
     report = {
@@ -414,11 +418,7 @@ def cmd_magnetic(cfg) -> int:
 
 
 def cmd_cylinder(cfg) -> int:
-    if not cfg.get("curve"):
-        raise UsageError("need a curve file (config key 'curve' or --curve)")
-    path = Path(cfg["curve"])
-    if not path.exists():
-        raise UsageError(f"curve file not found: {path}")
+    path = _config_path(cfg, "curve")
     r_range = _config_pair(cfg, "r_range", float, (0.5, 2.0))
     grid = _config_pair(cfg, "grid", int, (128, 33))
     curve = read_curve(path)
@@ -439,11 +439,7 @@ def cmd_cylinder(cfg) -> int:
 def cmd_check(cfg) -> int:
     opts = _config_values(cfg, {"steps": int, "tol": float})
     lam = _config_lam(cfg)
-    if not cfg.get("curve"):
-        raise UsageError("need a curve file (config key 'curve' or --curve)")
-    path = Path(cfg["curve"])
-    if not path.exists():
-        raise UsageError(f"curve file not found: {path}")
+    path = _config_path(cfg, "curve")
     try:
         curve = read_curve(path)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

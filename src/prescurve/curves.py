@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSpeed, PointOnCurve
+from .fields import _number
 
 __all__ = [
     "ClosedCurve",
@@ -32,8 +33,6 @@ __all__ = [
     "winding_number",
     "reparametrize_constant_speed",
     "is_simple",
-    "curve_scale",
-    "curve_translate",
     "curve_reverse",
     "circle",
     "trig_resample",
@@ -412,17 +411,6 @@ def is_simple(curve: ClosedCurve):
     return len(pairs) == 0, pairs
 
 
-def curve_scale(curve: ClosedCurve, factor: float) -> ClosedCurve:
-    """The curve t -> factor * u(t)."""
-    return ClosedCurve(period=curve.period, samples=factor * curve.samples)
-
-
-def curve_translate(curve: ClosedCurve, offset) -> ClosedCurve:
-    return ClosedCurve(
-        period=curve.period, samples=curve.samples + np.asarray(offset, dtype=float)
-    )
-
-
 def curve_reverse(curve: ClosedCurve) -> ClosedCurve:
     """Reverse the orientation (t -> -t); flips the signed area sign."""
     rolled = np.roll(curve.samples[::-1], 1, axis=0)
@@ -451,7 +439,7 @@ def read_curve(path) -> ClosedCurve:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "period" not in doc or "samples" not in doc:
         raise ValueError(f"{path}: not a curve file (need 'period' and 'samples')")
-    return ClosedCurve(period=float(doc["period"]), samples=np.asarray(doc["samples"]))
+    return ClosedCurve(period=_number(doc, "period"), samples=np.asarray(doc["samples"]))
 
 
 def write_curve(curve: ClosedCurve, path) -> None:

@@ -30,14 +30,11 @@ __all__ = [
     "RadialDecaying",
     "RadialCurvature",
     "VectorPotential",
-    "mean_unit_cell",
     "solve_torus_poisson",
     "lorentz_norm_21",
     "solve_plane_poisson_decaying",
-    "radial_potential",
     "build_potential",
     "q_eval",
-    "field_value",
     "periodic_from_callable",
     "field_from_dict",
     "radial_curvature_from_dict",
@@ -367,29 +364,11 @@ class RadialCurvature:
         return self.A
 
 
-def field_value(field_like, points) -> np.ndarray:
-    """Evaluate a curvature given as a field object, callable, or constant."""
-    if hasattr(field_like, "value"):
-        return field_like.value(points)
-    pts = np.asarray(points, dtype=float)
-    if callable(field_like):
-        return np.asarray(field_like(pts), dtype=float)
-    return np.full(pts.shape[:-1], float(field_like))
-
-
 def periodic_from_callable(func, m: int = 256) -> np.ndarray:
     """Sample a unit-cell-periodic callable on the M x M grid."""
     x = np.arange(m) / m
     xx, yy = np.meshgrid(x, x, indexing="ij")
     return np.asarray(func(xx, yy), dtype=float)
-
-
-def mean_unit_cell(grid) -> float:
-    """Average of a periodic unit-cell sample grid (trapezoid = plain mean)."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty grid")
-    return float(grid.mean())
 
 
 def solve_torus_poisson(grid: np.ndarray) -> np.ndarray:
@@ -429,18 +408,6 @@ def lorentz_norm_21(h2, nr: int = 8192) -> float:
     return float(np.sum(vals * 2.0 * (np.sqrt(tcum[1:]) - np.sqrt(tcum[:-1]))))
 
 
-def _cumulative_integral(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative integral on a uniform grid, Simpson where available."""
-    try:
-        from scipy.integrate import cumulative_simpson
-
-        return cumulative_simpson(y, x=x, initial=0.0)
-    except ImportError:  # older scipy
-        from scipy.integrate import cumulative_trapezoid
-
-        return np.concatenate([[0.0], cumulative_trapezoid(y, x)])
-
-
 def solve_plane_poisson_decaying(h2, nr: int = 8192, r_max=None):
     """Radial derivative of the plane Poisson solution of -lap v = H2.
 
@@ -448,12 +415,15 @@ def solve_plane_poisson_decaying(h2, nr: int = 8192, r_max=None):
     tabulated on a dense grid.  Raises ``NonIntegrable`` when the tail
     integral has visibly not settled at the end of the range.
     """
+    # imported here: at module level scipy.integrate slows every CLI start
+    from scipy.integrate import cumulative_simpson
+
     if not isinstance(h2, RadialDecaying):
         h2 = RadialDecaying(func=h2) if callable(h2) else RadialDecaying(table=h2)
     rmax = float(r_max) if r_max is not None else max(2.0 * h2.r_max, 1.0)
     r = np.linspace(0.0, rmax, nr)
     integrand = r * h2(r)
-    cum = _cumulative_integral(integrand, r)
+    cum = cumulative_simpson(integrand, x=r, initial=0.0)
     scale = max(np.abs(cum).max(), 1e-300)
     tail_drift = abs(cum[-1] - cum[int(0.9 * nr)])
     if tail_drift > 1e-6 * scale and abs(integrand[-1]) > 1e-9 * scale / rmax:
@@ -567,22 +537,6 @@ def build_potential(field_: CurvatureField) -> VectorPotential:
     )
 
 
-def radial_potential(h: RadialCurvature, r_max: float = 100.0, nr: int = 32768):
-    """Potential of a radial curvature profile via the defining quadrature
-    Q(p) = ((1/|p|) int_0^|p| h(s) s ds) p/|p|.
-
-    The asymptotically constant part contributes the linear term p/2; the
-    decaying remainder is tabulated.
-    """
-    r = np.linspace(0.0, r_max, nr)
-    decay = np.empty_like(r)
-    integrand = r * (h(r) - 1.0)
-    cum = _cumulative_integral(integrand, r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        decay = np.where(r > 0, cum / np.where(r > 0, r, 1.0), 0.0)
-    return VectorPotential(radial_r=r, radial_f=decay, linear_coefficient=1.0)
-
-
 def _number(doc: dict, key: str, default=None) -> float:
     """The finite number stored under ``key``; ``ValueError`` names the key."""
     value = doc.get(key, default)
@@ -619,14 +573,21 @@ def field_from_dict(doc) -> CurvatureField:
 
 def radial_curvature_from_dict(params) -> RadialCurvature:
     """Build a RadialCurvature from a "radial_params" object
-    {"A", "gamma", "beta", "s0"}; "A" and "gamma" are required."""
+    {"A", "gamma", "s0"}; "A" and "gamma" are required.
+
+    The correction term has no file form: its ``htilde`` is a callable, so
+    a "beta" key is rejected rather than left without one.
+    """
     if not isinstance(params, dict):
         raise ValueError("'radial_params' must be a JSON object")
+    if "beta" in params:
+        raise ValueError(
+            "key 'beta' is not supported in 'radial_params': the correction "
+            "term needs a callable htilde, which has no file form"
+        )
     return RadialCurvature(
         A=_number(params, "A"),
         gamma=_number(params, "gamma"),
-        beta=params.get("beta"),
-        htilde=None,
         s0=_number(params, "s0", 1.0),
     )
 

@@ -43,16 +43,13 @@ __all__ = [
     "PeriodicScalar",
     "LSResult",
     "LSConfig",
-    "ansatz_eval",
     "linf_apply",
     "linf_invert_perp",
-    "project_perp",
     "curvature_gap",
     "fixed_point_solve",
     "find_radius",
     "verify_second_multiplier",
     "build_immersed_loop",
-    "linearized_coeffs",
 ]
 
 
@@ -171,36 +168,10 @@ class _Frame:
         )
 
 
-def ansatz_eval(params: AnsatzParams, num_samples: int = 512):
-    """Sampled ansatz data on one 2 pi period of the rescaled variable.
-
-    Returns a dict with the curve, its first three derivatives, the unit
-    normal with two derivatives, and the speed, all as complex arrays.
-    """
-    t = 2.0 * np.pi * np.arange(num_samples) / num_samples
-    fr = _Frame(params, t)
-    return {
-        "t": t,
-        "u": fr.u,
-        "du": fr.du,
-        "d2u": fr.d2u,
-        "d3u": fr.d3u,
-        "normal": fr.nu,
-        "dnormal": fr.dnu,
-        "d2normal": fr.d2nu,
-        "speed": fr.speed,
-    }
-
-
 def linf_apply(phi: np.ndarray) -> np.ndarray:
     """The model operator phi'' + phi, applied as the single per-mode
     symbol (1 - k^2) so the kernel modes are annihilated exactly."""
     return apply_symbol(phi, lambda k: 1.0 - k**2)
-
-
-def project_perp(f: np.ndarray) -> np.ndarray:
-    """Remove the cos t and sin t modes."""
-    return apply_symbol(f, lambda k: np.where(k == 1.0, 0.0, 1.0))
 
 
 def linf_invert_perp(f: np.ndarray) -> np.ndarray:
@@ -545,17 +516,3 @@ def build_immersed_loop(
         converged=result.converged and residual <= 10.0 * config.tol_root,
     )
     return curve, result
-
-
-def linearized_coeffs(params: AnsatzParams, num_samples: int = 512):
-    """The three coefficient functions of the linearized curvature operator
-    a phi'' + b phi' + c phi at the unperturbed ansatz."""
-    t = 2.0 * np.pi * np.arange(num_samples) / num_samples
-    fr = _Frame(params, t)
-    s = fr.speed
-    dot12 = (fr.du.conjugate() * fr.d2u).real
-    cross12 = (fr.du.conjugate() * fr.d2u).imag  # i u' . u''
-    a = 1.0 / s**2
-    b = -dot12 / s**4
-    c = (2.0 * dot12**2 - 2.0 * np.abs(fr.d2u) ** 2 * s**2 + 3.0 * cross12**2) / s**6
-    return a, b, c

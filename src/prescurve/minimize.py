@@ -40,7 +40,6 @@ from .curves import (
 )
 from .energy import EnergyContext, anisotropic_area, energy
 from .errors import DegenerateSpeed, FieldTooLarge, SignIncompatible
-from .fields import field_value
 
 __all__ = [
     "MinimizeOptions",
@@ -148,7 +147,7 @@ def _disc_center_score(ctx: EnergyContext, center, radius: float) -> float:
     ang = 2.0 * np.pi * (np.arange(na) + 0.5) / na
     px = center[0] + r_mid[:, None] * np.cos(ang)[None, :]
     py = center[1] + r_mid[:, None] * np.sin(ang)[None, :]
-    h = field_value(ctx.field, np.stack([px, py], axis=-1))
+    h = ctx.field.value(np.stack([px, py], axis=-1))
     return float((h * weights[:, None]).sum())
 
 
@@ -219,7 +218,7 @@ def minimize_area_constrained(
         if speed.min() <= 1e-10 * speed.max():
             raise DegenerateSpeed("iterate lost regularity")
         dval = math.sqrt((speed**2).sum() / u.n)
-        h = field_value(ctx.field, samples)
+        h = ctx.field.value(samples)
         idu = rot90(du)
         grad = -derivative(u, 2) / dval + h[:, None] * idu
 
@@ -264,7 +263,7 @@ def minimize_area_constrained(
     final = ClosedCurve(period=1.0, samples=_project_area(final.samples, 1.0, tau))
     lam = extract_lagrange_multiplier(final, ctx)
     kappa = curvature(final)
-    hvals = field_value(ctx.field, final.samples)
+    hvals = ctx.field.value(final.samples)
     residual = float(np.abs(kappa - hvals + lam).max())
     area_error = abs(signed_area(final) - tau)
     converged = (
@@ -288,7 +287,7 @@ def extract_lagrange_multiplier(curve: ClosedCurve, ctx: EnergyContext) -> float
     du = derivative(curve, 1)
     speed = np.hypot(du[:, 0], du[:, 1])
     kappa = curvature(curve)
-    h = field_value(ctx.field, curve.samples)
+    h = ctx.field.value(curve.samples)
     return float(((h - kappa) * speed).sum() / speed.sum())
 
 
@@ -310,6 +309,19 @@ def sweep_row(ctx: EnergyContext, tau: float, opts: MinimizeOptions | None = Non
     return _row_from_result(tau, minimize_area_constrained(ctx, tau, opts))
 
 
+def check_tau_grid(tau_grid) -> list[float]:
+    """The grid as floats; ``ValueError`` naming 'tau_grid' unless it is
+    nonempty, nonzero and sorted."""
+    taus = [float(t) for t in tau_grid]
+    if len(taus) == 0:
+        raise ValueError("'tau_grid' is empty")
+    if any(t == 0.0 for t in taus):
+        raise ValueError("'tau_grid' entries must be nonzero")
+    if taus != sorted(taus):
+        raise ValueError("'tau_grid' must be sorted")
+    return taus
+
+
 def sweep_isoperimetric(
     ctx: EnergyContext,
     tau_grid,
@@ -323,13 +335,7 @@ def sweep_isoperimetric(
     depend on their predecessor and must run sequentially); without it the
     rows are independent and may run concurrently.
     """
-    taus = [float(t) for t in tau_grid]
-    if len(taus) == 0:
-        raise ValueError("tau grid is empty")
-    if any(t == 0.0 for t in taus):
-        raise ValueError("tau grid entries must be nonzero")
-    if taus != sorted(taus):
-        raise ValueError("tau grid must be sorted")
+    taus = check_tau_grid(tau_grid)
     opts = opts or MinimizeOptions()
     rows = []
     prev_curve = None

@@ -26,7 +26,6 @@ from .curves import (
 )
 from .energy import EnergyContext, area_gradient, energy_gradient, pair
 from .errors import StepTooLarge
-from .fields import field_value
 
 __all__ = [
     "MagneticConfig",
@@ -324,7 +323,7 @@ def verify_solution(curve: ClosedCurve, ctx: EnergyContext, lam: float) -> Solut
     d2u = derivative(curve, 2)
     speed = np.hypot(du[:, 0], du[:, 1])
     speed_var = float((speed.max() - speed.min()) / speed.mean())
-    h = field_value(ctx.field, curve.samples)
+    h = ctx.field.value(curve.samples)
     kappa = curvature(curve)
     curv_res = float(np.abs(kappa - h + lam).max())
     mean_speed = length(curve) / curve.period

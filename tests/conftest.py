@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from prescurve.curves import apply_symbol, curvature, derivative, rot90
 from prescurve.fields import CurvatureField
+from prescurve.immersed import _Frame
 
 settings.register_profile(
     "default",
@@ -24,6 +26,122 @@ def random_loop(rng, n=256, modes=4, scale=1.0, period=1.0):
         wig += amp * rng.normal(size=(1, 2)) * np.sin(2 * np.pi * k * t)[:, None]
     center = rng.normal(scale=0.5, size=2)
     return scale * (base + wig) + center
+
+
+# Reference implementations used as oracles by several test modules; the
+# library keeps only what its callers use.
+
+
+def field_value(field_like, points) -> np.ndarray:
+    """Evaluate a curvature given as a field object, callable, or constant."""
+    if hasattr(field_like, "value"):
+        return field_like.value(points)
+    pts = np.asarray(points, dtype=float)
+    if callable(field_like):
+        return np.asarray(field_like(pts), dtype=float)
+    return np.full(pts.shape[:-1], float(field_like))
+
+
+def shape_derivative(curve, field, variation: np.ndarray) -> float:
+    """Directional energy derivative via the pointwise curvature-gap form
+    integral (H(u) - K(u)) (V . i u')."""
+    du = derivative(curve, 1)
+    k = curvature(curve)
+    h = field_value(field, curve.samples)
+    integrand = (h - k) * np.einsum("ij,ij->i", variation, rot90(du))
+    return float(integrand.sum() * curve.period / curve.n)
+
+
+def _row_crossings(samples: np.ndarray, y: float):
+    """Crossing abscissae and orientations of the closed polyline with a
+    horizontal line.  Upward crossings count +1, downward -1, with the
+    half-open convention that makes the total winding exact."""
+    ya = samples[:, 1]
+    yb = np.roll(ya, -1)
+    xa = samples[:, 0]
+    xb = np.roll(xa, -1)
+    up = (ya <= y) & (yb > y)
+    down = (yb <= y) & (ya > y)
+    hit = up | down
+    frac = (y - ya[hit]) / (yb[hit] - ya[hit])
+    xs = xa[hit] + frac * (xb[hit] - xa[hit])
+    signs = np.where(up[hit], 1.0, -1.0)
+    order = np.argsort(xs)
+    return xs[order], signs[order]
+
+
+# 5-point Gauss-Legendre rule on [0, 1]
+_GL_NODES = (np.polynomial.legendre.leggauss(5)[0] + 1.0) / 2.0
+_GL_WEIGHTS = np.polynomial.legendre.leggauss(5)[1] / 2.0
+
+
+def anisotropic_area_by_winding(curve, field, rows: int = 1024, panel: float = 0.05) -> float:
+    """Weighted area as the plane integral of winding number times H.
+
+    Gauge-free oracle for ``anisotropic_area``: with the +pi/2 rotation
+    in the line integral, Green's theorem gives the integral of div Q
+    against *minus* the counterclockwise-positive winding number, which is
+    the sign applied here.  Each horizontal row is cut exactly at the
+    polyline crossings, where the winding number is a suffix sum of
+    crossing signs; H is integrated with composite Gauss panels (width
+    <= ``panel``) per piece, and rows combine with the midpoint rule in y.
+    """
+    pts = curve.samples
+    ymin, ymax = pts[:, 1].min(), pts[:, 1].max()
+    eps = 1e-9 * max(curve.diameter(), 1.0)
+    ymin, ymax = ymin - eps, ymax + eps
+    dy = (ymax - ymin) / rows
+    total = 0.0
+    for j in range(rows):
+        y = ymin + (j + 0.5) * dy
+        xs, signs = _row_crossings(pts, y)
+        if len(xs) < 2:
+            continue
+        # winding on (xs[k], xs[k+1]) is the sum of signs of crossings right of it
+        suffix = np.cumsum(signs[::-1])[::-1]
+        omega = suffix[1:]  # winding between consecutive crossings
+        live = np.nonzero(omega)[0]
+        if len(live) == 0:
+            continue
+        # composite Gauss panels over each live piece
+        panel_x0 = []
+        panel_w = []
+        panel_om = []
+        for k in live:
+            width = xs[k + 1] - xs[k]
+            nseg = max(1, int(np.ceil(width / panel)))
+            h = width / nseg
+            panel_x0.append(xs[k] + h * np.arange(nseg))
+            panel_w.append(np.full(nseg, h))
+            panel_om.append(np.full(nseg, omega[k]))
+        x0 = np.concatenate(panel_x0)
+        wdt = np.concatenate(panel_w)
+        om = np.concatenate(panel_om)
+        nodes = x0[:, None] + wdt[:, None] * _GL_NODES[None, :]
+        pts_eval = np.stack([nodes, np.full_like(nodes, y)], axis=-1)
+        hvals = field_value(field, pts_eval)
+        piece = (hvals * _GL_WEIGHTS[None, :]).sum(axis=1) * wdt
+        total += float((om * piece).sum()) * dy
+    return -total
+
+
+def project_perp(f: np.ndarray) -> np.ndarray:
+    """Remove the cos t and sin t modes."""
+    return apply_symbol(f, lambda k: np.where(k == 1.0, 0.0, 1.0))
+
+
+def linearized_coeffs(params, num_samples: int = 512):
+    """The three coefficient functions of the linearized curvature operator
+    a phi'' + b phi' + c phi at the unperturbed ansatz."""
+    t = 2.0 * np.pi * np.arange(num_samples) / num_samples
+    fr = _Frame(params, t)
+    s = fr.speed
+    dot12 = (fr.du.conjugate() * fr.d2u).real
+    cross12 = (fr.du.conjugate() * fr.d2u).imag  # i u' . u''
+    a = 1.0 / s**2
+    b = -dot12 / s**4
+    c = (2.0 * dot12**2 - 2.0 * np.abs(fr.d2u) ** 2 * s**2 + 3.0 * cross12**2) / s**6
+    return a, b, c
 
 
 @pytest.fixture

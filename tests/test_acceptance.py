@@ -10,26 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from prescurve import (
-    ClosedCurve,
-    anisotropic_area,
-    anisotropic_area_by_winding,
-    build_context,
-    build_immersed_loop,
-    check_multiplier_bounds,
-    energy,
-    energy_gradient,
-    integrate_curvature_ode,
-    linf_apply,
-    linf_invert_perp,
-    minimize_area_constrained,
-    pair,
-    shape_derivative,
-    simulate_magnetic,
-    sweep_isoperimetric,
-    verify_solution,
-)
-from prescurve.curves import derivative, is_simple, length
+from prescurve.curves import ClosedCurve, derivative, is_simple, length
+from prescurve.energy import anisotropic_area, build_context, energy, energy_gradient, pair
 from prescurve.fields import (
     CurvatureField,
     RadialCurvature,
@@ -39,12 +21,36 @@ from prescurve.fields import (
     periodic_from_callable,
     q_eval,
 )
-from prescurve.immersed import AnsatzParams, ansatz_eval, default_bracket, linearized_coeffs, project_perp
+from prescurve.immersed import (
+    AnsatzParams,
+    _Frame,
+    build_immersed_loop,
+    default_bracket,
+    linf_apply,
+    linf_invert_perp,
+)
 from prescurve.minimize import SHARP_ISOPERIMETRIC as S
-from prescurve.minimize import MinimizeOptions
-from prescurve.physics import MagneticConfig, gyroradius
+from prescurve.minimize import (
+    MinimizeOptions,
+    check_multiplier_bounds,
+    minimize_area_constrained,
+    sweep_isoperimetric,
+)
+from prescurve.physics import (
+    MagneticConfig,
+    gyroradius,
+    integrate_curvature_ode,
+    simulate_magnetic,
+    verify_solution,
+)
 
-from conftest import random_loop
+from conftest import (
+    anisotropic_area_by_winding,
+    linearized_coeffs,
+    project_perp,
+    random_loop,
+    shape_derivative,
+)
 
 
 def report(num, ok, detail):
@@ -406,10 +412,10 @@ def test_criterion_11_frame_identities_and_estimates(model_radial):
     worst_identity = 0.0
     for n in (32, 128):
         R = (1.0 * n) ** 0.25
-        data = ansatz_eval(AnsatzParams(n=n, R=R), 512)
-        u, du, d2u = data["u"], data["du"], data["d2u"]
-        nu, dnu, d2nu = data["normal"], data["dnormal"], data["d2normal"]
-        s = data["speed"]
+        fr = _Frame(AnsatzParams(n=n, R=R), 2 * np.pi * np.arange(512) / 512)
+        u, du, d2u = fr.u, fr.du, fr.d2u
+        nu, dnu, d2nu = fr.nu, fr.dnu, fr.d2nu
+        s = fr.speed
 
         def dot(a, b):
             return (np.conj(a) * b).real
@@ -433,8 +439,8 @@ def test_criterion_11_frame_identities_and_estimates(model_radial):
     for n in (32, 64, 128, 256):
         R = (1.0 * n) ** 0.25
         params = AnsatzParams(n=n, R=R)
-        data = ansatz_eval(params, 256)
-        speed_ratios.append(np.abs(data["speed"] - n / (n - 1)).max() * n / R)
+        fr = _Frame(params, 2 * np.pi * np.arange(256) / 256)
+        speed_ratios.append(np.abs(fr.speed - n / (n - 1)).max() * n / R)
         a, b, c = linearized_coeffs(params)
         total = np.abs(a - 1).max() + np.abs(b).max() + np.abs(c - 1).max()
         coeff_ratios.append(total * n / R)

@@ -1,9 +1,12 @@
+import importlib
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
+import prescurve
 from prescurve.cli import main
 from prescurve.curves import circle, read_curve, write_curve
 from prescurve.fields import CurvatureField, periodic_from_callable, write_field
@@ -110,6 +113,11 @@ def test_malformed_field_exit_2(tmp_path, capsys, text, key):
         ("sweep", '{"tau_grid": 1.0}', "'tau_grid'"),
         ("sweep", '{"tau_grid": [1.0], "n_samples": true}', "'n_samples'"),
         ("sweep", '{"tau_grid": [1.0], "jobs": null}', "'jobs'"),
+        ("solve", '{"tau": 1, "initial_curve": "missing.json"}', "'initial_curve'"),
+        ("solve", '{"tau": 1, "initial_curve": 5}', "'initial_curve'"),
+        ("sweep", '{"tau_grid": [1.0], "initial_curve": ""}', "'initial_curve'"),
+        ("sweep", '{"tau_grid": [1.0, 0.5], "warm_start": false, "jobs": 2}', "'tau_grid'"),
+        ("sweep", '{"tau_grid": [1.0], "warm_start": "no"}', "'warm_start'"),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, key):
@@ -174,6 +182,10 @@ def test_malformed_immersed_config_exit_2(tmp_path, capsys, extra, key):
         ("magnetic", {"b_field": "FIELD", "lam": "x"}, "'lam'"),
         ("magnetic", {"b_field": "FIELD", "charge": 0}, "'charge'"),
         ("magnetic", {"b_field": "no_such_field.json"}, "'b_field'"),
+        ("magnetic", {"b_field": 5}, "'b_field'"),
+        ("cylinder", {"curve": 5}, "'curve'"),
+        ("check", {"curve": 5}, "'curve'"),
+        ("check", {"curve": "no_such_curve.json"}, "'curve'"),
     ],
 )
 def test_malformed_physics_config_exit_2(tmp_path, capsys, field_zero, command, doc, key):
@@ -183,7 +195,7 @@ def test_malformed_physics_config_exit_2(tmp_path, capsys, field_zero, command, 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
-    if command in ("check", "cylinder"):
+    if command in ("check", "cylinder") and "curve" not in doc:
         argv += ["--curve", str(curve)]
     if command == "check":
         argv += ["--field", field_zero]
@@ -192,6 +204,63 @@ def test_malformed_physics_config_exit_2(tmp_path, capsys, field_zero, command, 
     assert code == 2
     assert key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["cylinder", "check"])
+@pytest.mark.parametrize("period", [None, "x", math.inf])
+def test_malformed_curve_file_exit_2(tmp_path, capsys, field_zero, command, period):
+    path = tmp_path / "curve.json"
+    samples = circle(1.0, n=64).samples.tolist()
+    path.write_text(json.dumps({"period": period, "samples": samples}))
+    argv = [command, "--curve", str(path), "--out", str(tmp_path / "out")]
+    if command == "check":
+        argv += ["--field", field_zero]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'period'" in err
+    assert "Traceback" not in err
+
+
+def test_radial_params_beta_exit_2(tmp_path, capsys):
+    params = {"A": 1.0, "gamma": 2.0, "beta": 0.5}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radial_params": params, "n_list": [8]}))
+    field = tmp_path / "field.json"
+    write_field(CurvatureField.from_parts(constant=0.0), field, radial_params=params)
+    for argv in (["--config", str(cfg)], ["--field", str(field)]):
+        code = main(["immersed", *argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'beta'" in err
+        assert "Traceback" not in err
+
+
+def test_immersed_missing_field_file_exit_2(tmp_path, capsys):
+    code = main(["immersed", "--field", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'field'" in err
+    assert "Traceback" not in err
+
+
+def test_package_namespace():
+    public = {
+        name
+        for name, value in vars(prescurve).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == {
+        "RadialCurvature",
+        "build_context",
+        "build_immersed_loop",
+        "minimize_area_constrained",
+        "simulate_magnetic",
+        "sweep_isoperimetric",
+        "write_curve",
+    }
+    assert importlib.import_module("prescurve.energy") is prescurve.energy
+    assert callable(prescurve.build_context)
 
 
 class TestSweep:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from prescurve import (
+from prescurve.curves import (
     ClosedCurve,
-    DegenerateSpeed,
-    PointOnCurve,
+    _arcs_interleave,
+    circle,
     curvature,
+    curve_reverse,
     derivative,
     dirichlet,
     is_simple,
@@ -18,18 +19,20 @@ from prescurve import (
     read_curve,
     reparametrize_constant_speed,
     signed_area,
+    trig_resample,
     winding_number,
     write_curve,
 )
-from prescurve.curves import (
-    _arcs_interleave,
-    circle,
-    curve_reverse,
-    curve_translate,
-    trig_resample,
-)
+from prescurve.errors import DegenerateSpeed, PointOnCurve
+from prescurve.immersed import AnsatzParams, _Frame
 
 from conftest import random_loop
+
+
+def curve_translate(curve, offset):
+    return ClosedCurve(
+        period=curve.period, samples=curve.samples + np.asarray(offset, dtype=float)
+    )
 
 
 def unit_circle(n=256):
@@ -263,9 +266,6 @@ class TestIsSimple:
 
     def test_ansatz_loop_not_simple(self):
         # oracle: independent quadratic-loop segment-pair test
-        from prescurve import AnsatzParams
-        from prescurve.immersed import _Frame
-
         t = 2 * np.pi * 5 * np.arange(320) / 320
         fr = _Frame(AnsatzParams(n=5, R=2.0), t, rescaled=False)
         c = ClosedCurve(2 * np.pi * 5, np.stack([fr.u.real, fr.u.imag], axis=1))

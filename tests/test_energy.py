@@ -4,22 +4,35 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prescurve import (
+from prescurve.curves import (
     ClosedCurve,
+    circle,
+    curvature,
+    derivative,
+    dirichlet,
+    length,
+    rot90,
+    signed_area,
+)
+from prescurve.energy import (
     anisotropic_area,
-    anisotropic_area_by_winding,
+    area_gradient,
     build_context,
     energy,
     energy_gradient,
     pair,
-    rescaled_anisotropic_area,
-    shape_derivative,
 )
-from prescurve.curves import circle, derivative, dirichlet, length, rot90, signed_area
-from prescurve.energy import area_gradient
 from prescurve.fields import CurvatureField, RadialDecaying, periodic_from_callable
 
-from conftest import random_loop
+from conftest import anisotropic_area_by_winding, field_value, random_loop, shape_derivative
+
+
+def rescaled_anisotropic_area(curve, ctx, tau: float) -> float:
+    """The scaling family A_{H;tau}(u) = A_H(tau u) / tau (tau > 0)."""
+    if tau <= 0:
+        raise ValueError("tau must be positive for the rescaled family")
+    scaled = ClosedCurve(period=curve.period, samples=tau * curve.samples)
+    return anisotropic_area(scaled, ctx) / tau
 
 
 @pytest.fixture(scope="module")
@@ -177,9 +190,6 @@ class TestShapeDerivative:
 
     def test_normal_direction_formula(self, ctx_periodic):
         # E'(u)[i u'] equals the integral of (H - K) |u'|^2
-        from prescurve.curves import curvature
-        from prescurve.fields import field_value
-
         c = wobbly_curve(seed=13)
         du = derivative(c, 1)
         v = rot90(du)
@@ -208,8 +218,6 @@ class TestShapeDerivative:
 class TestScalingIdentity:
     def test_derivative_of_scaled_area(self, ctx_periodic):
         # d/ds A_H(s u) = s * integral H(s u) u . i u'
-        from prescurve.fields import field_value
-
         c = wobbly_curve(seed=19)
         du = derivative(c, 1)
         idu = rot90(du)

@@ -4,52 +4,31 @@ import pickle
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import cumulative_simpson, quad
 
-from prescurve import (
-    CurvatureField,
-    NonZeroMean,
-    RadialCurvature,
-    VectorPotential,
-    build_potential,
-    lorentz_norm_21,
-    mean_unit_cell,
-    q_eval,
-    radial_potential,
-    read_field,
-    solve_plane_poisson_decaying,
-    solve_torus_poisson,
-    write_field,
-)
+from prescurve.errors import NonZeroMean
 from prescurve.fields import (
     PLANE_GRADIENT_CONSTANT,
     TORUS_GRADIENT_CONSTANT,
+    CurvatureField,
+    RadialCurvature,
     RadialDecaying,
+    VectorPotential,
+    build_potential,
+    lorentz_norm_21,
     periodic_from_callable,
+    q_eval,
+    read_field,
     read_radial_curvature,
+    solve_plane_poisson_decaying,
+    solve_torus_poisson,
+    write_field,
 )
 
 
 def cell_grid(m=64):
     x = np.arange(m) / m
     return np.meshgrid(x, x, indexing="ij")
-
-
-class TestMeanUnitCell:
-    def test_constant(self):
-        assert mean_unit_cell(np.full((32, 32), 2.5)) == pytest.approx(2.5)
-
-    def test_sine_zero(self):
-        xx, _ = cell_grid()
-        assert mean_unit_cell(np.sin(2 * np.pi * xx)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_random_matches_direct_average(self, rng):
-        grid = rng.normal(size=(48, 48))
-        assert mean_unit_cell(grid) == pytest.approx(grid.sum() / grid.size)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_unit_cell(np.zeros((0, 0)))
 
 
 class TestTorusPoisson:
@@ -207,6 +186,20 @@ class TestRadialCurvature:
         assert with_b.tilde_amplitude == pytest.approx(2.5, abs=1e-6)
         positive_beta = RadialCurvature(A=2.0, gamma=2.0, beta=1.0, htilde=lambda s: 0.5 * np.ones_like(np.asarray(s)))
         assert positive_beta.tilde_amplitude == 2.0
+
+
+def radial_potential(h: RadialCurvature, r_max: float = 100.0, nr: int = 32768):
+    """Potential of a radial curvature profile via the defining quadrature
+    Q(p) = ((1/|p|) int_0^|p| h(s) s ds) p/|p|.
+
+    The asymptotically constant part contributes the linear term p/2; the
+    decaying remainder is tabulated.
+    """
+    r = np.linspace(0.0, r_max, nr)
+    cum = cumulative_simpson(r * (h(r) - 1.0), x=r, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decay = np.where(r > 0, cum / np.where(r > 0, r, 1.0), 0.0)
+    return VectorPotential(radial_r=r, radial_f=decay, linear_coefficient=1.0)
 
 
 class TestRadialPotential:

@@ -1,24 +1,24 @@
 import numpy as np
 import pytest
 
-from prescurve import (
+from prescurve.curves import ClosedCurve, curvature, derivative, is_simple, winding_number
+from prescurve.errors import NoSignChange
+from prescurve.fields import RadialCurvature
+from prescurve.immersed import (
     AnsatzParams,
     LSConfig,
-    NoSignChange,
-    RadialCurvature,
-    ansatz_eval,
+    _Frame,
     build_immersed_loop,
     curvature_gap,
+    default_bracket,
     find_radius,
     fixed_point_solve,
-    linearized_coeffs,
     linf_apply,
     linf_invert_perp,
     verify_second_multiplier,
 )
-from prescurve.curves import curvature, derivative, is_simple, winding_number
-from prescurve.curves import ClosedCurve
-from prescurve.immersed import default_bracket, project_perp
+
+from conftest import linearized_coeffs, project_perp
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +36,8 @@ EPS = np.finfo(float).eps
 def h_sup(params, phi, h):
     """max |H(|w|)| over the perturbed curve w = u + phi * normal: the size
     of the O(1) terms whose K - H cancellation leaves lambda2 as roundoff."""
-    data = ansatz_eval(params, len(phi))
-    return float(np.abs(h(np.abs(data["u"] + phi * data["normal"]))).max())
+    fr = _Frame(params, grid_2pi(len(phi)))
+    return float(np.abs(h(np.abs(fr.u + phi * fr.nu))).max())
 
 
 # the four radial profiles of the immersed-family benchmark, both mirrors
@@ -46,26 +46,26 @@ FAMILY = ((1.0, 2.0), (-1.0, 2.0), (0.5, 3.0), (-0.5, 1.5))
 
 class TestAnsatz:
     def test_start_point(self):
-        data = ansatz_eval(AnsatzParams(n=8, R=3.0), 128)
-        assert data["u"][0] == pytest.approx(4.0 + 0.0j)
+        fr = _Frame(AnsatzParams(n=8, R=3.0), grid_2pi(128))
+        assert fr.u[0] == pytest.approx(4.0 + 0.0j)
 
     def test_speed_near_unity(self):
         # | |u'| - n/(n-1) | stays bounded by a stable multiple of R/n
         ratios = []
         for n in (32, 64, 128, 256):
             R = (1.0 * n) ** 0.25
-            data = ansatz_eval(AnsatzParams(n=n, R=R), 256)
-            dev = np.abs(data["speed"] - n / (n - 1)).max()
+            fr = _Frame(AnsatzParams(n=n, R=R), grid_2pi(256))
+            dev = np.abs(fr.speed - n / (n - 1)).max()
             ratios.append(dev * n / R)
         ratios = np.array(ratios)
         assert ratios.max() / ratios.min() < 1.2
 
     def test_frame_identities(self):
         # the eight algebraic identities of the normal frame hold at nodes
-        data = ansatz_eval(AnsatzParams(n=8, R=3.0), 512)
-        u, du, d2u = data["u"], data["du"], data["d2u"]
-        nu, dnu, d2nu = data["normal"], data["dnormal"], data["d2normal"]
-        s = data["speed"]
+        fr = _Frame(AnsatzParams(n=8, R=3.0), grid_2pi(512))
+        u, du, d2u = fr.u, fr.du, fr.d2u
+        nu, dnu, d2nu = fr.nu, fr.dnu, fr.d2nu
+        s = fr.speed
 
         def dot(a, b):
             return (np.conj(a) * b).real

@@ -3,23 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from prescurve import (
-    ClosedCurve,
-    FieldTooLarge,
-    SignIncompatible,
-    build_context,
-    check_multiplier_bounds,
-    extract_lagrange_multiplier,
-    minimize_area_constrained,
-    sweep_isoperimetric,
-)
-from prescurve.curves import circle, derivative, is_simple, length, signed_area
+from prescurve.curves import ClosedCurve, circle, derivative, is_simple, length, signed_area
+from prescurve.energy import build_context
+from prescurve.errors import FieldTooLarge, SignIncompatible
 from prescurve.fields import CurvatureField, periodic_from_callable
 from prescurve.minimize import (
     SHARP_ISOPERIMETRIC,
     MinimizeOptions,
     MinimizeResult,
     _project_area,
+    check_multiplier_bounds,
+    extract_lagrange_multiplier,
+    minimize_area_constrained,
+    sweep_isoperimetric,
 )
 
 S = SHARP_ISOPERIMETRIC

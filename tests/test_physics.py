@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from prescurve import (
+from prescurve.curves import ClosedCurve, circle, derivative, length
+from prescurve.energy import build_context
+from prescurve.errors import StepTooLarge
+from prescurve.fields import CurvatureField, periodic_from_callable
+from prescurve.minimize import minimize_area_constrained
+from prescurve.physics import (
     MagneticConfig,
-    StepTooLarge,
-    build_context,
+    gyroradius,
     integrate_curvature_ode,
     lift_to_cylinder,
-    minimize_area_constrained,
     simulate_magnetic,
     verify_solution,
 )
-from prescurve.curves import circle, derivative, length
-from prescurve.fields import CurvatureField, field_value, periodic_from_callable
-from prescurve.physics import gyroradius
+
+from conftest import field_value
 
 
 def reference_rk4(rhs, y0, t_final, steps):
@@ -344,8 +346,6 @@ class TestVerifySolution:
         resids = []
         for eps in (1e-4, 1e-3, 1e-2):
             pert = base.samples + eps * bump
-            from prescurve import ClosedCurve
-
             rep = verify_solution(ClosedCurve(1.0, pert), ctx, 0.0)
             resids.append(rep.curvature_residual)
         assert resids[0] < resids[1] < resids[2]
