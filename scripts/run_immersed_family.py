@@ -31,7 +31,7 @@ def main():
     for n in args.n:
         curve, res = build_immersed_loop(n, h, LSConfig())
         write_curve(curve, out / f"immersed_n{n}.json")
-        sups.append(res.phi.sup())
+        sups.append(float(np.abs(res.phi).max()))
         print(
             f"{n:5d} {res.r:10.6f} {res.R:8.4f} {res.lambda1:10.2e} "
             f"{res.residual:10.2e} {sups[-1]:10.4e}"

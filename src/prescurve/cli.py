@@ -96,9 +96,14 @@ def _config_path(cfg, key: str) -> Path:
 def _load_field(cfg) -> CurvatureField:
     if "field" not in cfg:
         raise UsageError("no field given (config key 'field' or --field PATH)")
-    if isinstance(cfg["field"], str):
+    value = cfg["field"]
+    if isinstance(value, str):
         return read_field(_config_path(cfg, "field"))
-    return field_from_dict(cfg["field"])
+    if not isinstance(value, dict):
+        raise UsageError(
+            f"config key 'field' must be a file path or a JSON object, got {value!r}"
+        )
+    return field_from_dict(value)
 
 
 def _warn_hypotheses(field: CurvatureField) -> None:
@@ -179,8 +184,6 @@ def _minimize_options(cfg) -> MinimizeOptions:
             "tol_grad": float,
             "tol_residual": float,
             "tol_area": float,
-            "recenter": bool,
-            "recenter_every": int,
         },
     )
     if "initial_curve" in cfg:
@@ -282,8 +285,8 @@ def _write_plot(path: Path, header: str, rows) -> None:
 
 
 def _immersed_one(args):
-    n, h, ls_kwargs = args
-    curve, res = build_immersed_loop(n, h, LSConfig(**ls_kwargs))
+    n, h, config = args
+    curve, res = build_immersed_loop(n, h, config)
     return n, curve, res
 
 
@@ -305,7 +308,7 @@ def cmd_immersed(cfg) -> int:
     if not isinstance(n_list, list):
         raise ValueError(f"config key 'n_list' must be a list, got {n_list!r}")
     n_list = [_config_value("n_list", n, int) for n in n_list]
-    ls_kwargs = _config_values(
+    kwargs = _config_values(
         cfg,
         {
             "num_samples": int,
@@ -316,10 +319,11 @@ def cmd_immersed(cfg) -> int:
         },
     )
     if cfg.get("r_bracket"):
-        ls_kwargs["r_bracket"] = _config_pair(cfg, "r_bracket", float)
+        kwargs["r_bracket"] = _config_pair(cfg, "r_bracket", float)
+    config = LSConfig(**kwargs)
 
     jobs = _config_value("jobs", cfg["jobs"], int)
-    tasks = [(n, h, ls_kwargs) for n in n_list]
+    tasks = [(n, h, config) for n in n_list]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_immersed_one, tasks))
@@ -343,7 +347,7 @@ def cmd_immersed(cfg) -> int:
                 "iterations": res.iterations,
                 "radius_evals": res.radius_evals,
                 "converged": res.converged,
-                "phi": [float(v) for v in res.phi.samples],
+                "phi": res.phi.tolist(),
                 "curve_file": f"immersed_n{n}_curve.json",
             }
         )

@@ -6,9 +6,10 @@ construction splits the curvature equation into the part orthogonal to the
 kernel of phi'' + phi, solved by a contraction fixed point, and the kernel
 component, removed by root-finding in the radius parameter:
 
-1. for fixed (n, R), iterate phi <- Linv P (L phi - G(phi)) with
+1. for fixed (n, R), iterate phi <- phi - Linv P G(phi) with
    G(phi) = K(u + phi nu) - H(u + phi nu) until the update stalls,
-   leaving G = lambda1 cos + lambda2 sin;
+   leaving G = lambda1 cos + lambda2 sin; for phi off the kernel this is
+   the map Linv P (L phi - G(phi)) without the L that Linv would undo;
 2. search r (with R = (r n)^(1/(gamma+2))) by Brent's bracketed method
    until lambda1 vanishes, starting each fixed point from the profile of
    the nearest radius already solved;
@@ -25,7 +26,7 @@ and spectral derivatives of the profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,10 +41,8 @@ from .fields import RadialCurvature
 
 __all__ = [
     "AnsatzParams",
-    "PeriodicScalar",
     "LSResult",
     "LSConfig",
-    "linf_apply",
     "linf_invert_perp",
     "curvature_gap",
     "fixed_point_solve",
@@ -82,36 +81,12 @@ class AnsatzParams:
 
 
 @dataclass(frozen=True)
-class PeriodicScalar:
-    """2 pi-periodic real function sampled at N >= 64 uniform nodes."""
-
-    samples: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        samples = np.ascontiguousarray(self.samples, dtype=float)
-        if samples.ndim != 1 or len(samples) < 64 or len(samples) % 2:
-            raise ValueError("need an even number of samples >= 64")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-    def mode(self, k: int) -> complex:
-        coef = np.fft.rfft(self.samples) / self.n
-        return complex(coef[k]) if k <= self.n // 2 else 0.0
-
-    def sup(self) -> float:
-        return float(np.abs(self.samples).max())
-
-
-@dataclass(frozen=True)
 class LSResult:
     n: int
     R: float
     r: float
     mirror: bool
-    phi: PeriodicScalar
+    phi: np.ndarray  # the profile at num_samples nodes of [0, 2 pi)
     lambda1: float
     lambda2: float
     residual: float
@@ -123,12 +98,46 @@ class LSResult:
 
 @dataclass(frozen=True)
 class LSConfig:
+    """Settings of the immersed-loop solver; each field is also the config
+    key of ``prescurve immersed`` that sets it.
+
+    ``num_samples`` nodes carry the profile on one period; each fixed point
+    stops at defect ``tol_fp`` or fails after ``max_iter`` iterations; the
+    radius search stops at |lambda1| <= ``tol_root`` inside ``r_bracket``
+    (default: ``default_bracket``); the assembled loop has
+    ``samples_per_loop`` nodes for each of its n small loops.
+    """
+
     num_samples: int = 512
     tol_fp: float = 1e-10
     tol_root: float = 1e-8
     max_iter: int = 200
     r_bracket: tuple | None = None
     samples_per_loop: int = 64
+
+    def __post_init__(self):
+        if self.num_samples < 64 or self.num_samples % 2:
+            raise ValueError(
+                f"'num_samples' must be even and >= 64, got {self.num_samples!r}"
+            )
+        if self.samples_per_loop < 8:
+            raise ValueError(
+                f"'samples_per_loop' must be >= 8, got {self.samples_per_loop!r}"
+            )
+        for key in ("tol_fp", "tol_root"):
+            tol = getattr(self, key)
+            if not tol > 0.0:
+                raise ValueError(f"'{key}' must be positive, got {tol!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"'max_iter' must be >= 1, got {self.max_iter!r}")
+        r = self.r_bracket
+        if r is not None and not (len(r) == 2 and 0.0 < r[0] < r[1]):
+            raise ValueError(f"'r_bracket' must be a pair 0 < r0 < r1, got {r!r}")
+
+
+def _nodes(num: int) -> np.ndarray:
+    """``num`` uniform nodes of [0, 2 pi)."""
+    return 2.0 * np.pi * np.arange(num) / num
 
 
 def _sderiv(values: np.ndarray, order: int) -> np.ndarray:
@@ -168,12 +177,6 @@ class _Frame:
         )
 
 
-def linf_apply(phi: np.ndarray) -> np.ndarray:
-    """The model operator phi'' + phi, applied as the single per-mode
-    symbol (1 - k^2) so the kernel modes are annihilated exactly."""
-    return apply_symbol(phi, lambda k: 1.0 - k**2)
-
-
 def linf_invert_perp(f: np.ndarray) -> np.ndarray:
     """Solve phi'' + phi = P f with phi orthogonal to cos and sin.
 
@@ -207,23 +210,14 @@ def _gap(frame: _Frame, phi: np.ndarray, h: RadialCurvature) -> np.ndarray:
     return kappa - h(np.abs(w))
 
 
-def curvature_gap(
-    params: AnsatzParams, phi, h: RadialCurvature, num_samples: int | None = None
-) -> PeriodicScalar:
-    """Sampled curvature gap K(u + phi nu) - H(u + phi nu)."""
-    if isinstance(phi, PeriodicScalar):
-        phi = phi.samples
+def curvature_gap(params: AnsatzParams, phi, h: RadialCurvature) -> np.ndarray:
+    """Curvature gap K(u + phi nu) - H(u + phi nu) at the nodes of ``phi``."""
     phi = np.asarray(phi, dtype=float)
-    num = len(phi) if num_samples is None else num_samples
-    t = 2.0 * np.pi * np.arange(num) / num
-    if num != len(phi):
-        phi = trig_resample(phi, 2.0 * np.pi, t)
-    frame = _Frame(params, t)
-    return PeriodicScalar(_gap(frame, phi, h))
+    return _gap(_Frame(params, _nodes(len(phi))), phi, h)
 
 
 def _multipliers(gap: np.ndarray) -> tuple[float, float]:
-    t = 2.0 * np.pi * np.arange(len(gap)) / len(gap)
+    t = _nodes(len(gap))
     w = 2.0 * np.pi / len(gap) / np.pi
     return (
         float((gap * np.cos(t)).sum() * w),
@@ -234,38 +228,41 @@ def _multipliers(gap: np.ndarray) -> tuple[float, float]:
 def fixed_point_solve(
     params: AnsatzParams,
     h: RadialCurvature,
-    tol_fp: float = 1e-10,
-    max_iter: int = 200,
-    num_samples: int = 512,
+    config: LSConfig | None = None,
     phi0=None,
 ):
     """Contract to the profile solving the projected curvature equation.
 
-    The map is Q(phi) = Linv(L phi - G(phi)), started from ``phi0``
-    (``num_samples`` values; default zero) and run until its defect
-    sup|Q(phi) - phi| drops below ``tol_fp``.  Steps use
-    secant (depth-1 Anderson) mixing of the last two map evaluations, which
-    has the same fixed points as the plain iteration but roughly squares
-    the convergence rate; the plain step is the first iterate.  Returns
-    ``(phi, lambda1, lambda2, trace)`` with the kernel multipliers of the
-    residual gap and the per-iteration defect sizes.  Raises
-    ``NotContracting`` after five consecutive growing defects and
-    ``MaxIterationsExceeded`` past the cap.
+    The map is Q(phi) = phi - Linv P G(phi), started from ``phi0``
+    (``config.num_samples`` values, its cos and sin modes dropped; default
+    zero) and run until its defect sup|Q(phi) - phi| drops below
+    ``config.tol_fp``.  Every iterate stays off the kernel of L, where Q
+    equals Linv(L phi - G(phi)).  Steps use secant (depth-1 Anderson)
+    mixing of the last two map evaluations, which has the same fixed points
+    as the plain iteration but roughly squares the convergence rate; the
+    plain step is the first iterate.  Returns ``(phi, lambda1, lambda2,
+    trace)`` with the kernel multipliers of the residual gap and the
+    per-iteration defect sizes.  Raises ``NotContracting`` after five
+    consecutive growing defects and ``MaxIterationsExceeded`` after
+    ``config.max_iter`` iterations.
     """
-    t = 2.0 * np.pi * np.arange(num_samples) / num_samples
-    frame = _Frame(params, t)
+    config = config or LSConfig()
+    num = config.num_samples
+    frame = _Frame(params, _nodes(num))
     if phi0 is None:
-        phi = np.zeros(num_samples)
+        phi = np.zeros(num)
     else:
         phi = np.array(phi0, dtype=float)
-        if phi.shape != (num_samples,):
-            raise ValueError(f"phi0 must have shape ({num_samples},), got {phi.shape}")
+        if phi.shape != (num,):
+            raise ValueError(f"phi0 must have shape ({num},), got {phi.shape}")
+        phi = apply_symbol(phi, lambda k: (k != 1.0).astype(float))
     phi_prev = None
     res_prev = None
     trace = []
     growing = 0
-    for _ in range(max_iter):
-        residual = linf_invert_perp(linf_apply(phi) - _gap(frame, phi, h)) - phi
+    for _ in range(config.max_iter):
+        gap = _gap(frame, phi, h)
+        residual = -linf_invert_perp(gap)
         delta = float(np.abs(residual).max())
         if trace and delta > trace[-1]:
             growing += 1
@@ -276,10 +273,9 @@ def fixed_point_solve(
         else:
             growing = 0
         trace.append(delta)
-        if delta <= tol_fp:
-            gap = _gap(frame, phi, h)
+        if delta <= config.tol_fp:
             lam1, lam2 = _multipliers(gap)
-            return PeriodicScalar(phi), lam1, lam2, tuple(trace)
+            return phi, lam1, lam2, tuple(trace)
         if res_prev is None:
             step = residual
         else:
@@ -291,7 +287,8 @@ def fixed_point_solve(
         phi_prev, res_prev = phi, residual
         phi = phi + step
     raise MaxIterationsExceeded(
-        f"fixed-point defect not below {tol_fp:g} after {max_iter} iterations"
+        f"fixed-point defect not below {config.tol_fp:g} "
+        f"after {config.max_iter} iterations"
     )
 
 
@@ -356,13 +353,7 @@ def _brent(f, a: float, fa: float, b: float, fb: float, tol_f: float):
     return b, fb
 
 
-def find_radius(
-    n: int,
-    h: RadialCurvature,
-    r_bracket: tuple | None = None,
-    tol_root: float = 1e-8,
-    config: LSConfig | None = None,
-) -> LSResult:
+def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> LSResult:
     """Search the radius parameter until the cosine multiplier vanishes.
 
     Each evaluation runs the full fixed point at R = (r n)^(1/(gamma+2)),
@@ -370,12 +361,13 @@ def find_radius(
     bracketed method picks the next radius.  The bracket must satisfy the
     root-existence inequalities and produce a sign change, else
     ``NoSignChange``; ``MaxIterationsExceeded`` if |lambda1| stays above
-    ``tol_root``.
+    ``config.tol_root``.
     """
     config = config or LSConfig()
+    tol_root = config.tol_root
     mirror = h.tilde_amplitude < 0.0
     a_eff = abs(h.tilde_amplitude)
-    r0, r1 = r_bracket if r_bracket is not None else default_bracket(h)
+    r0, r1 = config.r_bracket or default_bracket(h)
     if not (2.0 ** ((h.gamma + 2.0) / 2.0) * r0 < a_eff * h.gamma / 2.0 < r1):
         raise ValueError(
             f"bracket ({r0:g}, {r1:g}) violates the root-existence inequalities"
@@ -386,10 +378,8 @@ def find_radius(
     def lam1_at(r: float) -> float:
         params = AnsatzParams(n=n, R=_radius(r, n, h.gamma), mirror=mirror)
         nearest = min(solved, key=lambda s: abs(s - r), default=None)
-        phi0 = None if nearest is None else solved[nearest][0].samples
-        sol = fixed_point_solve(
-            params, h, config.tol_fp, config.max_iter, config.num_samples, phi0
-        )
+        phi0 = None if nearest is None else solved[nearest][0]
+        sol = fixed_point_solve(params, h, config, phi0)
         solved[r] = sol
         return sol[1]
 
@@ -423,9 +413,8 @@ def find_radius(
 
     phi, lam1, lam2, trace = solved[r_n]
     params = AnsatzParams(n=n, R=_radius(r_n, n, h.gamma), mirror=mirror)
-    gap = curvature_gap(params, phi, h).samples
-    t = 2.0 * np.pi * np.arange(len(gap)) / len(gap)
-    residual = float(np.abs(gap - lam2 * np.sin(t)).max())
+    gap = curvature_gap(params, phi, h)
+    residual = float(np.abs(gap - lam2 * np.sin(_nodes(len(gap)))).max())
     converged = abs(lam1) <= tol_root and residual <= tol_root + 100.0 * config.tol_fp
     return LSResult(
         n=n,
@@ -451,15 +440,13 @@ def verify_second_multiplier(result: LSResult, h: RadialCurvature):
     as an independent consistency residual.
     """
     params = AnsatzParams(n=result.n, R=result.R, mirror=result.mirror)
-    phi = result.phi.samples
-    num = len(phi)
-    t = 2.0 * np.pi * np.arange(num) / num
+    phi = result.phi
     w, dw, kappa = _perturb(
-        _Frame(params, t), phi, _sderiv(phi, 1), _sderiv(phi, 2)
+        _Frame(params, _nodes(len(phi))), phi, _sderiv(phi, 1), _sderiv(phi, 2)
     )
     gap = kappa - h(np.abs(w))
     radial_rate = (w.conjugate() * dw).real
-    identity = float((-gap * radial_rate).sum() * 2.0 * np.pi / num)
+    identity = float((-gap * radial_rate).sum() * 2.0 * np.pi / len(phi))
     return abs(result.lambda2), identity
 
 
@@ -474,9 +461,7 @@ def build_immersed_loop(
     tolerance, and that it stays outside the mollification radius of h.
     """
     config = config or LSConfig()
-    result = find_radius(
-        n, h, config.r_bracket, tol_root=config.tol_root, config=config
-    )
+    result = find_radius(n, h, config)
     params = AnsatzParams(n=n, R=result.R, mirror=result.mirror)
     num_total = config.samples_per_loop * n
     if num_total % 2:
@@ -486,7 +471,7 @@ def build_immersed_loop(
 
     rho = params.rescale / n  # d(rescaled)/d(full parameter)
     s = rho * t_full
-    phi = result.phi.samples
+    phi = result.phi
     jet = np.stack([phi, _sderiv(phi, 1), _sderiv(phi, 2)], axis=1)
     big = trig_resample(jet, 2.0 * np.pi, s)
     w, _, kappa = _perturb(frame, big[:, 0], rho * big[:, 1], rho**2 * big[:, 2])
@@ -501,18 +486,8 @@ def build_immersed_loop(
         period=2.0 * np.pi * n,
         samples=np.stack([w.real, w.imag], axis=1),
     )
-    result = LSResult(
-        n=result.n,
-        R=result.R,
-        r=result.r,
-        mirror=result.mirror,
-        phi=result.phi,
-        lambda1=result.lambda1,
-        lambda2=result.lambda2,
+    return curve, replace(
+        result,
         residual=residual,
-        iterations=result.iterations,
-        radius_evals=result.radius_evals,
-        trace=result.trace,
         converged=result.converged and residual <= 10.0 * config.tol_root,
     )
-    return curve, result

@@ -10,8 +10,8 @@ L^2 gradient is smoothed mode-by-mode by (eps + (2 pi k / T)^2 / D)^{-1},
 which removes the k^2 stiffness of the Dirichlet term and leaves critical
 points untouched.  The area constraint is enforced after every trial step
 by scaling about the curve mean (the area is translation invariant and
-2-homogeneous), with an integer recentering for periodic fields so iterates
-stay in a bounded slab.
+2-homogeneous), with an integer recentering every ``RECENTER_EVERY``
+iterations for periodic fields so iterates stay in a bounded slab.
 
 The Lagrange multiplier is extracted after the fact as the speed-weighted
 mean of H - K; it is diagnostic, not an optimization variable.
@@ -60,18 +60,33 @@ SWEEP_CSV_HEADER = "tau,S_H,lambda,residual,area_error,simple,converged"
 PRECOND_EPS = 1.0
 #: Sufficient-decrease constant of the backtracking line search.
 ARMIJO = 1e-4
+#: Iterations between integer recenterings in a purely periodic field.
+RECENTER_EVERY = 50
 
 
 @dataclass(frozen=True)
 class MinimizeOptions:
+    """Descent settings; each field but ``initial`` is also the config key
+    of ``prescurve solve`` and ``sweep`` that sets it."""
+
     n_samples: int = 256
     max_iter: int = 2000
     tol_grad: float = 1e-10
     tol_residual: float = 1e-3
     tol_area: float = 1e-8
-    recenter: bool = True
-    recenter_every: int = 50
     initial: ClosedCurve | None = None
+
+    def __post_init__(self):
+        if self.n_samples < 16 or self.n_samples % 2:
+            raise ValueError(
+                f"'n_samples' must be even and >= 16, got {self.n_samples!r}"
+            )
+        if self.max_iter < 1:
+            raise ValueError(f"'max_iter' must be >= 1, got {self.max_iter!r}")
+        for key in ("tol_grad", "tol_residual", "tol_area"):
+            tol = getattr(self, key)
+            if not tol > 0.0:
+                raise ValueError(f"'{key}' must be positive, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -251,11 +266,7 @@ def minimize_area_constrained(
         samples, f_cur = trial, f_try
         step = min(alpha * 1.5, 1e3)
 
-        if (
-            opts.recenter
-            and periodic_only
-            and iterations % opts.recenter_every == 0
-        ):
+        if periodic_only and iterations % RECENTER_EVERY == 0:
             shift = np.round(samples.mean(axis=0))
             samples = samples - shift
 

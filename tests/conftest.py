@@ -125,6 +125,12 @@ def anisotropic_area_by_winding(curve, field, rows: int = 1024, panel: float = 0
     return -total
 
 
+def linf_apply(phi: np.ndarray) -> np.ndarray:
+    """The model operator phi'' + phi, applied as the single per-mode
+    symbol (1 - k^2) so the kernel modes are annihilated exactly."""
+    return apply_symbol(phi, lambda k: 1.0 - k**2)
+
+
 def project_perp(f: np.ndarray) -> np.ndarray:
     """Remove the cos t and sin t modes."""
     return apply_symbol(f, lambda k: np.where(k == 1.0, 0.0, 1.0))

@@ -106,9 +106,14 @@ def test_malformed_field_exit_2(tmp_path, capsys, text, key):
         ("solve", '{"tau": NaN}', "'tau'"),
         ("solve", '{"tau": 1, "n_samples": "x"}', "'n_samples'"),
         ("solve", '{"tau": 1, "max_iter": null}', "'max_iter'"),
-        ("solve", '{"tau": 1, "recenter_every": 2.5}', "'recenter_every'"),
         ("solve", '{"tau": 1, "tol_area": Infinity}', "'tol_area'"),
-        ("solve", '{"tau": 1, "recenter": "yes"}', "'recenter'"),
+        ("solve", '{"tau": 1, "n_samples": 15}', "'n_samples'"),
+        ("solve", '{"tau": 1, "n_samples": 8}', "'n_samples'"),
+        ("solve", '{"tau": 1, "max_iter": 0}', "'max_iter'"),
+        ("solve", '{"tau": 1, "tol_grad": 0}', "'tol_grad'"),
+        ("solve", '{"tau": 1, "tol_residual": -1e-3}', "'tol_residual'"),
+        ("sweep", '{"tau_grid": [1.0], "tol_area": 0.0}', "'tol_area'"),
+        ("solve", '{"field": 5, "tau": 1}', "'field'"),
         ("sweep", '{"tau_grid": [0.5, "1"]}', "'tau_grid'"),
         ("sweep", '{"tau_grid": 1.0}', "'tau_grid'"),
         ("sweep", '{"tau_grid": [1.0], "n_samples": true}', "'n_samples'"),
@@ -123,9 +128,10 @@ def test_malformed_field_exit_2(tmp_path, capsys, text, key):
 def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
-    code = main(
-        [command, "--field", field_zero, "--config", str(cfg), "--out", str(tmp_path)]
-    )
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
+    if '"field"' not in text:  # a --field flag would override the config key
+        argv += ["--field", field_zero]
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert key in err
@@ -146,6 +152,12 @@ def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, ke
         ('"r_bracket": [0.1, Infinity]', "'r_bracket'"),
         ('"r_bracket": "0.1, 2"', "'r_bracket'"),
         ('"jobs": null', "'jobs'"),
+        ('"num_samples": 63', "'num_samples'"),
+        ('"num_samples": 32', "'num_samples'"),
+        ('"num_samples": 0', "'num_samples'"),
+        ('"samples_per_loop": 0', "'samples_per_loop'"),
+        ('"tol_fp": -1', "'tol_fp'"),
+        ('"max_iter": 0', "'max_iter'"),
     ],
 )
 def test_malformed_immersed_config_exit_2(tmp_path, capsys, extra, key):

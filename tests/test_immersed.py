@@ -13,12 +13,11 @@ from prescurve.immersed import (
     default_bracket,
     find_radius,
     fixed_point_solve,
-    linf_apply,
     linf_invert_perp,
     verify_second_multiplier,
 )
 
-from conftest import linearized_coeffs, project_perp
+from conftest import linearized_coeffs, linf_apply, project_perp
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +147,7 @@ class TestCurvatureGap:
         for n in (32, 64, 128, 256):
             R = (1.0 * n) ** 0.25
             gap = curvature_gap(AnsatzParams(n=n, R=R), np.zeros(512), flat)
-            ratios.append(gap.sup() * n / R)
+            ratios.append(np.abs(gap).max() * n / R)
         ratios = np.array(ratios)
         assert ratios.max() / ratios.min() < 1.5
 
@@ -157,7 +156,7 @@ class TestCurvatureGap:
         for n in (32, 64, 128, 256):
             R = (1.0 * n) ** 0.25
             gap = curvature_gap(AnsatzParams(n=n, R=R), np.zeros(512), h_model)
-            sups[n] = gap.sup()
+            sups[n] = np.abs(gap).max()
         # decay consistent with n^(delta - 1) + n^(-delta gamma): slope near -1/2
         ns = np.array(sorted(sups))
         slope = np.polyfit(np.log(ns), np.log([sups[n] for n in ns]), 1)[0]
@@ -166,9 +165,7 @@ class TestCurvatureGap:
 
     def test_converged_gap_is_kernel_mode(self, h_model):
         res = find_radius(64, h_model)
-        gap = curvature_gap(
-            AnsatzParams(n=64, R=res.R), res.phi.samples, h_model
-        ).samples
+        gap = curvature_gap(AnsatzParams(n=64, R=res.R), res.phi, h_model)
         t = grid_2pi(len(gap))
         model = res.lambda1 * np.cos(t) + res.lambda2 * np.sin(t)
         assert np.abs(gap - model).max() < 1e-8
@@ -185,15 +182,28 @@ class TestFixedPoint:
     def test_defect_at_convergence(self, h_model):
         params = AnsatzParams(n=64, R=(1.0 * 64) ** 0.25)
         phi, lam1, lam2, trace = fixed_point_solve(params, h_model)
-        gap = curvature_gap(params, phi.samples, h_model).samples
-        defect = linf_invert_perp(linf_apply(phi.samples) - gap) - phi.samples
+        gap = curvature_gap(params, phi, h_model)
+        # the map of the paper, Linv(L phi - G), against the oracle L
+        defect = linf_invert_perp(linf_apply(phi) - gap) - phi
         assert np.abs(defect).max() <= 1e-10
+
+    def test_start_profile_loses_kernel_modes(self, h_model):
+        # the map never touches the cos and sin modes, so a start carrying
+        # them must have them removed at entry to reach the cold-start root
+        params = AnsatzParams(n=64, R=(1.0 * 64) ** 0.25)
+        cold, *_ = fixed_point_solve(params, h_model)
+        t = grid_2pi(len(cold))
+        start = cold + 0.1 * np.cos(t) + 0.05 * np.sin(t)
+        phi, *_ = fixed_point_solve(params, h_model, phi0=start)
+        assert np.abs(phi - cold).max() <= 1e-9
+        sup = np.abs(phi).max()
+        assert abs(np.fft.rfft(phi)[1] / len(phi)) < 1e-12 * sup
 
     def test_profile_norm_decay(self, h_model):
         sups = {}
         for n in (32, 64, 128, 256):
             res = find_radius(n, h_model)
-            sups[n] = res.phi.sup()
+            sups[n] = np.abs(res.phi).max()
         ns = np.array(sorted(sups))
         slope = np.polyfit(np.log(ns), np.log([sups[n] for n in ns]), 1)[0]
         # asymptotic exponent -gamma/(gamma+2) = -1/2, within 15 percent
@@ -202,16 +212,17 @@ class TestFixedPoint:
     def test_profile_is_perp_and_even(self, h_model):
         res = find_radius(32, h_model)
         phi = res.phi
-        assert abs(phi.mode(1)) < 1e-12 * max(phi.sup(), 1e-30)
+        mode1 = np.fft.rfft(phi)[1] / len(phi)
+        assert abs(mode1) < 1e-12 * max(np.abs(phi).max(), 1e-30)
         # evenness: phi(-t) = phi(t) up to solver tolerance
-        flipped = np.concatenate([phi.samples[:1], phi.samples[1:][::-1]])
-        assert np.abs(flipped - phi.samples).max() < 1e-9
+        flipped = np.concatenate([phi[:1], phi[1:][::-1]])
+        assert np.abs(flipped - phi).max() < 1e-9
 
 
 class TestFindRadius:
     def test_bracket_inequalities_enforced(self, h_model):
         with pytest.raises(ValueError):
-            find_radius(64, h_model, r_bracket=(0.5, 2.0))  # 4 * 0.5 >= 1
+            find_radius(64, h_model, LSConfig(r_bracket=(0.5, 2.0)))  # 4 * 0.5 >= 1
 
     def test_no_sign_change_below_asymptotic_regime(self, h_model):
         # below n ~ 32 the kernel equation has no root in the legal bracket
@@ -231,7 +242,7 @@ class TestFindRadius:
         assert signs[r0] > 0 and signs[r1] < 0
 
     def test_multiplier_below_tolerance(self, h_model):
-        res = find_radius(64, h_model, tol_root=1e-8)
+        res = find_radius(64, h_model, LSConfig(tol_root=1e-8))
         assert abs(res.lambda1) <= 1e-8
         assert res.converged
 
@@ -258,7 +269,7 @@ class TestSecondMultiplier:
         gap_sup = res.residual + abs(res.lambda1)
         lam2, rot = verify_second_multiplier(res, h_model)
         params = AnsatzParams(n=64, R=res.R, mirror=res.mirror)
-        assert lam2 <= 1e-8 * gap_sup + 4 * EPS * h_sup(params, res.phi.samples, h_model)
+        assert lam2 <= 1e-8 * gap_sup + 4 * EPS * h_sup(params, res.phi, h_model)
 
     @pytest.mark.parametrize("amp, gamma", [(1.0, 2.0), (-0.5, 1.5)])
     def test_parity_at_every_radius_evaluation(self, amp, gamma):
@@ -272,7 +283,7 @@ class TestSecondMultiplier:
                 n=64, R=(r * 64) ** (1.0 / (gamma + 2.0)), mirror=res.mirror
             )
             phi, _, lam2, _ = fixed_point_solve(params, h)
-            assert abs(lam2) <= 4 * EPS * h_sup(params, phi.samples, h)
+            assert abs(lam2) <= 4 * EPS * h_sup(params, phi, h)
 
     def test_rotational_identity(self, h_model):
         res = find_radius(64, h_model)
@@ -284,9 +295,7 @@ class TestSecondMultiplier:
         # vanishes by parity regardless of convergence
         t = grid_2pi()
         phi = 0.05 * np.cos(2 * t) - 0.02 * np.cos(3 * t) + 0.01
-        gap = curvature_gap(
-            AnsatzParams(n=32, R=(32.0) ** 0.25), phi, h_model
-        ).samples
+        gap = curvature_gap(AnsatzParams(n=32, R=(32.0) ** 0.25), phi, h_model)
         lam2 = float((gap * np.sin(t)).sum() * (2 * np.pi / len(t)) / np.pi)
         assert abs(lam2) < 1e-13 * max(np.abs(gap).max(), 1e-30)
 
