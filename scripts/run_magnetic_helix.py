@@ -45,8 +45,8 @@ def main():
     du = derivative(res.curve, 1)
     v0 = du[0] / np.hypot(*du[0])
 
-    def b_from_loop(p):
-        return -float(field.value(np.atleast_2d(p))[0]) + res.lam
+    def b_from_loop(x, y):
+        return -field.at(x, y) + res.lam
 
     loop_cfg = MagneticConfig(
         b=b_from_loop, charge=1.0, mass=1.0, speed=1.0, v_parallel=0.4,

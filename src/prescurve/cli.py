@@ -14,7 +14,8 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,6 @@ from .minimize import (
     check_tau_grid,
     minimize_area_constrained,
     sweep_isoperimetric,
-    sweep_row,
 )
 from .physics import (
     MagneticConfig,
@@ -53,18 +53,18 @@ EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load_config(args) -> dict:
     cfg = {}
     if args.config:
         path = Path(args.config)
         if not path.exists():
-            raise UsageError(f"config file not found: {path}")
+            raise ValueError(f"config file not found: {path}")
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(
+                f"config file {path} must hold a JSON object, not {type(cfg).__name__}"
+            )
     # flags override config keys
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
@@ -82,25 +82,25 @@ def _out_dir(cfg) -> Path:
 
 
 def _config_path(cfg, key: str) -> Path:
-    """The existing file named under ``key``; ``UsageError`` naming the key
+    """The existing file named under ``key``; ``ValueError`` naming the key
     when the value is not a non-empty string or names no file."""
     value = cfg.get(key)
     if not (isinstance(value, str) and value):
-        raise UsageError(f"config key '{key}' must be a file path, got {value!r}")
+        raise ValueError(f"config key '{key}' must be a file path, got {value!r}")
     path = Path(value)
     if not path.is_file():
-        raise UsageError(f"config key '{key}': file not found: {path}")
+        raise ValueError(f"config key '{key}': file not found: {path}")
     return path
 
 
 def _load_field(cfg) -> CurvatureField:
     if "field" not in cfg:
-        raise UsageError("no field given (config key 'field' or --field PATH)")
+        raise ValueError("no field given (config key 'field' or --field PATH)")
     value = cfg["field"]
     if isinstance(value, str):
         return read_field(_config_path(cfg, "field"))
     if not isinstance(value, dict):
-        raise UsageError(
+        raise ValueError(
             f"config key 'field' must be a file path or a JSON object, got {value!r}"
         )
     return field_from_dict(value)
@@ -157,15 +157,17 @@ def _config_values(cfg, kinds: dict) -> dict:
     }
 
 
-def _config_pair(cfg, key: str, kind, default=None) -> tuple:
-    """The two-entry list under ``key`` as a tuple of ``kind`` (see
-    ``_config_value``), or ``default`` when the key is absent."""
+def _config_list(cfg, key: str, kind, length=None, default=None) -> tuple:
+    """The nonempty list under ``key`` (of ``length`` entries, when given)
+    as a tuple of ``kind`` (see ``_config_value``), or ``default`` when the
+    key is absent."""
     if key not in cfg:
         return default
     value = cfg[key]
-    if not (isinstance(value, list) and len(value) == 2):
+    if not (isinstance(value, list) and value and length in (None, len(value))):
         noun = "integers" if kind is int else "numbers"
-        raise ValueError(f"config key '{key}' must be a list of two {noun}, got {value!r}")
+        size = "nonempty" if length is None else f"{length}-entry"
+        raise ValueError(f"config key '{key}' must be a {size} list of {noun}, got {value!r}")
     return tuple(_config_value(key, v, kind) for v in value)
 
 
@@ -191,6 +193,21 @@ def _minimize_options(cfg) -> MinimizeOptions:
     return MinimizeOptions(**kwargs)
 
 
+@contextmanager
+def _task_map(cfg):
+    """The ``map`` that runs independent tasks: the builtin one for
+    ``jobs`` 1, else the ``map`` of a pool of ``jobs`` processes, which is
+    shut down on exit."""
+    jobs = _config_value("jobs", cfg["jobs"], int)
+    if jobs < 1:
+        raise ValueError(f"config key 'jobs' must be >= 1, got {jobs!r}")
+    if jobs == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(jobs) as pool:
+        yield pool.map
+
+
 def _write_json(path: Path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -204,7 +221,7 @@ def cmd_solve(cfg) -> int:
     if tau is not None:
         tau = _config_value("tau", tau, float)
     if not tau:
-        raise UsageError("need a nonzero area value (config key 'tau' or --tau)")
+        raise ValueError("need a nonzero area value (config key 'tau' or --tau)")
     opts = _minimize_options(cfg)
     ctx = build_context(field)
     result = minimize_area_constrained(ctx, tau, opts)
@@ -232,30 +249,15 @@ def cmd_solve(cfg) -> int:
     return EXIT_OK
 
 
-def _sweep_row_task(args):
-    ctx, tau, opts = args
-    return sweep_row(ctx, tau, opts)
-
-
 def cmd_sweep(cfg) -> int:
     field = _load_field(cfg)
     _warn_hypotheses(field)
-    grid = cfg.get("tau_grid")
-    if not grid:
-        raise UsageError("need a nonempty 'tau_grid'")
-    if not isinstance(grid, list):
-        raise ValueError(f"config key 'tau_grid' must be a list, got {grid!r}")
-    grid = check_tau_grid([_config_value("tau_grid", t, float) for t in grid])
+    grid = check_tau_grid(_config_list(cfg, "tau_grid", float, default=()))
     warm = _config_value("warm_start", cfg.get("warm_start", True), bool)
-    jobs = _config_value("jobs", cfg["jobs"], int)
     opts = _minimize_options(cfg)
-    ctx = build_context(field)
-    if not warm and jobs > 1 and len(grid) > 1:
-        # rows are independent without warm starting; one writer below
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row_task, [(ctx, t, opts) for t in grid]))
-    else:
-        rows = sweep_isoperimetric(ctx, grid, opts, warm_start=warm)
+    with _task_map(cfg) as task_map:
+        ctx = build_context(field)
+        rows = sweep_isoperimetric(ctx, grid, opts, warm_start=warm, map=task_map)
     out = _out_dir(cfg)
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
@@ -284,30 +286,18 @@ def _write_plot(path: Path, header: str, rows) -> None:
             fh.write(",".join(repr(float(v)) for v in vals) + "\n")
 
 
-def _immersed_one(args):
-    n, h, config = args
-    curve, res = build_immersed_loop(n, h, config)
-    return n, curve, res
-
-
 def cmd_immersed(cfg) -> int:
     params = cfg.get("radial_params")
     if params is not None:
-        try:
-            h = radial_curvature_from_dict(params)
-        except ValueError as exc:
-            raise UsageError(f"invalid radial parameters: {exc}") from exc
+        h = radial_curvature_from_dict(params)
     elif isinstance(cfg.get("field"), str):
         h = read_radial_curvature(_config_path(cfg, "field"))
     else:
-        raise UsageError("need 'radial_params' or a field file with them")
+        raise ValueError("need 'radial_params' or a field file with them")
 
-    n_list = cfg.get("n_list", [32, 64])
-    if not n_list:
-        raise UsageError("'n_list' must be nonempty")
-    if not isinstance(n_list, list):
-        raise ValueError(f"config key 'n_list' must be a list, got {n_list!r}")
-    n_list = [_config_value("n_list", n, int) for n in n_list]
+    n_list = _config_list(cfg, "n_list", int, default=(32, 64))
+    if min(n_list) < 2:
+        raise ValueError(f"config key 'n_list' entries must be >= 2, got {list(n_list)!r}")
     kwargs = _config_values(
         cfg,
         {
@@ -318,23 +308,17 @@ def cmd_immersed(cfg) -> int:
             "samples_per_loop": int,
         },
     )
-    if cfg.get("r_bracket"):
-        kwargs["r_bracket"] = _config_pair(cfg, "r_bracket", float)
+    if "r_bracket" in cfg:
+        kwargs["r_bracket"] = _config_list(cfg, "r_bracket", float, length=2)
     config = LSConfig(**kwargs)
-
-    jobs = _config_value("jobs", cfg["jobs"], int)
-    tasks = [(n, h, config) for n in n_list]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_immersed_one, tasks))
-    else:
-        results = [_immersed_one(t) for t in tasks]
+    with _task_map(cfg) as task_map:
+        results = list(task_map(partial(build_immersed_loop, h=h, config=config), n_list))
 
     out = _out_dir(cfg)
     docs = []
     all_ok = True
-    for n, curve, res in results:
-        write_curve(curve, out / f"immersed_n{n}_curve.json")
+    for curve, res in results:
+        write_curve(curve, out / f"immersed_n{res.n}_curve.json")
         docs.append(
             {
                 "n": res.n,
@@ -348,25 +332,12 @@ def cmd_immersed(cfg) -> int:
                 "radius_evals": res.radius_evals,
                 "converged": res.converged,
                 "phi": res.phi.tolist(),
-                "curve_file": f"immersed_n{n}_curve.json",
+                "curve_file": f"immersed_n{res.n}_curve.json",
             }
         )
         all_ok = all_ok and res.converged
     _write_json(out / "immersed_results.json", docs)
     return EXIT_OK if all_ok else EXIT_NUMERICAL
-
-
-@dataclass(frozen=True)
-class _ShiftedField:
-    """Field strength b = scale * (H - lam) of a curvature field H, read
-    one point at a time by ``simulate_magnetic``."""
-
-    field: CurvatureField
-    scale: float
-    lam: float
-
-    def at(self, x: float, y: float) -> float:
-        return self.scale * (self.field.at(x, y) - self.lam)
 
 
 def cmd_magnetic(cfg) -> int:
@@ -383,7 +354,7 @@ def cmd_magnetic(cfg) -> int:
     )
     for key in ("position", "direction"):
         if key in cfg:
-            kwargs[key] = _config_pair(cfg, key, float)
+            kwargs[key] = _config_list(cfg, key, float, length=2)
     b = cfg.get("b")
     if b is not None:
         b = _config_value("b", b, float)
@@ -393,15 +364,16 @@ def cmd_magnetic(cfg) -> int:
         lam = _config_lam(cfg)
         charge = kwargs.get("charge", 1.0)
         if charge == 0:
-            raise UsageError("config key 'charge' must be nonzero with 'b_field'")
+            raise ValueError("config key 'charge' must be nonzero with 'b_field'")
         scale = -kwargs.get("mass", 1.0) * kwargs.get("speed", 1.0) / charge
-        b = _ShiftedField(read_field(_config_path(cfg, "b_field")), scale, lam)
+        at = read_field(_config_path(cfg, "b_field")).at
+
+        def b(x: float, y: float) -> float:
+            return scale * (at(x, y) - lam)
+
     else:
-        raise UsageError("need a field strength 'b' or a 'b_field' file")
-    try:
-        mc = MagneticConfig(b=b, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError("need a field strength 'b' or a 'b_field' file")
+    mc = MagneticConfig(b=b, **kwargs)
     sim = simulate_magnetic(mc)
     out = _out_dir(cfg)
     rows = np.column_stack([sim.times, sim.trajectory]).tolist()
@@ -423,8 +395,8 @@ def cmd_magnetic(cfg) -> int:
 
 def cmd_cylinder(cfg) -> int:
     path = _config_path(cfg, "curve")
-    r_range = _config_pair(cfg, "r_range", float, (0.5, 2.0))
-    grid = _config_pair(cfg, "grid", int, (128, 33))
+    r_range = _config_list(cfg, "r_range", float, length=2, default=(0.5, 2.0))
+    grid = _config_list(cfg, "grid", int, length=2, default=(128, 33))
     curve = read_curve(path)
     lift = lift_to_cylinder(curve, r_range, grid)
     out = _out_dir(cfg)
@@ -446,8 +418,8 @@ def cmd_check(cfg) -> int:
     path = _config_path(cfg, "curve")
     try:
         curve = read_curve(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot parse curve file {path}: {exc}") from exc
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"cannot parse curve file {path}: {exc}") from exc
     field = _load_field(cfg)
     ctx = build_context(field)
     report = verify_solution(curve, ctx, lam)
@@ -455,7 +427,7 @@ def cmd_check(cfg) -> int:
     du = derivative(curve, 1)
     v0 = du[0] / np.hypot(*du[0])
     ode = integrate_curvature_ode(
-        field, lam, curve.samples[0], v0, length(curve), steps=opts.get("steps", 4096)
+        field.at, lam, curve.samples[0], v0, length(curve), steps=opts.get("steps", 4096)
     )
     tol = opts.get("tol", 1e-3)
     doc = {
@@ -530,10 +502,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PrescurveError as exc:

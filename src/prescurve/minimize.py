@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -315,11 +316,6 @@ def _row_from_result(tau: float, result: MinimizeResult) -> SweepRow:
     )
 
 
-def sweep_row(ctx: EnergyContext, tau: float, opts: MinimizeOptions | None = None):
-    """One cold-started sweep row; rows built this way are independent."""
-    return _row_from_result(tau, minimize_area_constrained(ctx, tau, opts))
-
-
 def check_tau_grid(tau_grid) -> list[float]:
     """The grid as floats; ``ValueError`` naming 'tau_grid' unless it is
     nonempty, nonzero and sorted."""
@@ -338,23 +334,26 @@ def sweep_isoperimetric(
     tau_grid,
     opts: MinimizeOptions | None = None,
     warm_start: bool = True,
+    map=map,
 ) -> list[SweepRow]:
     """Run the constrained minimization over a grid of area values.
 
-    The grid must be sorted and nonzero.  With ``warm_start`` each run
-    starts from the previous minimizer rescaled to the new area (rows then
-    depend on their predecessor and must run sequentially); without it the
-    rows are independent and may run concurrently.
+    The grid must be sorted and nonzero.  Each tau is solved cold, from
+    its competitor circle, through ``map(solve, taus)``, whose results are
+    read lazily in tau order: the builtin ``map`` runs the solves in turn,
+    a process pool's ``map`` concurrently.  With ``warm_start`` each tau is
+    also solved, in the calling process, from the previous converged
+    minimizer rescaled to the new area, and the lower converged energy is
+    kept, since S_H(tau) is an infimum.  With the builtin ``map`` the
+    solves run in the order cold tau_1, cold tau_2, warm tau_2, cold
+    tau_3, ...
     """
     taus = check_tau_grid(tau_grid)
     opts = opts or MinimizeOptions()
     rows = []
     prev_curve = None
-    for tau in taus:
-        # the warm start can land in a worse basin than the per-tau
-        # competitor circle; since the target is an infimum, run both
-        # candidates and keep the lower converged energy
-        result = minimize_area_constrained(ctx, tau, opts)
+    cold = map(partial(minimize_area_constrained, ctx, opts=opts), taus)
+    for tau, result in zip(taus, cold):
         if warm_start and prev_curve is not None:
             warm = minimize_area_constrained(
                 ctx, tau, replace(opts, initial=prev_curve)

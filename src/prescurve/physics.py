@@ -72,21 +72,11 @@ def _rk4(rhs, state, t_final: float, steps: int) -> np.ndarray:
     return np.array(out)
 
 
-def _point_function(f, batch: bool):
-    """``(x, y) -> float``: a curvature or field strength at one point.
-
-    Uses ``f.at`` when ``f`` has it, else ``f.value`` on a (1, 2) array,
-    else calls ``f`` on a (1, 2) array (``batch``) or on a length-2
-    array; anything else is a constant.
-    """
-    if hasattr(f, "at"):
-        return f.at
-    if hasattr(f, "value"):
-        return lambda x, y: float(f.value(np.array([[x, y]]))[0])
+def _point_function(f):
+    """``(x, y) -> float`` for a curvature or field strength given as a
+    callable ``(x, y) -> float`` (returned as is) or as a number."""
     if callable(f):
-        if batch:
-            return lambda x, y: float(np.asarray(f(np.array([[x, y]])), dtype=float)[0])
-        return lambda x, y: float(f(np.array([x, y])))
+        return f
     const = float(f)
     return lambda x, y: const
 
@@ -102,6 +92,8 @@ def integrate_curvature_ode(
 ) -> OdeResult:
     """Integrate u'' = length_guess * (H(u) - lam) * i u' over one unit period.
 
+    ``field_like`` is H as a number or a callable ``(x, y) -> float``, such
+    as ``CurvatureField.at``.
     ``v0`` is the unit initial direction; the initial velocity is
     length_guess * v0, so a correct guess closes the curve at t = 1.  The
     closure defect |u(1) - u(0)| + |u'(1) - u'(0)| and the relative speed
@@ -116,7 +108,7 @@ def integrate_curvature_ode(
         raise ValueError("v0 must be a unit vector")
     if steps < 1:
         raise ValueError("steps must be positive")
-    h_at = _point_function(field_like, batch=True)
+    h_at = _point_function(field_like)
     lam = float(lam)
 
     def make_rhs(lg):
@@ -159,7 +151,8 @@ def integrate_curvature_ode(
 
 @dataclass(frozen=True)
 class MagneticConfig:
-    """Charged particle in a z-invariant magnetic field b(x, y) e_z."""
+    """Charged particle in a z-invariant magnetic field b(x, y) e_z; ``b``
+    is a number or a callable ``(x, y) -> float``."""
 
     b: object
     charge: float = 1.0
@@ -190,7 +183,7 @@ def simulate_magnetic(cfg: MagneticConfig) -> OdeResult:
     direction = np.asarray(cfg.direction, dtype=float)
     direction = direction / np.hypot(*direction)
     em = float(cfg.charge / cfg.mass)
-    b_at = _point_function(cfg.b, batch=False)
+    b_at = _point_function(cfg.b)
 
     def rhs(x, y, u, v):
         s = -em * b_at(x, y)

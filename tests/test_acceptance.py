@@ -358,7 +358,7 @@ def test_criterion_09_ode_variational_consistency(sine_field_half):
         du = derivative(res.curve, 1)
         v0 = du[0] / np.hypot(*du[0])
         ode = integrate_curvature_ode(
-            ctx.field, res.lam, res.curve.samples[0], v0, length(res.curve), steps=4096
+            ctx.field.at, res.lam, res.curve.samples[0], v0, length(res.curve), steps=4096
         )
         worst_closure = max(worst_closure, ode.closure_defect)
     report(
@@ -390,8 +390,8 @@ def test_criterion_10_magnetic_equivalence(sine_field_half):
     du = derivative(res.curve, 1)
     v0 = du[0] / np.hypot(*du[0])
 
-    def b_loop(p):
-        return -(float(ctx.field.value(np.atleast_2d(p))[0]) - res.lam)
+    def b_loop(x, y):
+        return -(ctx.field.at(x, y) - res.lam)
 
     orbit = simulate_magnetic(
         MagneticConfig(

@@ -7,9 +7,18 @@ import numpy as np
 import pytest
 
 import prescurve
+from prescurve import cli
 from prescurve.cli import main
 from prescurve.curves import circle, read_curve, write_curve
 from prescurve.fields import CurvatureField, periodic_from_callable, write_field
+
+
+SWEEP_FILES = (
+    "sweep.csv",
+    "plot_tau_vs_SH.csv",
+    "plot_tau_vs_lambda.csv",
+    "plot_sqrt_tau_vs_stilde.csv",
+)
 
 
 @pytest.fixture
@@ -123,6 +132,10 @@ def test_malformed_field_exit_2(tmp_path, capsys, text, key):
         ("sweep", '{"tau_grid": [1.0], "initial_curve": ""}', "'initial_curve'"),
         ("sweep", '{"tau_grid": [1.0, 0.5], "warm_start": false, "jobs": 2}', "'tau_grid'"),
         ("sweep", '{"tau_grid": [1.0], "warm_start": "no"}', "'warm_start'"),
+        ("sweep", '{"tau_grid": [1.0], "jobs": 0}', "'jobs'"),
+        ("sweep", '{"tau_grid": [1.0], "jobs": -1}', "'jobs'"),
+        ("solve", "[1, 2]", "cfg.json"),
+        ("sweep", '"x"', "cfg.json"),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, key):
@@ -152,6 +165,10 @@ def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, ke
         ('"r_bracket": [0.1, Infinity]', "'r_bracket'"),
         ('"r_bracket": "0.1, 2"', "'r_bracket'"),
         ('"jobs": null', "'jobs'"),
+        ('"jobs": 0', "'jobs'"),
+        ('"jobs": -1', "'jobs'"),
+        ('"n_list": [1]', "'n_list'"),
+        ('"n_list": [-3]', "'n_list'"),
         ('"num_samples": 63', "'num_samples'"),
         ('"num_samples": 32', "'num_samples'"),
         ('"num_samples": 0', "'num_samples'"),
@@ -301,8 +318,19 @@ class TestSweep:
         cfg.write_text(json.dumps({"tau_grid": []}))
         assert main(["sweep", "--field", field_zero, "--config", str(cfg)]) == 2
 
-    def test_parallel_rows_match_sequential(self, tmp_path, field_periodic):
-        base = {"tau_grid": [0.7, 1.0, 1.4], "warm_start": False}
+    @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+    def test_parallel_rows_match_sequential(
+        self, tmp_path, monkeypatch, field_periodic, warm_start
+    ):
+        pools = []
+
+        class CountingPool(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        base = {"tau_grid": [0.7, 1.0, 1.4], "warm_start": warm_start}
         outs = []
         for name, jobs in (("seq", 1), ("par", 3)):
             cfg = tmp_path / f"{name}.json"
@@ -322,7 +350,8 @@ class TestSweep:
                 )
                 == 0
             )
-            outs.append((out / "sweep.csv").read_bytes())
+            assert len(pools) == (jobs > 1)
+            outs.append([(out / f).read_bytes() for f in SWEEP_FILES])
         assert outs[0] == outs[1]
 
     def test_deterministic_outputs(self, tmp_path, field_periodic):

@@ -182,6 +182,19 @@ class TestSweep:
         assert rows_pos[0].s_h == pytest.approx(rows_neg[1].s_h, abs=2e-3)
         assert rows_pos[1].s_h == pytest.approx(rows_neg[0].s_h, abs=2e-3)
 
+    def test_cold_solves_go_through_map(self, ctx_periodic):
+        taus = [0.7, 1.0, 1.4]
+        seen = []
+
+        def recording_map(fn, items):
+            items = list(items)
+            seen.extend(items)
+            return map(fn, items)
+
+        rows = sweep_isoperimetric(ctx_periodic, taus, map=recording_map)
+        assert seen == taus
+        assert rows == sweep_isoperimetric(ctx_periodic, taus)
+
     def test_validation(self, ctx_zero):
         with pytest.raises(ValueError):
             sweep_isoperimetric(ctx_zero, [])

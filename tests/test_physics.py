@@ -17,8 +17,6 @@ from prescurve.physics import (
     verify_solution,
 )
 
-from conftest import field_value
-
 
 def reference_rk4(rhs, y0, t_final, steps):
     """Array-state RK4: the reference the four-float stepper is held to."""
@@ -36,14 +34,24 @@ def reference_rk4(rhs, y0, t_final, steps):
     return out
 
 
+def point_value(field_like, pos) -> float:
+    """The oracles' one-point read: a field through its array path
+    ``value`` on a (1, 2) array, a callable at (x, y), else a constant."""
+    if hasattr(field_like, "value"):
+        return float(field_like.value(pos[None, :])[0])
+    if callable(field_like):
+        return float(field_like(*pos))
+    return float(field_like)
+
+
 def reference_ode_path(field_like, lam, u0, v0, lg, steps, refine_length=False):
     """(steps + 1, 4) states of ``integrate_curvature_ode`` by the oracle,
-    the curvature read through ``field_value`` on (1, 2) arrays."""
+    the curvature read through ``point_value``."""
     u0, v0 = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
 
     def make_rhs(lg):
         def rhs(y):
-            h = float(field_value(field_like, y[None, :2])[0])
+            h = point_value(field_like, y[:2])
             return np.concatenate([y[2:], lg * (h - lam) * np.array([-y[3], y[2]])])
 
         return rhs
@@ -57,22 +65,15 @@ def reference_ode_path(field_like, lam, u0, v0, lg, steps, refine_length=False):
     return reference_rk4(make_rhs(lg), np.concatenate([u0, lg * v0]), 1.0, steps)
 
 
-def reference_magnetic_path(cfg):
+def reference_magnetic_path(cfg, b):
     """(steps + 1, 4) transverse states of ``simulate_magnetic`` by the
-    oracle: callables get the length-2 position, fields a (1, 2) array."""
+    oracle, the field strength ``b`` read through ``point_value``."""
     direction = np.asarray(cfg.direction, dtype=float)
     direction = direction / np.hypot(*direction)
     em = cfg.charge / cfg.mass
 
-    def b_value(pos):
-        if callable(cfg.b):
-            return float(cfg.b(pos))
-        if hasattr(cfg.b, "value"):
-            return float(cfg.b.value(pos[None, :])[0])
-        return float(cfg.b)
-
     def rhs(y):
-        return np.concatenate([y[2:], -em * b_value(y[:2]) * np.array([-y[3], y[2]])])
+        return np.concatenate([y[2:], -em * point_value(b, y[:2]) * np.array([-y[3], y[2]])])
 
     y0 = np.concatenate([np.asarray(cfg.position, dtype=float), cfg.speed * direction])
     return reference_rk4(rhs, y0, cfg.t_final, cfg.steps)
@@ -114,7 +115,7 @@ class TestCurvatureOde:
     def test_speed_conserved_structurally(self, periodic_setup):
         ctx, _ = periodic_setup
         res = integrate_curvature_ode(
-            ctx.field, 0.3, (0.2, 0.1), (1.0, 0.0), 5.0, steps=4096
+            ctx.field.at, 0.3, (0.2, 0.1), (1.0, 0.0), 5.0, steps=4096
         )
         assert res.speed_drift < 1e-10
 
@@ -123,7 +124,7 @@ class TestCurvatureOde:
         du = derivative(mres.curve, 1)
         v0 = du[0] / np.hypot(*du[0])
         out = integrate_curvature_ode(
-            ctx.field, mres.lam, mres.curve.samples[0], v0, length(mres.curve),
+            ctx.field.at, mres.lam, mres.curve.samples[0], v0, length(mres.curve),
             steps=4096,
         )
         assert out.closure_defect <= 1e-3
@@ -157,7 +158,7 @@ class TestCurvatureOde:
 class TestAgainstArrayOracle:
     def test_curvature_ode_on_field(self, periodic_setup):
         ctx, _ = periodic_setup
-        res = integrate_curvature_ode(ctx.field, 0.3, (0.2, 0.1), (0.6, 0.8), 5.0, steps=512)
+        res = integrate_curvature_ode(ctx.field.at, 0.3, (0.2, 0.1), (0.6, 0.8), 5.0, steps=512)
         path = reference_ode_path(ctx.field, 0.3, (0.2, 0.1), (0.6, 0.8), 5.0, 512)
         assert_matches_oracle(np.hstack([res.trajectory, res.velocities]), path)
 
@@ -168,14 +169,14 @@ class TestAgainstArrayOracle:
         lg = 1.3 * length(mres.curve)
         u0 = mres.curve.samples[0]
         res = integrate_curvature_ode(
-            ctx.field, mres.lam, u0, v0, lg, steps=512, refine_length=True
+            ctx.field.at, mres.lam, u0, v0, lg, steps=512, refine_length=True
         )
         path = reference_ode_path(ctx.field, mres.lam, u0, v0, lg, 512, refine_length=True)
         assert_matches_oracle(np.hstack([res.trajectory, res.velocities]), path)
 
     @pytest.mark.parametrize(
         "field_like",
-        [1.5, lambda p: 1.0 + 0.2 * np.sin(p[:, 0]) * np.cos(p[:, 1])],
+        [1.5, lambda x, y: 1.0 + 0.2 * math.sin(x) * math.cos(y)],
         ids=["constant", "callable"],
     )
     def test_curvature_ode_constant_and_callable(self, field_like):
@@ -188,24 +189,24 @@ class TestAgainstArrayOracle:
         ctx, _ = periodic_setup
         b = {
             "constant": 1.7,
-            "callable": lambda p: 1.0 + 0.3 * math.sin(p[0] + 2.0 * p[1]),
+            "callable": lambda x, y: 1.0 + 0.3 * math.sin(x + 2.0 * y),
             "field": ctx.field,
         }[kind]
         cfg = MagneticConfig(
-            b=b, charge=-0.8, mass=1.3, speed=0.9, position=(0.3, -0.2),
-            direction=(1.0, 2.0), t_final=6.0, steps=512,
+            b=getattr(b, "at", b), charge=-0.8, mass=1.3, speed=0.9,
+            position=(0.3, -0.2), direction=(1.0, 2.0), t_final=6.0, steps=512,
         )
         sim = simulate_magnetic(cfg)
-        path = reference_magnetic_path(cfg)
+        path = reference_magnetic_path(cfg, b)
         assert_matches_oracle(np.hstack([sim.trajectory[:, :2], sim.velocities]), path)
 
     def test_field_integration_skips_value(self, periodic_setup, value_calls):
         # one-point reads go through CurvatureField.at, never the array path
         ctx, _ = periodic_setup
         integrate_curvature_ode(
-            ctx.field, 0.3, (0.2, 0.1), (1.0, 0.0), 5.0, steps=128, refine_length=True
+            ctx.field.at, 0.3, (0.2, 0.1), (1.0, 0.0), 5.0, steps=128, refine_length=True
         )
-        simulate_magnetic(MagneticConfig(b=ctx.field, t_final=2.0, steps=128))
+        simulate_magnetic(MagneticConfig(b=ctx.field.at, t_final=2.0, steps=128))
         assert value_calls == []
         ctx.field.value(np.zeros((3, 2)))
         assert value_calls == [(3, 2)]
@@ -243,8 +244,8 @@ class TestMagnetic:
         du = derivative(mres.curve, 1)
         v0 = du[0] / np.hypot(*du[0])
 
-        def b(p):
-            return -(float(ctx.field.value(np.atleast_2d(p))[0]) - mres.lam)
+        def b(x, y):
+            return -(ctx.field.at(x, y) - mres.lam)
 
         cfg = MagneticConfig(
             b=b, charge=1.0, mass=1.0, speed=1.0, v_parallel=0.2,
