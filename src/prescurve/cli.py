@@ -60,7 +60,10 @@ def _load_config(args) -> dict:
         if not path.exists():
             raise ValueError(f"config file not found: {path}")
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise ValueError(
                 f"config file {path} must hold a JSON object, not {type(cfg).__name__}"
@@ -397,6 +400,8 @@ def cmd_cylinder(cfg) -> int:
     path = _config_path(cfg, "curve")
     r_range = _config_list(cfg, "r_range", float, length=2, default=(0.5, 2.0))
     grid = _config_list(cfg, "grid", int, length=2, default=(128, 33))
+    if min(grid) < 2:
+        raise ValueError(f"config key 'grid' entries must be >= 2, got {list(grid)!r}")
     curve = read_curve(path)
     lift = lift_to_cylinder(curve, r_range, grid)
     out = _out_dir(cfg)

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
-from scipy.interpolate import CubicSpline
 
 from .errors import NonIntegrable, NonZeroMean
 
@@ -56,13 +54,28 @@ DECAYING_ADMISSIBLE_NORM = (2.0 / math.pi) ** 1.5
 class _PeriodicSpline2D:
     """Cubic B-spline interpolation of unit-cell data, exactly 1-periodic.
 
-    ``grid[i, j]`` is the value at ``(i/M, j/M)``.
+    ``grid[i, j]`` is the value at ``(i/M, j/M)``.  An (M, M, C) grid gives
+    C channels that share each point's stencil indices and weights.
+
+    The coefficients are the grid's 2-d real DFT divided by the sampled
+    B-spline symbol s(kx) s(ky), s(k) = (4 + 2 cos 2 pi k/M)/6, which is
+    real and even, so the inverse transform is real.  They are stored
+    wrap-padded by one node before and three after on each axis, so no
+    stencil index needs a wrap: ``(x*M) % M`` rounds to M itself for a tiny
+    negative x, whose stencil then reaches node M + 2.  Evaluation uses
+    ``scipy.ndimage``'s weights and summation order (``map_coordinates``
+    with ``mode="grid-wrap"``), and matches it bit for bit.
     """
 
     def __init__(self, grid: np.ndarray):
-        self.m = grid.shape[0]
-        self._coeffs = ndimage.spline_filter(grid, order=3, mode="grid-wrap")
-        self._flat = memoryview(self._coeffs.reshape(-1))
+        m = grid.shape[0]
+        s = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)) / 6.0
+        # channels first, so that each 2-d transform reads contiguous data
+        cells = np.fft.rfft2(np.moveaxis(grid, (0, 1), (-2, -1)))
+        cells /= np.multiply.outer(s, s[: m // 2 + 1])
+        coeffs = np.moveaxis(np.fft.irfft2(cells, s=(m, m)), (-2, -1), (0, 1))
+        pad = [(1, 3), (1, 3)] + [(0, 0)] * (grid.ndim - 2)
+        self.__setstate__({"m": m, "_coeffs": np.pad(coeffs, pad, mode="wrap")})
 
     def __getstate__(self):
         # a memoryview does not pickle; __setstate__ makes a new one
@@ -71,54 +84,144 @@ class _PeriodicSpline2D:
     def __setstate__(self, state):
         self.m = state["m"]
         self._coeffs = state["_coeffs"]
+        width = self.m + 4
+        # one row per padded node, one column per channel
+        self._table = self._coeffs.reshape(width * width, -1)
         self._flat = memoryview(self._coeffs.reshape(-1))
+        self._stencil = (np.arange(4)[:, None] * width + np.arange(4))[:, :, None]
 
-    def __call__(self, x, y):
+    def __call__(self, points) -> np.ndarray:
+        """The spline at an (..., 2) array of points: shape (...) for an
+        (M, M) grid, (..., C) for an (M, M, C) one."""
+        pts = np.asarray(points, dtype=float)
+        if not np.isfinite(pts).all():
+            # a non-finite point has no cell: it reads NaN, the rest as usual
+            ok = np.isfinite(pts).all(axis=-1)
+            out = np.full(pts.shape[:-1] + self._coeffs.shape[2:], np.nan)
+            out[ok] = self(pts[ok])
+            return out
         m = self.m
-        coords = np.stack(
-            [np.asarray(x, dtype=float) * m, np.asarray(y, dtype=float) * m]
-        )
-        return ndimage.map_coordinates(
-            self._coeffs, coords, order=3, mode="grid-wrap", prefilter=False
-        )
+        # wrap the grid coordinates into the cell, as map_coordinates does
+        coords = (pts.reshape(-1, 2).T * m) % m
+        nodes = np.floor(coords)
+        weights = np.array(_cubic_weights(coords - nodes))  # (4, 2, N)
+        first = (nodes[0] * (m + 4) + nodes[1]).astype(np.intp)
+        values = self._table.take(first + self._stencil, axis=0)  # (4, 4, N, C)
+        out = np.einsum("ijnc,in,jn->nc", values, weights[:, 0], weights[:, 1])
+        return out.reshape(pts.shape[:-1] + self._coeffs.shape[2:])
 
     def at(self, x: float, y: float) -> float:
-        """The spline at one point, as a float.
+        """The spline of an (M, M) grid at one point, as a float.
 
-        Reads the 4 x 4 wrapped stencil of coefficients through a flat
-        float view and sums it with ``map_coordinates``' weights, in its
-        order, so it matches :meth:`__call__` to rounding (bit for bit
-        with scipy 1.17).
+        Reads the 4 x 4 stencil of padded coefficients through a flat float
+        view and sums it in :meth:`__call__`'s order, so it matches it bit
+        for bit.
         """
-        m, flat = self.m, self._flat
-        # wrap the grid coordinates into the cell first, as map_coordinates
-        # does: for negative coordinates this rounds the offset the same way
+        m, flat, width = self.m, self._flat, self.m + 4
         cx, cy = (x * m) % m, (y * m) % m
         fx, fy = math.floor(cx), math.floor(cy)
         wx = _cubic_weights(cx - fx)
         w0, w1, w2, w3 = _cubic_weights(cy - fy)
-        j0, j1, j2, j3 = (fy - 1) % m, fy % m, (fy + 1) % m, (fy + 2) % m
+        row = fx * width + fy
         total = 0.0
-        for d, w in zip((-1, 0, 1, 2), wx):
-            row = (fx + d) % m * m
+        for w in wx:
             total = (
                 total
-                + flat[row + j0] * w * w0
-                + flat[row + j1] * w * w1
-                + flat[row + j2] * w * w2
-                + flat[row + j3] * w * w3
+                + flat[row] * w * w0
+                + flat[row + 1] * w * w1
+                + flat[row + 2] * w * w2
+                + flat[row + 3] * w * w3
             )
+            row += width
         return total
 
 
-def _cubic_weights(t: float) -> tuple:
-    """Cubic B-spline weights of the nodes -1, 0, 1, 2 at offset t in [0, 1),
-    written as ``scipy.ndimage`` computes them."""
+def _cubic_weights(t):
+    """Cubic B-spline weights of the nodes -1, 0, 1, 2 at offset t in [0, 1)
+    (a float or an array), written as ``scipy.ndimage`` computes them."""
     z = 1.0 - t
     w0 = z * z * z / 6.0
     w1 = (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0
     w2 = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
     return w0, w1, w2, 1.0 - w0 - w1 - w2
+
+
+class _CubicSpline:
+    """Not-a-knot cubic spline through (x, y), x strictly increasing.
+
+    The node slopes solve the tridiagonal system of
+    ``scipy.interpolate.CubicSpline`` (de Boor's slope form, with the
+    not-a-knot end rows) by one Thomas sweep; each interval is the cubic
+    Hermite piece of its end values and slopes.  Points outside [x0, xn]
+    take the end pieces, as ``CubicSpline`` extrapolates by default.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or len(x) < 4:
+            raise ValueError("a table must be two matching 1-d arrays of >= 4 entries")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("a table must hold finite numbers")
+        dx = np.diff(x)
+        if not np.all(dx > 0):
+            raise ValueError("a table's nodes must be strictly increasing")
+        slope = np.diff(y) / dx
+        # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+        lower = np.concatenate([[0.0], dx[1:], [x[-1] - x[-3]]])
+        diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
+        upper = np.concatenate([[x[2] - x[0]], dx[:-1], [0.0]])
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        rhs = np.concatenate(
+            [
+                [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+                3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+                [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
+            ]
+        )
+        s = _thomas(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist())
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        self.x = x
+        # power-form coefficients of each piece in (x - x[i]), highest first
+        self._c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+    def __call__(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        i = np.clip(np.searchsorted(self.x, xs, side="right") - 1, 0, len(self.x) - 2)
+        dt = xs - self.x[i]
+        c3, c2, c1, c0 = self._c[:, i]
+        return ((c3 * dt + c2) * dt + c1) * dt + c0
+
+
+def _thomas(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve a tridiagonal system (lists of floats; ``lower[0]`` and
+    ``upper[-1]`` unused) by forward elimination and back substitution."""
+    n = len(diag)
+    for i in range(1, n):
+        factor = lower[i] / diag[i - 1]
+        diag[i] -= factor * upper[i - 1]
+        rhs[i] -= factor * rhs[i - 1]
+    out = [0.0] * n
+    out[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        out[i] = (rhs[i] - upper[i] * out[i + 1]) / diag[i]
+    return np.array(out)
+
+
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Running integral of samples y at uniform step h, from the first sample.
+
+    Each interval takes the three-point rule (5 f0 + 8 f1 - f2) h/12 over
+    itself and its right neighbour; every other interval, and the last,
+    takes it mirrored over its left neighbour, so each pair of intervals
+    sums to Simpson's rule (``scipy.integrate.cumulative_simpson``'s scheme).
+    """
+    w = h / 12.0
+    forward = w * (5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:])  # interval k
+    mirrored = w * (5.0 * y[2:] + 8.0 * y[1:-1] - y[:-2])  # interval k + 1
+    parts = np.append(forward, mirrored[-1])
+    parts[1::2] = mirrored[::2]
+    return np.concatenate([[0.0], np.cumsum(parts)])
 
 
 class RadialDecaying:
@@ -129,13 +232,8 @@ class RadialDecaying:
             raise ValueError("give exactly one of func= or table=(r, values)")
         self._func = func
         if table is not None:
-            r, vals = (np.asarray(a, dtype=float) for a in table)
-            if r.ndim != 1 or r.shape != vals.shape or len(r) < 4:
-                raise ValueError("table must be two matching 1-d arrays")
-            self._spline = CubicSpline(r, vals)
-            self._table_r = r
-            self._table_v = vals
-            self.r_max = float(r[-1]) if r_max is None else float(r_max)
+            self._spline = _CubicSpline(*table)
+            self.r_max = float(self._spline.x[-1]) if r_max is None else float(r_max)
         else:
             self._spline = None
             self.r_max = float(r_max) if r_max is not None else self._probe_range()
@@ -208,7 +306,7 @@ class CurvatureField:
         pts = np.asarray(points, dtype=float)
         out = np.full(pts.shape[:-1], self.constant)
         if self.periodic is not None:
-            out = out + self._spline(pts[..., 0], pts[..., 1])
+            out = out + self._spline(pts)
         if self.radial is not None:
             out = out + self.radial(np.hypot(pts[..., 0], pts[..., 1]))
         return out
@@ -415,15 +513,12 @@ def solve_plane_poisson_decaying(h2, nr: int = 8192, r_max=None):
     tabulated on a dense grid.  Raises ``NonIntegrable`` when the tail
     integral has visibly not settled at the end of the range.
     """
-    # imported here: at module level scipy.integrate slows every CLI start
-    from scipy.integrate import cumulative_simpson
-
     if not isinstance(h2, RadialDecaying):
         h2 = RadialDecaying(func=h2) if callable(h2) else RadialDecaying(table=h2)
     rmax = float(r_max) if r_max is not None else max(2.0 * h2.r_max, 1.0)
     r = np.linspace(0.0, rmax, nr)
     integrand = r * h2(r)
-    cum = cumulative_simpson(integrand, x=r, initial=0.0)
+    cum = _cumulative_simpson(integrand, r[1] - r[0])
     scale = max(np.abs(cum).max(), 1e-300)
     tail_drift = abs(cum[-1] - cum[int(0.9 * nr)])
     if tail_drift > 1e-6 * scale and abs(integrand[-1]) > 1e-9 * scale / rmax:
@@ -456,19 +551,15 @@ class VectorPotential:
             if g.ndim != 3 or g.shape[2] != 2 or g.shape[0] != g.shape[1]:
                 raise ValueError("periodic_gradient must have shape (M, M, 2)")
             object.__setattr__(self, "periodic_gradient", g)
-            object.__setattr__(
-                self,
-                "_splines",
-                (_PeriodicSpline2D(g[:, :, 0]), _PeriodicSpline2D(g[:, :, 1])),
-            )
+            object.__setattr__(self, "_spline", _PeriodicSpline2D(g))
         else:
-            object.__setattr__(self, "_splines", None)
+            object.__setattr__(self, "_spline", None)
         if (self.radial_r is None) != (self.radial_f is None):
             raise ValueError("radial_r and radial_f must come together")
         if self.radial_r is not None:
             r = np.asarray(self.radial_r, dtype=float)
             f = np.asarray(self.radial_f, dtype=float)
-            object.__setattr__(self, "_radial_spline", CubicSpline(r, f))
+            object.__setattr__(self, "_radial_spline", _CubicSpline(r, f))
             object.__setattr__(self, "_radial_rmax", float(r[-1]))
             object.__setattr__(self, "_radial_tail", float(f[-1]) * float(r[-1]))
         else:
@@ -503,11 +594,8 @@ def q_eval(potential: VectorPotential, points) -> np.ndarray:
     """Evaluate Q at an (..., 2) array of plane points."""
     pts = np.asarray(points, dtype=float)
     out = 0.5 * potential.linear_coefficient * pts
-    if potential._splines is not None:
-        sx, sy = potential._splines
-        out = out + np.stack(
-            [sx(pts[..., 0], pts[..., 1]), sy(pts[..., 0], pts[..., 1])], axis=-1
-        )
+    if potential._spline is not None:
+        out = out + potential._spline(pts)
     if potential._radial_spline is not None:
         r = np.hypot(pts[..., 0], pts[..., 1])
         f = potential.radial_profile(r)

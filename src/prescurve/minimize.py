@@ -179,10 +179,11 @@ def _initial_circle(ctx: EnergyContext, tau: float, n: int) -> ClosedCurve:
         for rr in (0.5, 1.0, 2.0, 4.0):
             for th in np.arange(8) * np.pi / 4.0:
                 candidates.append((rr * math.cos(th), rr * math.sin(th)))
-    best = min(
-        candidates,
-        key=lambda c: math.copysign(1.0, tau) * _disc_center_score(ctx, c, radius),
-    )
+    scores = [math.copysign(1.0, tau) * _disc_center_score(ctx, c, radius) for c in candidates]
+    # a lattice symmetry of the field ties scores up to roundoff: take the
+    # first candidate within roundoff of the minimum, not the roundoff winner
+    cutoff = min(scores) + 1e-9 * max(abs(s) for s in scores)
+    best = next(c for c, s in zip(candidates, scores) if s <= cutoff)
     # sign(tau) fixes the orientation: clockwise encloses positive area
     orientation = -1 if tau > 0 else 1
     return circle(radius, center=best, n=n, period=1.0, orientation=orientation)

@@ -165,12 +165,14 @@ class MagneticConfig:
     steps: int = 4096
 
     def __post_init__(self):
-        if self.mass <= 0 or self.speed <= 0:
-            raise ValueError("mass and transverse speed must be positive")
+        for key in ("mass", "speed"):
+            value = getattr(self, key)
+            if not value > 0:
+                raise ValueError(f"'{key}' must be positive, got {value!r}")
         if self.steps < 1:
-            raise ValueError("steps must be positive")
+            raise ValueError(f"'steps' must be >= 1, got {self.steps!r}")
         if not np.hypot(*self.direction) > 0:
-            raise ValueError("direction must be a nonzero vector")
+            raise ValueError(f"'direction' must be a nonzero vector, got {self.direction!r}")
 
 
 def simulate_magnetic(cfg: MagneticConfig) -> OdeResult:
@@ -269,14 +271,14 @@ def lift_to_cylinder(
     The curve is reparametrized to unit speed (parameter = arclength), so
     the lift is conformal in the polar coordinates (theta, r).
     """
-    cs = reparametrize_constant_speed(curve)
-    total = length(cs)
     ntheta, nr = grid
-    theta = total * np.arange(ntheta) / ntheta
-    pts = trig_resample(cs.samples, cs.period, theta * cs.period / total)
     r_lo, r_hi = r_range
     if not 0 < r_lo < r_hi:
-        raise ValueError("need 0 < r_min < r_max")
+        raise ValueError(f"'r_range' must have 0 < r_min < r_max, got {list(r_range)!r}")
+    cs = reparametrize_constant_speed(curve)
+    total = length(cs)
+    theta = total * np.arange(ntheta) / ntheta
+    pts = trig_resample(cs.samples, cs.period, theta * cs.period / total)
     r = np.geomspace(r_lo, r_hi, nr)
     verts = np.empty((ntheta, nr, 3))
     verts[:, :, 0] = pts[:, 0:1]

@@ -2,6 +2,10 @@ import importlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +140,7 @@ def test_malformed_field_exit_2(tmp_path, capsys, text, key):
         ("sweep", '{"tau_grid": [1.0], "jobs": -1}', "'jobs'"),
         ("solve", "[1, 2]", "cfg.json"),
         ("sweep", '"x"', "cfg.json"),
+        ("solve", "{not json", "cfg.json"),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, key):
@@ -199,12 +204,18 @@ def test_malformed_immersed_config_exit_2(tmp_path, capsys, extra, key):
         ("cylinder", {"grid": [64, 2.5]}, "'grid'"),
         ("cylinder", {"r_range": [2, "a"]}, "'r_range'"),
         ("cylinder", {"r_range": [0.5]}, "'r_range'"),
+        ("cylinder", {"grid": [0, 33]}, "'grid'"),
+        ("cylinder", {"grid": [64, 1]}, "'grid'"),
+        ("cylinder", {"r_range": [2, 1]}, "'r_range'"),
         ("magnetic", {"b": 1.0, "steps": "x"}, "'steps'"),
         ("magnetic", {"b": 1.0, "position": 3}, "'position'"),
         ("magnetic", {"b": 1.0, "direction": [1.0, None]}, "'direction'"),
         ("magnetic", {"b": "strong"}, "'b'"),
         ("magnetic", {"b": 1.0, "t_final": math.inf}, "'t_final'"),
         ("magnetic", {"b": 1.0, "mass": None}, "'mass'"),
+        ("magnetic", {"b": 1.0, "mass": -1}, "'mass'"),
+        ("magnetic", {"b": 1.0, "speed": 0}, "'speed'"),
+        ("magnetic", {"b": 1.0, "steps": 0}, "'steps'"),
         ("magnetic", {"b": 1.0, "speed": [1.0]}, "'speed'"),
         ("magnetic", {"b": 1.0, "charge": True}, "'charge'"),
         ("magnetic", {"b": 1.0, "v_parallel": math.nan}, "'v_parallel'"),
@@ -290,6 +301,40 @@ def test_package_namespace():
     }
     assert importlib.import_module("prescurve.energy") is prescurve.energy
     assert callable(prescurve.build_context)
+
+
+_NO_SCIPY_RUN = """
+import sys
+import prescurve.cli
+code = prescurve.cli.main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_sweep_runs_without_scipy(tmp_path):
+    # a periodic grid and a radial table reach the B-spline, the radial
+    # Poisson quadrature and both cubic splines
+    r = np.linspace(0.0, 3.0, 32)
+    grid = periodic_from_callable(
+        lambda x, y: 0.2 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y), m=16
+    )
+    field = {
+        "constant": 0.0,
+        "periodic_grid": grid.tolist(),
+        "radial": {"r": r.tolist(), "h": (0.1 * np.exp(-(r**2))).tolist()},
+    }
+    (tmp_path / "field.json").write_text(json.dumps(field))
+    (tmp_path / "cfg.json").write_text(json.dumps({"tau_grid": [0.5], "n_samples": 64}))
+    src = Path(prescurve.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["sweep", "--field", "field.json", "--config", "cfg.json", "--out", "out"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, *argv],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
+    assert (tmp_path / "out" / "sweep.csv").is_file()
 
 
 class TestSweep:

@@ -4,10 +4,15 @@ import pickle
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy import ndimage
 from scipy.integrate import cumulative_simpson, quad
+from scipy.interpolate import CubicSpline
 
 from prescurve.errors import NonZeroMean
 from prescurve.fields import (
+    _CubicSpline,
+    _cumulative_simpson,
+    _PeriodicSpline2D,
     PLANE_GRADIENT_CONSTANT,
     TORUS_GRADIENT_CONSTANT,
     CurvatureField,
@@ -358,6 +363,8 @@ class TestPointEvaluation:
     @example(name="periodic+radial", x=-0.125, y=0.375)
     @example(name="constant+periodic", x=-1000.0, y=999.96875)
     @example(name="periodic+radial", x=1e-300, y=-1e-300)
+    @example(name="periodic", x=-1e-300, y=-1e-300)
+    @example(name="constant+periodic", x=0.3, y=-1e-300)
     def test_at_matches_value(self, name, x, y):
         field = POINT_FIELDS[name]
         h = field.at(x, y)
@@ -366,7 +373,7 @@ class TestPointEvaluation:
         assert abs(h - expected) <= 1e-14 * max(1.0, field.sup_norm())
         if field.radial is None:
             # same weights, coordinate wrap and summation order as
-            # scipy.ndimage.map_coordinates: the same bits
+            # value: the same bits
             assert h == expected
 
     @pytest.mark.parametrize("name", ["periodic", "constant+periodic"])
@@ -380,6 +387,15 @@ class TestPointEvaluation:
         got = np.array([field.at(x, y) for x, y in pts.tolist()])
         np.testing.assert_array_equal(got, field.value(pts))
 
+    def test_non_finite_points_read_nan(self):
+        field = POINT_FIELDS["periodic"]
+        pts = np.array([[np.nan, 0.1], [0.2, np.inf], [-np.inf, np.nan], [0.3, 0.4]])
+        got = field.value(pts)
+        assert np.isnan(got[:3]).all()
+        assert got[3] == field.at(0.3, 0.4)
+        q = q_eval(build_potential(field), pts)
+        assert np.isnan(q[:3]).all() and np.isfinite(q[3]).all()
+
     def test_pickle_after_at(self):
         field = POINT_FIELDS["periodic+radial"]
         pts = np.array([[0.3, -0.7], [12.5, 3.25], [-0.01, 0.02]])
@@ -387,6 +403,88 @@ class TestPointEvaluation:
         copy = pickle.loads(pickle.dumps(field))
         assert [copy.at(x, y) for x, y in pts] == before
         np.testing.assert_array_equal(copy.value(pts), field.value(pts))
+
+
+# (x*M) % M rounds to M itself at these points, the far end of the padding
+_WRAP_EDGE_POINTS = [(-1e-300, -1e-300), (0.3, -1e-300), (-1e-300, 0.3)]
+
+
+class TestScipyOracles:
+    """The numpy spline, prefilter and quadrature against the scipy routines
+    they replace; scipy is a test-only dependency."""
+
+    @pytest.mark.parametrize("m", [8, 33, 256])
+    def test_value_matches_map_coordinates_bitwise(self, m, rng):
+        field = CurvatureField(periodic=_rough_grid(m, 3))  # constant exactly 0
+        coeffs = field._spline._coeffs[1 : m + 1, 1 : m + 1]
+        pts = np.concatenate(
+            [
+                rng.normal(scale=0.5, size=(1000, 2)),
+                rng.normal(scale=300.0, size=(200, 2)),
+                _WRAP_EDGE_POINTS,
+            ]
+        )
+        expected = ndimage.map_coordinates(
+            coeffs, pts.T * m, order=3, mode="grid-wrap", prefilter=False
+        )
+        np.testing.assert_array_equal(field.value(pts), expected)
+        np.testing.assert_array_equal([field.at(x, y) for x, y in pts.tolist()], expected)
+
+    @pytest.mark.parametrize("m", [8, 33, 256])
+    def test_prefilter_matches_spline_filter(self, m):
+        grid = _rough_grid(m, 4)
+        coeffs = _PeriodicSpline2D(grid)._coeffs
+        expected = ndimage.spline_filter(grid, order=3, mode="grid-wrap")
+        err = np.abs(coeffs[1 : m + 1, 1 : m + 1] - expected).max()
+        assert err <= 1e-14 * np.abs(expected).max()
+        # wrap padding: one node before and three after on each axis
+        np.testing.assert_array_equal(coeffs[0, 1 : m + 1], coeffs[m, 1 : m + 1])
+        np.testing.assert_array_equal(coeffs[m + 1 : m + 4], coeffs[1:4])
+        np.testing.assert_array_equal(coeffs[:, m + 1 : m + 4], coeffs[:, 1:4])
+
+    def test_channels_match_single_channel_splines(self, rng):
+        grid = rng.normal(size=(32, 32, 2))
+        both = _PeriodicSpline2D(grid)
+        pts = np.concatenate([rng.normal(size=(300, 2)), _WRAP_EDGE_POINTS]).reshape(
+            3, 101, 2
+        )
+        got = both(pts)
+        assert got.shape == (3, 101, 2)
+        for c in range(2):
+            one = _PeriodicSpline2D(np.ascontiguousarray(grid[:, :, c]))
+            np.testing.assert_array_equal(got[..., c], one(pts))
+
+    def test_channels_survive_pickle(self, rng):
+        pot = build_potential(CurvatureField.from_parts(periodic=_rough_grid(16, 5)))
+        copy = pickle.loads(pickle.dumps(pot))
+        pts = rng.normal(size=(50, 2))
+        np.testing.assert_array_equal(q_eval(copy, pts), q_eval(pot, pts))
+
+    @pytest.mark.parametrize("nodes", ["uniform", "nonuniform"])
+    def test_spline_matches_cubic_spline(self, nodes, rng):
+        if nodes == "uniform":
+            x = np.linspace(0.0, 3.0, 48)
+        else:
+            x = np.cumsum(rng.uniform(0.01, 0.2, size=40))
+        y = np.exp(-(x**2)) + 0.01 * rng.normal(size=x.size)
+        # beyond both ends the end pieces extrapolate
+        xs = np.concatenate([np.linspace(x[0] - 0.5, x[-1] + 0.5, 2001), x])
+        expected = CubicSpline(x, y)(xs)
+        err = np.abs(_CubicSpline(x, y)(xs) - expected).max()
+        assert err <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]])
+    def test_spline_rejects_unordered_nodes(self, x):
+        with pytest.raises(ValueError, match="increasing"):
+            RadialDecaying(table=(x, [1.0, 0.5, 0.2, 0.0]))
+
+    @pytest.mark.parametrize("n", [3, 4, 101, 8192])
+    def test_simpson_matches_cumulative_simpson(self, n):
+        r = np.linspace(0.0, 7.0, n)
+        y = r * np.exp(-(r**2)) + 0.3 * np.cos(3.0 * r)
+        expected = cumulative_simpson(y, x=r, initial=0.0)
+        err = np.abs(_cumulative_simpson(y, r[1] - r[0]) - expected).max()
+        assert err <= 1e-13 * np.abs(expected).max()
 
 
 class TestFieldIO:

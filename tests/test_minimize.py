@@ -7,10 +7,12 @@ from prescurve.curves import ClosedCurve, circle, derivative, is_simple, length,
 from prescurve.energy import build_context
 from prescurve.errors import FieldTooLarge, SignIncompatible
 from prescurve.fields import CurvatureField, periodic_from_callable
+from prescurve import minimize
 from prescurve.minimize import (
     SHARP_ISOPERIMETRIC,
     MinimizeOptions,
     MinimizeResult,
+    _initial_circle,
     _project_area,
     check_multiplier_bounds,
     extract_lagrange_multiplier,
@@ -100,6 +102,21 @@ class TestMinimize:
         opts = MinimizeOptions(max_iter=2)
         res = minimize_area_constrained(ctx_periodic, 1.0, opts)
         assert not res.converged
+
+
+class TestInitialCircle:
+    def test_roundoff_tie_takes_first_candidate(self, ctx_periodic, monkeypatch):
+        # a lattice-symmetric field scores (0.25, 0.25) and (0.75, 0.75)
+        # alike up to roundoff; the later candidate wins the roundoff here
+        tied = {(0.25, 0.25): -0.01, (0.75, 0.75): -0.01 - 1e-17}
+        assert tied[(0.75, 0.75)] < tied[(0.25, 0.25)]
+
+        def score(ctx, center, radius):
+            return tied.get(tuple(center), 0.0)
+
+        monkeypatch.setattr(minimize, "_disc_center_score", score)
+        start = _initial_circle(ctx_periodic, 0.1, 64)
+        np.testing.assert_allclose(start.samples.mean(axis=0), (0.25, 0.25), atol=1e-12)
 
 
 class TestProjection:
