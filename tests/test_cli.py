@@ -204,18 +204,12 @@ def test_malformed_immersed_config_exit_2(tmp_path, capsys, extra, key):
         ("cylinder", {"grid": [64, 2.5]}, "'grid'"),
         ("cylinder", {"r_range": [2, "a"]}, "'r_range'"),
         ("cylinder", {"r_range": [0.5]}, "'r_range'"),
-        ("cylinder", {"grid": [0, 33]}, "'grid'"),
-        ("cylinder", {"grid": [64, 1]}, "'grid'"),
-        ("cylinder", {"r_range": [2, 1]}, "'r_range'"),
         ("magnetic", {"b": 1.0, "steps": "x"}, "'steps'"),
         ("magnetic", {"b": 1.0, "position": 3}, "'position'"),
         ("magnetic", {"b": 1.0, "direction": [1.0, None]}, "'direction'"),
         ("magnetic", {"b": "strong"}, "'b'"),
         ("magnetic", {"b": 1.0, "t_final": math.inf}, "'t_final'"),
         ("magnetic", {"b": 1.0, "mass": None}, "'mass'"),
-        ("magnetic", {"b": 1.0, "mass": -1}, "'mass'"),
-        ("magnetic", {"b": 1.0, "speed": 0}, "'speed'"),
-        ("magnetic", {"b": 1.0, "steps": 0}, "'steps'"),
         ("magnetic", {"b": 1.0, "speed": [1.0]}, "'speed'"),
         ("magnetic", {"b": 1.0, "charge": True}, "'charge'"),
         ("magnetic", {"b": 1.0, "v_parallel": math.nan}, "'v_parallel'"),
@@ -226,6 +220,12 @@ def test_malformed_immersed_config_exit_2(tmp_path, capsys, extra, key):
         ("cylinder", {"curve": 5}, "'curve'"),
         ("check", {"curve": 5}, "'curve'"),
         ("check", {"curve": "no_such_curve.json"}, "'curve'"),
+        ("cylinder", {"grid": [0, 33]}, "'grid'"),
+        ("cylinder", {"grid": [64, 1]}, "'grid'"),
+        ("cylinder", {"r_range": [2, 1]}, "'r_range'"),
+        ("magnetic", {"b": 1.0, "mass": -1}, "'mass'"),
+        ("magnetic", {"b": 1.0, "speed": 0}, "'speed'"),
+        ("magnetic", {"b": 1.0, "steps": 0}, "'steps'"),
     ],
 )
 def test_malformed_physics_config_exit_2(tmp_path, capsys, field_zero, command, doc, key):
