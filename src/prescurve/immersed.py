@@ -12,7 +12,9 @@ component, removed by root-finding in the radius parameter:
    the map Linv P (L phi - G(phi)) without the L that Linv would undo;
 2. search r (with R = (r n)^(1/(gamma+2))) by Brent's bracketed method
    until lambda1 vanishes, starting each fixed point from the profile of
-   the nearest radius already solved;
+   the nearest radius already solved and stopping it once its defect is
+   small against |lambda1| (an inexact solve) unless lambda1 is at the
+   root tolerance;
 3. lambda2 vanishes by the rotational symmetry of the energy, which the
    even parity of the iteration preserves exactly.
 
@@ -216,13 +218,11 @@ def curvature_gap(params: AnsatzParams, phi, h: RadialCurvature) -> np.ndarray:
     return _gap(_Frame(params, _nodes(len(phi))), phi, h)
 
 
-def _multipliers(gap: np.ndarray) -> tuple[float, float]:
-    t = _nodes(len(gap))
+def _multipliers(gap, cos_t, sin_t) -> tuple[float, float]:
+    """Kernel multipliers (lambda1, lambda2) of a gap sampled at the nodes
+    where ``cos_t`` and ``sin_t`` are given."""
     w = 2.0 * np.pi / len(gap) / np.pi
-    return (
-        float((gap * np.cos(t)).sum() * w),
-        float((gap * np.sin(t)).sum() * w),
-    )
+    return float((gap * cos_t).sum() * w), float((gap * sin_t).sum() * w)
 
 
 def fixed_point_solve(
@@ -230,13 +230,18 @@ def fixed_point_solve(
     h: RadialCurvature,
     config: LSConfig | None = None,
     phi0=None,
+    inexact: bool = False,
 ):
     """Contract to the profile solving the projected curvature equation.
 
     The map is Q(phi) = phi - Linv P G(phi), started from ``phi0``
     (``config.num_samples`` values, its cos and sin modes dropped; default
     zero) and run until its defect sup|Q(phi) - phi| drops below
-    ``config.tol_fp``.  Every iterate stays off the kernel of L, where Q
+    ``config.tol_fp``.  With ``inexact`` it also stops once the defect is
+    at most ``FORCING`` |lambda1| while |lambda1| > ``config.tol_root``: a
+    radius that is not a root needs only the sign and rough size of
+    lambda1, so a solve reaches ``tol_fp`` only where |lambda1| may be
+    accepted as zero.  Every iterate stays off the kernel of L, where Q
     equals Linv(L phi - G(phi)).  Steps use secant (depth-1 Anderson)
     mixing of the last two map evaluations, which has the same fixed points
     as the plain iteration but roughly squares the convergence rate; the
@@ -249,6 +254,7 @@ def fixed_point_solve(
     config = config or LSConfig()
     num = config.num_samples
     frame = _Frame(params, _nodes(num))
+    cos_t, sin_t = np.cos(frame.t), np.sin(frame.t)
     if phi0 is None:
         phi = np.zeros(num)
     else:
@@ -273,8 +279,12 @@ def fixed_point_solve(
         else:
             growing = 0
         trace.append(delta)
-        if delta <= config.tol_fp:
-            lam1, lam2 = _multipliers(gap)
+        lam1, lam2 = _multipliers(gap, cos_t, sin_t)
+        if delta <= config.tol_fp or (
+            inexact
+            and abs(lam1) > config.tol_root
+            and delta <= FORCING * abs(lam1)
+        ):
             return phi, lam1, lam2, tuple(trace)
         if res_prev is None:
             step = residual
@@ -306,6 +316,8 @@ def _radius(r: float, n: int, gamma: float) -> float:
 
 
 MAX_ROOT_STEPS = 200
+# Eisenstat-Walker forcing term of the inexact solves in the radius search
+FORCING = 0.1
 
 
 def _brent(f, a: float, fa: float, b: float, fb: float, tol_f: float):
@@ -356,12 +368,17 @@ def _brent(f, a: float, fa: float, b: float, fb: float, tol_f: float):
 def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> LSResult:
     """Search the radius parameter until the cosine multiplier vanishes.
 
-    Each evaluation runs the full fixed point at R = (r n)^(1/(gamma+2)),
-    started from the profile of the nearest radius solved so far; Brent's
-    bracketed method picks the next radius.  The bracket must satisfy the
-    root-existence inequalities and produce a sign change, else
-    ``NoSignChange``; ``MaxIterationsExceeded`` if |lambda1| stays above
-    ``config.tol_root``.
+    Each evaluation runs the fixed point at R = (r n)^(1/(gamma+2)),
+    started from the profile of the nearest radius solved so far, and
+    inexactly: it stops at defect <= ``FORCING`` |lambda1| while |lambda1|
+    exceeds ``config.tol_root`` (Eisenstat & Walker 1996), so every value
+    Brent's bracketed method may accept as a root comes from a solve run to
+    ``config.tol_fp``.  Each ``trace`` row is ``(r, lambda1, iterations,
+    defect)`` for one evaluation, with the last defect of its solve; the
+    result's ``iterations`` counts the solve at the accepted radius.  The
+    bracket must satisfy the root-existence inequalities and produce a sign
+    change, else ``NoSignChange``; ``MaxIterationsExceeded`` if |lambda1|
+    stays above ``config.tol_root``.
     """
     config = config or LSConfig()
     tol_root = config.tol_root
@@ -379,7 +396,7 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
         params = AnsatzParams(n=n, R=_radius(r, n, h.gamma), mirror=mirror)
         nearest = min(solved, key=lambda s: abs(s - r), default=None)
         phi0 = None if nearest is None else solved[nearest][0]
-        sol = fixed_point_solve(params, h, config, phi0)
+        sol = fixed_point_solve(params, h, config, phi0, inexact=True)
         solved[r] = sol
         return sol[1]
 
@@ -427,7 +444,7 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
         residual=residual,
         iterations=len(trace),
         radius_evals=len(solved),
-        trace=tuple((r, s[1], len(s[3])) for r, s in solved.items()),
+        trace=tuple((r, s[1], len(s[3]), s[3][-1]) for r, s in solved.items()),
         converged=converged,
     )
 

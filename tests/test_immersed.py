@@ -199,6 +199,20 @@ class TestFixedPoint:
         sup = np.abs(phi).max()
         assert abs(np.fft.rfft(phi)[1] / len(phi)) < 1e-12 * sup
 
+    def test_inexact_solve_stops_early_on_the_exact_path(self, h_model):
+        # at a bracket end, far from the root, the forcing rule stops the
+        # same iteration once the defect is at most 0.1 |lambda1|
+        r0, _ = default_bracket(h_model)
+        params = AnsatzParams(n=64, R=(r0 * 64) ** 0.25)
+        config = LSConfig()
+        _, lam1_exact, _, exact = fixed_point_solve(params, h_model, config)
+        _, lam1, _, trace = fixed_point_solve(params, h_model, config, inexact=True)
+        assert len(trace) < len(exact)
+        assert trace == exact[: len(trace)]
+        assert abs(lam1) > config.tol_root
+        assert config.tol_fp < trace[-1] <= 0.1 * abs(lam1)
+        assert np.sign(lam1) == np.sign(lam1_exact)
+
     def test_profile_norm_decay(self, h_model):
         sups = {}
         for n in (32, 64, 128, 256):
@@ -238,7 +252,7 @@ class TestFindRadius:
     def test_bracket_endpoint_signs(self, h_model):
         r0, r1 = default_bracket(h_model)
         res = find_radius(256, h_model)
-        signs = {r: np.sign(l1) for r, l1, _ in res.trace if r in (r0, r1)}
+        signs = {r: np.sign(l1) for r, l1, _, _ in res.trace if r in (r0, r1)}
         assert signs[r0] > 0 and signs[r1] < 0
 
     def test_multiplier_below_tolerance(self, h_model):
@@ -262,6 +276,25 @@ class TestFindRadius:
         r0, r1 = default_bracket(h)
         assert r0 < res.r < r1
 
+    @pytest.mark.parametrize("amp, gamma", FAMILY)
+    def test_accepted_root_solved_to_tol_fp(self, amp, gamma):
+        # with a loose root tolerance the forcing rule could stop the solve
+        # Brent accepts long before tol_fp; it must not apply there
+        config = LSConfig(tol_root=1e-4)
+        res = find_radius(64, RadialCurvature(A=amp, gamma=gamma), config)
+        assert res.converged
+        (row,) = [row for row in res.trace if row[0] == res.r]
+        assert abs(row[1]) <= config.tol_root
+        assert row[3] <= config.tol_fp
+
+    @pytest.mark.parametrize("amp, gamma", FAMILY)
+    def test_inexact_solves_iteration_budget(self, amp, gamma):
+        # solves stopped at defect <= 0.1 |lambda1| away from the root take
+        # 30-38 fixed-point iterations per search here; exact ones 92-130
+        res = find_radius(64, RadialCurvature(A=amp, gamma=gamma))
+        assert res.converged
+        assert sum(row[2] for row in res.trace) <= 60
+
 
 class TestSecondMultiplier:
     def test_vanishes(self, h_model):
@@ -274,16 +307,24 @@ class TestSecondMultiplier:
     @pytest.mark.parametrize("amp, gamma", [(1.0, 2.0), (-0.5, 1.5)])
     def test_parity_at_every_radius_evaluation(self, amp, gamma):
         # lambda2 is roundoff of the K - H sum at every radius the search
-        # visits, not only at the root, and for a cold start as well
+        # visits, not only at the root, and for a cold start as well; the
+        # search's inexact lambda1 keeps the sign of the exact one wherever
+        # it may steer the search, and the accepted root was solved exactly
         h = RadialCurvature(A=amp, gamma=gamma)
-        res = find_radius(64, h)
+        config = LSConfig()
+        res = find_radius(64, h, config)
         assert len(res.trace) >= 3
-        for r, _, _ in res.trace:
+        for r, lam1, _, defect in res.trace:
             params = AnsatzParams(
                 n=64, R=(r * 64) ** (1.0 / (gamma + 2.0)), mirror=res.mirror
             )
-            phi, _, lam2, _ = fixed_point_solve(params, h)
+            phi, lam1_exact, lam2, _ = fixed_point_solve(params, h)
             assert abs(lam2) <= 4 * EPS * h_sup(params, phi, h)
+            if abs(lam1_exact) > config.tol_root:
+                assert np.sign(lam1) == np.sign(lam1_exact)
+                assert abs(lam1 - lam1_exact) <= 0.25 * abs(lam1_exact)
+            if r == res.r:
+                assert defect <= config.tol_fp
 
     def test_rotational_identity(self, h_model):
         res = find_radius(64, h_model)

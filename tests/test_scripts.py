@@ -23,9 +23,12 @@ def run_script(name, *args):
 
 
 def test_immersed_family(tmp_path):
-    run_script("run_immersed_family.py", "--n", 32, 64, "--out", tmp_path)
+    out = run_script("run_immersed_family.py", "--n", 32, 64, "--out", tmp_path)
     for n in (32, 64):
         assert (tmp_path / f"immersed_n{n}.json").is_file()
+    # the profile norm decays as n^(-gamma/(gamma+2)), -1/2 for gamma = 2
+    slope = float(re.search(r"decay slope (\S+)", out).group(1))
+    assert abs(slope - (-2.0 / (2.0 + 2.0))) <= 0.1
 
 
 def test_isoperimetric_sweep(tmp_path):
