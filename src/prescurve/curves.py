@@ -232,30 +232,71 @@ def _lagrange_weights(frac: np.ndarray) -> np.ndarray:
     return left * right / _STENCIL_DENOM
 
 
-def trig_resample(values: np.ndarray, period: float, t: np.ndarray):
-    """Evaluate the trigonometric interpolant of periodic samples at ``t``.
+def _regrid(values: np.ndarray, m: int) -> np.ndarray:
+    """The trigonometric interpolant of N ``values`` at m uniform nodes,
+    node j at fraction j / m of the period, exactly, by one FFT of the
+    larger of the two sizes.
+
+    The Nyquist mode of even N is split in halves at +-N/2.  Above N the
+    spectrum is zero-padded; below N each mode k folds into bin k mod m, the
+    mode it aliases to on the coarser grid.
+    """
+    n = values.shape[0]
+    if m == n:
+        return values.copy()
+    if m > n:
+        coef = np.fft.rfft(values, axis=0)
+        if n % 2 == 0:
+            # on the finer grid the Nyquist mode gains a conjugate partner
+            coef[n // 2] *= 0.5
+        return np.fft.irfft(coef, n=m, axis=0) * (m / n)
+    full = np.fft.fft(values, axis=0)
+    half = n // 2
+    if n % 2 == 0:
+        nyq = 0.5 * full[half : half + 1]
+        modes = np.concatenate([nyq, full[half + 1 :], full[:half], nyq])
+    else:
+        modes = np.concatenate([full[half + 1 :], full[: half + 1]])
+    # modes[p] is mode p - half
+    folded = np.zeros((m,) + values.shape[1:], dtype=complex)
+    np.add.at(folded, (np.arange(len(modes)) - half) % m, modes)
+    return np.fft.ifft(folded, axis=0).real * (m / n)
+
+
+def trig_resample(
+    values: np.ndarray, period: float, t: np.ndarray | None = None, *, nodes=None
+):
+    """Evaluate the trigonometric interpolant of periodic samples.
 
     ``values`` may be (N,) or (N, m); the result has matching trailing shape.
-    The interpolant, with the Nyquist mode as a pure cosine, is tabulated on
-    ``RESAMPLE_GRID * N`` uniform points by a zero-padded real FFT and read
-    off at ``t`` by ``RESAMPLE_STENCIL``-point equispaced Lagrange
-    interpolation (gridding, as in the NUFFT).  The cost is O(N log N) plus
-    O(len(t)); on full-spectrum data the error is on a par with summing the
-    Fourier series directly in double precision.
+    The interpolant carries the Nyquist mode of even N as a pure cosine.
+    Give exactly one of ``t`` and ``nodes``:
+
+    - ``nodes=m`` returns the interpolant at the uniform parameters
+      ``period * j / m``, j < m, exactly, from one zero-padded (m > N) or
+      aliased (m < N) FFT: O(m log m + N log N) time, O(m + N) memory;
+      ``nodes=N`` returns a copy of ``values``.
+    - ``t`` evaluates at arbitrary parameters by gridding, as in the NUFFT:
+      the interpolant is tabulated on ``RESAMPLE_GRID * N`` uniform points
+      as above and read off by ``RESAMPLE_STENCIL``-point equispaced
+      Lagrange interpolation.  The cost is O(N log N) plus O(len(t)); on
+      full-spectrum data the error is on a par with summing the Fourier
+      series directly in double precision.
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    size = RESAMPLE_GRID * n
-    coef = np.fft.rfft(values, axis=0)
-    if n % 2 == 0:
-        # on the finer grid the Nyquist mode gains a conjugate partner
-        coef[n // 2] *= 0.5
-    table = np.fft.irfft(coef, n=size, axis=0) * RESAMPLE_GRID
+    if (t is None) == (nodes is None):
+        raise ValueError("give exactly one of 't' and 'nodes'")
+    if nodes is not None:
+        if int(nodes) != nodes or nodes < 1:
+            raise ValueError(f"'nodes' must be a positive integer, got {nodes!r}")
+        return _regrid(values, int(nodes))
+    size = RESAMPLE_GRID * values.shape[0]
+    table = _regrid(values, size)
     x = np.atleast_1d(np.asarray(t, dtype=float)) * (size / period)
     left = np.floor(x)
-    nodes = (left.astype(np.int64)[:, None] + _STENCIL_OFFSETS) % size
+    stencil = (left.astype(np.int64)[:, None] + _STENCIL_OFFSETS) % size
     weights = _lagrange_weights(x - left)
-    return np.einsum("pk,pk...->p...", weights, table[nodes])
+    return np.einsum("pk,pk...->p...", weights, table[stencil])
 
 
 def reparametrize_constant_speed(curve: ClosedCurve) -> ClosedCurve:
@@ -268,7 +309,7 @@ def reparametrize_constant_speed(curve: ClosedCurve) -> ClosedCurve:
     _require_regular(curve, speed)
     n, period = curve.n, curve.period
 
-    # spectral antiderivative of the speed: S(t) = mean*t + oscillatory part
+    # spectral antiderivative of the speed: S(t) = mean*t + osc(t) - osc(0)
     mean = speed.mean()
     osc0 = apply_symbol(
         speed,
@@ -277,22 +318,16 @@ def reparametrize_constant_speed(curve: ClosedCurve) -> ClosedCurve:
         ),
     )
 
-    def arclen(t):
-        osc = trig_resample(osc0, period, t)
-        return mean * t + osc - osc0[0]
-
-    def spd(t):
-        return trig_resample(speed, period, t)
-
     targets = mean * curve.params
-    # monotone initial guess from a dense table, then Newton refinement
+    # monotone initial guess from a dense table, then Newton refinement with
+    # S and S' = speed read off together at each iterate
     t_dense = period * np.arange(8 * n) / (8 * n)
-    s_dense = arclen(t_dense)
-    t_guess = np.interp(targets, s_dense, t_dense)
-    t_cur = t_guess
+    s_dense = mean * t_dense + trig_resample(osc0, period, nodes=8 * n) - osc0[0]
+    t_cur = np.interp(targets, s_dense, t_dense)
+    jet = np.stack([osc0, speed], axis=1)
     for _ in range(6):
-        resid = arclen(t_cur) - targets
-        t_cur = t_cur - resid / spd(t_cur)
+        osc, spd = trig_resample(jet, period, t_cur).T
+        t_cur = t_cur - (mean * t_cur + osc - osc0[0] - targets) / spd
     new_samples = trig_resample(curve.samples, period, t_cur)
     return ClosedCurve(period=period, samples=new_samples)
 

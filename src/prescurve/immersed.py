@@ -487,10 +487,12 @@ def build_immersed_loop(
     frame = _Frame(params, t_full, rescaled=False)
 
     rho = params.rescale / n  # d(rescaled)/d(full parameter)
-    s = rho * t_full
     phi = result.phi
     jet = np.stack([phi, _sderiv(phi, 1), _sderiv(phi, 2)], axis=1)
-    big = trig_resample(jet, 2.0 * np.pi, s)
+    # the rescaled parameter rho * t_full = 2 pi (m j mod num_total) / num_total
+    # falls on the uniform grid of num_total nodes, visited in steps of m
+    up = trig_resample(jet, 2.0 * np.pi, nodes=num_total)
+    big = up[params.rescale * np.arange(num_total) % num_total]
     w, _, kappa = _perturb(frame, big[:, 0], rho * big[:, 1], rho**2 * big[:, 2])
     min_dist = float(np.abs(w).min())
     if min_dist <= h.s0:

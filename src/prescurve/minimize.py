@@ -210,11 +210,8 @@ def minimize_area_constrained(
     if opts.initial is not None:
         start = opts.initial
         if start.n != opts.n_samples:
-            t_new = start.period * np.arange(opts.n_samples) / opts.n_samples
-            start = ClosedCurve(
-                period=start.period,
-                samples=trig_resample(start.samples, start.period, t_new),
-            )
+            samples = trig_resample(start.samples, start.period, nodes=opts.n_samples)
+            start = ClosedCurve(period=start.period, samples=samples)
         if start.period != 1.0:
             # the constrained problem is posed at period 1; the functionals
             # are parametrization covariant, so reuse the samples there

@@ -278,7 +278,7 @@ def lift_to_cylinder(
     cs = reparametrize_constant_speed(curve)
     total = length(cs)
     theta = total * np.arange(ntheta) / ntheta
-    pts = trig_resample(cs.samples, cs.period, theta * cs.period / total)
+    pts = trig_resample(cs.samples, cs.period, nodes=ntheta)
     r = np.geomspace(r_lo, r_hi, nr)
     verts = np.empty((ntheta, nr, 3))
     verts[:, :, 0] = pts[:, 0:1]

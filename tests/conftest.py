@@ -32,6 +32,25 @@ def random_loop(rng, n=256, modes=4, scale=1.0, period=1.0):
 # library keeps only what its callers use.
 
 
+def fourier_sum(values: np.ndarray, period: float, t) -> np.ndarray:
+    """The trigonometric interpolant of N uniform samples (N, ...) at ``t``,
+    by the explicit Fourier sum: modes -N/2+1..N/2-1 plus, for even N, the
+    Nyquist mode as a cosine.  ``t`` goes in blocks to bound memory."""
+    n = len(values)
+    j = np.arange(n)
+    k = np.arange(-((n - 1) // 2), (n + 1) // 2)
+    coef = np.exp(-2j * np.pi * np.outer(k, j) / n) @ values / n
+    nyq = np.cos(np.pi * j) @ values / n
+    t = np.asarray(t, dtype=float)
+    out = np.empty((len(t),) + values.shape[1:])
+    for lo in range(0, len(t), 1024):
+        rows = slice(lo, lo + 1024)
+        out[rows] = (np.exp(2j * np.pi * np.outer(t[rows], k) / period) @ coef).real
+        if n % 2 == 0:
+            out[rows] += np.multiply.outer(np.cos(np.pi * n * t[rows] / period), nyq)
+    return out
+
+
 def field_value(field_like, points) -> np.ndarray:
     """Evaluate a curvature given as a field object, callable, or constant."""
     if hasattr(field_like, "value"):

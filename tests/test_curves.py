@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from prescurve.curves import (
 from prescurve.errors import DegenerateSpeed, PointOnCurve
 from prescurve.immersed import AnsatzParams, _Frame
 
-from conftest import random_loop
+from conftest import fourier_sum, random_loop
 
 
 def curve_translate(curve, offset):
@@ -250,6 +251,19 @@ class TestReparametrize:
         with pytest.raises(DegenerateSpeed):
             reparametrize_constant_speed(ClosedCurve(1.0, np.tile([1.0, 0.0], (64, 1))))
 
+    def test_memory_per_sample(self):
+        # the dense arclength table and the Newton resamples keep the peak
+        # O(N) with a small constant: about 1.1 KB per sample
+        n = 4096
+        c = ClosedCurve(1.0, random_loop(np.random.default_rng(3), n=n))
+        tracemalloc.start()
+        try:
+            reparametrize_constant_speed(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2000 * n
+
 
 class TestIsSimple:
     def test_circle_simple(self):
@@ -464,7 +478,9 @@ def test_trig_resample_full_spectrum_off_grid(n):
     # relative to the data.  Besides random targets, uniform grids of M
     # points visited in the order t = T (m j mod M) / M, as loop assembly,
     # the cylinder lift and a change of N ask for them, with M below and
-    # above N.
+    # above N.  The exact uniform-grid form ``nodes=M`` is held to the same
+    # oracle, and to the gridded form at the same points, on each branch:
+    # aliased (M < N), a copy (M = N) and zero-padded (M > N).
     rng = np.random.default_rng(n)
     period = 2.5
     values = rng.normal(size=(n, 2))
@@ -472,13 +488,40 @@ def test_trig_resample_full_spectrum_off_grid(n):
         period * (5 * np.arange(size) % size) / size for size in (n // 2 + 1, 2 * n + 1)
     ]
     t = np.concatenate([rng.uniform(-period, 2 * period, size=40)] + grids)
-    j = np.arange(n)
-    k = np.arange(-((n - 1) // 2), (n + 1) // 2)
-    coef = np.exp(-2j * np.pi * np.outer(k, j) / n) @ values / n
-    oracle = (np.exp(2j * np.pi * np.outer(t, k) / period) @ coef).real
-    if n % 2 == 0:
-        nyq = np.cos(np.pi * j) @ values / n
-        oracle += np.cos(np.pi * n * t / period)[:, None] * nyq
+    oracle = fourier_sum(values, period, t)
     tol = 1e-12 * np.abs(values).max()
     assert np.abs(trig_resample(values, period, t) - oracle).max() <= tol
     assert np.abs(trig_resample(values[:, 1], period, t) - oracle[:, 1]).max() <= tol
+    for m in (n // 2 + 1, n - 2, n, n + 1, 2 * n + 1, 16 * n):
+        grid = period * np.arange(m) / m
+        exact = trig_resample(values, period, nodes=m)
+        assert np.abs(exact - fourier_sum(values, period, grid)).max() <= tol
+        assert np.abs(exact - trig_resample(values, period, grid)).max() <= tol
+        column = trig_resample(values[:, 0], period, nodes=m)
+        assert np.abs(column - exact[:, 0]).max() <= tol
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"t": np.zeros(3), "nodes": 3}, {"nodes": 0}, {"nodes": 2.5}],
+)
+def test_trig_resample_needs_t_or_node_count(kwargs):
+    with pytest.raises(ValueError):
+        trig_resample(np.ones(16), 1.0, **kwargs)
+
+
+@given(
+    st.integers(16, 512),
+    st.sampled_from([2, 3, 8]),
+    st.integers(0, 2**32 - 1),
+)
+def test_trig_resample_refinement_round_trip(n, k, seed):
+    # refining to k N uniform nodes and folding back to N is the identity up
+    # to rounding, for odd N and for even N with its Nyquist mode
+    values = np.random.default_rng(seed).normal(size=(n, 2))
+    fine = trig_resample(values, 1.7, nodes=k * n)
+    back = trig_resample(fine, 1.7, nodes=n)
+    assert np.abs(back - values).max() <= 1e-13 * np.abs(values).max()
+    same = trig_resample(values, 1.7, nodes=n)
+    np.testing.assert_array_equal(same, values)
+    assert not np.shares_memory(same, values)

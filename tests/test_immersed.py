@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,18 @@ class TestBuildLoop:
         kappa = curvature(curve)
         r_pts = np.hypot(curve.samples[:, 0], curve.samples[:, 1])
         assert np.abs(kappa - h_neg(r_pts)).max() <= 1e-6
+
+
+    def test_assembly_memory_per_sample(self, h_model):
+        # the loop is read off one uniform regridding of the profile jet:
+        # about 0.3 KB per assembled sample at n = 128 (8192 samples)
+        tracemalloc.start()
+        try:
+            curve, _ = build_immersed_loop(128, h_model, LSConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 450 * curve.n
 
 
 class TestLinearizedCoeffs:

@@ -80,6 +80,23 @@ class TestMinimize:
         assert mean_r == pytest.approx(1.0, abs=1e-4)
         assert dev < 1e-4
 
+    @pytest.mark.parametrize("n_start", [96, 1024])
+    def test_start_at_another_n(self, ctx_one, n_start):
+        # a band-limited start sampled at another N is regridded exactly, so
+        # the solve matches the one started from the same curve at 256 samples
+        def ellipse(n):
+            t = np.arange(n) / n
+            return np.stack([1.5 * np.cos(2 * np.pi * t), 0.7 * np.sin(2 * np.pi * t)], axis=1)
+
+        ref = minimize_area_constrained(
+            ctx_one, -math.pi, MinimizeOptions(initial=ClosedCurve(1.0, ellipse(256)))
+        )
+        res = minimize_area_constrained(
+            ctx_one, -math.pi, MinimizeOptions(initial=ClosedCurve(1.0, ellipse(n_start)))
+        )
+        assert res.iterations == ref.iterations
+        assert np.abs(res.curve.samples - ref.curve.samples).max() <= 1e-12
+
     def test_periodic_field(self, ctx_periodic):
         res = minimize_area_constrained(ctx_periodic, 1.0)
         assert res.converged

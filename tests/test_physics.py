@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from prescurve.curves import ClosedCurve, circle, derivative, length
+from prescurve.curves import (
+    ClosedCurve,
+    circle,
+    derivative,
+    length,
+    reparametrize_constant_speed,
+)
 from prescurve.energy import build_context
 from prescurve.errors import StepTooLarge
 from prescurve.fields import CurvatureField, periodic_from_callable
@@ -16,6 +22,8 @@ from prescurve.physics import (
     simulate_magnetic,
     verify_solution,
 )
+
+from conftest import fourier_sum, random_loop
 
 
 def reference_rk4(rhs, y0, t_final, steps):
@@ -330,6 +338,23 @@ class TestCylinderLift:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             lift_to_cylinder(circle(1.0, n=64), (2.0, 0.5))
+
+    def test_circle_samples_are_the_vertices(self):
+        # a constant-speed circle is its own reparametrization, and N angular
+        # nodes are its sample parameters
+        c = circle(1.0, n=256)
+        lift = lift_to_cylinder(c, (0.5, 2.0), (256, 2))
+        assert np.abs(lift.vertices[:, :, :2] - c.samples[:, None, :]).max() <= 1e-14
+
+    def test_default_grid_matches_fourier_sum(self):
+        # 256 samples folded onto the default 128 angular nodes, against the
+        # explicit Fourier sum of the constant-speed samples
+        curve = ClosedCurve(1.0, random_loop(np.random.default_rng(9), n=256))
+        lift = lift_to_cylinder(curve)
+        cs = reparametrize_constant_speed(curve)
+        oracle = fourier_sum(cs.samples, cs.period, np.arange(128) / 128)
+        err = np.abs(lift.vertices[:, :, :2] - oracle[:, None, :]).max()
+        assert err <= 1e-12 * np.abs(cs.samples).max()
 
 
 class TestVerifySolution:
