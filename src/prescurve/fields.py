@@ -59,7 +59,8 @@ class _PeriodicSpline2D:
 
     The coefficients are the grid's 2-d real DFT divided by the sampled
     B-spline symbol s(kx) s(ky), s(k) = (4 + 2 cos 2 pi k/M)/6, which is
-    real and even, so the inverse transform is real.  They are stored
+    real and even, so the inverse transform is real.  They are stored once,
+    channels first (each channel one contiguous (M + 4, M + 4) block), and
     wrap-padded by one node before and three after on each axis, so no
     stencil index needs a wrap: ``(x*M) % M`` rounds to M itself for a tiny
     negative x, whose stencil then reaches node M + 2.  Evaluation uses
@@ -73,8 +74,8 @@ class _PeriodicSpline2D:
         # channels first, so that each 2-d transform reads contiguous data
         cells = np.fft.rfft2(np.moveaxis(grid, (0, 1), (-2, -1)))
         cells /= np.multiply.outer(s, s[: m // 2 + 1])
-        coeffs = np.moveaxis(np.fft.irfft2(cells, s=(m, m)), (-2, -1), (0, 1))
-        pad = [(1, 3), (1, 3)] + [(0, 0)] * (grid.ndim - 2)
+        coeffs = np.fft.irfft2(cells, s=(m, m))
+        pad = [(0, 0)] * (grid.ndim - 2) + [(1, 3), (1, 3)]
         self.__setstate__({"m": m, "_coeffs": np.pad(coeffs, pad, mode="wrap")})
 
     def __getstate__(self):
@@ -85,10 +86,30 @@ class _PeriodicSpline2D:
         self.m = state["m"]
         self._coeffs = state["_coeffs"]
         width = self.m + 4
-        # one row per padded node, one column per channel
-        self._table = self._coeffs.reshape(width * width, -1)
-        self._flat = memoryview(self._coeffs.reshape(-1))
+        # one flat view per channel, one entry per padded node
+        self._tables = list(self._coeffs.reshape(-1, width * width))
+        self._flat = memoryview(self._tables[0])
         self._stencil = (np.arange(4)[:, None] * width + np.arange(4))[:, :, None]
+
+    def stencil(self, points: np.ndarray) -> tuple:
+        """The stencils of an (N, 2) array of finite points: the (4, 4, N)
+        flat indices of each point's padded nodes and the (4, N) weights of
+        each axis.  They depend on M only, so a spline of the same M may
+        combine them too."""
+        m = self.m
+        # wrap the grid coordinates into the cell, as map_coordinates does
+        coords = (points.T * m) % m
+        nodes = np.floor(coords)
+        weights = np.array(_cubic_weights(coords - nodes))  # (4, 2, N)
+        first = (nodes[0] * (m + 4) + nodes[1]).astype(np.intp)
+        return first + self._stencil, weights[:, 0], weights[:, 1]
+
+    def combine(self, stencil: tuple) -> np.ndarray:
+        """The spline at the points of ``stencil``: shape (N,) for an (M, M)
+        grid, (N, C) for an (M, M, C) one."""
+        index, wx, wy = stencil
+        out = [np.einsum("ijn,in,jn->n", t.take(index), wx, wy) for t in self._tables]
+        return out[0] if self._coeffs.ndim == 2 else np.stack(out, axis=-1)
 
     def __call__(self, points) -> np.ndarray:
         """The spline at an (..., 2) array of points: shape (...) for an
@@ -97,18 +118,11 @@ class _PeriodicSpline2D:
         if not np.isfinite(pts).all():
             # a non-finite point has no cell: it reads NaN, the rest as usual
             ok = np.isfinite(pts).all(axis=-1)
-            out = np.full(pts.shape[:-1] + self._coeffs.shape[2:], np.nan)
+            out = np.full(pts.shape[:-1] + self._coeffs.shape[:-2], np.nan)
             out[ok] = self(pts[ok])
             return out
-        m = self.m
-        # wrap the grid coordinates into the cell, as map_coordinates does
-        coords = (pts.reshape(-1, 2).T * m) % m
-        nodes = np.floor(coords)
-        weights = np.array(_cubic_weights(coords - nodes))  # (4, 2, N)
-        first = (nodes[0] * (m + 4) + nodes[1]).astype(np.intp)
-        values = self._table.take(first + self._stencil, axis=0)  # (4, 4, N, C)
-        out = np.einsum("ijnc,in,jn->nc", values, weights[:, 0], weights[:, 1])
-        return out.reshape(pts.shape[:-1] + self._coeffs.shape[2:])
+        out = self.combine(self.stencil(pts.reshape(-1, 2)))
+        return out.reshape(pts.shape[:-1] + self._coeffs.shape[:-2])
 
     def at(self, x: float, y: float) -> float:
         """The spline of an (M, M) grid at one point, as a float.
@@ -589,6 +603,13 @@ class VectorPotential:
             tail = self._radial_tail / np.where(r > 0, r, 1.0)
         return np.where(r <= self._radial_rmax, inside, tail)
 
+    def _radial_part(self, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """f(|p|) p / |p| at points ``pts`` of norms ``r``; 0 at the origin."""
+        f = self.radial_profile(r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(r > 0, f / np.where(r > 0, r, 1.0), 0.0)
+        return scale[..., None] * pts
+
 
 def q_eval(potential: VectorPotential, points) -> np.ndarray:
     """Evaluate Q at an (..., 2) array of plane points."""
@@ -597,11 +618,7 @@ def q_eval(potential: VectorPotential, points) -> np.ndarray:
     if potential._spline is not None:
         out = out + potential._spline(pts)
     if potential._radial_spline is not None:
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        f = potential.radial_profile(r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(r > 0, f / np.where(r > 0, r, 1.0), 0.0)
-        out = out + scale[..., None] * pts
+        out = out + potential._radial_part(pts, np.hypot(pts[..., 0], pts[..., 1]))
     return out
 
 

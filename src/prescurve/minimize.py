@@ -13,6 +13,13 @@ by scaling about the curve mean (the area is translation invariant and
 2-homogeneous), with an integer recentering every ``RECENTER_EVERY``
 iterations for periodic fields so iterates stay in a bounded slab.
 
+Each trial curve is evaluated once: one rfft of the unprojected trial
+and one irfft give u', from which come the signed area, the projection
+scale s and, as s u', the derivative of the projected curve; one lookup
+of H and Q on a shared B-spline stencil gives the objective
+sqrt(sum |u'|^2 / N) + sum Q . i u' / N.  The accepted trial's spectrum,
+u' and H then make the next gradient, with u'' = s irfft(spectrum (2 pi i k)^2).
+
 The Lagrange multiplier is extracted after the fact as the speed-weighted
 mean of H - K; it is diagnostic, not an optimization variable.
 """
@@ -32,14 +39,13 @@ from .curves import (
     curvature,
     curve_reverse,
     derivative,
-    dirichlet,
     is_simple,
     reparametrize_constant_speed,
     rot90,
     signed_area,
     trig_resample,
 )
-from .energy import EnergyContext, anisotropic_area, energy
+from .energy import EnergyContext, energy, field_and_potential
 from .errors import DegenerateSpeed, FieldTooLarge, SignIncompatible
 
 __all__ = [
@@ -63,6 +69,8 @@ PRECOND_EPS = 1.0
 ARMIJO = 1e-4
 #: Iterations between integer recenterings in a purely periodic field.
 RECENTER_EVERY = 50
+#: Competitor discs of the initial-circle search scored per field lookup.
+DISCS_PER_LOOKUP = 8
 
 
 @dataclass(frozen=True)
@@ -99,6 +107,10 @@ class MinimizeResult:
     area_error: float
     iterations: int
     converged: bool
+    #: why the descent stopped: "tol_grad" (the decrement met ``tol_grad``),
+    #: "line_search" (no step of the backtracking search was accepted) or
+    #: "max_iter" (``max_iter`` steps were taken)
+    stop_reason: str
 
 
 @dataclass(frozen=True)
@@ -124,6 +136,11 @@ class SweepRow:
         )
 
 
+def _off_side(area: float, tau: float) -> bool:
+    """Whether an area is of the wrong sign, or too small, to scale onto tau."""
+    return area * tau <= 0.0 or abs(area) < 1e-6 * abs(tau)
+
+
 def _project_area(samples: np.ndarray, period: float, tau: float) -> np.ndarray:
     """Scale about the mean so the signed area equals tau exactly.
 
@@ -132,7 +149,7 @@ def _project_area(samples: np.ndarray, period: float, tau: float) -> np.ndarray:
     """
     curve = ClosedCurve(period=period, samples=samples)
     area = signed_area(curve)
-    if area * tau <= 0.0 or abs(area) < 1e-6 * abs(tau):
+    if _off_side(area, tau):
         if abs(area) > 0.1 * abs(tau):
             raise SignIncompatible(
                 f"iterate area {area:.3e} opposes target {tau:.3e}"
@@ -140,31 +157,131 @@ def _project_area(samples: np.ndarray, period: float, tau: float) -> np.ndarray:
         curve = curve_reverse(curve)
         samples = curve.samples
         area = signed_area(curve)
-        if area * tau <= 0.0 or abs(area) < 1e-6 * abs(tau):
+        if _off_side(area, tau):
             raise SignIncompatible("iterate area degenerate; cannot project")
     center = samples.mean(axis=0)
     return center + math.sqrt(tau / area) * (samples - center)
 
 
 def _precondition(grad: np.ndarray, dval: float) -> np.ndarray:
-    """Mode-wise Sobolev smoothing of a sampled L^2 gradient (period 1)."""
+    """Mode-wise Sobolev smoothing of sampled L^2 gradients (period 1),
+    one per pair of columns."""
     scale = max(dval, 1e-12)
     return apply_symbol(
         grad, lambda k: 1.0 / (PRECOND_EPS + (2.0 * np.pi * k) ** 2 / scale)
     )
 
 
-def _disc_center_score(ctx: EnergyContext, center, radius: float) -> float:
-    """Approximate integral of H over a disc via midpoint polar quadrature."""
+def _ik(n: int) -> np.ndarray:
+    """The derivative symbol 2 pi i k at period 1, one row per rfft mode."""
+    return (2j * np.pi * np.arange(n // 2 + 1, dtype=float))[:, None]
+
+
+@dataclass(frozen=True)
+class _Trial:
+    """A trial curve projected onto the area constraint, with the data its
+    objective and the next gradient read."""
+
+    samples: np.ndarray  # the projected curve
+    spectrum: np.ndarray  # rfft of the curve before projection
+    scale: float  # the projection scale s
+    du: np.ndarray  # u' of the projected curve
+    h: np.ndarray  # H at the samples
+    dval: float  # Dirichlet value sqrt(sum |u'|^2 / N)
+    value: float  # objective D + A_H
+
+    def second_derivative(self) -> np.ndarray:
+        """u'' of the projected curve, s irfft(spectrum (2 pi i k)^2)."""
+        n = len(self.samples)
+        return self.scale * np.fft.irfft(self.spectrum * _ik(n) ** 2, n=n, axis=0)
+
+
+def _trial(ctx: EnergyContext, samples: np.ndarray, tau: float) -> _Trial:
+    """Project a curve of period 1 onto area tau and evaluate the objective.
+
+    One rfft and one irfft give u', hence the signed area and the scale
+    about the mean; u' of the projected curve is s u'.  An area that scaling
+    cannot reach takes ``_project_area``'s reverse-and-retry path, which
+    may raise ``SignIncompatible``.
+    """
+    n = len(samples)
+    spectrum = np.fft.rfft(samples, axis=0)
+    du = np.fft.irfft(spectrum * _ik(n), n=n, axis=0)
+    area = 0.5 * float(np.einsum("ij,ij->", samples, rot90(du))) / n
+    if _off_side(area, tau):
+        return _trial(ctx, _project_area(samples, 1.0, tau), tau)
+    scale = math.sqrt(tau / area)
+    center = samples.mean(axis=0)
+    samples = center + scale * (samples - center)
+    du *= scale
+    h, q = field_and_potential(ctx, samples)
+    dval = math.sqrt(float(np.einsum("ij,ij->", du, du)) / n)
+    value = dval + float(np.einsum("ij,ij->", q, rot90(du))) / n
+    return _Trial(samples, spectrum, scale, du, h, dval, value)
+
+
+def _descend(ctx: EnergyContext, cur: _Trial, tau: float, step: float, tol_grad: float):
+    """One descent iteration from ``cur``: the preconditioned gradient
+    projected onto the constraint's tangent space, then a backtracking
+    line search from ``step``.
+
+    Returns ``(trial, next_step, None)`` for an accepted trial, or
+    ``(cur, step, reason)`` with reason "tol_grad" or "line_search" when
+    the descent stops here.
+    """
+    n = len(cur.samples)
+    du = cur.du
+    speed = np.hypot(du[:, 0], du[:, 1])
+    if speed.min() <= 1e-10 * speed.max():
+        raise DegenerateSpeed("iterate lost regularity")
+    idu = rot90(du)
+    grad = -cur.second_derivative() / cur.dval + cur.h[:, None] * idu
+
+    # tangent projection onto the constraint, in the smoothed metric
+    smoothed = _precondition(np.concatenate([grad, idu], axis=1), cur.dval)
+    mg, ma = smoothed[:, :2], smoothed[:, 2:]
+    denom = float(np.einsum("ij,ij->", idu, ma))
+    coef = float(np.einsum("ij,ij->", idu, mg)) / denom
+    direction = mg - coef * ma
+    decrement = float(np.einsum("ij,ij->", grad, direction)) / n
+    if decrement <= tol_grad:
+        return cur, step, "tol_grad"
+
+    alpha = step
+    for _ in range(40):
+        try:
+            trial = _trial(ctx, cur.samples - alpha * direction, tau)
+        except SignIncompatible:
+            alpha *= 0.5  # step left the projectable region; shrink
+            continue
+        if trial.value <= cur.value - ARMIJO * alpha * decrement:
+            return trial, min(alpha * 1.5, 1e3), None
+        alpha *= 0.5
+    return cur, step, "line_search"
+
+
+def _disc_scores(ctx: EnergyContext, centers: np.ndarray, radius: float) -> np.ndarray:
+    """Approximate integrals of H over the discs of one radius about each
+    of a (K, 2) array of centers, by midpoint polar quadrature.
+
+    ``DISCS_PER_LOOKUP`` discs share each field lookup, which bounds the
+    memory of the lookup whatever K is.
+    """
     nr, na = 12, 24
     r_edges = radius * np.sqrt(np.linspace(0.0, 1.0, nr + 1))
     r_mid = 0.5 * (r_edges[:-1] + r_edges[1:])
     weights = np.pi * (r_edges[1:] ** 2 - r_edges[:-1] ** 2) / na
     ang = 2.0 * np.pi * (np.arange(na) + 0.5) / na
-    px = center[0] + r_mid[:, None] * np.cos(ang)[None, :]
-    py = center[1] + r_mid[:, None] * np.sin(ang)[None, :]
-    h = ctx.field.value(np.stack([px, py], axis=-1))
-    return float((h * weights[:, None]).sum())
+    offsets = np.stack(
+        [r_mid[:, None] * np.cos(ang)[None, :], r_mid[:, None] * np.sin(ang)[None, :]],
+        axis=-1,
+    )
+    scores = []
+    for first in range(0, len(centers), DISCS_PER_LOOKUP):
+        block = centers[first : first + DISCS_PER_LOOKUP]
+        h = ctx.field.value(block[:, None, None, :] + offsets)
+        scores.append((h * weights[:, None]).reshape(len(block), -1).sum(axis=1))
+    return np.concatenate(scores)
 
 
 def _initial_circle(ctx: EnergyContext, tau: float, n: int) -> ClosedCurve:
@@ -179,19 +296,14 @@ def _initial_circle(ctx: EnergyContext, tau: float, n: int) -> ClosedCurve:
         for rr in (0.5, 1.0, 2.0, 4.0):
             for th in np.arange(8) * np.pi / 4.0:
                 candidates.append((rr * math.cos(th), rr * math.sin(th)))
-    scores = [math.copysign(1.0, tau) * _disc_center_score(ctx, c, radius) for c in candidates]
+    scores = math.copysign(1.0, tau) * _disc_scores(ctx, np.array(candidates), radius)
     # a lattice symmetry of the field ties scores up to roundoff: take the
     # first candidate within roundoff of the minimum, not the roundoff winner
-    cutoff = min(scores) + 1e-9 * max(abs(s) for s in scores)
-    best = next(c for c, s in zip(candidates, scores) if s <= cutoff)
+    cutoff = scores.min() + 1e-9 * np.abs(scores).max()
+    best = candidates[int(np.argmax(scores <= cutoff))]
     # sign(tau) fixes the orientation: clockwise encloses positive area
     orientation = -1 if tau > 0 else 1
     return circle(radius, center=best, n=n, period=1.0, orientation=orientation)
-
-
-def _objective(samples: np.ndarray, ctx: EnergyContext) -> float:
-    u = ClosedCurve(period=1.0, samples=samples)
-    return dirichlet(u) + anisotropic_area(u, ctx)
 
 
 def minimize_area_constrained(
@@ -200,8 +312,10 @@ def minimize_area_constrained(
     """Minimize D(u) + A_H(u) over curves of signed area tau.
 
     Returns the constant-speed minimizer with its multiplier and residual
-    diagnostics; ``converged`` reflects the residual and area tolerances,
-    and a result is returned even when the iteration cap is hit.
+    diagnostics.  ``stop_reason`` says why the descent stopped;
+    ``converged`` holds when the residual and area tolerances are met and
+    the descent stopped before the iteration cap.  A result is returned
+    even when the cap is hit.
     """
     if tau == 0.0:
         raise ValueError("tau must be nonzero")
@@ -219,57 +333,22 @@ def minimize_area_constrained(
     else:
         start = _initial_circle(ctx, tau, opts.n_samples)
 
-    samples = _project_area(start.samples, 1.0, tau)
-    f_cur = _objective(samples, ctx)
+    cur = _trial(ctx, start.samples, tau)
     step = 1.0
-    iterations = 0
+    stop_reason = "max_iter"
     periodic_only = ctx.field.periodic is not None and ctx.field.radial is None
 
     for iterations in range(1, opts.max_iter + 1):
-        u = ClosedCurve(period=1.0, samples=samples)
-        du = derivative(u, 1)
-        speed = np.hypot(du[:, 0], du[:, 1])
-        if speed.min() <= 1e-10 * speed.max():
-            raise DegenerateSpeed("iterate lost regularity")
-        dval = math.sqrt((speed**2).sum() / u.n)
-        h = ctx.field.value(samples)
-        idu = rot90(du)
-        grad = -derivative(u, 2) / dval + h[:, None] * idu
-
-        # tangent projection onto the constraint, in the smoothed metric
-        mg = _precondition(grad, dval)
-        ma = _precondition(idu, dval)
-        denom = float(np.einsum("ij,ij->", idu, ma))
-        coef = float(np.einsum("ij,ij->", idu, mg)) / denom
-        direction = mg - coef * ma
-        decrement = float(np.einsum("ij,ij->", grad, direction)) / u.n
-
-        if decrement <= opts.tol_grad:
+        cur, step, reason = _descend(ctx, cur, tau, step, opts.tol_grad)
+        if reason is not None:
+            stop_reason = reason
             break
-
-        accepted = False
-        alpha = step
-        for _ in range(40):
-            try:
-                trial = _project_area(samples - alpha * direction, 1.0, tau)
-            except SignIncompatible:
-                alpha *= 0.5  # step left the projectable region; shrink
-                continue
-            f_try = _objective(trial, ctx)
-            if f_try <= f_cur - ARMIJO * alpha * decrement:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-        samples, f_cur = trial, f_try
-        step = min(alpha * 1.5, 1e3)
-
         if periodic_only and iterations % RECENTER_EVERY == 0:
-            shift = np.round(samples.mean(axis=0))
-            samples = samples - shift
+            # u', u'' and the periodic H are unchanged by an integer shift
+            shift = np.round(cur.samples.mean(axis=0))
+            cur = replace(cur, samples=cur.samples - shift)
 
-    final = reparametrize_constant_speed(ClosedCurve(period=1.0, samples=samples))
+    final = reparametrize_constant_speed(ClosedCurve(period=1.0, samples=cur.samples))
     final = ClosedCurve(period=1.0, samples=_project_area(final.samples, 1.0, tau))
     lam = extract_lagrange_multiplier(final, ctx)
     kappa = curvature(final)
@@ -279,7 +358,7 @@ def minimize_area_constrained(
     converged = (
         residual <= opts.tol_residual
         and area_error <= opts.tol_area
-        and iterations < opts.max_iter
+        and stop_reason != "max_iter"
     )
     return MinimizeResult(
         curve=final,
@@ -289,6 +368,7 @@ def minimize_area_constrained(
         area_error=area_error,
         iterations=iterations,
         converged=converged,
+        stop_reason=stop_reason,
     )
 
 

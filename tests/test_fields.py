@@ -8,6 +8,7 @@ from scipy import ndimage
 from scipy.integrate import cumulative_simpson, quad
 from scipy.interpolate import CubicSpline
 
+from prescurve.energy import EnergyContext, build_context, field_and_potential
 from prescurve.errors import NonZeroMean
 from prescurve.fields import (
     _CubicSpline,
@@ -409,6 +410,46 @@ class TestPointEvaluation:
 _WRAP_EDGE_POINTS = [(-1e-300, -1e-300), (0.3, -1e-300), (-1e-300, 0.3)]
 
 
+_CONTEXTS = {name: build_context(field) for name, field in POINT_FIELDS.items()}
+
+
+class TestSharedStencil:
+    """``field_and_potential`` reads H and Q through one set of stencils,
+    bit for bit as the separate lookups do."""
+
+    @pytest.mark.parametrize("n", [1, 256, 4096])
+    @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
+    def test_matches_separate_lookups(self, name, n, rng):
+        ctx = _CONTEXTS[name]
+        pts = rng.normal(scale=0.5, size=(n, 2))
+        pts[::5] *= 600.0  # far points wrap many cells
+        h, q = field_and_potential(ctx, pts)
+        np.testing.assert_array_equal(h, ctx.field.value(pts))
+        np.testing.assert_array_equal(q, q_eval(ctx.potential, pts))
+
+    @pytest.mark.parametrize("name", ["periodic", "constant+periodic", "periodic+radial"])
+    def test_wrap_edge_and_non_finite_points(self, name):
+        ctx = _CONTEXTS[name]
+        # NaN, not inf: a radial part reads a finite H at infinity
+        pts = np.array(_WRAP_EDGE_POINTS + [(np.nan, 0.1), (0.2, np.nan), (0.3, 0.4)])
+        h, q = field_and_potential(ctx, pts)
+        np.testing.assert_array_equal(h, ctx.field.value(pts))
+        np.testing.assert_array_equal(q, q_eval(ctx.potential, pts))
+        assert np.isnan(h[3:5]).all() and np.isnan(q[3:5]).all()
+        assert np.isfinite(h[[0, 1, 2, 5]]).all() and np.isfinite(q[[0, 1, 2, 5]]).all()
+
+    def test_grids_of_different_sizes(self, rng):
+        # a potential on another grid size takes stencils of its own
+        ctx = EnergyContext(
+            field=POINT_FIELDS["periodic"],
+            potential=_CONTEXTS["constant+periodic"].potential,
+        )
+        pts = rng.normal(size=(300, 2))
+        h, q = field_and_potential(ctx, pts)
+        np.testing.assert_array_equal(h, ctx.field.value(pts))
+        np.testing.assert_array_equal(q, q_eval(ctx.potential, pts))
+
+
 class TestScipyOracles:
     """The numpy spline, prefilter and quadrature against the scipy routines
     they replace; scipy is a test-only dependency."""
@@ -429,6 +470,25 @@ class TestScipyOracles:
         )
         np.testing.assert_array_equal(field.value(pts), expected)
         np.testing.assert_array_equal([field.at(x, y) for x, y in pts.tolist()], expected)
+
+    @pytest.mark.parametrize("m", [8, 33, 256])
+    def test_q_eval_channels_match_map_coordinates_bitwise(self, m, rng):
+        # no constant and no radial part: Q is the spline of the gradient
+        pot = build_potential(CurvatureField(periodic=_rough_grid(m, 6)))
+        pts = np.concatenate(
+            [
+                rng.normal(scale=0.5, size=(1000, 2)),
+                rng.normal(scale=300.0, size=(200, 2)),
+                _WRAP_EDGE_POINTS,
+            ]
+        )
+        q = q_eval(pot, pts)
+        for c in range(2):
+            coeffs = pot._spline._coeffs[c, 1 : m + 1, 1 : m + 1]
+            expected = ndimage.map_coordinates(
+                coeffs, pts.T * m, order=3, mode="grid-wrap", prefilter=False
+            )
+            np.testing.assert_array_equal(q[:, c], expected)
 
     @pytest.mark.parametrize("m", [8, 33, 256])
     def test_prefilter_matches_spline_filter(self, m):

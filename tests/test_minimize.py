@@ -1,19 +1,31 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from prescurve.curves import ClosedCurve, circle, derivative, is_simple, length, signed_area
-from prescurve.energy import build_context
+from prescurve.curves import (
+    ClosedCurve,
+    circle,
+    derivative,
+    dirichlet,
+    is_simple,
+    length,
+    signed_area,
+)
+from prescurve.energy import anisotropic_area, build_context
 from prescurve.errors import FieldTooLarge, SignIncompatible
-from prescurve.fields import CurvatureField, periodic_from_callable
+from prescurve.fields import CurvatureField, RadialDecaying, periodic_from_callable
 from prescurve import minimize
 from prescurve.minimize import (
     SHARP_ISOPERIMETRIC,
     MinimizeOptions,
     MinimizeResult,
+    _descend,
     _initial_circle,
     _project_area,
+    _trial,
     check_multiplier_bounds,
     extract_lagrange_multiplier,
     minimize_area_constrained,
@@ -39,6 +51,15 @@ def ctx_periodic():
         lambda x, y: 0.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y), m=256
     )
     return build_context(CurvatureField.from_parts(periodic=grid))
+
+
+@pytest.fixture(scope="module")
+def ctx_mixed():
+    grid = periodic_from_callable(
+        lambda x, y: 0.3 * np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y), m=64
+    )
+    radial = RadialDecaying(func=lambda r: 0.2 * np.exp(-(r**2)))
+    return build_context(CurvatureField.from_parts(constant=0.4, periodic=grid, radial=radial))
 
 
 def radius_stats(result: MinimizeResult):
@@ -119,6 +140,95 @@ class TestMinimize:
         opts = MinimizeOptions(max_iter=2)
         res = minimize_area_constrained(ctx_periodic, 1.0, opts)
         assert not res.converged
+        assert res.stop_reason == "max_iter"
+
+
+class TestStopReason:
+    def test_cap_at_the_iterations_needed(self, ctx_periodic):
+        # the decrement meets tol_grad on the last allowed iteration: the
+        # solve stops for tol_grad, not at the cap, and has converged
+        free = minimize_area_constrained(ctx_periodic, 1.0)
+        assert free.stop_reason == "tol_grad" and free.converged
+        pinned = minimize_area_constrained(
+            ctx_periodic, 1.0, MinimizeOptions(max_iter=free.iterations)
+        )
+        assert pinned.stop_reason == "tol_grad" and pinned.converged
+        assert pinned.iterations == free.iterations
+        np.testing.assert_array_equal(pinned.curve.samples, free.curve.samples)
+        short = minimize_area_constrained(
+            ctx_periodic, 1.0, MinimizeOptions(max_iter=free.iterations - 1)
+        )
+        assert short.stop_reason == "max_iter" and not short.converged
+        assert short.iterations == free.iterations - 1
+
+    def test_line_search_exit(self, ctx_periodic, monkeypatch):
+        # no step can meet this sufficient-decrease constant
+        monkeypatch.setattr(minimize, "ARMIJO", 1e30)
+        res = minimize_area_constrained(ctx_periodic, 1.0)
+        assert res.stop_reason == "line_search"
+        assert res.iterations == 1
+
+
+def _fourier(rng, n, modes, amplitude):
+    """Random real trigonometric polynomial of degree ``modes``, (n, 2)."""
+    t = np.arange(n) / n
+    phase = 2 * np.pi * np.outer(t, np.arange(modes + 1))
+    a, b = amplitude * rng.normal(size=(2, modes + 1, 2))
+    return np.cos(phase) @ a + np.sin(phase) @ b
+
+
+class TestTrial:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([16, 64, 256, 1024]),
+        tau=st.one_of(st.floats(-4.0, -0.25), st.floats(0.25, 4.0)),
+        alpha=st.floats(0.0, 1.0),
+    )
+    def test_single_pass_matches_projected_curve(self, ctx_mixed, seed, n, tau, alpha):
+        # a band-limited loop of about area tau, stepped along a
+        # band-limited direction as the line search does
+        rng = np.random.default_rng(seed)
+        radius = math.sqrt(abs(tau) / math.pi) * rng.uniform(0.8, 1.25)
+        t = np.arange(n) / n
+        turn = -1.0 if tau > 0 else 1.0  # clockwise encloses positive area
+        loop = rng.uniform(-0.5, 0.5, size=2) + radius * np.stack(
+            [np.cos(2 * np.pi * t), turn * np.sin(2 * np.pi * t)], axis=1
+        )
+        loop += _fourier(rng, n, 5, 0.03 * radius)
+        direction = _fourier(rng, n, 8, 0.1 * radius)
+        trial = _trial(ctx_mixed, loop - alpha * direction, tau)
+        curve = ClosedCurve(1.0, trial.samples)
+        expected = dirichlet(curve) + anisotropic_area(curve, ctx_mixed)
+        assert trial.value == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert signed_area(curve) == pytest.approx(tau, rel=1e-14, abs=0.0)
+        np.testing.assert_array_equal(trial.h, ctx_mixed.field.value(trial.samples))
+        du = derivative(curve, 1)
+        assert np.abs(trial.du - du).max() <= 1e-12 * np.abs(du).max()
+
+    def test_wrong_sign_takes_the_reverse_path(self, ctx_periodic):
+        # the tiny counterclockwise loop of TestProjection, through a trial
+        t = np.arange(64) / 64
+        pts = 0.056 * np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1)
+        trial = _trial(ctx_periodic, pts, 2.0)
+        np.testing.assert_allclose(trial.samples, _project_area(pts, 1.0, 2.0), atol=1e-14)
+        assert signed_area(ClosedCurve(1.0, trial.samples)) == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(SignIncompatible):
+            _trial(ctx_periodic, circle(1.0, n=64, orientation=1).samples, math.pi)
+
+    def test_iteration_memory_per_sample(self, ctx_periodic):
+        # one descent iteration holds O(N) arrays with a small constant:
+        # about 0.5 KB per sample at N = 4096
+        n, tau = 4096, 1.0
+        cur = _trial(ctx_periodic, _initial_circle(ctx_periodic, tau, n).samples, tau)
+        tracemalloc.start()
+        try:
+            _, _, reason = _descend(ctx_periodic, cur, tau, 1.0, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reason is None  # a step was taken
+        assert peak <= 800 * n
 
 
 class TestInitialCircle:
@@ -128,12 +238,24 @@ class TestInitialCircle:
         tied = {(0.25, 0.25): -0.01, (0.75, 0.75): -0.01 - 1e-17}
         assert tied[(0.75, 0.75)] < tied[(0.25, 0.25)]
 
-        def score(ctx, center, radius):
-            return tied.get(tuple(center), 0.0)
+        def scores(ctx, centers, radius):
+            return np.array([tied.get(tuple(c), 0.0) for c in centers.tolist()])
 
-        monkeypatch.setattr(minimize, "_disc_center_score", score)
+        monkeypatch.setattr(minimize, "_disc_scores", scores)
         start = _initial_circle(ctx_periodic, 0.1, 64)
         np.testing.assert_allclose(start.samples.mean(axis=0), (0.25, 0.25), atol=1e-12)
+
+    def test_memory_per_lookup_point(self, ctx_mixed):
+        # the 97 competitor discs (288 quadrature points each) are looked up
+        # 8 at a time: the peak is about 370 B per point of one lookup,
+        # whatever the number of candidates
+        tracemalloc.start()
+        try:
+            _initial_circle(ctx_mixed, 1.0, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 500 * 8 * 288
 
 
 class TestProjection:
