@@ -42,6 +42,7 @@ from .minimize import (
 )
 from .physics import (
     MagneticConfig,
+    gyroradius,
     integrate_curvature_ode,
     lift_to_cylinder,
     simulate_magnetic,
@@ -391,7 +392,7 @@ def cmd_magnetic(cfg) -> int:
         "speed_drift": sim.speed_drift,
     }
     if isinstance(b, float):
-        report["gyroradius_expected"] = mc.mass * mc.speed / (abs(mc.charge) * abs(b))
+        report["gyroradius_expected"] = gyroradius(mc)
     _write_json(out / "magnetic_report.json", report)
     return EXIT_OK
 

@@ -6,6 +6,9 @@ integrated by parts spectrally).  Their independent oracles live in
 ``tests/``: a plane quadrature of the winding number against H, which
 agrees with the line integral for any potential with div Q = H, and the
 pointwise shape derivative integral (H - K)(V . i u').
+
+H and Q come from ``fields.h_and_q``, through its halves
+``CurvatureField.value`` and ``q_eval``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "EnergyContext",
     "build_context",
     "anisotropic_area",
-    "field_and_potential",
     "energy",
     "energy_gradient",
     "pair",
@@ -52,38 +54,6 @@ def anisotropic_area(curve: ClosedCurve, ctx: EnergyContext) -> float:
     du = derivative(curve, 1)
     q = q_eval(ctx.potential, curve.samples)
     return _quad(curve, np.einsum("ij,ij->i", q, rot90(du)))
-
-
-def field_and_potential(ctx: EnergyContext, points) -> tuple[np.ndarray, np.ndarray]:
-    """H and Q at an (N, 2) array of points, bit for bit equal to
-    ``ctx.field.value(points)`` and ``q_eval(ctx.potential, points)``.
-
-    The two periodic parts combine one set of B-spline stencils (their grids
-    have the same size whenever the potential comes from
-    :func:`build_context`), and |p| is formed once for both radial parts.
-    """
-    field, potential = ctx.field, ctx.potential
-    pts = np.asarray(points, dtype=float)
-    if not np.isfinite(pts).all():
-        # a non-finite point reads NaN, as the separate lookups mask it
-        return field.value(pts), q_eval(potential, pts)
-    h = np.full(len(pts), field.constant)
-    q = 0.5 * potential.linear_coefficient * pts
-    h_spline, q_spline = field._spline, potential._spline
-    if h_spline is not None:
-        stencil = h_spline.stencil(pts)
-        h = h + h_spline.combine(stencil)
-    if q_spline is not None:
-        if h_spline is None or h_spline.m != q_spline.m:
-            stencil = q_spline.stencil(pts)
-        q = q + q_spline.combine(stencil)
-    if field.radial is not None or potential._radial_spline is not None:
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        if field.radial is not None:
-            h = h + field.radial(r)
-        if potential._radial_spline is not None:
-            q = q + potential._radial_part(pts, r)
-    return h, q
 
 
 def energy(curve: ClosedCurve, ctx: EnergyContext) -> float:

@@ -11,6 +11,9 @@ The assembled :class:`VectorPotential` satisfies ``div Q = H``.  Note the
 Poisson solvers themselves return the gradient of the solution of
 ``-lap v = H`` (for which ``div grad v = -H``); the assembly step flips the
 sign so the divergence identity holds for the composite field.
+
+One routine, :func:`h_and_q`, reads H and Q at an array of points;
+:meth:`CurvatureField.value` and :func:`q_eval` are its two halves.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "solve_plane_poisson_decaying",
     "build_potential",
     "q_eval",
+    "h_and_q",
     "periodic_from_callable",
     "field_from_dict",
     "radial_curvature_from_dict",
@@ -112,15 +116,9 @@ class _PeriodicSpline2D:
         return out[0] if self._coeffs.ndim == 2 else np.stack(out, axis=-1)
 
     def __call__(self, points) -> np.ndarray:
-        """The spline at an (..., 2) array of points: shape (...) for an
-        (M, M) grid, (..., C) for an (M, M, C) one."""
+        """The spline at an (..., 2) array of finite points: shape (...) for
+        an (M, M) grid, (..., C) for an (M, M, C) one."""
         pts = np.asarray(points, dtype=float)
-        if not np.isfinite(pts).all():
-            # a non-finite point has no cell: it reads NaN, the rest as usual
-            ok = np.isfinite(pts).all(axis=-1)
-            out = np.full(pts.shape[:-1] + self._coeffs.shape[:-2], np.nan)
-            out[ok] = self(pts[ok])
-            return out
         out = self.combine(self.stencil(pts.reshape(-1, 2)))
         return out.reshape(pts.shape[:-1] + self._coeffs.shape[:-2])
 
@@ -316,14 +314,8 @@ class CurvatureField:
         return cls(constant=float(constant), periodic=periodic, radial=radial)
 
     def value(self, points) -> np.ndarray:
-        """Evaluate H at an (..., 2) array of plane points."""
-        pts = np.asarray(points, dtype=float)
-        out = np.full(pts.shape[:-1], self.constant)
-        if self.periodic is not None:
-            out = out + self._spline(pts)
-        if self.radial is not None:
-            out = out + self.radial(np.hypot(pts[..., 0], pts[..., 1]))
-        return out
+        """H at an (..., 2) array of plane points: :func:`h_and_q`'s H half."""
+        return h_and_q(self, None, points)[0]
 
     def at(self, x: float, y: float) -> float:
         """H at the single point (x, y), as a float.
@@ -603,23 +595,56 @@ class VectorPotential:
             tail = self._radial_tail / np.where(r > 0, r, 1.0)
         return np.where(r <= self._radial_rmax, inside, tail)
 
-    def _radial_part(self, pts: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """f(|p|) p / |p| at points ``pts`` of norms ``r``; 0 at the origin."""
-        f = self.radial_profile(r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(r > 0, f / np.where(r > 0, r, 1.0), 0.0)
-        return scale[..., None] * pts
-
 
 def q_eval(potential: VectorPotential, points) -> np.ndarray:
-    """Evaluate Q at an (..., 2) array of plane points."""
+    """Q at an (..., 2) array of plane points: :func:`h_and_q`'s Q half."""
+    return h_and_q(None, potential, points)[1]
+
+
+def h_and_q(field_: CurvatureField | None, potential: VectorPotential | None, points):
+    """H = constant + periodic + radial of ``field_`` and Q = linear +
+    periodic + radial of ``potential``, summed in that order, at an (..., 2)
+    array of points: shapes (...) and (..., 2), None for a None argument.
+
+    Periodic grids of the same M share one B-spline stencil, and the radial
+    parts one |p|.  A row with a non-finite coordinate reads NaN in H and in
+    both components of Q; no part sees it, so it raises no warning.
+    """
     pts = np.asarray(points, dtype=float)
-    out = 0.5 * potential.linear_coefficient * pts
-    if potential._spline is not None:
-        out = out + potential._spline(pts)
-    if potential._radial_spline is not None:
-        out = out + potential._radial_part(pts, np.hypot(pts[..., 0], pts[..., 1]))
-    return out
+    flat = pts.reshape(-1, 2)
+    bad = slice(0, 0)  # the rows to set NaN: none
+    if not np.isfinite(flat).all():
+        bad = ~np.isfinite(flat).all(axis=1)
+        flat = np.where(bad[:, None], 0.0, flat)
+    h = q = stencil = r = None
+    if field_ is not None:
+        h = np.full(len(flat), field_.constant)
+        if field_._spline is not None:
+            stencil = field_._spline.stencil(flat)
+            h = h + field_._spline.combine(stencil)
+        if field_.radial is not None:
+            r = np.hypot(flat[:, 0], flat[:, 1])
+            h = h + field_.radial(r)
+        h[bad] = np.nan
+        h = h.reshape(pts.shape[:-1])
+    if potential is not None:
+        q = 0.5 * potential.linear_coefficient * flat
+        spline = potential._spline
+        if spline is not None:
+            if stencil is None or field_._spline.m != spline.m:
+                stencil = spline.stencil(flat)
+            q = q + spline.combine(stencil)
+        if potential._radial_spline is not None:
+            if r is None:
+                r = np.hypot(flat[:, 0], flat[:, 1])
+            f = potential.radial_profile(r)
+            # f(|p|) p / |p|, 0 at the origin
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scale = np.where(r > 0, f / np.where(r > 0, r, 1.0), 0.0)
+            q = q + scale[:, None] * flat
+        q[bad] = np.nan
+        q = q.reshape(pts.shape)
+    return h, q
 
 
 def build_potential(field_: CurvatureField) -> VectorPotential:

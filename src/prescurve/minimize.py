@@ -45,8 +45,9 @@ from .curves import (
     signed_area,
     trig_resample,
 )
-from .energy import EnergyContext, energy, field_and_potential
+from .energy import EnergyContext, energy
 from .errors import DegenerateSpeed, FieldTooLarge, SignIncompatible
+from .fields import h_and_q
 
 __all__ = [
     "MinimizeOptions",
@@ -214,7 +215,7 @@ def _trial(ctx: EnergyContext, samples: np.ndarray, tau: float) -> _Trial:
     center = samples.mean(axis=0)
     samples = center + scale * (samples - center)
     du *= scale
-    h, q = field_and_potential(ctx, samples)
+    h, q = h_and_q(ctx.field, ctx.potential, samples)
     dval = math.sqrt(float(np.einsum("ij,ij->", du, du)) / n)
     value = dval + float(np.einsum("ij,ij->", q, rot90(du))) / n
     return _Trial(samples, spectrum, scale, du, h, dval, value)

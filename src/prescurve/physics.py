@@ -6,6 +6,11 @@ error.  A z-invariant magnetic field b reduces to the same transverse
 equation through H = -e b / (m v), with free axial motion; and any
 constant-speed closed solution lifts to a constant-mean-curvature-style
 cylinder via (u1(theta), u2(theta), log r).
+
+Both equations are u'' = s(u) i u', with s = L (H - lam) for the curve and
+s = -(e/m) b for the orbit, so one RK4 integrator serves both: it takes H
+or b as a number or a callable, checks the speed drift and measures the
+closure defect.
 """
 
 from __future__ import annotations
@@ -48,37 +53,56 @@ class OdeResult:
     speed_drift: float = 0.0
 
 
-def _rk4(rhs, state, t_final: float, steps: int) -> np.ndarray:
-    """Classical fixed-step RK4 for the state (x, y, u, v) of four floats.
+def _orbit(f, scale: float, shift: float, position, direction, speed: float,
+           t_final: float, steps: int):
+    """Fixed-step RK4 for u'' = s(u) i u', s(x, y) = scale (f(x, y) - shift),
+    from u = ``position``, u' = ``speed`` ``direction`` over [0, t_final].
 
-    ``rhs(x, y, u, v)`` returns the four derivatives.  Returns the
-    (steps + 1, 4) array of states at t = k t_final / steps.
+    ``f`` is a number or a callable ``(x, y) -> float`` such as
+    ``CurvatureField.at``, called once per stage on a state of four floats.
+    Returns the (steps + 1, 4) states (x, y, u, v) at t = k t_final / steps,
+    the drift of |u'| relative to ``speed`` (beyond 1e-6 it raises
+    ``StepTooLarge``) and the defect |u(T) - u(0)| + |u'(T) - u'(0)|.
     """
+    if not callable(f):
+        const = float(f)
+        f = lambda x, y: const
+
     dt = t_final / steps
     h = 0.5 * dt
     w = dt / 6.0
-    x, y, u, v = state
+    x, y, u, v = np.concatenate(
+        [np.asarray(position, dtype=float), speed * np.asarray(direction, dtype=float)]
+    ).tolist()
     out = [(x, y, u, v)]
     for _ in range(steps):
-        a1, b1, c1, d1 = rhs(x, y, u, v)
-        a2, b2, c2, d2 = rhs(x + h * a1, y + h * b1, u + h * c1, v + h * d1)
-        a3, b3, c3, d3 = rhs(x + h * a2, y + h * b2, u + h * c2, v + h * d2)
-        a4, b4, c4, d4 = rhs(x + dt * a3, y + dt * b3, u + dt * c3, v + dt * d3)
-        x = x + w * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
-        y = y + w * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+        # stage k has position (xk, yk), velocity (uk, vk), acceleration (ck, dk)
+        s = scale * (f(x, y) - shift)
+        c1, d1 = -(s * v), s * u
+        u2, v2 = u + h * c1, v + h * d1
+        s = scale * (f(x + h * u, y + h * v) - shift)
+        c2, d2 = -(s * v2), s * u2
+        u3, v3 = u + h * c2, v + h * d2
+        s = scale * (f(x + h * u2, y + h * v2) - shift)
+        c3, d3 = -(s * v3), s * u3
+        u4, v4 = u + dt * c3, v + dt * d3
+        s = scale * (f(x + dt * u3, y + dt * v3) - shift)
+        c4, d4 = -(s * v4), s * u4
+        x = x + w * (((u + 2.0 * u2) + 2.0 * u3) + u4)
+        y = y + w * (((v + 2.0 * v2) + 2.0 * v3) + v4)
         u = u + w * (((c1 + 2.0 * c2) + 2.0 * c3) + c4)
         v = v + w * (((d1 + 2.0 * d2) + 2.0 * d3) + d4)
         out.append((x, y, u, v))
-    return np.array(out)
-
-
-def _point_function(f):
-    """``(x, y) -> float`` for a curvature or field strength given as a
-    callable ``(x, y) -> float`` (returned as is) or as a number."""
-    if callable(f):
-        return f
-    const = float(f)
-    return lambda x, y: const
+    path = np.array(out)
+    speeds = np.hypot(path[:, 2], path[:, 3])
+    drift = float(np.abs(speeds - speed).max() / speed)
+    if drift > 1e-6:
+        raise StepTooLarge(f"speed drift {drift:.3e} > 1e-6; reduce the step")
+    defect = float(
+        np.hypot(*(path[-1, :2] - path[0, :2]))
+        + np.hypot(*(path[-1, 2:] - path[0, 2:]))
+    )
+    return path, drift, defect
 
 
 def integrate_curvature_ode(
@@ -98,9 +122,9 @@ def integrate_curvature_ode(
     length_guess * v0, so a correct guess closes the curve at t = 1.  The
     closure defect |u(1) - u(0)| + |u'(1) - u'(0)| and the relative speed
     drift are reported; drift beyond 1e-6 raises ``StepTooLarge``.  With
-    ``refine_length`` one round of self-consistency runs first: integrate,
-    locate the parameter of closest return, rescale the length guess, and
-    integrate again.
+    ``refine_length`` one round of self-consistency runs first: integrate
+    to t = 1.6 (under the same drift check), locate the parameter of
+    closest return, rescale the length guess, and integrate again.
     """
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -108,38 +132,19 @@ def integrate_curvature_ode(
         raise ValueError("v0 must be a unit vector")
     if steps < 1:
         raise ValueError("steps must be positive")
-    h_at = _point_function(field_like)
     lam = float(lam)
-
-    def make_rhs(lg):
-        def rhs(x, y, u, v):
-            s = lg * (h_at(x, y) - lam)
-            return u, v, -(s * v), s * u
-
-        return rhs
-
     lg = float(length_guess)
     if refine_length:
         # probe past t = 1 so the closest return is found whether the
         # guess over- or under-shoots, then rescale by the return time
         probe_steps = int(1.6 * steps)
-        y0 = np.concatenate([u0, lg * v0]).tolist()
-        path = _rk4(make_rhs(lg), y0, 1.6, probe_steps)
+        path = _orbit(field_like, lg, lam, u0, v0, lg, 1.6, probe_steps)[0]
         dist = np.hypot(path[:, 0] - u0[0], path[:, 1] - u0[1])
         lo = probe_steps // 4
         k = lo + int(np.argmin(dist[lo:]))
         lg = lg * 1.6 * k / probe_steps
 
-    y0 = np.concatenate([u0, lg * v0]).tolist()
-    path = _rk4(make_rhs(lg), y0, 1.0, steps)
-    speeds = np.hypot(path[:, 2], path[:, 3])
-    drift = float(np.abs(speeds - lg).max() / lg)
-    if drift > 1e-6:
-        raise StepTooLarge(f"speed drift {drift:.3e} > 1e-6; reduce the step")
-    defect = float(
-        np.hypot(*(path[-1, :2] - path[0, :2]))
-        + np.hypot(*(path[-1, 2:] - path[0, 2:]))
-    )
+    path, drift, defect = _orbit(field_like, lg, lam, u0, v0, lg, 1.0, steps)
     return OdeResult(
         trajectory=path[:, :2],
         velocities=path[:, 2:],
@@ -184,27 +189,13 @@ def simulate_magnetic(cfg: MagneticConfig) -> OdeResult:
     """
     direction = np.asarray(cfg.direction, dtype=float)
     direction = direction / np.hypot(*direction)
+    # the curvature equation with L (H - lam) = -(e/m) b
     em = float(cfg.charge / cfg.mass)
-    b_at = _point_function(cfg.b)
-
-    def rhs(x, y, u, v):
-        s = -em * b_at(x, y)
-        return u, v, -(s * v), s * u
-
-    y0 = np.concatenate(
-        [np.asarray(cfg.position, dtype=float), cfg.speed * direction]
-    ).tolist()
-    path = _rk4(rhs, y0, cfg.t_final, cfg.steps)
-    speeds = np.hypot(path[:, 2], path[:, 3])
-    drift = float(np.abs(speeds - cfg.speed).max() / cfg.speed)
-    if drift > 1e-6:
-        raise StepTooLarge(f"transverse speed drift {drift:.3e} > 1e-6")
+    path, drift, defect = _orbit(
+        cfg.b, -em, 0.0, cfg.position, direction, cfg.speed, cfg.t_final, cfg.steps
+    )
     times = np.linspace(0.0, cfg.t_final, cfg.steps + 1)
     xyz = np.column_stack([path[:, 0], path[:, 1], cfg.v_parallel * times])
-    defect = float(
-        np.hypot(*(path[-1, :2] - path[0, :2]))
-        + np.hypot(*(path[-1, 2:] - path[0, 2:]))
-    )
     return OdeResult(
         trajectory=xyz,
         velocities=path[:, 2:],

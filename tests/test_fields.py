@@ -8,7 +8,7 @@ from scipy import ndimage
 from scipy.integrate import cumulative_simpson, quad
 from scipy.interpolate import CubicSpline
 
-from prescurve.energy import EnergyContext, build_context, field_and_potential
+from prescurve.energy import EnergyContext, build_context
 from prescurve.errors import NonZeroMean
 from prescurve.fields import (
     _CubicSpline,
@@ -21,6 +21,7 @@ from prescurve.fields import (
     RadialDecaying,
     VectorPotential,
     build_potential,
+    h_and_q,
     lorentz_norm_21,
     periodic_from_callable,
     q_eval,
@@ -414,8 +415,8 @@ _CONTEXTS = {name: build_context(field) for name, field in POINT_FIELDS.items()}
 
 
 class TestSharedStencil:
-    """``field_and_potential`` reads H and Q through one set of stencils,
-    bit for bit as the separate lookups do."""
+    """``h_and_q`` reads H and Q through one set of stencils, bit for bit
+    as the separate lookups do."""
 
     @pytest.mark.parametrize("n", [1, 256, 4096])
     @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
@@ -423,20 +424,25 @@ class TestSharedStencil:
         ctx = _CONTEXTS[name]
         pts = rng.normal(scale=0.5, size=(n, 2))
         pts[::5] *= 600.0  # far points wrap many cells
-        h, q = field_and_potential(ctx, pts)
+        h, q = h_and_q(ctx.field, ctx.potential, pts)
         np.testing.assert_array_equal(h, ctx.field.value(pts))
         np.testing.assert_array_equal(q, q_eval(ctx.potential, pts))
 
-    @pytest.mark.parametrize("name", ["periodic", "constant+periodic", "periodic+radial"])
+    @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
     def test_wrap_edge_and_non_finite_points(self, name):
         ctx = _CONTEXTS[name]
-        # NaN, not inf: a radial part reads a finite H at infinity
-        pts = np.array(_WRAP_EDGE_POINTS + [(np.nan, 0.1), (0.2, np.nan), (0.3, 0.4)])
-        h, q = field_and_potential(ctx, pts)
+        non_finite = [(np.nan, 0.1), (0.2, np.nan), (np.inf, 0.0), (-np.inf, np.nan)]
+        pts = np.array(_WRAP_EDGE_POINTS + non_finite + [(0.3, 0.4)])
+        h, q = h_and_q(ctx.field, ctx.potential, pts)
         np.testing.assert_array_equal(h, ctx.field.value(pts))
         np.testing.assert_array_equal(q, q_eval(ctx.potential, pts))
-        assert np.isnan(h[3:5]).all() and np.isnan(q[3:5]).all()
-        assert np.isfinite(h[[0, 1, 2, 5]]).all() and np.isfinite(q[[0, 1, 2, 5]]).all()
+        assert np.isnan(h[3:7]).all() and np.isnan(q[3:7]).all()
+        finite = [0, 1, 2, 7]
+        assert np.isfinite(h[finite]).all() and np.isfinite(q[finite]).all()
+        # a non-finite row leaves the others as a finite-only lookup reads them
+        h_ok, q_ok = h_and_q(ctx.field, ctx.potential, pts[finite])
+        np.testing.assert_array_equal(h[finite], h_ok)
+        np.testing.assert_array_equal(q[finite], q_ok)
 
     def test_grids_of_different_sizes(self, rng):
         # a potential on another grid size takes stencils of its own
@@ -445,7 +451,7 @@ class TestSharedStencil:
             potential=_CONTEXTS["constant+periodic"].potential,
         )
         pts = rng.normal(size=(300, 2))
-        h, q = field_and_potential(ctx, pts)
+        h, q = h_and_q(ctx.field, ctx.potential, pts)
         np.testing.assert_array_equal(h, ctx.field.value(pts))
         np.testing.assert_array_equal(q, q_eval(ctx.potential, pts))
 

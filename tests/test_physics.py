@@ -208,6 +208,31 @@ class TestAgainstArrayOracle:
         path = reference_magnetic_path(cfg, b)
         assert_matches_oracle(np.hstack([sim.trajectory[:, :2], sim.velocities]), path)
 
+    @pytest.mark.parametrize("kind", ["constant", "callable"])
+    def test_magnetic_is_the_curvature_ode(self, kind):
+        # with H = -e b / (m v) and length_guess = v t_final the transverse
+        # orbit is the curvature ODE's path in the time t / t_final
+        cfg = MagneticConfig(
+            b=1.7 if kind == "constant" else lambda x, y: 1.0 + 0.3 * math.sin(x + 2.0 * y),
+            charge=-0.8, mass=1.3, speed=0.9, position=(0.3, -0.2),
+            direction=(0.6, 0.8), t_final=6.0, steps=512,
+        )
+        ratio = -cfg.charge / (cfg.mass * cfg.speed)
+        if kind == "constant":
+            h = ratio * cfg.b
+        else:
+            def h(x, y):
+                return ratio * cfg.b(x, y)
+
+        sim = simulate_magnetic(cfg)
+        ode = integrate_curvature_ode(
+            h, 0.0, cfg.position, cfg.direction, cfg.speed * cfg.t_final, steps=cfg.steps
+        )
+        assert_matches_oracle(
+            np.hstack([sim.trajectory[:, :2], cfg.t_final * sim.velocities]),
+            np.hstack([ode.trajectory, ode.velocities]),
+        )
+
     def test_field_integration_skips_value(self, periodic_setup, value_calls):
         # one-point reads go through CurvatureField.at, never the array path
         ctx, _ = periodic_setup
