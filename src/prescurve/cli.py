@@ -27,6 +27,7 @@ from .fields import (
     DECAYING_ADMISSIBLE_NORM,
     PERIODIC_ADMISSIBLE_OSCILLATION,
     CurvatureField,
+    _read_json,
     field_from_dict,
     radial_curvature_from_dict,
     read_field,
@@ -60,11 +61,7 @@ def _load_config(args) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise ValueError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+        cfg = _read_json(path)
         if not isinstance(cfg, dict):
             raise ValueError(
                 f"config file {path} must hold a JSON object, not {type(cfg).__name__}"

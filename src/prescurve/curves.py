@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpeed, PointOnCurve
-from .fields import _number
+from .errors import DegenerateSpeed
+from .fields import _number, _numbers, _read_json
 
 __all__ = [
     "ClosedCurve",
@@ -29,8 +29,6 @@ __all__ = [
     "length",
     "signed_area",
     "curvature",
-    "dirichlet",
-    "winding_number",
     "reparametrize_constant_speed",
     "is_simple",
     "curve_reverse",
@@ -165,40 +163,6 @@ def curvature(curve: ClosedCurve) -> np.ndarray:
     speed = np.hypot(du[:, 0], du[:, 1])
     _require_regular(curve, speed)
     return np.einsum("ij,ij->i", rot90(du), d2u) / speed**3
-
-
-def dirichlet(curve: ClosedCurve) -> float:
-    """Dirichlet value sqrt(T * integral |u'|^2); equals the length iff the
-    speed is constant, and dominates it otherwise."""
-    speed = _speed(curve)
-    return float(np.sqrt(curve.period * (speed**2).sum() * curve.period / curve.n))
-
-
-def winding_number(curve: ClosedCurve, point) -> int:
-    """Winding number of the sample polyline around ``point``.
-
-    Raises ``PointOnCurve`` when the point is closer to the polyline than
-    1e-9 times the curve diameter.
-    """
-    p = np.asarray(point, dtype=float)
-    v = curve.samples - p
-    w = np.roll(v, -1, axis=0)
-    # distance from the point to each closed-polyline segment
-    seg = w - v
-    seg_len2 = np.einsum("ij,ij->i", seg, seg)
-    tpar = np.clip(
-        -np.einsum("ij,ij->i", v, seg) / np.where(seg_len2 > 0, seg_len2, 1.0), 0.0, 1.0
-    )
-    closest = v + tpar[:, None] * seg
-    dist = np.min(np.hypot(closest[:, 0], closest[:, 1]))
-    tol = 1e-9 * max(curve.diameter(), 1e-300)
-    if dist <= tol:
-        raise PointOnCurve(f"point within {dist:.3e} of the curve")
-    y0, y1 = v[:, 1], w[:, 1]
-    cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
-    up = (y0 <= 0.0) & (y1 > 0.0) & (cross > 0.0)
-    down = (y0 > 0.0) & (y1 <= 0.0) & (cross < 0.0)
-    return int(np.count_nonzero(up)) - int(np.count_nonzero(down))
 
 
 #: Oversampling factor of the table that ``trig_resample`` reads off.
@@ -470,11 +434,11 @@ def circle(
 
 def read_curve(path) -> ClosedCurve:
     """Read a curve file: JSON with fields {"period", "samples"}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "period" not in doc or "samples" not in doc:
         raise ValueError(f"{path}: not a curve file (need 'period' and 'samples')")
-    return ClosedCurve(period=_number(doc, "period"), samples=np.asarray(doc["samples"]))
+    samples = _numbers(doc["samples"], "samples")
+    return ClosedCurve(period=_number(doc, "period"), samples=samples)
 
 
 def write_curve(curve: ClosedCurve, path) -> None:

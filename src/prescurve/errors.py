@@ -9,10 +9,6 @@ class DegenerateSpeed(PrescurveError):
     """A curve operation requiring regularity met a (nearly) vanishing speed."""
 
 
-class PointOnCurve(PrescurveError):
-    """Winding number requested at a point lying on the curve."""
-
-
 class NonZeroMean(PrescurveError):
     """The periodic Poisson solver received data with a nonzero cell mean."""
 

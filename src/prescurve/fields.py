@@ -42,7 +42,6 @@ __all__ = [
     "radial_curvature_from_dict",
     "read_field",
     "read_radial_curvature",
-    "write_field",
 ]
 
 #: Sharp constant of the periodic-cell gradient bound.
@@ -115,18 +114,11 @@ class _PeriodicSpline2D:
         out = [np.einsum("ijn,in,jn->n", t.take(index), wx, wy) for t in self._tables]
         return out[0] if self._coeffs.ndim == 2 else np.stack(out, axis=-1)
 
-    def __call__(self, points) -> np.ndarray:
-        """The spline at an (..., 2) array of finite points: shape (...) for
-        an (M, M) grid, (..., C) for an (M, M, C) one."""
-        pts = np.asarray(points, dtype=float)
-        out = self.combine(self.stencil(pts.reshape(-1, 2)))
-        return out.reshape(pts.shape[:-1] + self._coeffs.shape[:-2])
-
     def at(self, x: float, y: float) -> float:
         """The spline of an (M, M) grid at one point, as a float.
 
         Reads the 4 x 4 stencil of padded coefficients through a flat float
-        view and sums it in :meth:`__call__`'s order, so it matches it bit
+        view and sums it in :meth:`combine`'s order, so it matches it bit
         for bit.
         """
         m, flat, width = self.m, self._flat, self.m + 4
@@ -321,8 +313,11 @@ class CurvatureField:
         """H at the single point (x, y), as a float.
 
         Agrees with ``value([[x, y]])[0]`` to rounding without building
-        arrays; one-point callers such as the orbit integrators use it.
+        arrays, NaN included at a non-finite point; one-point callers such
+        as the orbit integrator use it.
         """
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return math.nan
         h = float(self.constant)
         if self.periodic is not None:
             h = h + self._spline.at(x, y)
@@ -343,9 +338,6 @@ class CurvatureField:
         """Upper bound on sup |H - constant|."""
         rad = 0.0 if self.radial is None else self.radial.linf()
         return self.periodic_sup() + rad
-
-    def sup_norm(self) -> float:
-        return abs(self.constant) + self.zero_mean_sup()
 
     def admissibility(self) -> dict:
         """The theory's smallness hypotheses, reported but not enforced."""
@@ -370,19 +362,11 @@ class CurvatureField:
 
 @dataclass(frozen=True)
 class RadialCurvature:
-    """Radial curvature h(s) = 1 + A/s^gamma + htilde(s)/s^(gamma+beta) for
-    s >= s0, extended below s0 by the C^2 even polynomial matching value and
-    two derivatives at s0.
-
-    ``beta=None`` (with ``htilde=None``) means no correction term at all.
-    For ``beta == 0`` the effective amplitude switches to A + B, where B is
-    the limit of htilde at infinity.
-    """
+    """Radial curvature h(s) = 1 + A/s^gamma for s >= s0, extended below s0
+    by the C^2 even polynomial matching value and two derivatives at s0."""
 
     A: float
     gamma: float
-    beta: float | None = None
-    htilde: object = None
     s0: float = 1.0
 
     def __post_init__(self):
@@ -392,14 +376,7 @@ class RadialCurvature:
             raise ValueError("gamma must be > 1")
         if self.s0 <= 0.0:
             raise ValueError("mollification radius s0 must be positive")
-        if (self.htilde is None) != (self.beta is None):
-            raise ValueError("give both beta and htilde, or neither")
-        if self.beta is not None and self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
-        h0 = self._outer(self.s0)
-        h1 = self._outer_d1(self.s0)
-        h2 = self._outer_d2(self.s0)
-        s0 = self.s0
+        a, g, s0 = self.A, self.gamma, self.s0
         mat = np.array(
             [
                 [1.0, s0**2, s0**4],
@@ -407,46 +384,12 @@ class RadialCurvature:
                 [0.0, 2.0, 12.0 * s0**2],
             ]
         )
-        coeffs = np.linalg.solve(mat, np.array([h0, h1, h2]))
-        object.__setattr__(self, "_poly", coeffs)
+        # h and its first two derivatives at s0
+        jet = [self._outer(s0), -g * a / s0 ** (g + 1.0), g * (g + 1.0) * a / s0 ** (g + 2.0)]
+        object.__setattr__(self, "_poly", np.linalg.solve(mat, np.array(jet)))
 
     def _outer(self, s):
-        s = np.asarray(s, dtype=float)
-        out = 1.0 + self.A / s**self.gamma
-        if self.htilde is not None:
-            out = out + np.asarray(self.htilde(s)) / s ** (self.gamma + self.beta)
-        return out
-
-    def _outer_d1(self, s, step=1e-5):
-        d = -self.gamma * self.A / s ** (self.gamma + 1.0)
-        if self.htilde is not None:
-            g = self.gamma + self.beta
-            ht = float(self.htilde(s))
-            htp = (float(self.htilde(s + step)) - float(self.htilde(s - step))) / (
-                2 * step
-            )
-            d += htp / s**g - g * ht / s ** (g + 1.0)
-        return d
-
-    def _outer_d2(self, s, step=1e-5):
-        d = self.gamma * (self.gamma + 1.0) * self.A / s ** (self.gamma + 2.0)
-        if self.htilde is not None:
-            g = self.gamma + self.beta
-            ht = float(self.htilde(s))
-            htp = (float(self.htilde(s + step)) - float(self.htilde(s - step))) / (
-                2 * step
-            )
-            htpp = (
-                float(self.htilde(s + step))
-                - 2 * ht
-                + float(self.htilde(s - step))
-            ) / step**2
-            d += (
-                htpp / s**g
-                - 2.0 * g * htp / s ** (g + 1.0)
-                + g * (g + 1.0) * ht / s ** (g + 2.0)
-            )
-        return d
+        return 1.0 + self.A / np.asarray(s, dtype=float) ** self.gamma
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -455,17 +398,6 @@ class RadialCurvature:
         s_safe = np.where(inner, self.s0, s)  # keep powers finite at s=0
         out = np.where(inner, c0 + c2 * s**2 + c4 * s**4, self._outer(s_safe))
         return out
-
-    def value(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return self(np.hypot(pts[..., 0], pts[..., 1]))
-
-    @property
-    def tilde_amplitude(self) -> float:
-        """A for beta > 0 (or no correction); A + lim htilde for beta = 0."""
-        if self.beta is not None and self.beta == 0.0:
-            return self.A + float(self.htilde(1e9))
-        return self.A
 
 
 def periodic_from_callable(func, m: int = 256) -> np.ndarray:
@@ -497,11 +429,10 @@ def solve_torus_poisson(grid: np.ndarray) -> np.ndarray:
     return np.stack([gx, gy], axis=-1)
 
 
-def lorentz_norm_21(h2, nr: int = 8192) -> float:
+def lorentz_norm_21(h2: RadialDecaying, nr: int = 8192) -> float:
     """Rearranged integral norm: sort |h2| against annulus measure and
-    integrate the decreasing rearrangement against t^(-1/2)."""
-    if not isinstance(h2, RadialDecaying):
-        h2 = RadialDecaying(func=h2) if callable(h2) else RadialDecaying(table=h2)
+    integrate the decreasing rearrangement against t^(-1/2).  ``h2`` is a
+    :class:`RadialDecaying`."""
     edges = np.linspace(0.0, h2.r_max, nr + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     vals = np.abs(h2(mids))
@@ -512,15 +443,13 @@ def lorentz_norm_21(h2, nr: int = 8192) -> float:
     return float(np.sum(vals * 2.0 * (np.sqrt(tcum[1:]) - np.sqrt(tcum[:-1]))))
 
 
-def solve_plane_poisson_decaying(h2, nr: int = 8192, r_max=None):
+def solve_plane_poisson_decaying(h2: RadialDecaying, nr: int = 8192, r_max=None):
     """Radial derivative of the plane Poisson solution of -lap v = H2.
 
     Returns ``(r, vprime)`` with ``vprime(r) = -(1/r) * int_0^r s H2(s) ds``
     tabulated on a dense grid.  Raises ``NonIntegrable`` when the tail
     integral has visibly not settled at the end of the range.
     """
-    if not isinstance(h2, RadialDecaying):
-        h2 = RadialDecaying(func=h2) if callable(h2) else RadialDecaying(table=h2)
     rmax = float(r_max) if r_max is not None else max(2.0 * h2.r_max, 1.0)
     r = np.linspace(0.0, rmax, nr)
     integrand = r * h2(r)
@@ -679,42 +608,53 @@ def _number(doc: dict, key: str, default=None) -> float:
     return number
 
 
+def _numbers(value, key: str) -> np.ndarray:
+    """``value`` as an array of finite floats; ``ValueError`` names ``key``
+    when it is ragged or holds anything else."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"key {key!r} must be a rectangular array of numbers") from None
+    if not np.isfinite(array).all():
+        raise ValueError(f"key {key!r} must hold finite numbers")
+    return array
+
+
 def field_from_dict(doc) -> CurvatureField:
     """Build a field from a parsed field document: a JSON object with
     optional keys {"constant", "periodic_grid", "radial": {"r", "h"}}.
 
-    Raises ``ValueError`` naming the problem when the document is not an
-    object, the constant is not a finite number, or "radial" is not an
-    object.
+    Raises ``ValueError`` naming the key when the document is not an
+    object, the constant is not a finite number, "radial" is not an object
+    with "r" and "h", or an array is ragged or holds a non-number.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a field must be a JSON object, not {type(doc).__name__}")
     radial = doc.get("radial")
     if radial is not None:
-        if not isinstance(radial, dict):
+        if not (isinstance(radial, dict) and "r" in radial and "h" in radial):
             raise ValueError("key 'radial' must be an object with 'r' and 'h'")
-        radial = RadialDecaying(table=(radial["r"], radial["h"]))
+        table = (_numbers(radial["r"], "radial.r"), _numbers(radial["h"], "radial.h"))
+        radial = RadialDecaying(table=table)
+    periodic = doc.get("periodic_grid")
+    if periodic is not None:
+        periodic = _numbers(periodic, "periodic_grid")
     return CurvatureField.from_parts(
         constant=_number(doc, "constant", 0.0),
-        periodic=doc.get("periodic_grid"),
+        periodic=periodic,
         radial=radial,
     )
 
 
 def radial_curvature_from_dict(params) -> RadialCurvature:
     """Build a RadialCurvature from a "radial_params" object
-    {"A", "gamma", "s0"}; "A" and "gamma" are required.
-
-    The correction term has no file form: its ``htilde`` is a callable, so
-    a "beta" key is rejected rather than left without one.
-    """
+    {"A", "gamma", "s0"}; "A" and "gamma" are required, and any other key
+    is rejected by name."""
     if not isinstance(params, dict):
         raise ValueError("'radial_params' must be a JSON object")
-    if "beta" in params:
-        raise ValueError(
-            "key 'beta' is not supported in 'radial_params': the correction "
-            "term needs a callable htilde, which has no file form"
-        )
+    for key in params:
+        if key not in ("A", "gamma", "s0"):
+            raise ValueError(f"unknown key {key!r} in 'radial_params' (keys: A, gamma, s0)")
     return RadialCurvature(
         A=_number(params, "A"),
         gamma=_number(params, "gamma"),
@@ -723,8 +663,15 @@ def radial_curvature_from_dict(params) -> RadialCurvature:
 
 
 def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document in the file ``path``; ``ValueError`` names the file
+    when it cannot be read or is not UTF-8 JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def read_field(path) -> CurvatureField:
@@ -738,20 +685,3 @@ def read_radial_curvature(path) -> RadialCurvature:
     if not isinstance(doc, dict) or doc.get("radial_params") is None:
         raise ValueError(f"{path}: no 'radial_params' block")
     return radial_curvature_from_dict(doc["radial_params"])
-
-
-def write_field(field_: CurvatureField, path, radial_params: dict | None = None):
-    doc: dict = {"constant": float(field_.constant)}
-    if field_.periodic is not None:
-        doc["periodic_grid"] = [[float(v) for v in row] for row in field_.periodic]
-    if field_.radial is not None:
-        r = np.linspace(0.0, field_.radial.r_max, 512)
-        doc["radial"] = {
-            "r": [float(v) for v in r],
-            "h": [float(v) for v in field_.radial(r)],
-        }
-    if radial_params is not None:
-        doc["radial_params"] = radial_params
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")

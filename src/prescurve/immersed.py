@@ -304,8 +304,8 @@ def fixed_point_solve(
 
 def default_bracket(h: RadialCurvature) -> tuple[float, float]:
     """Radius-parameter bracket satisfying the root-existence inequalities
-    2^((gamma+2)/2) r0 < |A~| gamma / 2 < r1, with 10% margins."""
-    target = abs(h.tilde_amplitude) * h.gamma / 2.0
+    2^((gamma+2)/2) r0 < |A| gamma / 2 < r1, with 10% margins."""
+    target = abs(h.A) * h.gamma / 2.0
     r0 = target / 2.0 ** ((h.gamma + 2.0) / 2.0) * 0.9
     r1 = 2.0 * target * 1.1
     return r0, r1
@@ -382,10 +382,9 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
     """
     config = config or LSConfig()
     tol_root = config.tol_root
-    mirror = h.tilde_amplitude < 0.0
-    a_eff = abs(h.tilde_amplitude)
+    mirror = h.A < 0.0
     r0, r1 = config.r_bracket or default_bracket(h)
-    if not (2.0 ** ((h.gamma + 2.0) / 2.0) * r0 < a_eff * h.gamma / 2.0 < r1):
+    if not (2.0 ** ((h.gamma + 2.0) / 2.0) * r0 < abs(h.A) * h.gamma / 2.0 < r1):
         raise ValueError(
             f"bracket ({r0:g}, {r1:g}) violates the root-existence inequalities"
         )

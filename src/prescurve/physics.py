@@ -61,7 +61,7 @@ def _orbit(f, scale: float, shift: float, position, direction, speed: float,
     ``f`` is a number or a callable ``(x, y) -> float`` such as
     ``CurvatureField.at``, called once per stage on a state of four floats.
     Returns the (steps + 1, 4) states (x, y, u, v) at t = k t_final / steps,
-    the drift of |u'| relative to ``speed`` (beyond 1e-6 it raises
+    the drift of |u'| relative to ``speed`` (beyond 1e-6, or NaN, it raises
     ``StepTooLarge``) and the defect |u(T) - u(0)| + |u'(T) - u'(0)|.
     """
     if not callable(f):
@@ -96,8 +96,8 @@ def _orbit(f, scale: float, shift: float, position, direction, speed: float,
     path = np.array(out)
     speeds = np.hypot(path[:, 2], path[:, 3])
     drift = float(np.abs(speeds - speed).max() / speed)
-    if drift > 1e-6:
-        raise StepTooLarge(f"speed drift {drift:.3e} > 1e-6; reduce the step")
+    if not drift <= 1e-6:
+        raise StepTooLarge(f"speed drift {drift:.3e} is not below 1e-6; reduce the step")
     defect = float(
         np.hypot(*(path[-1, :2] - path[0, :2]))
         + np.hypot(*(path[-1, 2:] - path[0, 2:]))
@@ -112,7 +112,6 @@ def integrate_curvature_ode(
     v0,
     length_guess: float,
     steps: int = 2048,
-    refine_length: bool = False,
 ) -> OdeResult:
     """Integrate u'' = length_guess * (H(u) - lam) * i u' over one unit period.
 
@@ -121,10 +120,8 @@ def integrate_curvature_ode(
     ``v0`` is the unit initial direction; the initial velocity is
     length_guess * v0, so a correct guess closes the curve at t = 1.  The
     closure defect |u(1) - u(0)| + |u'(1) - u'(0)| and the relative speed
-    drift are reported; drift beyond 1e-6 raises ``StepTooLarge``.  With
-    ``refine_length`` one round of self-consistency runs first: integrate
-    to t = 1.6 (under the same drift check), locate the parameter of
-    closest return, rescale the length guess, and integrate again.
+    drift are reported; a drift beyond 1e-6, or NaN, raises
+    ``StepTooLarge``.
     """
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -132,19 +129,8 @@ def integrate_curvature_ode(
         raise ValueError("v0 must be a unit vector")
     if steps < 1:
         raise ValueError("steps must be positive")
-    lam = float(lam)
     lg = float(length_guess)
-    if refine_length:
-        # probe past t = 1 so the closest return is found whether the
-        # guess over- or under-shoots, then rescale by the return time
-        probe_steps = int(1.6 * steps)
-        path = _orbit(field_like, lg, lam, u0, v0, lg, 1.6, probe_steps)[0]
-        dist = np.hypot(path[:, 0] - u0[0], path[:, 1] - u0[1])
-        lo = probe_steps // 4
-        k = lo + int(np.argmin(dist[lo:]))
-        lg = lg * 1.6 * k / probe_steps
-
-    path, drift, defect = _orbit(field_like, lg, lam, u0, v0, lg, 1.0, steps)
+    path, drift, defect = _orbit(field_like, lg, float(lam), u0, v0, lg, 1.0, steps)
     return OdeResult(
         trajectory=path[:, :2],
         velocities=path[:, 2:],

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from prescurve.curves import apply_symbol, curvature, derivative, rot90
+from prescurve.errors import PrescurveError
 from prescurve.fields import CurvatureField
 from prescurve.immersed import _Frame
 
@@ -49,6 +52,69 @@ def fourier_sum(values: np.ndarray, period: float, t) -> np.ndarray:
         if n % 2 == 0:
             out[rows] += np.multiply.outer(np.cos(np.pi * n * t[rows] / period), nyq)
     return out
+
+
+def dirichlet(curve) -> float:
+    """Dirichlet value sqrt(T * integral |u'|^2); equals the length iff the
+    speed is constant, and dominates it otherwise."""
+    du = derivative(curve, 1)
+    speed = np.hypot(du[:, 0], du[:, 1])
+    return float(np.sqrt(curve.period * (speed**2).sum() * curve.period / curve.n))
+
+
+class PointOnCurve(PrescurveError):
+    """Winding number requested at a point lying on the curve."""
+
+
+def winding_number(curve, point) -> int:
+    """Winding number of the sample polyline around ``point``.
+
+    Raises ``PointOnCurve`` when the point is closer to the polyline than
+    1e-9 times the curve diameter.
+    """
+    p = np.asarray(point, dtype=float)
+    v = curve.samples - p
+    w = np.roll(v, -1, axis=0)
+    # distance from the point to each closed-polyline segment
+    seg = w - v
+    seg_len2 = np.einsum("ij,ij->i", seg, seg)
+    tpar = np.clip(
+        -np.einsum("ij,ij->i", v, seg) / np.where(seg_len2 > 0, seg_len2, 1.0), 0.0, 1.0
+    )
+    closest = v + tpar[:, None] * seg
+    dist = np.min(np.hypot(closest[:, 0], closest[:, 1]))
+    tol = 1e-9 * max(curve.diameter(), 1e-300)
+    if dist <= tol:
+        raise PointOnCurve(f"point within {dist:.3e} of the curve")
+    y0, y1 = v[:, 1], w[:, 1]
+    cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
+    up = (y0 <= 0.0) & (y1 > 0.0) & (cross > 0.0)
+    down = (y0 > 0.0) & (y1 <= 0.0) & (cross < 0.0)
+    return int(np.count_nonzero(up)) - int(np.count_nonzero(down))
+
+
+def sup_norm(field: CurvatureField) -> float:
+    """Upper bound on sup |H|."""
+    return abs(field.constant) + field.zero_mean_sup()
+
+
+def write_field(field: CurvatureField, path, radial_params: dict | None = None):
+    """Write a field file: the constant, the periodic grid, the radial part
+    tabulated at 512 radii, and ``radial_params`` when given."""
+    doc: dict = {"constant": float(field.constant)}
+    if field.periodic is not None:
+        doc["periodic_grid"] = [[float(v) for v in row] for row in field.periodic]
+    if field.radial is not None:
+        r = np.linspace(0.0, field.radial.r_max, 512)
+        doc["radial"] = {
+            "r": [float(v) for v in r],
+            "h": [float(v) for v in field.radial(r)],
+        }
+    if radial_params is not None:
+        doc["radial_params"] = radial_params
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
 
 
 def field_value(field_like, points) -> np.ndarray:

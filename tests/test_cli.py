@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -14,7 +15,9 @@ import prescurve
 from prescurve import cli
 from prescurve.cli import main
 from prescurve.curves import circle, read_curve, write_curve
-from prescurve.fields import CurvatureField, periodic_from_callable, write_field
+from prescurve.fields import CurvatureField, periodic_from_callable
+
+from conftest import write_field
 
 
 SWEEP_FILES = (
@@ -100,6 +103,12 @@ class TestSolve:
         ('{"constant": null}', "'constant'"),
         ('{"radial": [1, 2]}', "'radial'"),
         ('{"periodic_grid": [[0.0, NaN], [0.0, 0.0]]}', "periodic"),
+        ('{"constant": 1.0,', "bad_field.json"),
+        ('{"radial": {"r": [0, 1, 2, 3]}}', "'radial'"),
+        ('{"periodic_grid": [[0.0, 1.0], [0.0]]}', "'periodic_grid'"),
+        ('{"periodic_grid": [["a", 0.0], [0.0, 0.0]]}', "'periodic_grid'"),
+        ('{"radial": {"r": [0, 1, 2, "x"], "h": [1, 0, 0, 0]}}', "'radial.r'"),
+        ('{"radial": {"r": [0, 1, 2, 3], "h": [[1], 0, 0, 0]}}', "'radial.h'"),
     ],
 )
 def test_malformed_field_exit_2(tmp_path, capsys, text, key):
@@ -262,8 +271,52 @@ def test_malformed_curve_file_exit_2(tmp_path, capsys, field_zero, command, peri
     assert "Traceback" not in err
 
 
-def test_radial_params_beta_exit_2(tmp_path, capsys):
-    params = {"A": 1.0, "gamma": 2.0, "beta": 0.5}
+@pytest.mark.parametrize("command", ["cylinder", "check"])
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"period": 1.0, "samples": [[0.0, 1.0]', "curve.json"),
+        ('{"period": 1.0, "samples": [[0.0, 1.0], [0.5]]}', "'samples'"),
+        ('{"period": 1.0, "samples": [[0.0, "x"], [0.5, 1.0]]}', "'samples'"),
+    ],
+)
+def test_malformed_curve_samples_exit_2(tmp_path, capsys, field_zero, command, text, key):
+    path = tmp_path / "curve.json"
+    path.write_text(text)
+    argv = [command, "--curve", str(path), "--out", str(tmp_path / "out")]
+    if command == "check":
+        argv += ["--field", field_zero]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--field", "--curve"])
+def test_unreadable_file_exit_2(tmp_path, capsys, field_zero, flag):
+    curve = tmp_path / "curve.json"
+    write_curve(circle(1.0, n=64), curve)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    argv = ["check", "--curve", str(curve), "--field", field_zero, "--out", str(tmp_path)]
+    code = main(argv + [flag, str(bad)])  # the last flag wins
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad.json" in err
+    assert "Traceback" not in err
+    if flag == "--config":
+        # a directory passes the config's existence check, then fails to open
+        code = main(argv + [flag, str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(tmp_path) in err
+        assert "Traceback" not in err
+
+
+def _radial_params_exit_2(tmp_path, capsys, params, key):
+    """``params`` as a config's and as a field file's "radial_params" both
+    exit 2 naming ``key``."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"radial_params": params, "n_list": [8]}))
     field = tmp_path / "field.json"
@@ -272,8 +325,16 @@ def test_radial_params_beta_exit_2(tmp_path, capsys):
         code = main(["immersed", *argv, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
-        assert "'beta'" in err
+        assert key in err
         assert "Traceback" not in err
+
+
+def test_radial_params_beta_exit_2(tmp_path, capsys):
+    _radial_params_exit_2(tmp_path, capsys, {"A": 1.0, "gamma": 2.0, "beta": 0.5}, "'beta'")
+
+
+def test_radial_params_unknown_key_exit_2(tmp_path, capsys):
+    _radial_params_exit_2(tmp_path, capsys, {"A": 1.0, "gamma": 2.0, "foo": 1.0}, "'foo'")
 
 
 def test_immersed_missing_field_file_exit_2(tmp_path, capsys):
@@ -282,6 +343,61 @@ def test_immersed_missing_field_file_exit_2(tmp_path, capsys):
     assert code == 2
     assert "'field'" in err
     assert "Traceback" not in err
+
+
+# Exports that only tests call: paper claims that ROADMAP item 3 plans to
+# put in the reports.
+TEST_ONLY_EXPORTS = {
+    ("minimize", "check_multiplier_bounds"): "the multiplier bounds; ROADMAP item 3",
+    ("immersed", "verify_second_multiplier"): "the vanishing lambda2; ROADMAP item 3",
+}
+
+
+def _names_read(tree, skip=()) -> set:
+    """The names, attributes and imported names that ``tree`` reads outside
+    the nodes ``skip``."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_export_has_a_caller():
+    # each name in a module's __all__ is read in src/ outside its own
+    # definition (the package's re-exports do not count), or in scripts/
+    src = Path(prescurve.__file__).resolve().parent
+    files = [*src.glob("*.py"), *(src.parents[1] / "scripts").glob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    unused = set()
+    for path in sorted(src.glob("*.py")):
+        tree = trees[path]
+        exports = [
+            name
+            for node in tree.body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__"
+            for name in ast.literal_eval(node.value)
+        ]
+        for name in exports:
+            definition = {node for node in tree.body if getattr(node, "name", None) == name}
+            read = set().union(
+                *(
+                    _names_read(t, definition if p == path else ())
+                    for p, t in trees.items()
+                    if p != src / "__init__.py"
+                )
+            )
+            if name not in read:
+                unused.add((path.stem, name))
+    assert unused == set(TEST_ONLY_EXPORTS)
 
 
 def test_package_namespace():
@@ -525,6 +641,15 @@ class TestMagneticCylinderCheck:
         assert main(["magnetic", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "magnetic_report.json").read_text())
         assert report["speed_drift"] < 1e-8
+
+    def test_magnetic_nan_drift_exit_1(self, tmp_path, capsys):
+        # the orbit overflows to NaN, and a NaN speed drift fails the check
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"b": 1e308, "speed": 1e10, "steps": 8}))
+        out = tmp_path / "out"
+        assert main(["magnetic", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "speed drift nan" in capsys.readouterr().err
+        assert not (out / "magnetic_report.json").exists()
 
     def test_field_orbit_evaluates_points_with_at(self, tmp_path, field_periodic, value_calls):
         # the b_field orbit reads H one point at a time, never via value()

@@ -14,20 +14,18 @@ from prescurve.curves import (
     curvature,
     curve_reverse,
     derivative,
-    dirichlet,
     is_simple,
     length,
     read_curve,
     reparametrize_constant_speed,
     signed_area,
     trig_resample,
-    winding_number,
     write_curve,
 )
-from prescurve.errors import DegenerateSpeed, PointOnCurve
+from prescurve.errors import DegenerateSpeed
 from prescurve.immersed import AnsatzParams, _Frame
 
-from conftest import fourier_sum, random_loop
+from conftest import PointOnCurve, dirichlet, fourier_sum, random_loop, winding_number
 
 
 def curve_translate(curve, offset):

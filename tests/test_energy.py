@@ -9,7 +9,6 @@ from prescurve.curves import (
     circle,
     curvature,
     derivative,
-    dirichlet,
     length,
     rot90,
     signed_area,
@@ -24,7 +23,14 @@ from prescurve.energy import (
 )
 from prescurve.fields import CurvatureField, RadialDecaying, periodic_from_callable
 
-from conftest import anisotropic_area_by_winding, field_value, random_loop, shape_derivative
+from conftest import (
+    anisotropic_area_by_winding,
+    dirichlet,
+    field_value,
+    random_loop,
+    shape_derivative,
+    sup_norm,
+)
 
 
 def rescaled_anisotropic_area(curve, ctx, tau: float) -> float:
@@ -243,7 +249,7 @@ class TestRescaledFamily:
         rng = np.random.default_rng(seed)
         c = ClosedCurve(1.0, random_loop(rng))
         val = rescaled_anisotropic_area(c, ctx, tau)
-        bound = tau * ctx.field.sup_norm() * dirichlet(c) ** 2 / (4 * math.pi)
+        bound = tau * sup_norm(ctx.field) * dirichlet(c) ** 2 / (4 * math.pi)
         assert abs(val) <= bound * (1 + 1e-9) + 1e-12
 
     def test_match_direct_definition(self, ctx_periodic):

@@ -29,8 +29,9 @@ from prescurve.fields import (
     read_radial_curvature,
     solve_plane_poisson_decaying,
     solve_torus_poisson,
-    write_field,
 )
+
+from conftest import sup_norm, write_field
 
 
 def cell_grid(m=64):
@@ -185,14 +186,6 @@ class TestRadialCurvature:
             RadialCurvature(A=1.0, gamma=1.0)
         with pytest.raises(ValueError):
             RadialCurvature(A=1.0, gamma=2.0, s0=-1.0)
-
-    def test_tilde_amplitude_switch(self):
-        plain = RadialCurvature(A=2.0, gamma=2.0)
-        assert plain.tilde_amplitude == 2.0
-        with_b = RadialCurvature(A=2.0, gamma=2.0, beta=0.0, htilde=lambda s: 0.5 + 1.0 / np.asarray(s) ** 2)
-        assert with_b.tilde_amplitude == pytest.approx(2.5, abs=1e-6)
-        positive_beta = RadialCurvature(A=2.0, gamma=2.0, beta=1.0, htilde=lambda s: 0.5 * np.ones_like(np.asarray(s)))
-        assert positive_beta.tilde_amplitude == 2.0
 
 
 def radial_potential(h: RadialCurvature, r_max: float = 100.0, nr: int = 32768):
@@ -372,7 +365,7 @@ class TestPointEvaluation:
         h = field.at(x, y)
         assert type(h) is float
         expected = field.value(np.array([[x, y]]))[0]
-        assert abs(h - expected) <= 1e-14 * max(1.0, field.sup_norm())
+        assert abs(h - expected) <= 1e-14 * max(1.0, sup_norm(field))
         if field.radial is None:
             # same weights, coordinate wrap and summation order as
             # value: the same bits
@@ -397,6 +390,14 @@ class TestPointEvaluation:
         assert got[3] == field.at(0.3, 0.4)
         q = q_eval(build_potential(field), pts)
         assert np.isnan(q[:3]).all() and np.isfinite(q[3]).all()
+
+    @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
+    def test_at_reads_nan_where_value_does(self, name):
+        field = POINT_FIELDS[name]
+        rows = [(np.nan, 0.1), (0.2, np.nan), (np.inf, 0.0), (-np.inf, np.nan), (0.3, -np.inf)]
+        assert np.isnan(field.value(np.array(rows))).all()
+        for x, y in rows:
+            assert math.isnan(field.at(x, y))
 
     def test_pickle_after_at(self):
         field = POINT_FIELDS["periodic+radial"]
@@ -511,14 +512,12 @@ class TestScipyOracles:
     def test_channels_match_single_channel_splines(self, rng):
         grid = rng.normal(size=(32, 32, 2))
         both = _PeriodicSpline2D(grid)
-        pts = np.concatenate([rng.normal(size=(300, 2)), _WRAP_EDGE_POINTS]).reshape(
-            3, 101, 2
-        )
-        got = both(pts)
-        assert got.shape == (3, 101, 2)
+        pts = np.concatenate([rng.normal(size=(300, 2)), _WRAP_EDGE_POINTS])
+        got = both.combine(both.stencil(pts))
+        assert got.shape == (303, 2)
         for c in range(2):
             one = _PeriodicSpline2D(np.ascontiguousarray(grid[:, :, c]))
-            np.testing.assert_array_equal(got[..., c], one(pts))
+            np.testing.assert_array_equal(got[:, c], one.combine(one.stencil(pts)))
 
     def test_channels_survive_pickle(self, rng):
         pot = build_potential(CurvatureField.from_parts(periodic=_rough_grid(16, 5)))

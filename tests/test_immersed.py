@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from prescurve.curves import ClosedCurve, curvature, derivative, is_simple, winding_number
+from prescurve.curves import ClosedCurve, curvature, derivative, is_simple
 from prescurve.errors import NoSignChange
 from prescurve.fields import RadialCurvature
 from prescurve.immersed import (
@@ -19,7 +19,7 @@ from prescurve.immersed import (
     verify_second_multiplier,
 )
 
-from conftest import linearized_coeffs, linf_apply, project_perp
+from conftest import linearized_coeffs, linf_apply, project_perp, winding_number
 
 
 @pytest.fixture(scope="module")

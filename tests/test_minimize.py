@@ -9,7 +9,6 @@ from prescurve.curves import (
     ClosedCurve,
     circle,
     derivative,
-    dirichlet,
     is_simple,
     length,
     signed_area,
@@ -31,6 +30,8 @@ from prescurve.minimize import (
     minimize_area_constrained,
     sweep_isoperimetric,
 )
+
+from conftest import dirichlet
 
 S = SHARP_ISOPERIMETRIC
 
