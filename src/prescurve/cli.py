@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -205,6 +204,9 @@ def _task_map(cfg):
     if jobs == 1:
         yield map
         return
+    # imported here: the pool machinery costs every call's start-up otherwise
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(jobs) as pool:
         yield pool.map
 
@@ -404,12 +406,13 @@ def cmd_cylinder(cfg) -> int:
     lift = lift_to_cylinder(curve, r_range, grid)
     out = _out_dir(cfg)
     lift.write_off(out / "cylinder.off")
+    z = lift.vertices[:, :, 2]
     _write_json(
         out / "cylinder_report.json",
         {
             "conformality_residual": lift.conformality_residual(),
-            "z_min": float(lift.vertices[:, :, 2].min()),
-            "z_max": float(lift.vertices[:, :, 2].max()),
+            "z_min": float(z.min()),
+            "z_max": float(z.max()),
         },
     )
     return EXIT_OK
@@ -424,8 +427,7 @@ def cmd_check(cfg) -> int:
     except (ValueError, KeyError) as exc:
         raise ValueError(f"cannot parse curve file {path}: {exc}") from exc
     field = _load_field(cfg)
-    ctx = build_context(field)
-    report = verify_solution(curve, ctx, lam)
+    report = verify_solution(curve, field, lam)
     # closure of the curvature ODE restarted from the curve's initial data
     du = derivative(curve, 1)
     v0 = du[0] / np.hypot(*du[0])

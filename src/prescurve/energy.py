@@ -71,18 +71,19 @@ def area_gradient(curve: ClosedCurve) -> np.ndarray:
     return rot90(derivative(curve, 1))
 
 
-def energy_gradient(curve: ClosedCurve, ctx: EnergyContext) -> np.ndarray:
+def energy_gradient(curve: ClosedCurve, field: CurvatureField) -> np.ndarray:
     """L^2 representative of the first variation of L + A_H.
 
     The length part -d/dt(u'/|u'|) is formed spectrally on the interpolant;
-    the area part is H(u) i u'.  For band-limited test directions phi the
-    pairing reproduces the directional derivative of the energy.
+    the area part is H(u) i u', which reads H but not its potential.  For
+    band-limited test directions phi the pairing reproduces the directional
+    derivative of the energy.
     """
     du = derivative(curve, 1)
     speed = np.hypot(du[:, 0], du[:, 1])
     if speed.min() <= 1e-8 * length(curve) / curve.period:
         raise DegenerateSpeed("energy gradient needs a regular curve")
     tangent = du / speed[:, None]
-    h = ctx.field.value(curve.samples)
+    h = field.value(curve.samples)
     dtangent = apply_symbol(tangent, lambda k: 2j * np.pi * k / curve.period)
     return -dtangent + h[:, None] * rot90(du)

@@ -118,31 +118,48 @@ class _PeriodicSpline2D:
         """The spline of an (M, M) grid at one point, as a float.
 
         Reads the 4 x 4 stencil of padded coefficients through a flat float
-        view and sums it in :meth:`combine`'s order, so it matches it bit
-        for bit.
+        view.  The orbit integrator calls it at every stage, so both axes'
+        weights (the steps of :func:`_cubic_weights`) and the 16-term sum
+        are written out in one frame, with :meth:`combine`'s operations in
+        its order; the tests hold the two equal bit for bit.
         """
-        m, flat, width = self.m, self._flat, self.m + 4
+        m, flat = self.m, self._flat
         cx, cy = (x * m) % m, (y * m) % m
         fx, fy = math.floor(cx), math.floor(cy)
-        wx = _cubic_weights(cx - fx)
-        w0, w1, w2, w3 = _cubic_weights(cy - fy)
-        row = fx * width + fy
-        total = 0.0
-        for w in wx:
-            total = (
-                total
-                + flat[row] * w * w0
-                + flat[row + 1] * w * w1
-                + flat[row + 2] * w * w2
-                + flat[row + 3] * w * w3
-            )
-            row += width
-        return total
+        t = cx - fx
+        z = 1.0 - t
+        a0 = z * z * z / 6.0
+        a1 = (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0
+        a2 = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
+        a3 = 1.0 - a0 - a1 - a2
+        t = cy - fy
+        z = 1.0 - t
+        b0 = z * z * z / 6.0
+        b1 = (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0
+        b2 = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
+        b3 = 1.0 - b0 - b1 - b2
+        # the stencil's four rows of padded nodes start at r0, ..., r3
+        r0 = fx * (m + 4) + fy
+        r1 = r0 + m + 4
+        r2 = r1 + m + 4
+        r3 = r2 + m + 4
+        return (
+            0.0
+            + flat[r0] * a0 * b0 + flat[r0 + 1] * a0 * b1
+            + flat[r0 + 2] * a0 * b2 + flat[r0 + 3] * a0 * b3
+            + flat[r1] * a1 * b0 + flat[r1 + 1] * a1 * b1
+            + flat[r1 + 2] * a1 * b2 + flat[r1 + 3] * a1 * b3
+            + flat[r2] * a2 * b0 + flat[r2 + 1] * a2 * b1
+            + flat[r2 + 2] * a2 * b2 + flat[r2 + 3] * a2 * b3
+            + flat[r3] * a3 * b0 + flat[r3 + 1] * a3 * b1
+            + flat[r3 + 2] * a3 * b2 + flat[r3 + 3] * a3 * b3
+        )
 
 
 def _cubic_weights(t):
-    """Cubic B-spline weights of the nodes -1, 0, 1, 2 at offset t in [0, 1)
-    (a float or an array), written as ``scipy.ndimage`` computes them."""
+    """Cubic B-spline weights of the nodes -1, 0, 1, 2 at an array of
+    offsets t in [0, 1), written as ``scipy.ndimage`` computes them
+    (:meth:`_PeriodicSpline2D.at` writes the same steps out for floats)."""
     z = 1.0 - t
     w0 = z * z * z / 6.0
     w1 = (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0
@@ -620,20 +637,32 @@ def _numbers(value, key: str) -> np.ndarray:
     return array
 
 
+def _known_keys(doc: dict, where: str, keys: tuple) -> None:
+    """``ValueError`` naming the first key of ``doc`` not in ``keys``."""
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {where} (keys: {', '.join(keys)})")
+
+
 def field_from_dict(doc) -> CurvatureField:
     """Build a field from a parsed field document: a JSON object with
-    optional keys {"constant", "periodic_grid", "radial": {"r", "h"}}.
+    optional keys {"constant", "periodic_grid", "radial": {"r", "h"},
+    "radial_params"}; "radial_params" is read by
+    :func:`read_radial_curvature`, not here.
 
     Raises ``ValueError`` naming the key when the document is not an
-    object, the constant is not a finite number, "radial" is not an object
-    with "r" and "h", or an array is ragged or holds a non-number.
+    object or has a key outside that set, the constant is not a finite
+    number, "radial" is not an object with exactly "r" and "h", or an array
+    is ragged or holds a non-number.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a field must be a JSON object, not {type(doc).__name__}")
+    _known_keys(doc, "a field", ("constant", "periodic_grid", "radial", "radial_params"))
     radial = doc.get("radial")
     if radial is not None:
         if not (isinstance(radial, dict) and "r" in radial and "h" in radial):
             raise ValueError("key 'radial' must be an object with 'r' and 'h'")
+        _known_keys(radial, "'radial'", ("r", "h"))
         table = (_numbers(radial["r"], "radial.r"), _numbers(radial["h"], "radial.h"))
         radial = RadialDecaying(table=table)
     periodic = doc.get("periodic_grid")
@@ -652,9 +681,7 @@ def radial_curvature_from_dict(params) -> RadialCurvature:
     is rejected by name."""
     if not isinstance(params, dict):
         raise ValueError("'radial_params' must be a JSON object")
-    for key in params:
-        if key not in ("A", "gamma", "s0"):
-            raise ValueError(f"unknown key {key!r} in 'radial_params' (keys: A, gamma, s0)")
+    _known_keys(params, "'radial_params'", ("A", "gamma", "s0"))
     return RadialCurvature(
         A=_number(params, "A"),
         gamma=_number(params, "gamma"),

@@ -29,8 +29,9 @@ from .curves import (
     rot90,
     trig_resample,
 )
-from .energy import EnergyContext, area_gradient, energy_gradient, pair
+from .energy import area_gradient, energy_gradient, pair
 from .errors import StepTooLarge
+from .fields import CurvatureField
 
 __all__ = [
     "MagneticConfig",
@@ -198,11 +199,27 @@ def gyroradius(cfg: MagneticConfig) -> float:
 
 @dataclass(frozen=True)
 class CylinderLift:
-    """Structured surface mesh (u1(theta), u2(theta), log r)."""
+    """Structured surface mesh (u1(theta), u2(theta), log r).
+
+    The mesh is the product of the ntheta curve points and the nr values of
+    log r, so it is stored as those two factors; ``vertices`` builds the
+    (ntheta, nr, 3) grid from them, and ``write_off`` formats each point
+    and each log r once.
+    """
 
     theta: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
-    vertices: np.ndarray = field(repr=False)  # (ntheta, nr, 3)
+    points: np.ndarray = field(repr=False)  # (ntheta, 2)
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """The (ntheta, nr, 3) vertex grid: point i at height log r[j]."""
+        nt, nr = len(self.points), len(self.r)
+        verts = np.empty((nt, nr, 3))
+        verts[:, :, 0] = self.points[:, 0:1]
+        verts[:, :, 1] = self.points[:, 1:2]
+        verts[:, :, 2] = np.log(self.r)[None, :]
+        return verts
 
     def faces(self) -> np.ndarray:
         """Triangle indices into the flattened vertex grid, wrapping theta.
@@ -211,7 +228,7 @@ class CylinderLift:
         d = (i, j+1) and gives triangles (a, b, c), (a, c, d), in order of
         i, then j.
         """
-        nt, nr = self.vertices.shape[:2]
+        nt, nr = len(self.points), len(self.r)
         j = np.arange(nr - 1)
         a = np.arange(nt)[:, None] * nr + j
         b = (np.arange(1, nt + 1) % nt)[:, None] * nr + j
@@ -222,11 +239,14 @@ class CylinderLift:
         return tris.reshape(-1, 3)
 
     def write_off(self, path) -> None:
-        """ASCII OFF mesh: vertices then triangular faces."""
-        verts = self.vertices.reshape(-1, 3).tolist()
+        """ASCII OFF mesh: vertices (``x y z`` in shortest round-trip
+        decimals, in the order of the flattened grid) then triangular
+        faces."""
+        xy = [f"{x!r} {y!r} " for x, y in self.points.tolist()]
+        z = [repr(v) for v in np.log(self.r).tolist()]
         faces = self.faces().tolist()
-        lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
-        lines += [f"{x!r} {y!r} {z!r}" for x, y, z in verts]
+        lines = ["OFF", f"{len(xy) * len(z)} {len(faces)} 0"]
+        lines += [p + q for p in xy for q in z]
         lines += [f"3 {a} {b} {c}" for a, b, c in faces]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -256,12 +276,7 @@ def lift_to_cylinder(
     total = length(cs)
     theta = total * np.arange(ntheta) / ntheta
     pts = trig_resample(cs.samples, cs.period, nodes=ntheta)
-    r = np.geomspace(r_lo, r_hi, nr)
-    verts = np.empty((ntheta, nr, 3))
-    verts[:, :, 0] = pts[:, 0:1]
-    verts[:, :, 1] = pts[:, 1:2]
-    verts[:, :, 2] = np.log(r)[None, :]
-    return CylinderLift(theta=theta, r=r, vertices=verts)
+    return CylinderLift(theta=theta, r=np.geomspace(r_lo, r_hi, nr), points=pts)
 
 
 @dataclass(frozen=True)
@@ -283,26 +298,27 @@ class SolutionReport:
         return self.max_residual() <= tol
 
 
-def verify_solution(curve: ClosedCurve, ctx: EnergyContext, lam: float) -> SolutionReport:
+def verify_solution(curve: ClosedCurve, field: CurvatureField, lam: float) -> SolutionReport:
     """Residual report for a candidate constant-speed curvature solution.
 
     Four independent diagnostics: relative speed variation, curvature gap
     sup |K - H + lam|, second-order equation residual
     sup |u'' - Lbar (H - lam) i u'| with Lbar the mean speed, and the L^2
-    norm of the constrained-energy gradient.  Always returns a report.
+    norm of the constrained-energy gradient.  Each reads H only, so no
+    vector potential is built.  Always returns a report.
     """
     du = derivative(curve, 1)
     d2u = derivative(curve, 2)
     speed = np.hypot(du[:, 0], du[:, 1])
     speed_var = float((speed.max() - speed.min()) / speed.mean())
-    h = ctx.field.value(curve.samples)
+    h = field.value(curve.samples)
     kappa = curvature(curve)
     curv_res = float(np.abs(kappa - h + lam).max())
     mean_speed = length(curve) / curve.period
     ode_res = float(
         np.abs(d2u - mean_speed * ((h - lam)[:, None] * rot90(du))).max()
     )
-    grad = energy_gradient(curve, ctx) - lam * area_gradient(curve)
+    grad = energy_gradient(curve, field) - lam * area_gradient(curve)
     grad_norm = math.sqrt(max(pair(curve, grad, grad), 0.0))
     return SolutionReport(
         speed_variation=speed_var,

@@ -200,7 +200,7 @@ def test_criterion_05_gradient_correctness(sine_field_half):
     worst_cross = 0.0
     for seed in range(3):
         c = ClosedCurve(1.0, random_loop(np.random.default_rng(100 + seed)))
-        g = energy_gradient(c, ctx)
+        g = energy_gradient(c, ctx.field)
         gnorm = math.sqrt(pair(c, g, g))
         for _ in range(20):
             phi = np.zeros((256, 2))
@@ -353,7 +353,7 @@ def test_criterion_09_ode_variational_consistency(sine_field_half):
     for tau in (0.8, 1.3):
         res = minimize_area_constrained(ctx, tau)
         assert res.converged
-        rep = verify_solution(res.curve, ctx, res.lam)
+        rep = verify_solution(res.curve, ctx.field, res.lam)
         worst_rep = max(worst_rep, rep.max_residual())
         du = derivative(res.curve, 1)
         v0 = du[0] / np.hypot(*du[0])

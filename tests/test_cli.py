@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import importlib
 import inspect
 import json
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 import prescurve
-from prescurve import cli
 from prescurve.cli import main
 from prescurve.curves import circle, read_curve, write_curve
 from prescurve.fields import CurvatureField, periodic_from_callable
@@ -109,6 +109,9 @@ class TestSolve:
         ('{"periodic_grid": [["a", 0.0], [0.0, 0.0]]}', "'periodic_grid'"),
         ('{"radial": {"r": [0, 1, 2, "x"], "h": [1, 0, 0, 0]}}', "'radial.r'"),
         ('{"radial": {"r": [0, 1, 2, 3], "h": [[1], 0, 0, 0]}}', "'radial.h'"),
+        ('{"periodc_grid": [[0.0, 0.0], [0.0, 0.0]]}', "'periodc_grid'"),
+        ('{"constant": 1.0, "Constant": 2.0}', "'Constant'"),
+        ('{"radial": {"r": [0, 1, 2, 3], "h": [1, 0, 0, 0], "s": 1}}', "'s'"),
     ],
 )
 def test_malformed_field_exit_2(tmp_path, capsys, text, key):
@@ -150,6 +153,7 @@ def test_malformed_field_exit_2(tmp_path, capsys, text, key):
         ("solve", "[1, 2]", "cfg.json"),
         ("sweep", '"x"', "cfg.json"),
         ("solve", "{not json", "cfg.json"),
+        ("solve", '{"field": {"periodc_grid": [[0.0]]}, "tau": 1}', "'periodc_grid'"),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, key):
@@ -453,6 +457,21 @@ def test_sweep_runs_without_scipy(tmp_path):
     assert (tmp_path / "out" / "sweep.csv").is_file()
 
 
+def test_import_starts_no_pool_machinery():
+    # the process pool is imported only when a command runs with jobs > 1
+    src = Path(prescurve.__file__).resolve().parents[1]
+    code = (
+        "import sys, prescurve.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
 class TestSweep:
     def test_flat_scaling_column(self, tmp_path, field_zero):
         out = tmp_path / "out"
@@ -485,12 +504,12 @@ class TestSweep:
     ):
         pools = []
 
-        class CountingPool(cli.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         base = {"tau_grid": [0.7, 1.0, 1.4], "warm_start": warm_start}
         outs = []
         for name, jobs in (("seq", 1), ("par", 3)):
@@ -700,6 +719,32 @@ class TestMagneticCylinderCheck:
         )
         assert code == 0
         assert json.loads((chk_out / "check_report.json").read_text())["ok"]
+
+    def test_check_builds_no_potential(self, tmp_path, monkeypatch, field_periodic):
+        solve_out = tmp_path / "solve"
+        argv = ["solve", "--field", field_periodic, "--tau", "1.0", "--out", str(solve_out)]
+        assert main(argv) == 0
+        lam = json.loads((solve_out / "solve_report.json").read_text())["lambda"]
+        argv = [
+            "check",
+            "--curve",
+            str(solve_out / "minimizer_curve.json"),
+            "--field",
+            field_periodic,
+            "--lam",
+            repr(lam),
+        ]
+        assert main([*argv, "--out", str(tmp_path / "ref")]) == 0
+
+        def refuse(field):
+            raise AssertionError("check built a vector potential")
+
+        monkeypatch.setattr(prescurve.energy, "build_potential", refuse)
+        monkeypatch.setattr(prescurve.fields, "build_potential", refuse)
+        assert main([*argv, "--out", str(tmp_path / "chk")]) == 0
+        report = (tmp_path / "chk" / "check_report.json").read_bytes()
+        assert report == (tmp_path / "ref" / "check_report.json").read_bytes()
+        assert json.loads(report)["ok"]
 
     def test_check_corrupted_curve_exit_2(self, tmp_path, field_zero):
         bad = tmp_path / "bad.json"

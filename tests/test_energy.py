@@ -157,7 +157,7 @@ class TestEnergyGradient:
         t = np.arange(256) / 256
         for trial in range(3):
             c = ClosedCurve(1.0, random_loop(rng))
-            g = energy_gradient(c, ctx_periodic)
+            g = energy_gradient(c, ctx_periodic.field)
             gnorm = math.sqrt(pair(c, g, g))
             worst = 0.0
             for _ in range(20):
@@ -177,14 +177,14 @@ class TestEnergyGradient:
 
     def test_tangential_direction_vanishes(self, ctx_periodic):
         c = wobbly_curve(seed=3)
-        g = energy_gradient(c, ctx_periodic)
+        g = energy_gradient(c, ctx_periodic.field)
         du = derivative(c, 1)
         scale = math.sqrt(pair(c, g, g)) * math.sqrt(pair(c, du, du))
         assert abs(pair(c, g, du)) < 1e-8 * max(scale, 1.0)
 
     def test_critical_circle(self, ctx_one):
         c = circle(1.0, n=256, orientation=1)  # K = +1 = H
-        g = energy_gradient(c, ctx_one)
+        g = energy_gradient(c, ctx_one.field)
         assert np.abs(g).max() < 1e-6
 
 
@@ -210,7 +210,7 @@ class TestShapeDerivative:
     def test_agrees_with_gradient_pairing(self, ctx_periodic, rng):
         t = np.arange(256) / 256
         c = wobbly_curve(seed=17)
-        g = energy_gradient(c, ctx_periodic)
+        g = energy_gradient(c, ctx_periodic.field)
         for _ in range(10):
             v = np.zeros((256, 2))
             for k in range(5):

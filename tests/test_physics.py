@@ -89,6 +89,17 @@ def reference_faces(nt, nr):
     return np.asarray(quads, dtype=int)
 
 
+def reference_off(lift) -> bytes:
+    """OFF file written vertex by vertex from the (ntheta, nr, 3) grid: the
+    reference for ``CylinderLift.write_off``."""
+    verts = lift.vertices.reshape(-1, 3).tolist()
+    faces = lift.faces().tolist()
+    lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
+    lines += [f"{x!r} {y!r} {z!r}" for x, y, z in verts]
+    lines += [f"3 {a} {b} {c}" for a, b, c in faces]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def assert_matches_oracle(states, path):
     assert states.shape == path.shape
     assert np.abs(states - path).max() <= 1e-12 * max(1.0, np.abs(path).max())
@@ -330,6 +341,18 @@ class TestCylinderLift:
         assert faces.min() >= 0 and faces.max() < 16 * 5
         np.testing.assert_array_equal(faces, reference_faces(16, 5))
 
+    @pytest.mark.parametrize("grid", [(5, 2), (16, 5)])
+    def test_off_bytes_match_per_vertex_writer(self, tmp_path, grid):
+        # a loop moved to negative coordinates, and radii on both sides of 1,
+        # so that log r takes both signs
+        samples = random_loop(np.random.default_rng(4), n=128) - np.array([2.0, 1.0])
+        lift = lift_to_cylinder(ClosedCurve(1.0, samples), (0.3, 2.5), grid)
+        z = lift.vertices[:, :, 2]
+        assert (lift.points < 0).any() and (z < 0).any() and (z > 0).any()
+        path = tmp_path / "mesh.off"
+        lift.write_off(path)
+        assert path.read_bytes() == reference_off(lift)
+
     @pytest.mark.parametrize("grid", [(3, 2), (1, 4), (64, 33)])
     def test_faces_match_loop(self, grid):
         lift = lift_to_cylinder(circle(1.0, n=64), (0.5, 2.0), grid)
@@ -359,24 +382,24 @@ class TestCylinderLift:
 
 class TestVerifySolution:
     def test_exact_circle(self):
-        ctx = build_context(CurvatureField.from_parts(constant=1.0))
-        rep = verify_solution(circle(1.0, n=256), ctx, 0.0)
+        field = CurvatureField.from_parts(constant=1.0)
+        rep = verify_solution(circle(1.0, n=256), field, 0.0)
         assert rep.max_residual() < 1e-8
         assert rep.ok()
 
     def test_perturbation_monotone(self):
-        ctx = build_context(CurvatureField.from_parts(constant=1.0))
+        field = CurvatureField.from_parts(constant=1.0)
         base = circle(1.0, n=256)
         t = 2 * np.pi * np.arange(256) / 256
         bump = np.stack([np.cos(3 * t), np.sin(5 * t)], axis=1)
         resids = []
         for eps in (1e-4, 1e-3, 1e-2):
             pert = base.samples + eps * bump
-            rep = verify_solution(ClosedCurve(1.0, pert), ctx, 0.0)
+            rep = verify_solution(ClosedCurve(1.0, pert), field, 0.0)
             resids.append(rep.curvature_residual)
         assert resids[0] < resids[1] < resids[2]
 
     def test_converged_minimizer(self, periodic_setup):
         ctx, mres = periodic_setup
-        rep = verify_solution(mres.curve, ctx, mres.lam)
+        rep = verify_solution(mres.curve, ctx.field, mres.lam)
         assert rep.ok(1e-3)
