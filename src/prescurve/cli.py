@@ -240,6 +240,7 @@ def cmd_solve(cfg) -> int:
             "area_error": result.area_error,
             "iterations": result.iterations,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
         },
     )
     if not result.converged:

@@ -20,6 +20,17 @@ of H and Q on a shared B-spline stencil gives the objective
 sqrt(sum |u'|^2 / N) + sum Q . i u' / N.  The accepted trial's spectrum,
 u' and H then make the next gradient, with u'' = s irfft(spectrum (2 pi i k)^2).
 
+A solve at more than ``COARSE_N`` nodes runs in two stages (nested
+iteration, the first stage of full multigrid; Brandt, Math. Comp. 31
+(1977)): the descent runs at ``COARSE_N`` nodes from the start curve
+resampled there, then the coarse iterate, resampled exactly to N nodes,
+starts the descent at N with the same ``tol_grad``.  The preconditioner
+makes the iteration count nearly independent of N, so the finish at N
+usually takes one iteration.  ``max_iter`` caps both stages together and
+``iterations`` counts both; a coarse stage that stops for ``line_search``
+or ``max_iter`` ends the solve there, and the final curve, multiplier and
+residual are still computed at N.
+
 The Lagrange multiplier is extracted after the fact as the speed-weighted
 mean of H - K; it is diagnostic, not an optimization variable.
 """
@@ -70,6 +81,8 @@ PRECOND_EPS = 1.0
 ARMIJO = 1e-4
 #: Iterations between integer recenterings in a purely periodic field.
 RECENTER_EVERY = 50
+#: Node count of the first, coarse stage of a solve at more nodes.
+COARSE_N = 128
 #: Competitor discs of the initial-circle search scored per field lookup.
 DISCS_PER_LOOKUP = 8
 
@@ -261,6 +274,31 @@ def _descend(ctx: EnergyContext, cur: _Trial, tau: float, step: float, tol_grad:
     return cur, step, "line_search"
 
 
+def _stage(
+    ctx: EnergyContext,
+    cur: _Trial,
+    tau: float,
+    step: float,
+    done: int,
+    opts: MinimizeOptions,
+):
+    """Descend from ``cur`` until a stop, counting iterations on from
+    ``done``, so that ``opts.max_iter`` caps every stage of a solve together.
+
+    Returns ``(trial, step, iterations, stop_reason)``.
+    """
+    periodic_only = ctx.field.periodic is not None and ctx.field.radial is None
+    for iterations in range(done + 1, opts.max_iter + 1):
+        cur, step, reason = _descend(ctx, cur, tau, step, opts.tol_grad)
+        if reason is not None:
+            return cur, step, iterations, reason
+        if periodic_only and iterations % RECENTER_EVERY == 0:
+            # u', u'' and the periodic H are unchanged by an integer shift
+            shift = np.round(cur.samples.mean(axis=0))
+            cur = replace(cur, samples=cur.samples - shift)
+    return cur, step, opts.max_iter, "max_iter"
+
+
 def _disc_scores(ctx: EnergyContext, centers: np.ndarray, radius: float) -> np.ndarray:
     """Approximate integrals of H over the discs of one radius about each
     of a (K, 2) array of centers, by midpoint polar quadrature.
@@ -316,40 +354,42 @@ def minimize_area_constrained(
     diagnostics.  ``stop_reason`` says why the descent stopped;
     ``converged`` holds when the residual and area tolerances are met and
     the descent stopped before the iteration cap.  A result is returned
-    even when the cap is hit.
+    even when the cap is hit.  Above ``COARSE_N`` samples the descent runs
+    at ``COARSE_N`` nodes first; ``iterations`` counts both stages.
     """
     if tau == 0.0:
         raise ValueError("tau must be nonzero")
     opts = opts or MinimizeOptions()
 
+    n = opts.n_samples
+    n_start = min(n, COARSE_N)
     if opts.initial is not None:
         start = opts.initial
-        if start.n != opts.n_samples:
-            samples = trig_resample(start.samples, start.period, nodes=opts.n_samples)
+        if start.n != n_start:
+            samples = trig_resample(start.samples, start.period, nodes=n_start)
             start = ClosedCurve(period=start.period, samples=samples)
         if start.period != 1.0:
             # the constrained problem is posed at period 1; the functionals
             # are parametrization covariant, so reuse the samples there
             start = ClosedCurve(period=1.0, samples=start.samples)
     else:
-        start = _initial_circle(ctx, tau, opts.n_samples)
+        start = _initial_circle(ctx, tau, n_start)
 
-    cur = _trial(ctx, start.samples, tau)
-    step = 1.0
-    stop_reason = "max_iter"
-    periodic_only = ctx.field.periodic is not None and ctx.field.radial is None
+    cur, step, iterations, stop_reason = _stage(
+        ctx, _trial(ctx, start.samples, tau), tau, 1.0, 0, opts
+    )
+    samples = cur.samples
+    if n_start < n:
+        # nested iteration: the coarse minimizer, resampled exactly, starts
+        # the descent at n; a coarse stop other than tol_grad ends the solve
+        samples = trig_resample(samples, 1.0, nodes=n)
+        if stop_reason == "tol_grad":
+            cur, _, iterations, stop_reason = _stage(
+                ctx, _trial(ctx, samples, tau), tau, step, iterations, opts
+            )
+            samples = cur.samples
 
-    for iterations in range(1, opts.max_iter + 1):
-        cur, step, reason = _descend(ctx, cur, tau, step, opts.tol_grad)
-        if reason is not None:
-            stop_reason = reason
-            break
-        if periodic_only and iterations % RECENTER_EVERY == 0:
-            # u', u'' and the periodic H are unchanged by an integer shift
-            shift = np.round(cur.samples.mean(axis=0))
-            cur = replace(cur, samples=cur.samples - shift)
-
-    final = reparametrize_constant_speed(ClosedCurve(period=1.0, samples=cur.samples))
+    final = reparametrize_constant_speed(ClosedCurve(period=1.0, samples=samples))
     final = ClosedCurve(period=1.0, samples=_project_area(final.samples, 1.0, tau))
     lam = extract_lagrange_multiplier(final, ctx)
     kappa = curvature(final)

@@ -65,10 +65,21 @@ class TestSolve:
         assert code == 0
         report = json.loads((out / "solve_report.json").read_text())
         assert report["converged"]
+        assert report["stop_reason"] == "tol_grad"
         assert report["lambda"] == pytest.approx(1.0, abs=1e-4)
         curve = read_curve(out / "minimizer_curve.json")
         radii = np.hypot(*(curve.samples - curve.samples.mean(axis=0)).T)
         assert radii.mean() == pytest.approx(1.0, abs=1e-6)
+
+    def test_capped_solve_reports_stop_reason(self, tmp_path, field_periodic):
+        config = tmp_path / "solve.json"
+        config.write_text('{"tau": 1.0, "max_iter": 2}')
+        out = tmp_path / "out"
+        argv = ["solve", "--field", field_periodic, "--config", str(config), "--out", str(out)]
+        assert main(argv) == 1
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["stop_reason"] == "max_iter"
+        assert report["iterations"] == 2 and not report["converged"]
 
     def test_missing_field_exit_2(self, tmp_path, capsys):
         code = main(["solve", "--field", str(tmp_path / "nope.json"), "--tau", "1"])

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from prescurve.errors import FieldTooLarge, SignIncompatible
 from prescurve.fields import CurvatureField, RadialDecaying, periodic_from_callable
 from prescurve import minimize
 from prescurve.minimize import (
+    COARSE_N,
     SHARP_ISOPERIMETRIC,
     MinimizeOptions,
     MinimizeResult,
@@ -168,6 +170,110 @@ class TestStopReason:
         res = minimize_area_constrained(ctx_periodic, 1.0)
         assert res.stop_reason == "line_search"
         assert res.iterations == 1
+
+
+def _count_descents(monkeypatch) -> collections.Counter:
+    """Count ``_descend`` calls by the node count of the iterate."""
+    calls = collections.Counter()
+    descend = minimize._descend
+
+    def counted(ctx, cur, *args):
+        calls[len(cur.samples)] += 1
+        return descend(ctx, cur, *args)
+
+    monkeypatch.setattr(minimize, "_descend", counted)
+    return calls
+
+
+class TestCoarseToFine:
+    @pytest.mark.parametrize("tau", [1.0, -2.0])
+    def test_matches_single_stage(self, ctx_periodic, monkeypatch, tau):
+        opts = MinimizeOptions(n_samples=1024)
+        calls = _count_descents(monkeypatch)
+        two = minimize_area_constrained(ctx_periodic, tau, opts)
+        assert set(calls) == {COARSE_N, 1024}
+        assert two.iterations == sum(calls.values())
+        calls.clear()
+        monkeypatch.setattr(minimize, "COARSE_N", 2048)
+        one = minimize_area_constrained(ctx_periodic, tau, opts)
+        assert set(calls) == {1024}
+        assert two.energy_value == pytest.approx(one.energy_value, rel=0.0, abs=1e-10)
+        for res in (two, one):
+            assert res.stop_reason == "tol_grad" and res.converged
+            assert res.curve.n == 1024
+            assert res.curvature_residual <= opts.tol_residual
+            assert res.area_error <= opts.tol_area
+
+    @pytest.mark.parametrize("n", [64, COARSE_N])
+    def test_single_stage_up_to_coarse_n(self, ctx_periodic, monkeypatch, n):
+        opts = MinimizeOptions(n_samples=n)
+        res = minimize_area_constrained(ctx_periodic, 1.0, opts)
+        monkeypatch.setattr(minimize, "COARSE_N", 4096)
+        single = minimize_area_constrained(ctx_periodic, 1.0, opts)
+        assert res.iterations == single.iterations
+        np.testing.assert_array_equal(res.curve.samples, single.curve.samples)
+        assert res.lam == single.lam
+
+    @pytest.mark.parametrize("n_start", [96, 1024])
+    def test_warm_start_runs_both_stages(self, ctx_periodic, monkeypatch, n_start):
+        # the sweep's warm start: a minimizer at another area, here held at
+        # another N, is resampled to COARSE_N and finished at 512 nodes
+        prev = minimize_area_constrained(
+            ctx_periodic, 0.8, MinimizeOptions(n_samples=n_start)
+        ).curve
+        cold = minimize_area_constrained(ctx_periodic, 1.0, MinimizeOptions(n_samples=512))
+        calls = _count_descents(monkeypatch)
+        warm = minimize_area_constrained(
+            ctx_periodic, 1.0, MinimizeOptions(n_samples=512, initial=prev)
+        )
+        assert set(calls) == {COARSE_N, 512}
+        assert warm.iterations == sum(calls.values())
+        assert warm.stop_reason == "tol_grad" and warm.converged
+        assert warm.curve.n == 512
+        assert warm.energy_value == pytest.approx(cold.energy_value, rel=0.0, abs=1e-9)
+
+    def test_coarse_cap_ends_the_solve_at_n(self, ctx_periodic, monkeypatch):
+        calls = _count_descents(monkeypatch)
+        res = minimize_area_constrained(
+            ctx_periodic, 1.0, MinimizeOptions(n_samples=512, max_iter=3)
+        )
+        assert dict(calls) == {COARSE_N: 3}
+        assert res.stop_reason == "max_iter" and res.iterations == 3
+        assert not res.converged
+        # the coarse iterate is resampled: the reported curve has n samples
+        assert res.curve.n == 512
+        assert res.area_error <= 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    amplitude=st.floats(0.0, 0.5),
+    phase=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    tau=st.one_of(st.floats(-4.0, -0.25), st.floats(0.25, 4.0)),
+)
+def test_refinement_invariance(amplitude, phase, tau):
+    # the answer does not depend on the node count that carries it; the
+    # multiplier is first order in the distance to the minimizer, so two
+    # descents that meet tol_grad by different paths agree in it only to
+    # about 1e-6, against 1e-10 for the energy
+    px, py = phase
+    grid = periodic_from_callable(
+        lambda x, y: amplitude
+        * np.sin(2 * np.pi * (x + px))
+        * np.sin(2 * np.pi * (y + py)),
+        m=64,
+    )
+    ctx = build_context(CurvatureField.from_parts(periodic=grid))
+    coarse, fine = (
+        minimize_area_constrained(ctx, tau, MinimizeOptions(n_samples=n))
+        for n in (256, 1024)
+    )
+    assert fine.stop_reason == coarse.stop_reason
+    assert fine.energy_value == pytest.approx(coarse.energy_value, rel=1e-8, abs=0.0)
+    assert fine.curvature_residual == pytest.approx(
+        coarse.curvature_residual, rel=0.25, abs=1e-7
+    )
+    assert fine.lam == pytest.approx(coarse.lam, rel=0.0, abs=1e-6)
 
 
 def _fourier(rng, n, modes, amplitude):
