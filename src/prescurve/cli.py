@@ -337,6 +337,7 @@ def cmd_immersed(cfg) -> int:
                 "converged": res.converged,
                 "phi": res.phi.tolist(),
                 "curve_file": f"immersed_n{res.n}_curve.json",
+                "stop_reason": res.stop_reason,
             }
         )
         all_ok = all_ok and res.converged

@@ -132,7 +132,9 @@ def _speed(curve: ClosedCurve) -> np.ndarray:
 
 
 def _require_regular(curve: ClosedCurve, speed: np.ndarray) -> None:
-    threshold = EPS_REG * max(length(curve), 0.0) / curve.period
+    # the length as ``length`` forms it, from the speed the caller has
+    total = float(speed.sum() * curve.period / curve.n)
+    threshold = EPS_REG * max(total, 0.0) / curve.period
     if speed.min() <= threshold:
         raise DegenerateSpeed(
             f"min speed {speed.min():.3e} <= threshold {threshold:.3e}"
@@ -160,7 +162,11 @@ def curvature(curve: ClosedCurve) -> np.ndarray:
     """Signed curvature (i u' . u'') / |u'|^3 at the sample nodes."""
     du = derivative(curve, 1)
     d2u = derivative(curve, 2)
-    speed = np.hypot(du[:, 0], du[:, 1])
+    return _curvature(curve, du, d2u, np.hypot(du[:, 0], du[:, 1]))
+
+
+def _curvature(curve: ClosedCurve, du, d2u, speed) -> np.ndarray:
+    """``curvature`` from the sampled u', u'' and speed a caller already has."""
     _require_regular(curve, speed)
     return np.einsum("ij,ij->i", rot90(du), d2u) / speed**3
 
@@ -227,6 +233,22 @@ def _regrid(values: np.ndarray, m: int) -> np.ndarray:
     return np.fft.ifft(folded, axis=0).real * (m / n)
 
 
+def _read_off(table: np.ndarray, period: float, t) -> np.ndarray:
+    """Read a tabulated interpolant off at the parameters ``t``.
+
+    ``table`` holds the interpolant at ``len(table)`` uniform nodes of the
+    period, as ``_regrid`` makes it; each parameter is read off by
+    ``RESAMPLE_STENCIL``-point equispaced Lagrange interpolation, O(1) per
+    parameter.
+    """
+    size = table.shape[0]
+    x = np.atleast_1d(np.asarray(t, dtype=float)) * (size / period)
+    left = np.floor(x)
+    stencil = (left.astype(np.int64)[:, None] + _STENCIL_OFFSETS) % size
+    weights = _lagrange_weights(x - left)
+    return np.einsum("pk,pk...->p...", weights, table[stencil])
+
+
 def trig_resample(
     values: np.ndarray, period: float, t: np.ndarray | None = None, *, nodes=None
 ):
@@ -245,7 +267,9 @@ def trig_resample(
       as above and read off by ``RESAMPLE_STENCIL``-point equispaced
       Lagrange interpolation.  The cost is O(N log N) plus O(len(t)); on
       full-spectrum data the error is on a par with summing the Fourier
-      series directly in double precision.
+      series directly in double precision.  A caller that reads the same
+      samples off more than once (``reparametrize_constant_speed``) builds
+      the table once and reads it off each time.
     """
     values = np.asarray(values, dtype=float)
     if (t is None) == (nodes is None):
@@ -254,13 +278,13 @@ def trig_resample(
         if int(nodes) != nodes or nodes < 1:
             raise ValueError(f"'nodes' must be a positive integer, got {nodes!r}")
         return _regrid(values, int(nodes))
-    size = RESAMPLE_GRID * values.shape[0]
-    table = _regrid(values, size)
-    x = np.atleast_1d(np.asarray(t, dtype=float)) * (size / period)
-    left = np.floor(x)
-    stencil = (left.astype(np.int64)[:, None] + _STENCIL_OFFSETS) % size
-    weights = _lagrange_weights(x - left)
-    return np.einsum("pk,pk...->p...", weights, table[stencil])
+    return _read_off(_regrid(values, RESAMPLE_GRID * values.shape[0]), period, t)
+
+
+#: Newton on the arclength stops once an update it applied is at most this
+#: fraction of the period; it takes ``NEWTON_MAX`` steps at most.
+NEWTON_TOL = 1e-12
+NEWTON_MAX = 6
 
 
 def reparametrize_constant_speed(curve: ClosedCurve) -> ClosedCurve:
@@ -268,6 +292,14 @@ def reparametrize_constant_speed(curve: ClosedCurve) -> ClosedCurve:
 
     The start point is kept, the period is unchanged, and length and signed
     area are preserved to spectral accuracy.
+
+    One table of ``RESAMPLE_GRID * N`` uniform nodes carries the arclength,
+    the speed and the curve, exactly, from one FFT.  The arclength column
+    gives a monotone initial guess of each target parameter by linear
+    interpolation; Newton steps read arclength and speed off the table until
+    an update is at most ``NEWTON_TOL`` times the period (at most
+    ``NEWTON_MAX`` steps; a curve of nearly constant speed takes one), and
+    the new samples are read off the same table.
     """
     speed = _speed(curve)
     _require_regular(curve, speed)
@@ -281,19 +313,19 @@ def reparametrize_constant_speed(curve: ClosedCurve) -> ClosedCurve:
             period, 2j * np.pi * k, out=np.zeros(k.shape, complex), where=k > 0
         ),
     )
+    size = RESAMPLE_GRID * n
+    table = _regrid(np.column_stack([osc0, speed, curve.samples]), size)
 
     targets = mean * curve.params
-    # monotone initial guess from a dense table, then Newton refinement with
-    # S and S' = speed read off together at each iterate
-    t_dense = period * np.arange(8 * n) / (8 * n)
-    s_dense = mean * t_dense + trig_resample(osc0, period, nodes=8 * n) - osc0[0]
-    t_cur = np.interp(targets, s_dense, t_dense)
-    jet = np.stack([osc0, speed], axis=1)
-    for _ in range(6):
-        osc, spd = trig_resample(jet, period, t_cur).T
-        t_cur = t_cur - (mean * t_cur + osc - osc0[0] - targets) / spd
-    new_samples = trig_resample(curve.samples, period, t_cur)
-    return ClosedCurve(period=period, samples=new_samples)
+    t_table = period * np.arange(size) / size
+    t_cur = np.interp(targets, mean * t_table + table[:, 0] - osc0[0], t_table)
+    for _ in range(NEWTON_MAX):
+        osc, spd = _read_off(table[:, :2], period, t_cur).T
+        update = (mean * t_cur + osc - osc0[0] - targets) / spd
+        t_cur = t_cur - update
+        if np.abs(update).max() <= NEWTON_TOL * period:
+            break
+    return ClosedCurve(period=period, samples=_read_off(table[:, 2:], period, t_cur))
 
 
 def _arcs_interleave(r1, r2, r3, r4) -> bool:

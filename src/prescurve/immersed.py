@@ -96,6 +96,10 @@ class LSResult:
     radius_evals: int
     trace: tuple
     converged: bool
+    #: why the radius search stopped: "tol_root" (Brent's method found
+    #: |lambda1| <= ``tol_root``) or "bracket_end" (lambda1 evaluated to
+    #: exactly 0 at an end of the bracket, so no search ran)
+    stop_reason: str
 
 
 @dataclass(frozen=True)
@@ -415,9 +419,9 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
     r0, f_lo = endpoint(r0, r1)
     r1, f_hi = endpoint(r1, r0)
     if f_lo == 0.0:
-        r_n = r0
+        r_n, stop_reason = r0, "bracket_end"
     elif f_hi == 0.0:
-        r_n = r1
+        r_n, stop_reason = r1, "bracket_end"
     elif f_lo * f_hi > 0.0:
         raise NoSignChange(
             f"lambda1({r0:g}) = {f_lo:.3e} and lambda1({r1:g}) = {f_hi:.3e}"
@@ -426,6 +430,7 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
         r_n, f_n = _brent(lam1_at, r0, f_lo, r1, f_hi, tol_root)
         if abs(f_n) > tol_root:
             raise MaxIterationsExceeded("radius search did not reach tol_root")
+        stop_reason = "tol_root"
 
     phi, lam1, lam2, trace = solved[r_n]
     params = AnsatzParams(n=n, R=_radius(r_n, n, h.gamma), mirror=mirror)
@@ -445,6 +450,7 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
         radius_evals=len(solved),
         trace=tuple((r, s[1], len(s[3]), s[3][-1]) for r, s in solved.items()),
         converged=converged,
+        stop_reason=stop_reason,
     )
 
 

@@ -45,9 +45,9 @@ import numpy as np
 
 from .curves import (
     ClosedCurve,
+    _curvature,
     apply_symbol,
     circle,
-    curvature,
     curve_reverse,
     derivative,
     is_simple,
@@ -391,9 +391,12 @@ def minimize_area_constrained(
 
     final = reparametrize_constant_speed(ClosedCurve(period=1.0, samples=samples))
     final = ClosedCurve(period=1.0, samples=_project_area(final.samples, 1.0, tau))
-    lam = extract_lagrange_multiplier(final, ctx)
-    kappa = curvature(final)
+    # u', u'', the speed, K and H of the final curve, each computed once
+    du = derivative(final, 1)
+    speed = np.hypot(du[:, 0], du[:, 1])
+    kappa = _curvature(final, du, derivative(final, 2), speed)
     hvals = ctx.field.value(final.samples)
+    lam = extract_lagrange_multiplier(kappa, hvals, speed)
     residual = float(np.abs(kappa - hvals + lam).max())
     area_error = abs(signed_area(final) - tau)
     converged = (
@@ -413,12 +416,11 @@ def minimize_area_constrained(
     )
 
 
-def extract_lagrange_multiplier(curve: ClosedCurve, ctx: EnergyContext) -> float:
-    """Least-squares multiplier: the speed-weighted mean of H(u) - K(u)."""
-    du = derivative(curve, 1)
-    speed = np.hypot(du[:, 0], du[:, 1])
-    kappa = curvature(curve)
-    h = ctx.field.value(curve.samples)
+def extract_lagrange_multiplier(
+    kappa: np.ndarray, h: np.ndarray, speed: np.ndarray
+) -> float:
+    """Least-squares multiplier: the speed-weighted mean of H(u) - K(u),
+    from K, H and the speed sampled at the curve's nodes."""
     return float(((h - kappa) * speed).sum() / speed.sum())
 
 

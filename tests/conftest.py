@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from prescurve.curves import apply_symbol, curvature, derivative, rot90
+from prescurve.curves import (
+    ClosedCurve,
+    apply_symbol,
+    curvature,
+    derivative,
+    rot90,
+    trig_resample,
+)
 from prescurve.errors import PrescurveError
 from prescurve.fields import CurvatureField
 from prescurve.immersed import _Frame
@@ -60,6 +67,31 @@ def dirichlet(curve) -> float:
     du = derivative(curve, 1)
     speed = np.hypot(du[:, 0], du[:, 1])
     return float(np.sqrt(curve.period * (speed**2).sum() * curve.period / curve.n))
+
+
+def reparametrize_rebuilt(curve):
+    """Constant-speed resampling as six fixed Newton steps on the arclength,
+    each through ``trig_resample``, which tabulates the interpolant anew on
+    every call; the initial guess comes from an 8N arclength table."""
+    n, period = curve.n, curve.period
+    du = derivative(curve, 1)
+    speed = np.hypot(du[:, 0], du[:, 1])
+    mean = speed.mean()
+    osc0 = apply_symbol(
+        speed,
+        lambda k: np.divide(
+            period, 2j * np.pi * k, out=np.zeros(k.shape, complex), where=k > 0
+        ),
+    )
+    targets = mean * curve.params
+    t_dense = period * np.arange(8 * n) / (8 * n)
+    s_dense = mean * t_dense + trig_resample(osc0, period, nodes=8 * n) - osc0[0]
+    t_cur = np.interp(targets, s_dense, t_dense)
+    jet = np.stack([osc0, speed], axis=1)
+    for _ in range(6):
+        osc, spd = trig_resample(jet, period, t_cur).T
+        t_cur = t_cur - (mean * t_cur + osc - osc0[0] - targets) / spd
+    return ClosedCurve(period, trig_resample(curve.samples, period, t_cur))
 
 
 class PointOnCurve(PrescurveError):

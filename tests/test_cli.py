@@ -591,6 +591,7 @@ class TestImmersed:
         for d in docs:
             assert d["residual"] <= 1e-6
             assert (out / d["curve_file"]).exists()
+            assert list(d)[-1] == "stop_reason" and d["stop_reason"] == "tol_root"
 
     def test_gamma_validation_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

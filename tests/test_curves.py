@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
+from prescurve import curves
 from prescurve.curves import (
     ClosedCurve,
     _arcs_interleave,
@@ -25,7 +26,14 @@ from prescurve.curves import (
 from prescurve.errors import DegenerateSpeed
 from prescurve.immersed import AnsatzParams, _Frame
 
-from conftest import PointOnCurve, dirichlet, fourier_sum, random_loop, winding_number
+from conftest import (
+    PointOnCurve,
+    dirichlet,
+    fourier_sum,
+    random_loop,
+    reparametrize_rebuilt,
+    winding_number,
+)
 
 
 def curve_translate(curve, offset):
@@ -258,8 +266,8 @@ class TestReparametrize:
             reparametrize_constant_speed(ClosedCurve(1.0, np.tile([1.0, 0.0], (64, 1))))
 
     def test_memory_per_sample(self):
-        # the dense arclength table and the Newton resamples keep the peak
-        # O(N) with a small constant: about 1.1 KB per sample
+        # the one 16N table of arclength, speed and curve keeps the peak
+        # O(N) with a small constant: about 1.3 KB per sample
         n = 4096
         c = ClosedCurve(1.0, random_loop(np.random.default_rng(3), n=n))
         tracemalloc.start()
@@ -269,6 +277,51 @@ class TestReparametrize:
         finally:
             tracemalloc.stop()
         assert peak <= 2000 * n
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    @given(st.integers(0, 2**32 - 1))
+    @example(17621)
+    @example(13493149)
+    @settings(max_examples=8)
+    def test_matches_rebuilt_table_oracle(self, n, seed):
+        # one table and a Newton loop that stops once converged give the
+        # curve that six steps on tables rebuilt each step give
+        c = ClosedCurve(1.0, random_loop(np.random.default_rng(seed), n=n))
+        got = reparametrize_constant_speed(c).samples
+        want = reparametrize_rebuilt(c).samples
+        assert np.abs(got - want).max() <= 1e-13 * c.diameter()
+
+    @staticmethod
+    def _read_offs(monkeypatch, curve) -> int:
+        """Newton read-offs of one call: every table read-off but the last,
+        which reads the new samples."""
+        calls = []
+        read_off = curves._read_off
+
+        def counting(table, period, t):
+            calls.append(len(t))
+            return read_off(table, period, t)
+
+        monkeypatch.setattr(curves, "_read_off", counting)
+        reparametrize_constant_speed(curve)
+        return len(calls) - 1
+
+    def test_constant_speed_takes_one_newton_step(self, monkeypatch):
+        assert self._read_offs(monkeypatch, circle(1.0, n=1024)) == 1
+
+    def test_uneven_speed_newton_steps(self, monkeypatch):
+        # speed ratio 6.8: the linear initial guess off the 16N table is
+        # close enough that two steps meet NEWTON_TOL
+        c = ClosedCurve(1.0, random_loop(np.random.default_rng(13493149)))
+        du = derivative(c, 1)
+        speed = np.hypot(du[:, 0], du[:, 1])
+        assert speed.max() / speed.min() > 6.5
+        assert self._read_offs(monkeypatch, c) <= 3
+
+    def test_newton_cap(self, monkeypatch):
+        monkeypatch.setattr(curves, "NEWTON_TOL", 0.0)
+        c = ClosedCurve(1.0, random_loop(np.random.default_rng(13493149)))
+        assert self._read_offs(monkeypatch, c) == 6
 
 
 class TestIsSimple:

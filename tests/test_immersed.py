@@ -5,6 +5,7 @@ import pytest
 
 from prescurve.curves import ClosedCurve, curvature, derivative, is_simple
 from prescurve.errors import NoSignChange
+from prescurve import immersed
 from prescurve.fields import RadialCurvature
 from prescurve.immersed import (
     AnsatzParams,
@@ -267,6 +268,28 @@ class TestFindRadius:
         res = find_radius(64, h_model)
         assert res.converged
         assert res.radius_evals == len(res.trace) <= 12
+
+    def test_stop_reason_tol_root(self, h_model):
+        res = find_radius(64, h_model)
+        assert res.stop_reason == "tol_root"
+        assert abs(res.lambda1) <= LSConfig().tol_root < abs(res.trace[0][1])
+
+    def test_stop_reason_bracket_end(self, h_model, monkeypatch):
+        # lambda1 exactly 0 at the lower end: that end is the radius, and
+        # no search runs past the two bracket ends
+        solve = immersed.fixed_point_solve
+        calls = []
+
+        def zero_at_first_end(*args, **kwargs):
+            phi, lam1, lam2, defects = solve(*args, **kwargs)
+            calls.append(args)
+            return phi, (0.0 if len(calls) == 1 else lam1), lam2, defects
+
+        monkeypatch.setattr(immersed, "fixed_point_solve", zero_at_first_end)
+        res = find_radius(64, h_model)
+        assert res.stop_reason == "bracket_end"
+        assert res.r == default_bracket(h_model)[0]
+        assert res.lambda1 == 0.0 and res.radius_evals == 2
 
     @pytest.mark.parametrize("amp, gamma", FAMILY)
     def test_family_converges_from_default_bracket(self, amp, gamma):

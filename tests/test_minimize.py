@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from prescurve.curves import (
     ClosedCurve,
     circle,
+    curvature,
     derivative,
     is_simple,
     length,
@@ -385,28 +386,46 @@ class TestProjection:
         assert signed_area(ClosedCurve(1.0, out)) == pytest.approx(2.0, abs=1e-12)
 
 
+def multiplier(curve, ctx) -> float:
+    """``extract_lagrange_multiplier`` of K, H and the speed at the nodes."""
+    du = derivative(curve, 1)
+    h = ctx.field.value(curve.samples)
+    speed = np.hypot(du[:, 0], du[:, 1])
+    return extract_lagrange_multiplier(curvature(curve), h, speed)
+
+
 class TestMultiplier:
     def test_circle_no_field(self, ctx_zero):
         # CCW circle radius r has K = 1/r, so lambda = -1/r; CW flips
         for r in (0.5, 2.0):
             ccw = circle(r, n=256, orientation=1)
-            assert extract_lagrange_multiplier(ccw, ctx_zero) == pytest.approx(
+            assert multiplier(ccw, ctx_zero) == pytest.approx(
                 -1.0 / r, rel=1e-10
             )
             cw = circle(r, n=256, orientation=-1)
-            assert extract_lagrange_multiplier(cw, ctx_zero) == pytest.approx(
+            assert multiplier(cw, ctx_zero) == pytest.approx(
                 1.0 / r, rel=1e-10
             )
 
     def test_exact_shifted_loop_recovered(self, ctx_periodic):
         res = minimize_area_constrained(ctx_periodic, 1.0)
-        lam = extract_lagrange_multiplier(res.curve, ctx_periodic)
+        lam = multiplier(res.curve, ctx_periodic)
         assert lam == pytest.approx(res.lam, abs=1e-12)
+
+    def test_final_diagnostics_match_public_functions(self, ctx_periodic):
+        # the solve takes u', u'', K and H of its final curve once; the
+        # public functions, each taking its own, give the same bits
+        res = minimize_area_constrained(ctx_periodic, 1.0)
+        c = res.curve
+        assert res.lam == multiplier(c, ctx_periodic)
+        gap = curvature(c) - ctx_periodic.field.value(c.samples) + res.lam
+        assert res.curvature_residual == float(np.abs(gap).max())
+        assert res.area_error == abs(signed_area(c) - 1.0)
 
     def test_matching_constant_curvature(self, ctx_one):
         # circle of radius 1/H0 with K = H0 gives lambda = 0
         c = circle(1.0, n=256, orientation=1)
-        assert extract_lagrange_multiplier(c, ctx_one) == pytest.approx(0.0, abs=1e-10)
+        assert multiplier(c, ctx_one) == pytest.approx(0.0, abs=1e-10)
 
     def test_circle_virial_identity(self, ctx_zero):
         # for H == 0 the weak equation tested with the curve itself gives
