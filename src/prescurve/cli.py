@@ -32,7 +32,7 @@ from .fields import (
     read_field,
     read_radial_curvature,
 )
-from .immersed import LSConfig, build_immersed_loop
+from .immersed import LSConfig, build_immersed_loop, verify_second_multiplier
 from .minimize import (
     SWEEP_CSV_HEADER,
     MinimizeOptions,
@@ -302,6 +302,8 @@ def cmd_immersed(cfg) -> int:
     n_list = _config_list(cfg, "n_list", int, default=(32, 64))
     if min(n_list) < 2:
         raise ValueError(f"config key 'n_list' entries must be >= 2, got {list(n_list)!r}")
+    if len(set(n_list)) < len(n_list):
+        raise ValueError(f"config key 'n_list' repeats an entry, got {list(n_list)!r}")
     kwargs = _config_values(
         cfg,
         {
@@ -338,6 +340,7 @@ def cmd_immersed(cfg) -> int:
                 "phi": res.phi.tolist(),
                 "curve_file": f"immersed_n{res.n}_curve.json",
                 "stop_reason": res.stop_reason,
+                "rotation_identity": verify_second_multiplier(res, h)[1],
             }
         )
         all_ok = all_ok and res.converged

@@ -101,17 +101,25 @@ class ClosedCurve:
 def apply_symbol(values: np.ndarray, symbol) -> np.ndarray:
     """Apply a Fourier multiplier to uniformly sampled periodic data.
 
-    ``values`` has N samples along axis 0; ``symbol(k)`` receives the mode
-    numbers k = 0..N/2 as floats and returns the multiplier of each mode of
-    the real FFT.  The inverse transform keeps only the real part of the
-    Nyquist product, so an odd (imaginary) symbol annihilates that mode and
-    an even one scales it as a cosine.
+    ``values`` has N samples along axis 0.  ``symbol`` gives the multiplier
+    of each mode k = 0..N/2 of the real FFT: either a callable that receives
+    the mode numbers as floats, or the precomputed array, shape (N/2+1,).
+    An array of shape (N/2+1, K) is a stack of K multipliers along a
+    trailing axis: the result gains that axis, shape ``values.shape + (K,)``,
+    and the K products share one forward transform.  The inverse transform
+    keeps only the real part of the Nyquist product, so an odd (imaginary)
+    symbol annihilates that mode and an even one scales it as a cosine.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    factor = np.asarray(symbol(np.arange(n // 2 + 1, dtype=float)))
-    factor = factor.reshape(factor.shape + (1,) * (values.ndim - 1))
-    return np.fft.irfft(np.fft.rfft(values, axis=0) * factor, n=n, axis=0)
+    if callable(symbol):
+        symbol = symbol(np.arange(n // 2 + 1, dtype=float))
+    factor = np.asarray(symbol)
+    stack = factor.shape[1:]
+    spectrum = np.fft.rfft(values, axis=0)
+    spectrum = spectrum.reshape(spectrum.shape + (1,) * len(stack))
+    factor = factor.reshape(factor.shape[:1] + (1,) * (values.ndim - 1) + stack)
+    return np.fft.irfft(spectrum * factor, n=n, axis=0)
 
 
 def derivative(curve: ClosedCurve, order: int = 1) -> np.ndarray:

@@ -410,6 +410,8 @@ class RadialCurvature:
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
+        if s.size and s.min() >= self.s0:  # no point inside s0 (and no NaN)
+            return self._outer(s)
         inner = s < self.s0
         c0, c2, c4 = self._poly
         s_safe = np.where(inner, self.s0, s)  # keep powers finite at s=0

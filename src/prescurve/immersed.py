@@ -10,11 +10,11 @@ component, removed by root-finding in the radius parameter:
    G(phi) = K(u + phi nu) - H(u + phi nu) until the update stalls,
    leaving G = lambda1 cos + lambda2 sin; for phi off the kernel this is
    the map Linv P (L phi - G(phi)) without the L that Linv would undo;
-2. search r (with R = (r n)^(1/(gamma+2))) by Brent's bracketed method
-   until lambda1 vanishes, starting each fixed point from the profile of
-   the nearest radius already solved and stopping it once its defect is
-   small against |lambda1| (an inexact solve) unless lambda1 is at the
-   root tolerance;
+2. search r (with R = (r n)^(1/(gamma+2))) by Brent's bracketed method in
+   log r, where lambda1 is closer to linear than in r, until lambda1
+   vanishes, starting each fixed point from the profile of the nearest
+   radius already solved and stopping it once its defect is small against
+   |lambda1| (an inexact solve) unless lambda1 is at the root tolerance;
 3. lambda2 vanishes by the rotational symmetry of the energy, which the
    even parity of the iteration preserves exactly.
 
@@ -22,13 +22,17 @@ All quantities here are scalar functions of one 2 pi-periodic variable:
 the ansatz is only rotation-covariant over that period, but its speed,
 curvature and distance from the origin are genuinely periodic, so the
 whole solve runs on a single period with closed-form ansatz derivatives
-and spectral derivatives of the profile.
+and spectral derivatives of the profile.  What does not depend on R (the
+nodes, the spectral symbols and the ansatz's two waves) is built once per
+sample count and loop count and shared by every radius of a search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,28 +145,82 @@ class LSConfig:
             raise ValueError(f"'r_bracket' must be a pair 0 < r0 < r1, got {r!r}")
 
 
-def _nodes(num: int) -> np.ndarray:
-    """``num`` uniform nodes of [0, 2 pi)."""
-    return 2.0 * np.pi * np.arange(num) / num
+def _frozen(*arrays):
+    """The arrays, made read-only: cached tables are shared between calls."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def _sderiv(values: np.ndarray, order: int) -> np.ndarray:
-    """Spectral derivative of 2 pi-periodic samples."""
-    return apply_symbol(values, lambda k: (1j * k) ** order)
+class _Grid(NamedTuple):
+    """The R-free tables of the profile solve at ``num`` nodes."""
+
+    t: np.ndarray  # the nodes
+    cos_t: np.ndarray
+    sin_t: np.ndarray
+    jet: np.ndarray  # the symbols ik and (ik)^2, stacked along axis 1
+    inverse: np.ndarray  # the symbol of Linv: 1/(1 - k^2), 0 on the kernel
+
+
+@lru_cache(maxsize=8)
+def _grid(num: int) -> _Grid:
+    t = 2.0 * np.pi * np.arange(num) / num
+    k = np.arange(num // 2 + 1, dtype=float)
+    return _Grid(
+        *_frozen(
+            t,
+            np.cos(t),
+            np.sin(t),
+            np.stack([(1j * k) ** order for order in (1, 2)], axis=1),
+            np.divide(1.0, 1.0 - k**2, out=np.zeros_like(k), where=k != 1.0),
+        )
+    )
+
+
+def _derivatives(phi: np.ndarray):
+    """phi' and phi'' of 2 pi-periodic samples, from one forward transform."""
+    jet = apply_symbol(phi, _grid(len(phi)).jet)
+    return jet[:, 0], jet[:, 1]
+
+
+def _frequencies(params: AnsatzParams, rescaled: bool = True):
+    """Slow and fast frequencies of the ansatz's two waves: (+-1/m, n/m) in
+    the rescaled parameter, (+-1/n, 1) in the full one."""
+    m = params.rescale if rescaled else params.n
+    return params.sign / m, (params.n / m) if rescaled else 1.0
+
+
+@lru_cache(maxsize=8)
+def _node_waves(w1: float, w2: float, num: int):
+    """exp(i w1 t) and exp(i w2 t) at ``num`` uniform nodes."""
+    t = _grid(num).t
+    return _frozen(np.exp(1j * w1 * t), np.exp(1j * w2 * t))
+
+
+def _node_frame(params: AnsatzParams, num: int) -> "_Frame":
+    """The rescaled frame at ``num`` uniform nodes.  Its waves do not depend
+    on R, so a radius search builds them once."""
+    waves = _node_waves(*_frequencies(params), num)
+    return _Frame(params, _grid(num).t, waves=waves)
 
 
 class _Frame:
-    """Closed-form ansatz data at sample nodes, as complex arrays."""
+    """Closed-form ansatz data at sample nodes, as complex arrays.
+
+    ``waves`` are exp(i w1 t) and exp(i w2 t) at ``t`` when the caller has
+    them; by default they are computed here.
+    """
 
     __slots__ = ("t", "u", "du", "d2u", "d3u", "nu", "dnu", "d2nu", "speed")
 
-    def __init__(self, params: AnsatzParams, t: np.ndarray, rescaled: bool = True):
-        n, R, sgn = params.n, params.R, params.sign
-        m = params.rescale if rescaled else n
-        w1 = sgn / m            # slow frequency
-        w2 = (n / m) if rescaled else 1.0
-        e1 = np.exp(1j * w1 * t)
-        e2 = np.exp(1j * w2 * t)
+    def __init__(
+        self, params: AnsatzParams, t: np.ndarray, rescaled: bool = True, waves=None
+    ):
+        R = params.R
+        w1, w2 = _frequencies(params, rescaled)  # slow, fast
+        if waves is None:
+            waves = np.exp(1j * w1 * t), np.exp(1j * w2 * t)
+        e1, e2 = waves
         self.t = t
         self.u = R * e1 + e2
         self.du = R * 1j * w1 * e1 + 1j * w2 * e2
@@ -189,10 +247,7 @@ def linf_invert_perp(f: np.ndarray) -> np.ndarray:
     Mode k maps to 1/(1 - k^2); the kernel modes are projected away, so the
     identity L(Linv f) = P f holds exactly on the truncated spectrum.
     """
-    return apply_symbol(
-        f,
-        lambda k: np.divide(1.0, 1.0 - k**2, out=np.zeros_like(k), where=k != 1.0),
-    )
+    return apply_symbol(f, _grid(len(f)).inverse)
 
 
 def _perturb(frame: _Frame, phi, dphi, d2phi):
@@ -212,14 +267,14 @@ def _perturb(frame: _Frame, phi, dphi, d2phi):
 
 def _gap(frame: _Frame, phi: np.ndarray, h: RadialCurvature) -> np.ndarray:
     """K - H of the normal perturbation u + phi * normal, sampled."""
-    w, _, kappa = _perturb(frame, phi, _sderiv(phi, 1), _sderiv(phi, 2))
+    w, _, kappa = _perturb(frame, phi, *_derivatives(phi))
     return kappa - h(np.abs(w))
 
 
 def curvature_gap(params: AnsatzParams, phi, h: RadialCurvature) -> np.ndarray:
     """Curvature gap K(u + phi nu) - H(u + phi nu) at the nodes of ``phi``."""
     phi = np.asarray(phi, dtype=float)
-    return _gap(_Frame(params, _nodes(len(phi))), phi, h)
+    return _gap(_node_frame(params, len(phi)), phi, h)
 
 
 def _multipliers(gap, cos_t, sin_t) -> tuple[float, float]:
@@ -249,16 +304,19 @@ def fixed_point_solve(
     equals Linv(L phi - G(phi)).  Steps use secant (depth-1 Anderson)
     mixing of the last two map evaluations, which has the same fixed points
     as the plain iteration but roughly squares the convergence rate; the
-    plain step is the first iterate.  Returns ``(phi, lambda1, lambda2,
-    trace)`` with the kernel multipliers of the residual gap and the
-    per-iteration defect sizes.  Raises ``NotContracting`` after five
+    plain step is the first iterate.  Each iterate takes one forward
+    transform for phi' and phi'' together and one transform pair for Linv;
+    the symbols and the ansatz's waves are built once per (n, mirror,
+    ``num_samples``).  Returns ``(phi, lambda1, lambda2, trace)`` with the
+    kernel multipliers of the residual gap and the per-iteration defect
+    sizes.  Raises ``NotContracting`` after five
     consecutive growing defects and ``MaxIterationsExceeded`` after
     ``config.max_iter`` iterations.
     """
     config = config or LSConfig()
     num = config.num_samples
-    frame = _Frame(params, _nodes(num))
-    cos_t, sin_t = np.cos(frame.t), np.sin(frame.t)
+    frame = _node_frame(params, num)
+    grid = _grid(num)
     if phi0 is None:
         phi = np.zeros(num)
     else:
@@ -283,7 +341,7 @@ def fixed_point_solve(
         else:
             growing = 0
         trace.append(delta)
-        lam1, lam2 = _multipliers(gap, cos_t, sin_t)
+        lam1, lam2 = _multipliers(gap, grid.cos_t, grid.sin_t)
         if delta <= config.tol_fp or (
             inexact
             and abs(lam1) > config.tol_root
@@ -372,7 +430,11 @@ def _brent(f, a: float, fa: float, b: float, fb: float, tol_f: float):
 def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> LSResult:
     """Search the radius parameter until the cosine multiplier vanishes.
 
-    Each evaluation runs the fixed point at R = (r n)^(1/(gamma+2)),
+    The bracket ends are solved at exactly r0 and r1; Brent's method then
+    runs in s = log r, because lambda1 depends on r through the power
+    R = (r n)^(1/(gamma+2)) and is far from linear in r across the
+    bracket.  The accepted r is the radius that was solved.  Each
+    evaluation runs the fixed point at R = (r n)^(1/(gamma+2)),
     started from the profile of the nearest radius solved so far, and
     inexactly: it stops at defect <= ``FORCING`` |lambda1| while |lambda1|
     exceeds ``config.tol_root`` (Eisenstat & Walker 1996), so every value
@@ -427,7 +489,16 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
             f"lambda1({r0:g}) = {f_lo:.3e} and lambda1({r1:g}) = {f_hi:.3e}"
         )
     else:
-        r_n, f_n = _brent(lam1_at, r0, f_lo, r1, f_hi, tol_root)
+        # each s = log r maps back to the exact radius solved there, and
+        # the bracket ends to r0 and r1 themselves
+        radius = {math.log(r0): r0, math.log(r1): r1}
+
+        def lam1_at_log(s: float) -> float:
+            radius[s] = math.exp(s)
+            return lam1_at(radius[s])
+
+        s_n, f_n = _brent(lam1_at_log, math.log(r0), f_lo, math.log(r1), f_hi, tol_root)
+        r_n = radius[s_n]
         if abs(f_n) > tol_root:
             raise MaxIterationsExceeded("radius search did not reach tol_root")
         stop_reason = "tol_root"
@@ -435,7 +506,7 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
     phi, lam1, lam2, trace = solved[r_n]
     params = AnsatzParams(n=n, R=_radius(r_n, n, h.gamma), mirror=mirror)
     gap = curvature_gap(params, phi, h)
-    residual = float(np.abs(gap - lam2 * np.sin(_nodes(len(gap)))).max())
+    residual = float(np.abs(gap - lam2 * _grid(len(gap)).sin_t).max())
     converged = abs(lam1) <= tol_root and residual <= tol_root + 100.0 * config.tol_fp
     return LSResult(
         n=n,
@@ -463,9 +534,7 @@ def verify_second_multiplier(result: LSResult, h: RadialCurvature):
     """
     params = AnsatzParams(n=result.n, R=result.R, mirror=result.mirror)
     phi = result.phi
-    w, dw, kappa = _perturb(
-        _Frame(params, _nodes(len(phi))), phi, _sderiv(phi, 1), _sderiv(phi, 2)
-    )
+    w, dw, kappa = _perturb(_node_frame(params, len(phi)), phi, *_derivatives(phi))
     gap = kappa - h(np.abs(w))
     radial_rate = (w.conjugate() * dw).real
     identity = float((-gap * radial_rate).sum() * 2.0 * np.pi / len(phi))
@@ -493,7 +562,7 @@ def build_immersed_loop(
 
     rho = params.rescale / n  # d(rescaled)/d(full parameter)
     phi = result.phi
-    jet = np.stack([phi, _sderiv(phi, 1), _sderiv(phi, 2)], axis=1)
+    jet = np.stack([phi, *_derivatives(phi)], axis=1)
     # the rescaled parameter rho * t_full = 2 pi (m j mod num_total) / num_total
     # falls on the uniform grid of num_total nodes, visited in steps of m
     up = trig_resample(jet, 2.0 * np.pi, nodes=num_total)

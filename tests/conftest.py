@@ -12,9 +12,18 @@ from prescurve.curves import (
     rot90,
     trig_resample,
 )
-from prescurve.errors import PrescurveError
+from prescurve.errors import MaxIterationsExceeded, NotContracting, PrescurveError
 from prescurve.fields import CurvatureField
-from prescurve.immersed import _Frame
+from prescurve.immersed import (
+    FORCING,
+    AnsatzParams,
+    LSConfig,
+    _brent,
+    _Frame,
+    _perturb,
+    default_bracket,
+    fixed_point_solve,
+)
 
 settings.register_profile(
     "default",
@@ -251,6 +260,91 @@ def linf_apply(phi: np.ndarray) -> np.ndarray:
 def project_perp(f: np.ndarray) -> np.ndarray:
     """Remove the cos t and sin t modes."""
     return apply_symbol(f, lambda k: np.where(k == 1.0, 0.0, 1.0))
+
+
+def sderiv(values: np.ndarray, order: int) -> np.ndarray:
+    """Spectral derivative of 2 pi-periodic samples: one transform pair per
+    call, with the symbol (ik)^order built anew."""
+    return apply_symbol(values, lambda k: (1j * k) ** order)
+
+
+def fixed_point_rebuilt(params, h, config=None, phi0=None, inexact=False):
+    """``fixed_point_solve`` with nothing shared between iterates: each
+    derivative and each Linv takes its own transform pair with its symbol
+    built anew, and the frame computes its own waves."""
+    config = config or LSConfig()
+    num = config.num_samples
+    t = 2.0 * np.pi * np.arange(num) / num
+    frame = _Frame(params, t)
+    cos_t, sin_t = np.cos(t), np.sin(t)
+    weight = 2.0 * np.pi / num / np.pi
+    if phi0 is None:
+        phi = np.zeros(num)
+    else:
+        phi = apply_symbol(np.array(phi0, dtype=float), lambda k: (k != 1.0).astype(float))
+    phi_prev = res_prev = None
+    trace = []
+    growing = 0
+    for _ in range(config.max_iter):
+        w, _, kappa = _perturb(frame, phi, sderiv(phi, 1), sderiv(phi, 2))
+        gap = kappa - h(np.abs(w))
+        residual = -apply_symbol(
+            gap,
+            lambda k: np.divide(1.0, 1.0 - k**2, out=np.zeros_like(k), where=k != 1.0),
+        )
+        delta = float(np.abs(residual).max())
+        growing = growing + 1 if trace and delta > trace[-1] else 0
+        if growing >= 5:
+            raise NotContracting("defect grew for 5 consecutive iterations")
+        trace.append(delta)
+        lam1 = float((gap * cos_t).sum() * weight)
+        lam2 = float((gap * sin_t).sum() * weight)
+        if delta <= config.tol_fp or (
+            inexact and abs(lam1) > config.tol_root and delta <= FORCING * abs(lam1)
+        ):
+            return phi, lam1, lam2, tuple(trace)
+        if res_prev is None:
+            step = residual
+        else:
+            dres = residual - res_prev
+            denom = float(np.dot(dres, dres))
+            gamma = float(np.dot(residual, dres)) / denom if denom > 0 else 0.0
+            gamma = min(max(gamma, -10.0), 10.0)
+            step = residual - gamma * (phi - phi_prev + dres)
+        phi_prev, res_prev = phi, residual
+        phi = phi + step
+    raise MaxIterationsExceeded("fixed-point defect not below tol_fp")
+
+
+def find_radius_in_r(n, h, config=None):
+    """The radius search with Brent's method in r itself, warm-started
+    inexact solves as in ``find_radius`` (no bracket-end walk).  Returns
+    ``(r, lambda1, radius_evals)``."""
+    config = config or LSConfig()
+    r0, r1 = config.r_bracket or default_bracket(h)
+    solved = {}
+
+    def lam1_at(r):
+        params = AnsatzParams(n=n, R=(r * n) ** (1.0 / (h.gamma + 2.0)), mirror=h.A < 0)
+        nearest = min(solved, key=lambda s: abs(s - r), default=None)
+        phi0 = None if nearest is None else solved[nearest]
+        phi, lam1, _, _ = fixed_point_solve(params, h, config, phi0, inexact=True)
+        solved[r] = phi
+        return lam1
+
+    f0 = lam1_at(r0)
+    r, lam1 = _brent(lam1_at, r0, f0, r1, lam1_at(r1), config.tol_root)
+    return r, lam1, len(solved)
+
+
+def radial_masked(h, s):
+    """``RadialCurvature`` by its masked formula alone: the inner
+    polynomial below s0, the power law elsewhere, chosen point by point."""
+    s = np.asarray(s, dtype=float)
+    inner = s < h.s0
+    c0, c2, c4 = h._poly
+    s_safe = np.where(inner, h.s0, s)
+    return np.where(inner, c0 + c2 * s**2 + c4 * s**4, h._outer(s_safe))
 
 
 def linearized_coeffs(params, num_samples: int = 512):

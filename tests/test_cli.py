@@ -204,6 +204,7 @@ def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, ke
         ('"samples_per_loop": 0', "'samples_per_loop'"),
         ('"tol_fp": -1', "'tol_fp'"),
         ('"max_iter": 0', "'max_iter'"),
+        ('"n_list": [32, 32]', "'n_list'"),
     ],
 )
 def test_malformed_immersed_config_exit_2(tmp_path, capsys, extra, key):
@@ -360,11 +361,10 @@ def test_immersed_missing_field_file_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# Exports that only tests call: paper claims that ROADMAP item 3 plans to
+# Exports that only tests call: a paper claim that ROADMAP item 3 plans to
 # put in the reports.
 TEST_ONLY_EXPORTS = {
     ("minimize", "check_multiplier_bounds"): "the multiplier bounds; ROADMAP item 3",
-    ("immersed", "verify_second_multiplier"): "the vanishing lambda2; ROADMAP item 3",
 }
 
 
@@ -591,7 +591,10 @@ class TestImmersed:
         for d in docs:
             assert d["residual"] <= 1e-6
             assert (out / d["curve_file"]).exists()
-            assert list(d)[-1] == "stop_reason" and d["stop_reason"] == "tol_root"
+            assert list(d)[-2:] == ["stop_reason", "rotation_identity"]
+            assert d["stop_reason"] == "tol_root"
+            # the paper's rotation identity: the integral of (H - K)(w . w')
+            assert abs(d["rotation_identity"]) < 1e-8
 
     def test_gamma_validation_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

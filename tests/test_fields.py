@@ -31,7 +31,7 @@ from prescurve.fields import (
     solve_torus_poisson,
 )
 
-from conftest import sup_norm, write_field
+from conftest import radial_masked, sup_norm, write_field
 
 
 def cell_grid(m=64):
@@ -178,6 +178,26 @@ class TestRadialCurvature:
         first_right = (at(s0 + eps) - at(s0)) / eps
         assert first_left == pytest.approx(first_right, rel=1e-3)
         assert at(s0 - 1e-12) == pytest.approx(at(s0 + 1e-12), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            np.linspace(1.0, 10.0, 101),  # every point outside s0 (fast path)
+            np.linspace(0.0, 3.0, 101),
+            np.array([2.0, np.nan, 3.0]),
+            np.array([0.5, np.nan, 3.0]),
+            np.array([]),
+            np.zeros((0, 3)),
+            np.array([[1.5, 2.0], [4.0, 1.0]]),
+        ],
+    )
+    def test_matches_masked_formula(self, s):
+        # a call with no point inside s0 skips the inner branch; values,
+        # shape and bits stay those of the point-by-point masked formula
+        h = RadialCurvature(A=-0.7, gamma=1.5)
+        got, want = np.asarray(h(s)), radial_masked(h, s)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

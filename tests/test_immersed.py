@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,14 @@ from prescurve.immersed import (
     verify_second_multiplier,
 )
 
-from conftest import linearized_coeffs, linf_apply, project_perp, winding_number
+from conftest import (
+    find_radius_in_r,
+    fixed_point_rebuilt,
+    linearized_coeffs,
+    linf_apply,
+    project_perp,
+    winding_number,
+)
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +225,25 @@ class TestFixedPoint:
         assert config.tol_fp < trace[-1] <= 0.1 * abs(lam1)
         assert np.sign(lam1) == np.sign(lam1_exact)
 
+    @pytest.mark.parametrize("inexact", [False, True])
+    @pytest.mark.parametrize("amp", [1.0, -1.0])
+    @pytest.mark.parametrize("n, R", [(8, 2.4), (32, 32**0.25), (64, 64**0.25)])
+    def test_matches_rebuilt_oracle(self, n, R, amp, inexact):
+        # the shared tables (one transform for phi' and phi'', symbols and
+        # waves built once) leave every iterate bit for bit as it was, from
+        # a zero start and from the profile of a nearby radius; at n = 8,
+        # below the asymptotic regime, R = 2.4 is one where both families
+        # contract
+        h = RadialCurvature(A=amp, gamma=2.0)
+        params = AnsatzParams(n=n, R=R, mirror=amp < 0)
+        config = LSConfig()
+        warm, *_ = fixed_point_solve(replace(params, R=0.96 * R), h, config, inexact=True)
+        for phi0 in (None, warm):
+            got = fixed_point_solve(params, h, config, phi0, inexact=inexact)
+            want = fixed_point_rebuilt(params, h, config, phi0, inexact=inexact)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1:] == want[1:]
+
     def test_profile_norm_decay(self, h_model):
         sups = {}
         for n in (32, 64, 128, 256):
@@ -264,7 +292,8 @@ class TestFindRadius:
         assert res.converged
 
     def test_evaluation_count(self, h_model):
-        # Brent with warm-started solves needs 9 radius evaluations here
+        # Brent in log r with warm-started solves needs 8 radius evaluations
+        # here
         res = find_radius(64, h_model)
         assert res.converged
         assert res.radius_evals == len(res.trace) <= 12
@@ -292,6 +321,29 @@ class TestFindRadius:
         assert res.lambda1 == 0.0 and res.radius_evals == 2
 
     @pytest.mark.parametrize("amp, gamma", FAMILY)
+    def test_bracket_end_accepted_by_brent(self, amp, gamma, monkeypatch):
+        # |lambda1| within tol_root but not 0 at the lower end: Brent's
+        # method, run in log r, accepts that end at once, and the result is
+        # the radius solved there, r0 itself (at (-0.5, 1.5),
+        # exp(log r0) != r0)
+        solve = immersed.fixed_point_solve
+        calls = []
+
+        def small_at_first_end(*args, **kwargs):
+            phi, lam1, lam2, defects = solve(*args, **kwargs)
+            calls.append(args)
+            if len(calls) == 1:
+                lam1 = math.copysign(1e-12, lam1)
+            return phi, lam1, lam2, defects
+
+        monkeypatch.setattr(immersed, "fixed_point_solve", small_at_first_end)
+        h = RadialCurvature(A=amp, gamma=gamma)
+        res = find_radius(64, h)
+        assert res.stop_reason == "tol_root"
+        assert res.r == default_bracket(h)[0]
+        assert abs(res.lambda1) == 1e-12 and res.radius_evals == 2
+
+    @pytest.mark.parametrize("amp, gamma", FAMILY)
     def test_family_converges_from_default_bracket(self, amp, gamma):
         h = RadialCurvature(A=amp, gamma=gamma)
         res = find_radius(64, h)
@@ -312,10 +364,33 @@ class TestFindRadius:
         assert abs(row[1]) <= config.tol_root
         assert row[3] <= config.tol_fp
 
+    def test_log_r_search_against_r_space_oracle(self):
+        # both searches accept a root with |lambda1| <= tol_root, so the two
+        # radii lie within 2 tol_root / |d lambda1 / dr| of each other; the
+        # search in log r needs no more evaluations over the family
+        tol_root = LSConfig().tol_root
+        evals = evals_in_r = 0
+        for amp, gamma in FAMILY:
+            h = RadialCurvature(A=amp, gamma=gamma)
+            res = find_radius(64, h)
+            r_lin, lam1_lin, count = find_radius_in_r(64, h)
+            assert abs(lam1_lin) <= tol_root
+
+            def lam1_exact(r):
+                R = (r * 64) ** (1.0 / (gamma + 2.0))
+                return fixed_point_solve(AnsatzParams(n=64, R=R, mirror=amp < 0), h)[1]
+
+            d = 1e-3 * r_lin
+            slope = (lam1_exact(r_lin + d) - lam1_exact(r_lin - d)) / (2.0 * d)
+            assert abs(res.r - r_lin) <= 2.0 * tol_root / abs(slope)
+            evals += res.radius_evals
+            evals_in_r += count
+        assert evals <= evals_in_r
+
     @pytest.mark.parametrize("amp, gamma", FAMILY)
     def test_inexact_solves_iteration_budget(self, amp, gamma):
         # solves stopped at defect <= 0.1 |lambda1| away from the root take
-        # 30-38 fixed-point iterations per search here; exact ones 92-130
+        # 28-36 fixed-point iterations per search here; exact ones 92-130
         res = find_radius(64, RadialCurvature(A=amp, gamma=gamma))
         assert res.converged
         assert sum(row[2] for row in res.trace) <= 60
