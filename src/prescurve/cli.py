@@ -374,11 +374,7 @@ def cmd_magnetic(cfg) -> int:
         if charge == 0:
             raise ValueError("config key 'charge' must be nonzero with 'b_field'")
         scale = -kwargs.get("mass", 1.0) * kwargs.get("speed", 1.0) / charge
-        at = read_field(_config_path(cfg, "b_field")).at
-
-        def b(x: float, y: float) -> float:
-            return scale * (at(x, y) - lam)
-
+        b = read_field(_config_path(cfg, "b_field")).mapped_at(scale, lam)
     else:
         raise ValueError("need a field strength 'b' or a 'b_field' file")
     mc = MagneticConfig(b=b, **kwargs)

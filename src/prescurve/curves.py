@@ -483,9 +483,11 @@ def read_curve(path) -> ClosedCurve:
 
 def write_curve(curve: ClosedCurve, path) -> None:
     # json emits floats via repr, i.e. shortest round-trip decimals; dumps,
-    # unlike dump to a file, takes the C encoder
+    # unlike dump to a file, takes the C encoder; a fresh tolist() holds no
+    # cycle, so the encoder need not track the lists it has entered
     text = json.dumps(
-        {"period": float(curve.period), "samples": curve.samples.tolist()}
+        {"period": float(curve.period), "samples": curve.samples.tolist()},
+        check_circular=False,
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

@@ -114,18 +114,44 @@ class _PeriodicSpline2D:
         out = [np.einsum("ijn,in,jn->n", t.take(index), wx, wy) for t in self._tables]
         return out[0] if self._coeffs.ndim == 2 else np.stack(out, axis=-1)
 
-    def at(self, x: float, y: float) -> float:
-        """The spline of an (M, M) grid at one point, as a float.
 
-        Reads the 4 x 4 stencil of padded coefficients through a flat float
-        view.  The orbit integrator calls it at every stage, so both axes'
-        weights (the steps of :func:`_cubic_weights`) and the 16-term sum
-        are written out in one frame, with :meth:`combine`'s operations in
-        its order; the tests hold the two equal bit for bit.
+class _SplinePoint:
+    """The point evaluator (x, y) -> ``scale * ((base + S(x, y)) - shift)``
+    of the spline S of an (M, M) grid, for one-point callers such as the
+    orbit integrator.
+
+    :meth:`at` is the one-point kernel, one Python frame per read.  It keeps
+    the last cell's 16 coefficients, one entry: successive stages of an
+    orbit mostly read the same cell.  It pickles as its spline and map.
+    """
+
+    def __init__(self, spline: _PeriodicSpline2D, base: float, scale=1.0, shift=0.0):
+        self.spline = spline
+        self.m, self.flat = spline.m, spline._flat
+        self.base, self.scale, self.shift = base, scale, shift
+        # the flat index of the last cell read, then its 16 coefficients
+        self.cell = (-1,) + (0.0,) * 16
+
+    def __reduce__(self):
+        # a memoryview does not pickle, and the cell need not
+        return _SplinePoint, (self.spline, self.base, self.scale, self.shift)
+
+    def at(self, x: float, y: float) -> float:
+        """The map of the spline at (x, y), as a float; NaN when the grid
+        coordinate x*M or y*M is not finite (a non-finite or overflowing
+        point).
+
+        Both axes' weights (the steps of :func:`_cubic_weights`) and the
+        16-term sum are written out with :meth:`_PeriodicSpline2D.combine`'s
+        operations in its order, and ``scale = 1.0, shift = 0.0`` leave
+        ``base + S`` exact, so it equals the array path bit for bit.
         """
-        m, flat = self.m, self._flat
-        cx, cy = (x * m) % m, (y * m) % m
-        fx, fy = math.floor(cx), math.floor(cy)
+        m = self.m
+        try:
+            cx, cy = (x * m) % m, (y * m) % m
+            fx, fy = math.floor(cx), math.floor(cy)
+        except ValueError:  # math.floor of a NaN grid coordinate
+            return math.nan
         t = cx - fx
         z = 1.0 - t
         a0 = z * z * z / 6.0
@@ -140,26 +166,34 @@ class _PeriodicSpline2D:
         b3 = 1.0 - b0 - b1 - b2
         # the stencil's four rows of padded nodes start at r0, ..., r3
         r0 = fx * (m + 4) + fy
-        r1 = r0 + m + 4
-        r2 = r1 + m + 4
-        r3 = r2 + m + 4
-        return (
+        cell = self.cell
+        if cell[0] != r0:
+            flat = self.flat
+            r1 = r0 + m + 4
+            r2 = r1 + m + 4
+            r3 = r2 + m + 4
+            cell = (
+                r0,
+                flat[r0], flat[r0 + 1], flat[r0 + 2], flat[r0 + 3],
+                flat[r1], flat[r1 + 1], flat[r1 + 2], flat[r1 + 3],
+                flat[r2], flat[r2 + 1], flat[r2 + 2], flat[r2 + 3],
+                flat[r3], flat[r3 + 1], flat[r3 + 2], flat[r3 + 3],
+            )
+            self.cell = cell
+        _, c00, c01, c02, c03, c10, c11, c12, c13, c20, c21, c22, c23, c30, c31, c32, c33 = cell
+        return self.scale * ((self.base + (
             0.0
-            + flat[r0] * a0 * b0 + flat[r0 + 1] * a0 * b1
-            + flat[r0 + 2] * a0 * b2 + flat[r0 + 3] * a0 * b3
-            + flat[r1] * a1 * b0 + flat[r1 + 1] * a1 * b1
-            + flat[r1 + 2] * a1 * b2 + flat[r1 + 3] * a1 * b3
-            + flat[r2] * a2 * b0 + flat[r2 + 1] * a2 * b1
-            + flat[r2 + 2] * a2 * b2 + flat[r2 + 3] * a2 * b3
-            + flat[r3] * a3 * b0 + flat[r3 + 1] * a3 * b1
-            + flat[r3 + 2] * a3 * b2 + flat[r3 + 3] * a3 * b3
-        )
+            + c00 * a0 * b0 + c01 * a0 * b1 + c02 * a0 * b2 + c03 * a0 * b3
+            + c10 * a1 * b0 + c11 * a1 * b1 + c12 * a1 * b2 + c13 * a1 * b3
+            + c20 * a2 * b0 + c21 * a2 * b1 + c22 * a2 * b2 + c23 * a2 * b3
+            + c30 * a3 * b0 + c31 * a3 * b1 + c32 * a3 * b2 + c33 * a3 * b3
+        )) - self.shift)
 
 
 def _cubic_weights(t):
     """Cubic B-spline weights of the nodes -1, 0, 1, 2 at an array of
     offsets t in [0, 1), written as ``scipy.ndimage`` computes them
-    (:meth:`_PeriodicSpline2D.at` writes the same steps out for floats)."""
+    (:meth:`_SplinePoint.at` writes the same steps out for floats)."""
     z = 1.0 - t
     w0 = z * z * z / 6.0
     w1 = (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0
@@ -310,9 +344,15 @@ class CurvatureField:
                     "fold the mean into the constant"
                 )
             object.__setattr__(self, "periodic", grid)
-            object.__setattr__(self, "_spline", _PeriodicSpline2D(grid))
+            spline = _PeriodicSpline2D(grid)
+            point = _SplinePoint(spline, float(self.constant))
+            if self.radial is None:
+                # H is the constant plus the spline: one frame a point (see at)
+                object.__setattr__(self, "at", point.at)
         else:
-            object.__setattr__(self, "_spline", None)
+            spline = point = None
+        object.__setattr__(self, "_spline", spline)
+        object.__setattr__(self, "_point", point)
 
     @classmethod
     def from_parts(cls, constant=0.0, periodic=None, radial=None):
@@ -330,17 +370,28 @@ class CurvatureField:
         """H at the single point (x, y), as a float.
 
         Agrees with ``value([[x, y]])[0]`` to rounding without building
-        arrays, NaN included at a non-finite point; one-point callers such
-        as the orbit integrator use it.
+        arrays, NaN included where ``value`` reads NaN; one-point callers
+        such as the orbit integrator use it.  A field with a periodic part
+        and no radial part replaces this method, per instance, by its point
+        evaluator's :meth:`_SplinePoint.at`: one Python frame a point, equal
+        to ``value`` bit for bit.  Other fields take this general path.
         """
         if not (math.isfinite(x) and math.isfinite(y)):
             return math.nan
-        h = float(self.constant)
-        if self.periodic is not None:
-            h = h + self._spline.at(x, y)
+        h = float(self.constant) if self._point is None else self._point.at(x, y)
         if self.radial is not None:
             h = h + float(self.radial(math.hypot(x, y)))
         return h
+
+    def mapped_at(self, scale: float, shift: float):
+        """The callable (x, y) -> ``scale * (at(x, y) - shift)``, with these
+        operations in this order for any scale.  On a field with a periodic
+        part and no radial part it is a point evaluator's
+        :meth:`_SplinePoint.at`, one Python frame a point."""
+        if self._point is not None and self.radial is None:
+            return _SplinePoint(self._spline, self._point.base, scale, shift).at
+        at = self.at
+        return lambda x, y: scale * (at(x, y) - shift)
 
     def periodic_oscillation(self) -> float:
         """max - min of the periodic part over the grid (0 if absent)."""
@@ -555,14 +606,27 @@ def h_and_q(field_: CurvatureField | None, potential: VectorPotential | None, po
     array of points: shapes (...) and (..., 2), None for a None argument.
 
     Periodic grids of the same M share one B-spline stencil, and the radial
-    parts one |p|.  A row with a non-finite coordinate reads NaN in H and in
-    both components of Q; no part sees it, so it raises no warning.
+    parts one |p|.  A row with a non-finite coordinate, or whose grid
+    coordinate x*M overflows, reads NaN in H and in both components of Q;
+    no part sees it, so it raises no warning.
     """
+    # each part's grid size M, 1 (a factor that cannot overflow) without a grid
+    sizes = {
+        1 if part._spline is None else part._spline.m
+        for part in (field_, potential)
+        if part is not None
+    }
+    if len(sizes) > 1:
+        # parts on different grids overflow on different rows: read them apart
+        return h_and_q(field_, None, points)[0], h_and_q(None, potential, points)[1]
+    m = sizes.pop() if sizes else 1
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, 2)
     bad = slice(0, 0)  # the rows to set NaN: none
-    if not np.isfinite(flat).all():
-        bad = ~np.isfinite(flat).all(axis=1)
+    # |x|*m is finite exactly when x*m is, and a NaN anywhere makes the max NaN
+    if not math.isfinite(float(np.abs(flat).max(initial=0.0)) * m):
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(flat * m).all(axis=1)
         flat = np.where(bad[:, None], 0.0, flat)
     h = q = stencil = r = None
     if field_ is not None:
@@ -579,7 +643,7 @@ def h_and_q(field_: CurvatureField | None, potential: VectorPotential | None, po
         q = 0.5 * potential.linear_coefficient * flat
         spline = potential._spline
         if spline is not None:
-            if stencil is None or field_._spline.m != spline.m:
+            if stencil is None:
                 stencil = spline.stencil(flat)
             q = q + spline.combine(stencil)
         if potential._radial_spline is not None:

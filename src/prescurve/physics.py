@@ -60,7 +60,10 @@ def _orbit(f, scale: float, shift: float, position, direction, speed: float,
     from u = ``position``, u' = ``speed`` ``direction`` over [0, t_final].
 
     ``f`` is a number or a callable ``(x, y) -> float`` such as
-    ``CurvatureField.at``, called once per stage on a state of four floats.
+    ``CurvatureField.at`` or ``CurvatureField.mapped_at(...)``, called once
+    per stage on a state of four floats.  On a field with a periodic part
+    and no radial part both are the field's point evaluator, so the stage
+    reads H in that one Python frame.
     Returns the (steps + 1, 4) states (x, y, u, v) at t = k t_final / steps,
     the drift of |u'| relative to ``speed`` (beyond 1e-6, or NaN, it raises
     ``StepTooLarge``) and the defect |u(T) - u(0)| + |u'(T) - u'(0)|.

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from prescurve.curves import (
     trig_resample,
 )
 from prescurve.errors import MaxIterationsExceeded, NotContracting, PrescurveError
-from prescurve.fields import CurvatureField
+from prescurve.fields import CurvatureField, _cubic_weights
 from prescurve.immersed import (
     FORCING,
     AnsatzParams,
@@ -156,6 +157,40 @@ def write_field(field: CurvatureField, path, radial_params: dict | None = None):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
+
+
+def spline_at(spline, x: float, y: float) -> float:
+    """A periodic spline at one point, read stencil node by stencil node
+    from the padded coefficients, with no cache: the scalar form of
+    ``combine`` that ``fields._SplinePoint.at`` must reproduce."""
+    m, flat = spline.m, spline._flat
+    cx, cy = (x * m) % m, (y * m) % m
+    fx, fy = math.floor(cx), math.floor(cy)
+    a = [float(w) for w in _cubic_weights(cx - fx)]
+    b = [float(w) for w in _cubic_weights(cy - fy)]
+    total = 0.0
+    for i in range(4):
+        for j in range(4):
+            total = total + flat[(fx + i) * (m + 4) + fy + j] * a[i] * b[j]
+    return total
+
+
+class TwoFramePoint:
+    """Oracle for ``fields._SplinePoint``, with its constructor: the field
+    read ``H = constant + spline`` in a frame of its own, NaN at a
+    non-finite point, then the map ``scale * (H - shift)`` applied outside
+    it, as a closure around ``CurvatureField.at`` computes it."""
+
+    def __init__(self, spline, base, scale=1.0, shift=0.0):
+        self.spline, self.base, self.scale, self.shift = spline, base, scale, shift
+
+    def _field_at(self, x, y):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return math.nan
+        return float(self.base) + spline_at(self.spline, x, y)
+
+    def at(self, x, y):
+        return self.scale * (self._field_at(x, y) - self.shift)
 
 
 def field_value(field_like, points) -> np.ndarray:

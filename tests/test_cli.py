@@ -14,10 +14,10 @@ import pytest
 
 import prescurve
 from prescurve.cli import main
-from prescurve.curves import circle, read_curve, write_curve
+from prescurve.curves import ClosedCurve, circle, read_curve, write_curve
 from prescurve.fields import CurvatureField, periodic_from_callable
 
-from conftest import write_field
+from conftest import TwoFramePoint, write_field
 
 
 SWEEP_FILES = (
@@ -640,6 +640,32 @@ class TestImmersed:
         assert outs[0] == outs[1]
 
 
+def _orbit_frames(argv) -> tuple:
+    """``main(argv)``'s exit code and the codes of the Python frames entered
+    while ``physics._orbit`` runs, in order, by ``sys.setprofile``."""
+    orbit = prescurve.physics._orbit.__code__
+    entered = []
+    depth = 0  # of the frame running now below _orbit's, 0 outside it
+
+    def profile(frame, event, arg):
+        nonlocal depth
+        if event == "call":
+            if depth:
+                entered.append(frame.f_code)
+                depth += 1
+            elif frame.f_code is orbit:
+                depth = 1
+        elif event == "return" and depth:
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(None)
+    return code, entered
+
+
 class TestMagneticCylinderCheck:
     def test_magnetic_trajectory(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -760,6 +786,72 @@ class TestMagneticCylinderCheck:
         report = (tmp_path / "chk" / "check_report.json").read_bytes()
         assert report == (tmp_path / "ref" / "check_report.json").read_bytes()
         assert json.loads(report)["ok"]
+
+    def test_check_off_the_grid_exit_1(self, tmp_path, capsys):
+        # x*M overflows at every sample on a 256 grid: H reads NaN there, and
+        # the check fails with a message (warnings fail the tests)
+        field = tmp_path / "field256.json"
+        grid = periodic_from_callable(lambda x, y: 0.5 * np.sin(2 * np.pi * x), m=256)
+        write_field(CurvatureField.from_parts(periodic=grid), field)
+        loop = circle(1e295, center=(1e306, 0.0), n=64)
+        write_curve(ClosedCurve(2 * math.pi * 1e295, loop.samples), tmp_path / "far.json")
+        argv = ["check", "--curve", str(tmp_path / "far.json"), "--field", str(field)]
+        assert main([*argv, "--out", str(tmp_path / "chk")]) == 1
+        assert "numerical failure" in capsys.readouterr().err
+
+    def _orbit_outputs(self, tmp_path, field, steps=2048) -> dict:
+        """check and a b_field magnetic orbit (charge 3, mass 0.7, speed 1.3)
+        on the loop that solve finds: output bytes by name, and the codes
+        of the Python frames entered inside ``physics._orbit`` per call."""
+        solve = tmp_path / "solve"
+        if not solve.exists():
+            assert main(["solve", "--field", field, "--tau", "1.0", "--out", str(solve)]) == 0
+        curve = str(solve / "minimizer_curve.json")
+        lam = json.loads((solve / "solve_report.json").read_text())["lambda"]
+        samples = read_curve(curve).samples
+        out = tmp_path / f"out{steps}"
+        check_cfg = tmp_path / "check.json"
+        check_cfg.write_text(json.dumps({"steps": steps}))
+        magnetic_cfg = tmp_path / "magnetic.json"
+        magnetic_cfg.write_text(
+            json.dumps(
+                {
+                    "b_field": field, "lam": lam, "charge": 3.0, "mass": 0.7,
+                    "speed": 1.3, "position": samples[0].tolist(),
+                    "direction": (samples[1] - samples[0]).tolist(),
+                    "t_final": 2.0, "steps": steps,
+                }
+            )
+        )
+        frames = {}
+        for command, argv in (
+            ("check", ["--curve", curve, "--field", field, "--lam", repr(lam),
+                       "--config", str(check_cfg)]),
+            ("magnetic", ["--config", str(magnetic_cfg)]),
+        ):
+            code, frames[command] = _orbit_frames([command, *argv, "--out", str(out)])
+            assert code == 0
+        outputs = {
+            name: (out / name).read_bytes() for name in ("check_report.json", "trajectory.csv")
+        }
+        return outputs, frames
+
+    def test_orbit_outputs_match_two_frame_oracle(self, tmp_path, monkeypatch, field_periodic):
+        outputs, _ = self._orbit_outputs(tmp_path, field_periodic)
+        monkeypatch.setattr(prescurve.fields, "_SplinePoint", TwoFramePoint)
+        expected, frames = self._orbit_outputs(tmp_path, field_periodic)
+        assert TwoFramePoint.at.__code__ in frames["check"]  # the oracle ran
+        assert outputs == expected
+
+    def test_one_frame_per_rk4_stage(self, tmp_path, field_periodic):
+        # doubling the steps adds one Python frame per added stage, the
+        # field's point evaluator, and nothing under it
+        _, short = self._orbit_outputs(tmp_path, field_periodic, steps=64)
+        _, long = self._orbit_outputs(tmp_path, field_periodic, steps=128)
+        kernel = prescurve.fields._SplinePoint.at.__code__
+        for command in ("check", "magnetic"):
+            assert long[command].count(kernel) == 4 * 128
+            assert len(long[command]) - len(short[command]) == 4 * 64
 
     def test_check_corrupted_curve_exit_2(self, tmp_path, field_zero):
         bad = tmp_path / "bad.json"

@@ -494,6 +494,9 @@ class TestCurveIO:
             fh.write("\n")
         assert path.read_bytes() == old.read_bytes()
         assert "-0.0" in path.read_text() and "1e-300" in path.read_text()
+        # and what json.dumps gives with default settings (circular check on)
+        doc = {"period": float(c.period), "samples": c.samples.tolist()}
+        assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -31,7 +31,7 @@ from prescurve.fields import (
     solve_torus_poisson,
 )
 
-from conftest import radial_masked, sup_norm, write_field
+from conftest import TwoFramePoint, radial_masked, sup_norm, write_field
 
 
 def cell_grid(m=64):
@@ -428,8 +428,66 @@ class TestPointEvaluation:
         np.testing.assert_array_equal(copy.value(pts), field.value(pts))
 
 
+def _crossing_path(n=4000):
+    """Points along a curve that crosses many cells of each grid in small
+    steps, as the stages of an orbit do, wrap-edge points included."""
+    t = np.linspace(0.0, 1.0, n)
+    path = np.stack([3.1 * t - 0.8 + 0.2 * np.sin(9 * t), 2.3 * np.cos(5 * t)], axis=1)
+    return np.concatenate([path, _WRAP_EDGE_POINTS, path[::-1]])
+
+
+class TestPointEvaluator:
+    """A field's one-frame point evaluator against ``value`` and against
+    the two-frame read it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["periodic", "constant+periodic"])
+    def test_path_matches_value(self, name):
+        field = POINT_FIELDS[name]
+        pts = _crossing_path()
+        got = [field.at(x, y) for x, y in pts.tolist()]
+        np.testing.assert_array_equal(got, field.value(pts))
+
+    @pytest.mark.parametrize("name", ["periodic", "constant+periodic"])
+    def test_alternating_cells(self, name):
+        # reads alternate between distant cells: a cell read again after
+        # another one must not get the other's coefficients
+        field = POINT_FIELDS[name]
+        far = [(0.1, 0.1), (0.73, 0.52), (0.1 + 1e-3, 0.1), (-5.27, 2.52), (0.1, 0.1)]
+        pts = np.array(far * 50)
+        got = [field.at(x, y) for x, y in pts.tolist()]
+        np.testing.assert_array_equal(got, field.value(pts))
+        assert got[0] != got[1] != got[2]
+
+    @pytest.mark.parametrize("name", ["periodic", "constant+periodic"])
+    def test_pickle_round_trip(self, name):
+        field = POINT_FIELDS[name]
+        pts = _crossing_path(500)
+        before = [field.at(x, y) for x, y in pts.tolist()]
+        copy = pickle.loads(pickle.dumps(field))
+        assert [copy.at(x, y) for x, y in pts.tolist()] == before
+        at = pickle.loads(pickle.dumps(field.mapped_at(-0.5, 0.25)))
+        assert [at(x, y) for x, y in pts.tolist()] == [-0.5 * (h - 0.25) for h in before]
+
+    @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
+    def test_mapped_matches_closure(self, name):
+        # the magnetic orbit's field for charge 3, mass 0.7 and speed 1.3:
+        # b = scale (H - lam), scale = -m v / e
+        field = POINT_FIELDS[name]
+        scale, lam = -0.7 * 1.3 / 3.0, 1.8125
+        b = field.mapped_at(scale, lam)
+        pts = _crossing_path(1000)
+        got = [b(x, y) for x, y in pts.tolist()]
+        assert got == [scale * (field.at(x, y) - lam) for x, y in pts.tolist()]
+        if field.periodic is not None and field.radial is None:
+            oracle = TwoFramePoint(field._spline, field.constant, scale, lam)
+            assert got == [oracle.at(x, y) for x, y in pts.tolist()]
+        assert math.isnan(b(math.nan, 0.1))
+
+
 # (x*M) % M rounds to M itself at these points, the far end of the padding
 _WRAP_EDGE_POINTS = [(-1e-300, -1e-300), (0.3, -1e-300), (-1e-300, 0.3)]
+# finite points at which x*M overflows for every grid size M >= 2
+_OVERFLOW_POINTS = [(1.5e308, 0.1), (0.2, -1.5e308), (-1e308, 1e308)]
 
 
 _CONTEXTS = {name: build_context(field) for name, field in POINT_FIELDS.items()}
@@ -464,6 +522,28 @@ class TestSharedStencil:
         h_ok, q_ok = h_and_q(ctx.field, ctx.potential, pts[finite])
         np.testing.assert_array_equal(h[finite], h_ok)
         np.testing.assert_array_equal(q[finite], q_ok)
+
+    @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
+    def test_overflowing_grid_coordinates(self, name):
+        # finite points whose grid coordinate x*M overflows: rows on a grid
+        # read NaN, as non-finite ones do, with no warning (warnings fail
+        # the tests); a field without a grid still reads them
+        ctx = _CONTEXTS[name]
+        field = ctx.field
+        pts = np.array(_OVERFLOW_POINTS + [(0.3, 0.4)])
+        h, q = h_and_q(ctx.field, ctx.potential, pts)
+        np.testing.assert_array_equal(h, field.value(pts))
+        np.testing.assert_array_equal(q, q_eval(ctx.potential, pts))
+        at = np.array([field.at(x, y) for x, y in pts.tolist()])
+        on_grid = field.periodic is not None
+        for got in (h, q[:, 0], q[:, 1], at):
+            assert np.isnan(got[:3]).all() == on_grid
+            assert np.isfinite(got[:3]).all() != on_grid
+        h_ok, q_ok = h_and_q(ctx.field, ctx.potential, pts[3:])
+        np.testing.assert_array_equal(h[3:], h_ok)
+        np.testing.assert_array_equal(q[3:], q_ok)
+        if field.radial is None:
+            assert at[3] == h[3]
 
     def test_grids_of_different_sizes(self, rng):
         # a potential on another grid size takes stencils of its own
