@@ -140,6 +140,12 @@ def _speed(curve: ClosedCurve) -> np.ndarray:
 
 
 def _require_regular(curve: ClosedCurve, speed: np.ndarray) -> None:
+    if not np.isfinite(speed).all():
+        # an overflowed or NaN derivative: no threshold can judge it
+        bad = speed[~np.isfinite(speed)]
+        raise DegenerateSpeed(
+            f"speed is not finite at {bad.size} of {speed.size} samples (e.g. {bad[0]})"
+        )
     # the length as ``length`` forms it, from the speed the caller has
     total = float(speed.sum() * curve.period / curve.n)
     threshold = EPS_REG * max(total, 0.0) / curve.period

@@ -6,7 +6,8 @@ class PrescurveError(Exception):
 
 
 class DegenerateSpeed(PrescurveError):
-    """A curve operation requiring regularity met a (nearly) vanishing speed."""
+    """A curve operation requiring regularity met a (nearly) vanishing or a
+    non-finite speed."""
 
 
 class NonZeroMean(PrescurveError):

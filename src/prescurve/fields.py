@@ -3,7 +3,9 @@
 A curvature function splits as constant + periodic (zero mean on the unit
 cell) + radially decaying.  For each part there is a potential construction:
 
-* periodic: spectral Poisson solve on the unit cell,
+* periodic: spectral Poisson solve on the unit cell, on the real
+  half-spectrum of the grid: one rfft2 of H, then one two-channel irfft2
+  straight to the B-spline coefficients of Q,
 * decaying radial: one-dimensional quadrature of the radial Poisson solution,
 * constant c: the linear field c*p/2.
 
@@ -14,6 +16,8 @@ sign so the divergence identity holds for the composite field.
 
 One routine, :func:`h_and_q`, reads H and Q at an array of points;
 :meth:`CurvatureField.value` and :func:`q_eval` are its two halves.
+Reads of a periodic spline at whole-cell shifts of one point set share
+one stencil (:meth:`_PeriodicSpline2D.lattice_stencil`).
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ class _PeriodicSpline2D:
 
     The coefficients are the grid's 2-d real DFT divided by the sampled
     B-spline symbol s(kx) s(ky), s(k) = (4 + 2 cos 2 pi k/M)/6, which is
-    real and even, so the inverse transform is real.  They are stored once,
+    real and even, so the inverse transform is real; :meth:`from_spectrum`
+    starts from a DFT that a caller already has.  They are stored once,
     channels first (each channel one contiguous (M + 4, M + 4) block), and
     wrap-padded by one node before and three after on each axis, so no
     stencil index needs a wrap: ``(x*M) % M`` rounds to M itself for a tiny
@@ -72,13 +77,26 @@ class _PeriodicSpline2D:
     """
 
     def __init__(self, grid: np.ndarray):
-        m = grid.shape[0]
-        s = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)) / 6.0
         # channels first, so that each 2-d transform reads contiguous data
-        cells = np.fft.rfft2(np.moveaxis(grid, (0, 1), (-2, -1)))
+        self._prefilter(np.fft.rfft2(np.moveaxis(grid, (0, 1), (-2, -1))))
+
+    @classmethod
+    def from_spectrum(cls, cells: np.ndarray) -> _PeriodicSpline2D:
+        """The spline of the grid whose 2-d real DFT is ``cells``: shape
+        (M, M//2 + 1), or (C, M, M//2 + 1) for C channels, channels first.
+        ``cells`` is overwritten."""
+        spline = cls.__new__(cls)
+        spline._prefilter(cells)
+        return spline
+
+    def _prefilter(self, cells: np.ndarray) -> None:
+        """Store the coefficients of the spectrum ``cells``, dividing it by
+        the symbol in place."""
+        m = cells.shape[-2]
+        s = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)) / 6.0
         cells /= np.multiply.outer(s, s[: m // 2 + 1])
         coeffs = np.fft.irfft2(cells, s=(m, m))
-        pad = [(0, 0)] * (grid.ndim - 2) + [(1, 3), (1, 3)]
+        pad = [(0, 0)] * (cells.ndim - 2) + [(1, 3), (1, 3)]
         self.__setstate__({"m": m, "_coeffs": np.pad(coeffs, pad, mode="wrap")})
 
     def __getstate__(self):
@@ -103,7 +121,7 @@ class _PeriodicSpline2D:
         # wrap the grid coordinates into the cell, as map_coordinates does
         coords = (points.T * m) % m
         nodes = np.floor(coords)
-        weights = np.array(_cubic_weights(coords - nodes))  # (4, 2, N)
+        weights = _cubic_weights(coords - nodes)  # (4, 2, N)
         first = (nodes[0] * (m + 4) + nodes[1]).astype(np.intp)
         return first + self._stencil, weights[:, 0], weights[:, 1]
 
@@ -113,6 +131,36 @@ class _PeriodicSpline2D:
         index, wx, wy = stencil
         out = [np.einsum("ijn,in,jn->n", t.take(index), wx, wy) for t in self._tables]
         return out[0] if self._coeffs.ndim == 2 else np.stack(out, axis=-1)
+
+    def lattice_stencil(self, points: np.ndarray) -> tuple:
+        """The stencil of an (N, 2) array of finite points for reads at
+        whole-cell shifts of them (:meth:`combine_shifted`): the (2, N)
+        integer nodes, not wrapped into the cell, and the (4, 4, N) products
+        of the two axes' weights."""
+        coords = points.T * self.m
+        nodes = np.floor(coords)
+        wx, wy = _cubic_weights(coords - nodes).transpose(1, 0, 2)  # (2, 4, N)
+        return nodes.astype(np.intp), wx[:, None, :] * wy[None, :, :]
+
+    def combine_shifted(self, stencil: tuple, shifts: np.ndarray) -> np.ndarray:
+        """The spline of an (M, M) grid at the points of a lattice stencil
+        moved by each row of a (K, 2) integer array of node shifts: shape
+        (K, N).  Only the node indices move, by whole cells, so it agrees
+        with :meth:`combine` at the moved points to rounding."""
+        nodes, weights = stencil
+        m = self.m
+        rows = (nodes[0] + shifts[:, :1]) % m
+        cols = (nodes[1] + shifts[:, 1:]) % m
+        index = (rows * (m + 4) + cols)[:, None, None, :] + self._stencil
+        return np.einsum("kijn,ijn->kn", self._tables[0].take(index), weights)
+
+    def nodes(self) -> np.ndarray:
+        """The spline at the grid nodes, shape (M, M), or (C, M, M) channels
+        first: the node values it interpolates, to rounding.  A cubic
+        B-spline weighs the nodes -1, 0, 1 by 1/6, 4/6, 1/6 at a node."""
+        m, c = self.m, self._coeffs
+        rows = (c[..., :m, :] + 4.0 * c[..., 1 : m + 1, :] + c[..., 2 : m + 2, :]) / 6.0
+        return (rows[..., :m] + 4.0 * rows[..., 1 : m + 1] + rows[..., 2 : m + 2]) / 6.0
 
 
 class _SplinePoint:
@@ -190,15 +238,26 @@ class _SplinePoint:
         )) - self.shift)
 
 
-def _cubic_weights(t):
+def _cubic_weights(t) -> np.ndarray:
     """Cubic B-spline weights of the nodes -1, 0, 1, 2 at an array of
-    offsets t in [0, 1), written as ``scipy.ndimage`` computes them
-    (:meth:`_SplinePoint.at` writes the same steps out for floats)."""
-    z = 1.0 - t
-    w0 = z * z * z / 6.0
-    w1 = (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0
-    w2 = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
-    return w0, w1, w2, 1.0 - w0 - w1 - w2
+    offsets t in [0, 1), stacked on a new first axis, written as
+    ``scipy.ndimage`` computes them (:meth:`_SplinePoint.at` writes the
+    same steps out for floats).  The middle two weights are one polynomial
+    of t and of z = 1 - t, taken in one pass over [t, z] in place."""
+    w = np.empty((4,) + np.shape(t))
+    tz = w[1:3]
+    tz[0] = t
+    tz[1] = 1.0 - t
+    sq = tz * tz
+    w[0] = sq[1] * tz[1] / 6.0
+    # (t t (t - 2) 3 + 4) / 6, and the same of z
+    tz -= 2.0
+    tz *= sq
+    tz *= 3.0
+    tz += 4.0
+    tz /= 6.0
+    w[3] = 1.0 - w[0] - w[1] - w[2]
+    return w
 
 
 class _CubicSpline:
@@ -480,23 +539,28 @@ def periodic_from_callable(func, m: int = 256) -> np.ndarray:
 def solve_torus_poisson(grid: np.ndarray) -> np.ndarray:
     """Spectral gradient of the unit-cell Poisson solution of -lap v = H.
 
-    ``grid`` must have zero mean.  Returns the (M, M, 2) array of grad v at
-    the grid nodes; the zero mode of v is set to zero.
+    ``grid`` (M, M) must have zero mean.  Returns grad v as the 2-d real DFT
+    of its grid values, channels first: the (2, M, M//2 + 1) half-spectrum
+    that ``np.fft.irfft2(..., s=(M, M))`` turns into the (2, M, M) grid.
+    One rfft2 gives H^, then grad v^ = 2 pi i k H^ / (4 pi^2 |k|^2); the
+    zero mode of v is zero, and so is the odd symbol 2 pi i k at a Nyquist
+    frequency, as the real part of the full complex solve leaves it.
     """
     grid = np.asarray(grid, dtype=float)
     m = grid.shape[0]
     sup = max(np.abs(grid).max(), 1e-300)
     if abs(grid.mean()) > 1e-10 * sup:
         raise NonZeroMean(f"cell mean {grid.mean():.3e} exceeds 1e-10 * sup")
-    hhat = np.fft.fft2(grid)
-    k = np.fft.fftfreq(m, d=1.0 / m)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
+    vhat = np.fft.rfft2(grid)  # H^, divided into v^ in place
+    kx = np.fft.fftfreq(m, d=1.0 / m)[:, None]
+    ky = np.arange(m // 2 + 1, dtype=float)
     k2 = kx**2 + ky**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vhat = np.where(k2 > 0, hhat / (4.0 * np.pi**2 * k2), 0.0)
-    gx = np.fft.ifft2(2j * np.pi * kx * vhat).real
-    gy = np.fft.ifft2(2j * np.pi * ky * vhat).real
-    return np.stack([gx, gy], axis=-1)
+    k2[0, 0] = np.inf  # v has no zero mode
+    vhat /= 4.0 * np.pi**2 * k2
+    grad = np.empty((2,) + vhat.shape, dtype=complex)
+    np.multiply(np.where(2.0 * np.abs(kx) == m, 0.0, 2j * np.pi * kx), vhat, out=grad[0])
+    np.multiply(np.where(2.0 * ky == m, 0.0, 2j * np.pi * ky), vhat, out=grad[1])
+    return grad
 
 
 def lorentz_norm_21(h2: RadialDecaying, nr: int = 8192) -> float:
@@ -539,16 +603,21 @@ def solve_plane_poisson_decaying(h2: RadialDecaying, nr: int = 8192, r_max=None)
 class VectorPotential:
     """Composite field Q with div Q = H.
 
-    Parts: cubic-spline interpolated periodic gradient (divergence equal to
-    the periodic part of H), radial profile ``Q = radial_f(|p|) p/|p|``
+    Parts: a periodic gradient, the two-channel cubic B-spline through the
+    (M, M, 2) node values ``periodic_gradient`` (divergence equal to the
+    periodic part of H), radial profile ``Q = radial_f(|p|) p/|p|``
     (divergence equal to the decaying part), and the linear field
-    ``linear_coefficient * p / 2``.
+    ``linear_coefficient * p / 2``.  :func:`build_potential` passes the
+    periodic spline itself as ``_spline``, built from its spectrum, and
+    leaves ``periodic_gradient`` None: no grid of Q is formed.  Given node
+    values, the spline is built from them.
     """
 
     periodic_gradient: np.ndarray | None = field(default=None, repr=False)
     radial_r: np.ndarray | None = field(default=None, repr=False)
     radial_f: np.ndarray | None = field(default=None, repr=False)
     linear_coefficient: float = 0.0
+    _spline: _PeriodicSpline2D | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.periodic_gradient is not None:
@@ -557,8 +626,6 @@ class VectorPotential:
                 raise ValueError("periodic_gradient must have shape (M, M, 2)")
             object.__setattr__(self, "periodic_gradient", g)
             object.__setattr__(self, "_spline", _PeriodicSpline2D(g))
-        else:
-            object.__setattr__(self, "_spline", None)
         if (self.radial_r is None) != (self.radial_f is None):
             raise ValueError("radial_r and radial_f must come together")
         if self.radial_r is not None:
@@ -571,10 +638,11 @@ class VectorPotential:
             object.__setattr__(self, "_radial_spline", None)
 
     def sup_periodic(self) -> float:
-        if self.periodic_gradient is None:
+        """max |Q| of the periodic part over the grid nodes."""
+        if self._spline is None:
             return 0.0
-        g = self.periodic_gradient
-        return float(np.hypot(g[:, :, 0], g[:, :, 1]).max())
+        gx, gy = self._spline.nodes()
+        return float(np.hypot(gx, gy).max())
 
     def sup_radial(self) -> float:
         if self.radial_f is None:
@@ -608,7 +676,8 @@ def h_and_q(field_: CurvatureField | None, potential: VectorPotential | None, po
     Periodic grids of the same M share one B-spline stencil, and the radial
     parts one |p|.  A row with a non-finite coordinate, or whose grid
     coordinate x*M overflows, reads NaN in H and in both components of Q;
-    no part sees it, so it raises no warning.
+    no part sees it, so it raises no warning.  A finite row whose |p|
+    overflows is beyond the radial tables, as in :meth:`CurvatureField.at`.
     """
     # each part's grid size M, 1 (a factor that cannot overflow) without a grid
     sizes = {
@@ -635,7 +704,7 @@ def h_and_q(field_: CurvatureField | None, potential: VectorPotential | None, po
             stencil = field_._spline.stencil(flat)
             h = h + field_._spline.combine(stencil)
         if field_.radial is not None:
-            r = np.hypot(flat[:, 0], flat[:, 1])
+            r = _radius(flat)
             h = h + field_.radial(r)
         h[bad] = np.nan
         h = h.reshape(pts.shape[:-1])
@@ -648,7 +717,7 @@ def h_and_q(field_: CurvatureField | None, potential: VectorPotential | None, po
             q = q + spline.combine(stencil)
         if potential._radial_spline is not None:
             if r is None:
-                r = np.hypot(flat[:, 0], flat[:, 1])
+                r = _radius(flat)
             f = potential.radial_profile(r)
             # f(|p|) p / |p|, 0 at the origin
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -659,23 +728,35 @@ def h_and_q(field_: CurvatureField | None, potential: VectorPotential | None, po
     return h, q
 
 
+def _radius(flat: np.ndarray) -> np.ndarray:
+    """|p| of each row of an (N, 2) array: inf, with no warning, where it
+    overflows, which a radial part reads as beyond its table."""
+    with np.errstate(over="ignore"):
+        return np.hypot(flat[:, 0], flat[:, 1])
+
+
 def build_potential(field_: CurvatureField) -> VectorPotential:
     """Construct the divergence-compatible potential of a curvature field.
 
     Flips the sign of the Poisson-solution gradients so that div Q = +H.
+    The periodic part takes one forward transform, the rfft2 of the H grid
+    in :func:`solve_torus_poisson`, and one two-channel irfft2 to the
+    spline coefficients of Q.
     """
-    periodic_gradient = None
+    spline = None
     if field_.periodic is not None:
-        periodic_gradient = -solve_torus_poisson(field_.periodic)
+        # Q^ = -grad v^: both channels' coefficients from one irfft2
+        qhat = solve_torus_poisson(field_.periodic)
+        spline = _PeriodicSpline2D.from_spectrum(np.negative(qhat, out=qhat))
     radial_r = radial_f = None
     if field_.radial is not None:
         radial_r, vprime = solve_plane_poisson_decaying(field_.radial)
         radial_f = -vprime
     return VectorPotential(
-        periodic_gradient=periodic_gradient,
         radial_r=radial_r,
         radial_f=radial_f,
         linear_coefficient=field_.constant,
+        _spline=spline,
     )
 
 

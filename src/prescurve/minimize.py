@@ -31,6 +31,14 @@ usually takes one iteration.  ``max_iter`` caps both stages together and
 or ``max_iter`` ends the solve there, and the final curve, multiplier and
 residual are still computed at N.
 
+A solve without an initial curve starts from the competitor circle of
+area |tau| about the center, among the origin and the 8 x 8 lattice of a
+periodic field (plus radial rings for a radial part), where sign(tau)
+times the disc integral of H is smallest.  On a periodic-only field the
+lattice discs share one stencil of the quadrature offsets and move by
+whole cells (``_disc_scores``).  The symbols 2 pi i k and (2 pi k)^2 are
+built once per node count.
+
 The Lagrange multiplier is extracted after the fact as the speed-weighted
 mean of H - K; it is diagnostic, not an optimization variable.
 """
@@ -39,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -181,14 +189,27 @@ def _precondition(grad: np.ndarray, dval: float) -> np.ndarray:
     """Mode-wise Sobolev smoothing of sampled L^2 gradients (period 1),
     one per pair of columns."""
     scale = max(dval, 1e-12)
-    return apply_symbol(
-        grad, lambda k: 1.0 / (PRECOND_EPS + (2.0 * np.pi * k) ** 2 / scale)
-    )
+    return apply_symbol(grad, 1.0 / (PRECOND_EPS + _k2(len(grad)) / scale))
 
 
+def _frozen(symbol: np.ndarray) -> np.ndarray:
+    """``symbol``, made read-only: a cached symbol is shared by all callers."""
+    symbol.flags.writeable = False
+    return symbol
+
+
+@lru_cache(maxsize=8)
+def _k2(n: int) -> np.ndarray:
+    """(2 pi k)^2 at period 1, one entry per rfft mode; read-only, built
+    once per n."""
+    return _frozen((2.0 * np.pi * np.arange(n // 2 + 1, dtype=float)) ** 2)
+
+
+@lru_cache(maxsize=8)
 def _ik(n: int) -> np.ndarray:
-    """The derivative symbol 2 pi i k at period 1, one row per rfft mode."""
-    return (2j * np.pi * np.arange(n // 2 + 1, dtype=float))[:, None]
+    """The derivative symbol 2 pi i k at period 1, one row per rfft mode;
+    read-only, built once per n."""
+    return _frozen((2j * np.pi * np.arange(n // 2 + 1, dtype=float))[:, None])
 
 
 @dataclass(frozen=True)
@@ -303,8 +324,12 @@ def _disc_scores(ctx: EnergyContext, centers: np.ndarray, radius: float) -> np.n
     """Approximate integrals of H over the discs of one radius about each
     of a (K, 2) array of centers, by midpoint polar quadrature.
 
-    ``DISCS_PER_LOOKUP`` discs share each field lookup, which bounds the
-    memory of the lookup whatever K is.
+    On a field with a periodic part and no radial part H is 1-periodic, so
+    the disc about a center on a grid node (x*M and y*M whole numbers) is
+    the disc about the origin moved by whole cells: those discs share one
+    lattice stencil of the quadrature offsets, and only their node indices
+    move.  Other centers take the general lookup.  ``DISCS_PER_LOOKUP``
+    discs share each gather, which bounds its memory whatever K is.
     """
     nr, na = 12, 24
     r_edges = radius * np.sqrt(np.linspace(0.0, 1.0, nr + 1))
@@ -315,12 +340,29 @@ def _disc_scores(ctx: EnergyContext, centers: np.ndarray, radius: float) -> np.n
         [r_mid[:, None] * np.cos(ang)[None, :], r_mid[:, None] * np.sin(ang)[None, :]],
         axis=-1,
     )
-    scores = []
-    for first in range(0, len(centers), DISCS_PER_LOOKUP):
-        block = centers[first : first + DISCS_PER_LOOKUP]
-        h = ctx.field.value(block[:, None, None, :] + offsets)
-        scores.append((h * weights[:, None]).reshape(len(block), -1).sum(axis=1))
-    return np.concatenate(scores)
+
+    def total(h):
+        # the weighted sum over each disc's (nr, na) quadrature points
+        return (h.reshape(-1, nr, na) * weights[:, None]).reshape(len(h), -1).sum(axis=1)
+
+    field = ctx.field
+    scores = np.empty(len(centers))
+    general = np.arange(len(centers))
+    if field.periodic is not None and field.radial is None:
+        spline = field._spline
+        nodes = centers * spline.m
+        on_grid = (nodes == np.floor(nodes)).all(axis=1)
+        general = np.flatnonzero(~on_grid)
+        lattice = np.flatnonzero(on_grid)
+        stencil = spline.lattice_stencil(offsets.reshape(-1, 2))
+        for first in range(0, len(lattice), DISCS_PER_LOOKUP):
+            block = lattice[first : first + DISCS_PER_LOOKUP]
+            shifts = nodes[block].astype(np.intp)
+            scores[block] = total(field.constant + spline.combine_shifted(stencil, shifts))
+    for first in range(0, len(general), DISCS_PER_LOOKUP):
+        block = general[first : first + DISCS_PER_LOOKUP]
+        scores[block] = total(field.value(centers[block][:, None, None, :] + offsets))
+    return scores
 
 
 def _initial_circle(ctx: EnergyContext, tau: float, n: int) -> ClosedCurve:
@@ -330,7 +372,7 @@ def _initial_circle(ctx: EnergyContext, tau: float, n: int) -> ClosedCurve:
     candidates = [(0.0, 0.0)]
     if ctx.field.periodic is not None:
         grid = np.arange(8) / 8.0
-        candidates += [(float(a), float(b)) for a in grid for b in grid]
+        candidates += [(float(a), float(b)) for a in grid for b in grid if a or b]
     if ctx.field.radial is not None:
         for rr in (0.5, 1.0, 2.0, 4.0):
             for th in np.arange(8) * np.pi / 4.0:

@@ -14,7 +14,12 @@ from prescurve.curves import (
     trig_resample,
 )
 from prescurve.errors import MaxIterationsExceeded, NotContracting, PrescurveError
-from prescurve.fields import CurvatureField, _cubic_weights
+from prescurve.fields import (
+    CurvatureField,
+    VectorPotential,
+    _cubic_weights,
+    solve_torus_poisson,
+)
 from prescurve.immersed import (
     FORCING,
     AnsatzParams,
@@ -173,6 +178,52 @@ def spline_at(spline, x: float, y: float) -> float:
         for j in range(4):
             total = total + flat[(fx + i) * (m + 4) + fy + j] * a[i] * b[j]
     return total
+
+
+def torus_gradient(grid: np.ndarray) -> np.ndarray:
+    """The (M, M, 2) grid of grad v, -lap v = H, from the half-spectrum
+    that ``solve_torus_poisson`` returns."""
+    m = grid.shape[0]
+    return np.moveaxis(np.fft.irfft2(solve_torus_poisson(grid), s=(m, m)), 0, -1)
+
+
+def complex_fft_potential(field: CurvatureField) -> VectorPotential:
+    """The periodic part of the vector potential as it was built by a full
+    complex-FFT Poisson solve: fft2 of the H grid, one ifft2 per component
+    of grad v (real parts), then the spline through the grid of Q = -grad v,
+    which takes a second forward transform."""
+    grid = field.periodic
+    m = grid.shape[0]
+    hhat = np.fft.fft2(grid)
+    k = np.fft.fftfreq(m, d=1.0 / m)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    k2 = kx**2 + ky**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vhat = np.where(k2 > 0, hhat / (4.0 * np.pi**2 * k2), 0.0)
+    gx = np.fft.ifft2(2j * np.pi * kx * vhat).real
+    gy = np.fft.ifft2(2j * np.pi * ky * vhat).real
+    return VectorPotential(periodic_gradient=-np.stack([gx, gy], axis=-1))
+
+
+def disc_scores_general(ctx, centers: np.ndarray, radius: float) -> np.ndarray:
+    """``minimize._disc_scores`` with the general lookup for every center:
+    H read by ``CurvatureField.value`` at each disc's 288 midpoint polar
+    quadrature points, 8 discs a call."""
+    nr, na = 12, 24
+    r_edges = radius * np.sqrt(np.linspace(0.0, 1.0, nr + 1))
+    r_mid = 0.5 * (r_edges[:-1] + r_edges[1:])
+    weights = np.pi * (r_edges[1:] ** 2 - r_edges[:-1] ** 2) / na
+    ang = 2.0 * np.pi * (np.arange(na) + 0.5) / na
+    offsets = np.stack(
+        [r_mid[:, None] * np.cos(ang)[None, :], r_mid[:, None] * np.sin(ang)[None, :]],
+        axis=-1,
+    )
+    scores = []
+    for first in range(0, len(centers), 8):
+        block = centers[first : first + 8]
+        h = ctx.field.value(block[:, None, None, :] + offsets)
+        scores.append((h * weights[:, None]).reshape(len(block), -1).sum(axis=1))
+    return np.concatenate(scores)
 
 
 class TwoFramePoint:

@@ -799,6 +799,22 @@ class TestMagneticCylinderCheck:
         assert main([*argv, "--out", str(tmp_path / "chk")]) == 1
         assert "numerical failure" in capsys.readouterr().err
 
+    # the derivative of circle(1e306) overflows, and numpy warns of it
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_check_overflowed_speed_exit_1(self, tmp_path, capsys):
+        # an infinite speed is named as such, not as a degenerate one
+        field = tmp_path / "field256.json"
+        grid = periodic_from_callable(lambda x, y: 0.5 * np.sin(2 * np.pi * x), m=256)
+        write_field(CurvatureField.from_parts(periodic=grid), field)
+        write_curve(circle(1e306, n=64), tmp_path / "big.json")
+        argv = ["check", "--curve", str(tmp_path / "big.json"), "--field", str(field)]
+        assert main([*argv, "--out", str(tmp_path / "chk")]) == 1
+        err = capsys.readouterr().err
+        assert "numerical failure: speed is not finite at 64 of 64 samples (e.g. inf)" in err
+        assert "threshold" not in err
+        assert "Traceback" not in err
+
     def _orbit_outputs(self, tmp_path, field, steps=2048) -> dict:
         """check and a b_field magnetic orbit (charge 3, mass 0.7, speed 1.3)
         on the loop that solve finds: output bytes by name, and the codes

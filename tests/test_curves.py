@@ -157,6 +157,14 @@ class TestCurvature:
         with pytest.raises(DegenerateSpeed):
             curvature(c)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowed_speed_named(self):
+        # u' of circle(1e306) overflows: the speed is reported as not
+        # finite, not compared with an infinite threshold
+        with pytest.raises(DegenerateSpeed, match=r"^speed is not finite at 64 of 64 samples"):
+            curvature(circle(1e306, n=64))
+
     def test_parametrization_invariance(self):
         # the same circle traversed over a different period has the same curvature
         fast = circle(1.0, n=256, period=0.5)

@@ -31,7 +31,17 @@ from prescurve.fields import (
     solve_torus_poisson,
 )
 
-from conftest import TwoFramePoint, radial_masked, sup_norm, write_field
+from conftest import (
+    TwoFramePoint,
+    complex_fft_potential,
+    radial_masked,
+    sup_norm,
+    torus_gradient,
+    write_field,
+)
+
+
+EPS = np.finfo(float).eps
 
 
 def cell_grid(m=64):
@@ -43,18 +53,18 @@ class TestTorusPoisson:
     def test_product_sine_exact(self):
         xx, yy = cell_grid(64)
         h = 8 * np.pi**2 * np.sin(2 * np.pi * xx) * np.sin(2 * np.pi * yy)
-        g = solve_torus_poisson(h)
+        g = torus_gradient(h)
         gx = 2 * np.pi * np.cos(2 * np.pi * xx) * np.sin(2 * np.pi * yy)
         gy = 2 * np.pi * np.sin(2 * np.pi * xx) * np.cos(2 * np.pi * yy)
         assert np.abs(g[:, :, 0] - gx).max() < 1e-12
         assert np.abs(g[:, :, 1] - gy).max() < 1e-12
 
     def test_zero_field(self):
-        assert np.abs(solve_torus_poisson(np.zeros((32, 32)))).max() == 0.0
+        assert np.abs(torus_gradient(np.zeros((32, 32)))).max() == 0.0
 
     def test_single_mode(self):
         xx, _ = cell_grid(64)
-        g = solve_torus_poisson(np.cos(2 * np.pi * xx))
+        g = torus_gradient(np.cos(2 * np.pi * xx))
         assert np.abs(g[:, :, 0] + np.sin(2 * np.pi * xx) / (2 * np.pi)).max() < 1e-13
         assert np.abs(g[:, :, 1]).max() < 1e-13
 
@@ -66,10 +76,62 @@ class TestTorusPoisson:
         xx, yy = cell_grid(128)
         grid = 0.8 * np.cos(2 * np.pi * (xx + 2 * yy)) + 0.5 * np.sin(4 * np.pi * yy)
         grid -= grid.mean()
-        g = solve_torus_poisson(grid)
+        g = torus_gradient(grid)
         sup = np.hypot(g[:, :, 0], g[:, :, 1]).max()
         osc = grid.max() - grid.min()
         assert sup <= TORUS_GRADIENT_CONSTANT * osc + 1e-8
+
+    @pytest.mark.parametrize("m", [8, 33, 64, 256])
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_coefficients_match_complex_fft_oracle(self, m, seed):
+        # the potential's spline from the half-spectrum against the spline
+        # through the grid of a full complex-FFT solve (a smooth grid, then
+        # rough ones).  The oracle's extra round trip is its own error: at
+        # M = 256 it differs from extended-precision coefficients by up to
+        # 12 eps max|Q|, the half-spectrum path by up to 3.2 eps max|Q|.
+        if seed is None:
+            xx, yy = cell_grid(m)
+            grid = 0.5 * np.sin(2 * np.pi * (xx + 0.01)) * np.sin(2 * np.pi * (yy - 0.02))
+        else:
+            grid = _rough_grid(m, seed)
+        field = CurvatureField.from_parts(constant=0.3, periodic=grid)
+        oracle = complex_fft_potential(field)
+        got = build_potential(field)._spline._coeffs
+        qmax = np.abs(oracle.periodic_gradient).max()
+        assert got.shape == (2, m + 4, m + 4)
+        assert np.abs(got - oracle._spline._coeffs).max() <= 16 * EPS * qmax
+
+    def test_one_forward_transform(self, monkeypatch):
+        # a potential build takes the rfft2 of the H grid and one irfft2 to
+        # both channels' coefficients; no complex 2-d transform, no grid of Q
+        field = CurvatureField.from_parts(periodic=_rough_grid(64, 3))
+        calls = []
+        for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        build_potential(field)
+        assert calls == ["rfft2", "irfft2"]
+
+    @pytest.mark.parametrize("m", [8, 33, 64])
+    def test_spline_node_values(self, m, rng):
+        # the B-spline read at its nodes gives back the grid it interpolates
+        grid = rng.normal(size=(m, m, 2))
+        pot = VectorPotential(periodic_gradient=grid)
+        nodes = pot._spline.nodes()
+        assert nodes.shape == (2, m, m)
+        assert np.abs(np.moveaxis(nodes, 0, -1) - grid).max() <= 1e-14
+        sup = np.hypot(grid[:, :, 0], grid[:, :, 1]).max()
+        assert pot.sup_periodic() == pytest.approx(sup, rel=1e-14, abs=0.0)
+
+    def test_sup_periodic_matches_oracle(self):
+        field = CurvatureField.from_parts(periodic=_rough_grid(64, 4))
+        oracle = complex_fft_potential(field)
+        g = oracle.periodic_gradient
+        assert build_potential(field).sup_periodic() == pytest.approx(
+            np.hypot(g[:, :, 0], g[:, :, 1]).max(), rel=1e-14, abs=0.0
+        )
 
 
 class TestLorentzNorm:
@@ -545,6 +607,20 @@ class TestSharedStencil:
         if field.radial is None:
             assert at[3] == h[3]
 
+    def test_overflowing_radius(self):
+        # finite points whose |p| overflows are beyond the radial tables: H
+        # reads the constant and Q its linear part, as at() reads H, with no
+        # warning (warnings fail the tests)
+        field = CurvatureField.from_parts(constant=0.75, radial=POINT_FIELDS["radial"].radial)
+        pot = build_potential(field)
+        pts = np.array([(1.7e308, 1.7e308), (-1.7e308, 1e308), (0.3, 0.4)])
+        h, q = h_and_q(field, pot, pts)
+        np.testing.assert_array_equal(h[:2], [0.75, 0.75])
+        np.testing.assert_array_equal(q[:2], 0.375 * pts[:2])
+        np.testing.assert_array_equal(field.value(pts), h)
+        np.testing.assert_array_equal(q_eval(pot, pts), q)
+        assert [field.at(x, y) for x, y in pts.tolist()] == h.tolist()
+
     def test_grids_of_different_sizes(self, rng):
         # a potential on another grid size takes stencils of its own
         ctx = EnergyContext(
@@ -618,6 +694,26 @@ class TestScipyOracles:
         for c in range(2):
             one = _PeriodicSpline2D(np.ascontiguousarray(grid[:, :, c]))
             np.testing.assert_array_equal(got[:, c], one.combine(one.stencil(pts)))
+
+    @pytest.mark.parametrize("m", [8, 33, 256])
+    def test_shifted_reads_match_combine(self, m, rng):
+        # one lattice stencil read at whole-cell shifts, negative and beyond
+        # M included, against fresh stencils at the moved points.  The points
+        # are multiples of 2^-10, so that a moved point p + s/M is exact when
+        # M is a power of two; at M = 33 the shifts are whole periods.
+        spline = _PeriodicSpline2D(_rough_grid(m, 7))
+        pts = np.concatenate(
+            [rng.integers(-2048, 2048, size=(200, 2)) / 1024, _WRAP_EDGE_POINTS]
+        )
+        step = m if m & (m - 1) else 1
+        shifts = step * rng.integers(-3 * m // step, 3 * m // step + 1, size=(9, 2))
+        shifts[0] = 0
+        got = spline.combine_shifted(spline.lattice_stencil(pts), shifts)
+        assert got.shape == (9, len(pts))
+        scale = np.abs(spline._coeffs).max()
+        for row, shift in zip(got, shifts):
+            want = spline.combine(spline.stencil(pts + shift / m))
+            assert np.abs(row - want).max() <= 1e-14 * scale
 
     def test_channels_survive_pickle(self, rng):
         pot = build_potential(CurvatureField.from_parts(periodic=_rough_grid(16, 5)))

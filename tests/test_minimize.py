@@ -1,6 +1,7 @@
 import collections
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from prescurve.curves import (
     length,
     signed_area,
 )
-from prescurve.energy import anisotropic_area, build_context
+from prescurve.energy import EnergyContext, anisotropic_area, build_context
 from prescurve.errors import FieldTooLarge, SignIncompatible
 from prescurve.fields import CurvatureField, RadialDecaying, periodic_from_callable
 from prescurve import minimize
@@ -25,6 +26,7 @@ from prescurve.minimize import (
     MinimizeOptions,
     MinimizeResult,
     _descend,
+    _disc_scores,
     _initial_circle,
     _project_area,
     _trial,
@@ -34,7 +36,7 @@ from prescurve.minimize import (
     sweep_isoperimetric,
 )
 
-from conftest import dirichlet
+from conftest import dirichlet, disc_scores_general
 
 S = SHARP_ISOPERIMETRIC
 
@@ -354,7 +356,7 @@ class TestInitialCircle:
         np.testing.assert_allclose(start.samples.mean(axis=0), (0.25, 0.25), atol=1e-12)
 
     def test_memory_per_lookup_point(self, ctx_mixed):
-        # the 97 competitor discs (288 quadrature points each) are looked up
+        # the 96 competitor discs (288 quadrature points each) are looked up
         # 8 at a time: the peak is about 370 B per point of one lookup,
         # whatever the number of candidates
         tracemalloc.start()
@@ -364,6 +366,86 @@ class TestInitialCircle:
         finally:
             tracemalloc.stop()
         assert peak <= 500 * 8 * 288
+
+
+    def test_lattice_memory_per_lookup_point(self, ctx_periodic):
+        # the 64 lattice discs are gathered 8 at a time from one stencil:
+        # the peak is about 300 B per point of one gather
+        tracemalloc.start()
+        try:
+            _initial_circle(ctx_periodic, 1.0, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 500 * 8 * 288
+
+    def test_lattice_skips_value(self, ctx_periodic, value_calls):
+        # every candidate of a periodic-only field is a grid node at M = 256
+        _initial_circle(ctx_periodic, 1.0, 64)
+        assert value_calls == []
+
+    def test_off_lattice_centers_take_the_general_lookup(self, ctx_periodic, value_calls):
+        centers = np.array([(0.25, 0.5), (0.1, 0.3), (-0.375, 2.0), (1e-3, 0.0)])
+        # (0.25, 0.5) and (-0.375, 2.0) are nodes of the 256 grid; the rest
+        # take one value call, bit for bit the general lookup
+        got = _disc_scores(ctx_periodic, centers, 0.4)
+        assert value_calls == [(2, 12, 24, 2)]
+        rest = disc_scores_general(ctx_periodic, centers[[1, 3]], 0.4)
+        np.testing.assert_array_equal(got[[1, 3]], rest)
+        want = disc_scores_general(ctx_periodic, centers, 0.4)
+        assert np.abs(got - want).max() <= 1e-14 * np.pi * 0.4**2 * 0.5
+
+    @given(
+        m=st.sampled_from([32, 64, 256]),
+        constant=st.floats(-2.0, 2.0),
+        k=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        amplitude=st.floats(0.1, 1.0),
+        phase=st.floats(0.0, 2 * math.pi),
+        tau=st.floats(0.05, 5.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_lattice_scores_match_general_lookup(
+        self, m, constant, k, amplitude, phase, tau, sign
+    ):
+        # each score is within 1e-14 of the disc area times sup |H|, which
+        # bounds it, and both scorings pick the same competitor circle
+        grid = periodic_from_callable(
+            lambda x, y: amplitude * np.cos(2 * np.pi * (k[0] * x + k[1] * y) + phase)
+            + 0.3 * np.sin(2 * np.pi * (x + 2 * y)),
+            m=m,
+        )
+        field = CurvatureField.from_parts(constant=constant, periodic=grid)
+        ctx = EnergyContext(field=field, potential=None)  # the search reads H only
+        radius = math.sqrt(tau / math.pi)
+        centers = np.array([(0.0, 0.0)] + [(a / 8, b / 8) for a in range(8) for b in range(8)])
+        got = _disc_scores(ctx, centers, radius)
+        want = disc_scores_general(ctx, centers, radius)
+        scale = tau * (abs(constant) + amplitude + 0.3)
+        assert np.abs(got - want).max() <= 1e-14 * scale
+        lattice = _initial_circle(ctx, sign * tau, 64)
+        with mock.patch.object(minimize, "_disc_scores", disc_scores_general):
+            general = _initial_circle(ctx, sign * tau, 64)
+        np.testing.assert_array_equal(lattice.samples, general.samples)
+
+    @pytest.mark.parametrize("m", [32, 256])
+    @pytest.mark.parametrize("cells", [(1, 0), (0, 1), (3, 5)])
+    def test_lattice_translation(self, m, cells):
+        # H rolled by p M/8, q M/8 nodes is H moved by (p/8, q/8): the score
+        # of the disc about (a/8, b/8) moves to the center ((a+p)/8, (b+q)/8)
+        grid = periodic_from_callable(
+            lambda x, y: 0.5 * np.cos(2 * np.pi * (x - 2 * y) + 0.3) + 0.2 * np.sin(4 * np.pi * y),
+            m=m,
+        )
+        p, q = cells
+        rolled = np.roll(grid, (p * m // 8, q * m // 8), axis=(0, 1))
+        centers = np.array([(a / 8, b / 8) for a in range(8) for b in range(8)])
+        scores = []
+        for g in (grid, rolled):
+            ctx = EnergyContext(field=CurvatureField.from_parts(constant=0.2, periodic=g), potential=None)
+            scores.append(_disc_scores(ctx, centers, 0.3))
+        moved = [((a - p) % 8) * 8 + (b - q) % 8 for a in range(8) for b in range(8)]
+        assert np.abs(scores[1] - scores[0][moved]).max() <= 1e-14 * np.pi * 0.3**2 * 0.9
+        assert not np.allclose(scores[1], scores[0], rtol=0.0, atol=1e-3)
 
 
 class TestProjection:
