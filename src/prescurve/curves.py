@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,28 +99,42 @@ class ClosedCurve:
         return float(np.hypot(*(hi - lo)))
 
 
-def apply_symbol(values: np.ndarray, symbol) -> np.ndarray:
+def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """Apply a Fourier multiplier to uniformly sampled periodic data.
 
-    ``values`` has N samples along axis 0.  ``symbol`` gives the multiplier
-    of each mode k = 0..N/2 of the real FFT: either a callable that receives
-    the mode numbers as floats, or the precomputed array, shape (N/2+1,).
-    An array of shape (N/2+1, K) is a stack of K multipliers along a
-    trailing axis: the result gains that axis, shape ``values.shape + (K,)``,
-    and the K products share one forward transform.  The inverse transform
-    keeps only the real part of the Nyquist product, so an odd (imaginary)
-    symbol annihilates that mode and an even one scales it as a cosine.
+    ``values`` has N samples along axis 0.  ``symbol`` holds the multiplier
+    of each mode k = 0..N/2 of the real FFT, shape (N/2+1,); derivative
+    symbols come from ``_derivative_symbol``.  An array of shape
+    (N/2+1, K) is a stack of K multipliers along a trailing axis: the
+    result gains that axis, shape ``values.shape + (K,)``, and the K
+    products share one forward transform.  The inverse transform keeps only
+    the real part of the Nyquist product, so an odd (imaginary) symbol
+    annihilates that mode and an even one scales it as a cosine.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    if callable(symbol):
-        symbol = symbol(np.arange(n // 2 + 1, dtype=float))
     factor = np.asarray(symbol)
     stack = factor.shape[1:]
     spectrum = np.fft.rfft(values, axis=0)
     spectrum = spectrum.reshape(spectrum.shape + (1,) * len(stack))
     factor = factor.reshape(factor.shape[:1] + (1,) * (values.ndim - 1) + stack)
     return np.fft.irfft(spectrum * factor, n=n, axis=0)
+
+
+@lru_cache(maxsize=32)
+def _derivative_symbol(n: int, period: float, order) -> np.ndarray:
+    """The symbol (i (2 pi / T) k)^order of the derivative of that order at
+    period T, one entry per rfft mode k = 0..n/2; a tuple of orders gives
+    one column per order.  Built once per (n, period, order) and read-only,
+    since every caller shares it.
+    """
+    base = 1j * (2.0 * np.pi / period) * np.arange(n // 2 + 1, dtype=float)
+    if isinstance(order, tuple):
+        symbol = np.stack([base**o for o in order], axis=1)
+    else:
+        symbol = base**order
+    symbol.flags.writeable = False
+    return symbol
 
 
 def derivative(curve: ClosedCurve, order: int = 1) -> np.ndarray:
@@ -129,9 +144,16 @@ def derivative(curve: ClosedCurve, order: int = 1) -> np.ndarray:
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    return apply_symbol(
-        curve.samples, lambda k: (2j * np.pi * k / curve.period) ** order
-    )
+    return apply_symbol(curve.samples, _derivative_symbol(curve.n, curve.period, order))
+
+
+def _jet(values: np.ndarray, period: float):
+    """The first and second derivatives of periodic samples at period T,
+    from one forward transform.  Each is a contiguous copy of the shape of
+    ``values``, so that a reduction over it (``einsum``) adds in the same
+    order as over a lone ``derivative``."""
+    jet = apply_symbol(values, _derivative_symbol(len(values), period, (1, 2)))
+    return jet[..., 0].copy(), jet[..., 1].copy()
 
 
 def _speed(curve: ClosedCurve) -> np.ndarray:
@@ -146,18 +168,21 @@ def _require_regular(curve: ClosedCurve, speed: np.ndarray) -> None:
         raise DegenerateSpeed(
             f"speed is not finite at {bad.size} of {speed.size} samples (e.g. {bad[0]})"
         )
-    # the length as ``length`` forms it, from the speed the caller has
-    total = float(speed.sum() * curve.period / curve.n)
-    threshold = EPS_REG * max(total, 0.0) / curve.period
+    threshold = EPS_REG * max(_length(curve, speed), 0.0) / curve.period
     if speed.min() <= threshold:
         raise DegenerateSpeed(
             f"min speed {speed.min():.3e} <= threshold {threshold:.3e}"
         )
 
 
+def _length(curve: ClosedCurve, speed: np.ndarray) -> float:
+    """``length`` from the speed at the nodes that a caller already has."""
+    return float(speed.sum() * curve.period / curve.n)
+
+
 def length(curve: ClosedCurve) -> float:
     """Curve length: trapezoidal quadrature of the speed over one period."""
-    return float(_speed(curve).sum() * curve.period / curve.n)
+    return _length(curve, _speed(curve))
 
 
 def signed_area(curve: ClosedCurve) -> float:
@@ -174,8 +199,7 @@ def signed_area(curve: ClosedCurve) -> float:
 
 def curvature(curve: ClosedCurve) -> np.ndarray:
     """Signed curvature (i u' . u'') / |u'|^3 at the sample nodes."""
-    du = derivative(curve, 1)
-    d2u = derivative(curve, 2)
+    du, d2u = _jet(curve.samples, curve.period)
     return _curvature(curve, du, d2u, np.hypot(du[:, 0], du[:, 1]))
 
 
@@ -321,11 +345,9 @@ def reparametrize_constant_speed(curve: ClosedCurve) -> ClosedCurve:
 
     # spectral antiderivative of the speed: S(t) = mean*t + osc(t) - osc(0)
     mean = speed.mean()
+    k = np.arange(n // 2 + 1, dtype=float)
     osc0 = apply_symbol(
-        speed,
-        lambda k: np.divide(
-            period, 2j * np.pi * k, out=np.zeros(k.shape, complex), where=k > 0
-        ),
+        speed, np.divide(period, 2j * np.pi * k, out=np.zeros(k.shape, complex), where=k > 0)
     )
     size = RESAMPLE_GRID * n
     table = _regrid(np.column_stack([osc0, speed, curve.samples]), size)

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ClosedCurve, apply_symbol, derivative, length, rot90
+from .curves import (
+    ClosedCurve,
+    _derivative_symbol,
+    _length,
+    apply_symbol,
+    derivative,
+    length,
+    rot90,
+)
 from .errors import DegenerateSpeed
 from .fields import CurvatureField, VectorPotential, build_potential, q_eval
 
@@ -81,9 +89,9 @@ def energy_gradient(curve: ClosedCurve, field: CurvatureField) -> np.ndarray:
     """
     du = derivative(curve, 1)
     speed = np.hypot(du[:, 0], du[:, 1])
-    if speed.min() <= 1e-8 * length(curve) / curve.period:
+    if speed.min() <= 1e-8 * _length(curve, speed) / curve.period:
         raise DegenerateSpeed("energy gradient needs a regular curve")
     tangent = du / speed[:, None]
     h = field.value(curve.samples)
-    dtangent = apply_symbol(tangent, lambda k: 2j * np.pi * k / curve.period)
+    dtangent = apply_symbol(tangent, _derivative_symbol(curve.n, curve.period, 1))
     return -dtangent + h[:, None] * rot90(du)

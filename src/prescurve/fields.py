@@ -339,35 +339,17 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
 
 
 class RadialDecaying:
-    """A radial function r -> h2(r) tending to zero, tabulated or callable."""
+    """A radial function r -> h2(r) tending to zero, from a table (r, values):
+    the not-a-knot cubic spline through it up to its last radius ``r_max``,
+    and zero beyond."""
 
-    def __init__(self, func=None, table=None, r_max=None):
-        if (func is None) == (table is None):
-            raise ValueError("give exactly one of func= or table=(r, values)")
-        self._func = func
-        if table is not None:
-            self._spline = _CubicSpline(*table)
-            self.r_max = float(self._spline.x[-1]) if r_max is None else float(r_max)
-        else:
-            self._spline = None
-            self.r_max = float(r_max) if r_max is not None else self._probe_range()
-
-    def _probe_range(self) -> float:
-        peak = max(abs(self._func(np.linspace(1e-6, 1.0, 64))).max(), 1e-300)
-        r = 1.0
-        while r < 1e6:
-            band = abs(self._func(np.linspace(r, 2 * r, 64)))
-            if band.max() <= 1e-9 * peak:
-                return 2 * r
-            r *= 2
-        raise NonIntegrable("radial part does not decay within r <= 1e6")
+    def __init__(self, table):
+        self._spline = _CubicSpline(*table)
+        self.r_max = float(self._spline.x[-1])
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        if self._func is not None:
-            return np.asarray(self._func(r), dtype=float)
-        out = np.where(r <= self.r_max, self._spline(np.minimum(r, self.r_max)), 0.0)
-        return out
+        return np.where(r <= self.r_max, self._spline(np.minimum(r, self.r_max)), 0.0)
 
     def linf(self, nr: int = 4096) -> float:
         r = np.linspace(0.0, self.r_max, nr)

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import ClosedCurve, apply_symbol, trig_resample
+from .curves import ClosedCurve, _jet, apply_symbol, trig_resample
 from .errors import (
     DegenerateSpeed,
     MaxIterationsExceeded,
@@ -153,12 +153,12 @@ def _frozen(*arrays):
 
 
 class _Grid(NamedTuple):
-    """The R-free tables of the profile solve at ``num`` nodes."""
+    """The R-free tables of the profile solve at ``num`` nodes; the
+    derivative symbols come from ``curves``' shared table."""
 
     t: np.ndarray  # the nodes
     cos_t: np.ndarray
     sin_t: np.ndarray
-    jet: np.ndarray  # the symbols ik and (ik)^2, stacked along axis 1
     inverse: np.ndarray  # the symbol of Linv: 1/(1 - k^2), 0 on the kernel
 
 
@@ -171,16 +171,9 @@ def _grid(num: int) -> _Grid:
             t,
             np.cos(t),
             np.sin(t),
-            np.stack([(1j * k) ** order for order in (1, 2)], axis=1),
             np.divide(1.0, 1.0 - k**2, out=np.zeros_like(k), where=k != 1.0),
         )
     )
-
-
-def _derivatives(phi: np.ndarray):
-    """phi' and phi'' of 2 pi-periodic samples, from one forward transform."""
-    jet = apply_symbol(phi, _grid(len(phi)).jet)
-    return jet[:, 0], jet[:, 1]
 
 
 def _frequencies(params: AnsatzParams, rescaled: bool = True):
@@ -267,7 +260,7 @@ def _perturb(frame: _Frame, phi, dphi, d2phi):
 
 def _gap(frame: _Frame, phi: np.ndarray, h: RadialCurvature) -> np.ndarray:
     """K - H of the normal perturbation u + phi * normal, sampled."""
-    w, _, kappa = _perturb(frame, phi, *_derivatives(phi))
+    w, _, kappa = _perturb(frame, phi, *_jet(phi, 2.0 * np.pi))
     return kappa - h(np.abs(w))
 
 
@@ -323,7 +316,7 @@ def fixed_point_solve(
         phi = np.array(phi0, dtype=float)
         if phi.shape != (num,):
             raise ValueError(f"phi0 must have shape ({num},), got {phi.shape}")
-        phi = apply_symbol(phi, lambda k: (k != 1.0).astype(float))
+        phi = apply_symbol(phi, (np.arange(num // 2 + 1) != 1).astype(float))
     phi_prev = None
     res_prev = None
     trace = []
@@ -534,7 +527,7 @@ def verify_second_multiplier(result: LSResult, h: RadialCurvature):
     """
     params = AnsatzParams(n=result.n, R=result.R, mirror=result.mirror)
     phi = result.phi
-    w, dw, kappa = _perturb(_node_frame(params, len(phi)), phi, *_derivatives(phi))
+    w, dw, kappa = _perturb(_node_frame(params, len(phi)), phi, *_jet(phi, 2.0 * np.pi))
     gap = kappa - h(np.abs(w))
     radial_rate = (w.conjugate() * dw).real
     identity = float((-gap * radial_rate).sum() * 2.0 * np.pi / len(phi))
@@ -562,7 +555,7 @@ def build_immersed_loop(
 
     rho = params.rescale / n  # d(rescaled)/d(full parameter)
     phi = result.phi
-    jet = np.stack([phi, *_derivatives(phi)], axis=1)
+    jet = np.stack([phi, *_jet(phi, 2.0 * np.pi)], axis=1)
     # the rescaled parameter rho * t_full = 2 pi (m j mod num_total) / num_total
     # falls on the uniform grid of num_total nodes, visited in steps of m
     up = trig_resample(jet, 2.0 * np.pi, nodes=num_total)

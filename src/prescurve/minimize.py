@@ -13,12 +13,13 @@ by scaling about the curve mean (the area is translation invariant and
 2-homogeneous), with an integer recentering every ``RECENTER_EVERY``
 iterations for periodic fields so iterates stay in a bounded slab.
 
-Each trial curve is evaluated once: one rfft of the unprojected trial
-and one irfft give u', from which come the signed area, the projection
-scale s and, as s u', the derivative of the projected curve; one lookup
-of H and Q on a shared B-spline stencil gives the objective
-sqrt(sum |u'|^2 / N) + sum Q . i u' / N.  The accepted trial's spectrum,
-u' and H then make the next gradient, with u'' = s irfft(spectrum (2 pi i k)^2).
+Each trial curve is evaluated once: one jet of the unprojected trial,
+u' and u'' from one forward transform through ``curves.apply_symbol``,
+gives the signed area, the projection scale s and, as s u' and s u'',
+the derivatives of the projected curve; one lookup of H and Q on a
+shared B-spline stencil gives the objective
+sqrt(sum |u'|^2 / N) + sum Q . i u' / N.  The accepted trial's u', u''
+and H then make the next gradient.
 
 A solve at more than ``COARSE_N`` nodes runs in two stages (nested
 iteration, the first stage of full multigrid; Brandt, Math. Comp. 31
@@ -36,8 +37,9 @@ area |tau| about the center, among the origin and the 8 x 8 lattice of a
 periodic field (plus radial rings for a radial part), where sign(tau)
 times the disc integral of H is smallest.  On a periodic-only field the
 lattice discs share one stencil of the quadrature offsets and move by
-whole cells (``_disc_scores``).  The symbols 2 pi i k and (2 pi k)^2 are
-built once per node count.
+whole cells (``_disc_scores``).  The derivative symbols, and the
+preconditioner's (2 pi k)^2 with them, come from the shared table of
+``curves``, built once per node count.
 
 The Lagrange multiplier is extracted after the fact as the speed-weighted
 mean of H - K; it is diagnostic, not an optimization variable.
@@ -47,17 +49,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from .curves import (
     ClosedCurve,
     _curvature,
+    _derivative_symbol,
+    _jet,
     apply_symbol,
     circle,
     curve_reverse,
-    derivative,
     is_simple,
     reparametrize_constant_speed,
     rot90,
@@ -189,27 +192,9 @@ def _precondition(grad: np.ndarray, dval: float) -> np.ndarray:
     """Mode-wise Sobolev smoothing of sampled L^2 gradients (period 1),
     one per pair of columns."""
     scale = max(dval, 1e-12)
-    return apply_symbol(grad, 1.0 / (PRECOND_EPS + _k2(len(grad)) / scale))
-
-
-def _frozen(symbol: np.ndarray) -> np.ndarray:
-    """``symbol``, made read-only: a cached symbol is shared by all callers."""
-    symbol.flags.writeable = False
-    return symbol
-
-
-@lru_cache(maxsize=8)
-def _k2(n: int) -> np.ndarray:
-    """(2 pi k)^2 at period 1, one entry per rfft mode; read-only, built
-    once per n."""
-    return _frozen((2.0 * np.pi * np.arange(n // 2 + 1, dtype=float)) ** 2)
-
-
-@lru_cache(maxsize=8)
-def _ik(n: int) -> np.ndarray:
-    """The derivative symbol 2 pi i k at period 1, one row per rfft mode;
-    read-only, built once per n."""
-    return _frozen((2j * np.pi * np.arange(n // 2 + 1, dtype=float))[:, None])
+    # the symbol of -d^2/dt^2, (2 pi k)^2, is minus the real second-derivative one
+    k2 = -_derivative_symbol(len(grad), 1.0, 2).real
+    return apply_symbol(grad, 1.0 / (PRECOND_EPS + k2 / scale))
 
 
 @dataclass(frozen=True)
@@ -218,30 +203,23 @@ class _Trial:
     objective and the next gradient read."""
 
     samples: np.ndarray  # the projected curve
-    spectrum: np.ndarray  # rfft of the curve before projection
-    scale: float  # the projection scale s
     du: np.ndarray  # u' of the projected curve
+    d2u: np.ndarray  # u'' of the projected curve
     h: np.ndarray  # H at the samples
     dval: float  # Dirichlet value sqrt(sum |u'|^2 / N)
     value: float  # objective D + A_H
-
-    def second_derivative(self) -> np.ndarray:
-        """u'' of the projected curve, s irfft(spectrum (2 pi i k)^2)."""
-        n = len(self.samples)
-        return self.scale * np.fft.irfft(self.spectrum * _ik(n) ** 2, n=n, axis=0)
 
 
 def _trial(ctx: EnergyContext, samples: np.ndarray, tau: float) -> _Trial:
     """Project a curve of period 1 onto area tau and evaluate the objective.
 
-    One rfft and one irfft give u', hence the signed area and the scale
-    about the mean; u' of the projected curve is s u'.  An area that scaling
-    cannot reach takes ``_project_area``'s reverse-and-retry path, which
-    may raise ``SignIncompatible``.
+    One jet gives u' and u'', hence the signed area and the scale s about
+    the mean; the projected curve's derivatives are s u' and s u''.  An
+    area that scaling cannot reach takes ``_project_area``'s
+    reverse-and-retry path, which may raise ``SignIncompatible``.
     """
     n = len(samples)
-    spectrum = np.fft.rfft(samples, axis=0)
-    du = np.fft.irfft(spectrum * _ik(n), n=n, axis=0)
+    du, d2u = _jet(samples, 1.0)
     area = 0.5 * float(np.einsum("ij,ij->", samples, rot90(du))) / n
     if _off_side(area, tau):
         return _trial(ctx, _project_area(samples, 1.0, tau), tau)
@@ -249,10 +227,11 @@ def _trial(ctx: EnergyContext, samples: np.ndarray, tau: float) -> _Trial:
     center = samples.mean(axis=0)
     samples = center + scale * (samples - center)
     du *= scale
+    d2u *= scale
     h, q = h_and_q(ctx.field, ctx.potential, samples)
     dval = math.sqrt(float(np.einsum("ij,ij->", du, du)) / n)
     value = dval + float(np.einsum("ij,ij->", q, rot90(du))) / n
-    return _Trial(samples, spectrum, scale, du, h, dval, value)
+    return _Trial(samples, du, d2u, h, dval, value)
 
 
 def _descend(ctx: EnergyContext, cur: _Trial, tau: float, step: float, tol_grad: float):
@@ -270,7 +249,7 @@ def _descend(ctx: EnergyContext, cur: _Trial, tau: float, step: float, tol_grad:
     if speed.min() <= 1e-10 * speed.max():
         raise DegenerateSpeed("iterate lost regularity")
     idu = rot90(du)
-    grad = -cur.second_derivative() / cur.dval + cur.h[:, None] * idu
+    grad = -cur.d2u / cur.dval + cur.h[:, None] * idu
 
     # tangent projection onto the constraint, in the smoothed metric
     smoothed = _precondition(np.concatenate([grad, idu], axis=1), cur.dval)
@@ -434,9 +413,9 @@ def minimize_area_constrained(
     final = reparametrize_constant_speed(ClosedCurve(period=1.0, samples=samples))
     final = ClosedCurve(period=1.0, samples=_project_area(final.samples, 1.0, tau))
     # u', u'', the speed, K and H of the final curve, each computed once
-    du = derivative(final, 1)
+    du, d2u = _jet(final.samples, 1.0)
     speed = np.hypot(du[:, 0], du[:, 1])
-    kappa = _curvature(final, du, derivative(final, 2), speed)
+    kappa = _curvature(final, du, d2u, speed)
     hvals = ctx.field.value(final.samples)
     lam = extract_lagrange_multiplier(kappa, hvals, speed)
     residual = float(np.abs(kappa - hvals + lam).max())

@@ -22,8 +22,9 @@ import numpy as np
 
 from .curves import (
     ClosedCurve,
-    curvature,
-    derivative,
+    _curvature,
+    _jet,
+    _length,
     length,
     reparametrize_constant_speed,
     rot90,
@@ -308,16 +309,19 @@ def verify_solution(curve: ClosedCurve, field: CurvatureField, lam: float) -> So
     sup |K - H + lam|, second-order equation residual
     sup |u'' - Lbar (H - lam) i u'| with Lbar the mean speed, and the L^2
     norm of the constrained-energy gradient.  Each reads H only, so no
-    vector potential is built.  Always returns a report.
+    vector potential is built.  The first three read one jet of the curve.
+    Raises ``DegenerateSpeed``, before any diagnostic, when the speed is
+    not finite (an overflowed derivative) or not bounded away from zero.
     """
-    du = derivative(curve, 1)
-    d2u = derivative(curve, 2)
-    speed = np.hypot(du[:, 0], du[:, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowed jet is named by the regularity check, not by numpy
+        du, d2u = _jet(curve.samples, curve.period)
+        speed = np.hypot(du[:, 0], du[:, 1])
+    kappa = _curvature(curve, du, d2u, speed)  # checks regularity first
     speed_var = float((speed.max() - speed.min()) / speed.mean())
     h = field.value(curve.samples)
-    kappa = curvature(curve)
     curv_res = float(np.abs(kappa - h + lam).max())
-    mean_speed = length(curve) / curve.period
+    mean_speed = _length(curve, speed) / curve.period
     ode_res = float(
         np.abs(d2u - mean_speed * ((h - lam)[:, None] * rot90(du))).max()
     )

@@ -15,7 +15,6 @@ from prescurve.energy import anisotropic_area, build_context, energy, energy_gra
 from prescurve.fields import (
     CurvatureField,
     RadialCurvature,
-    RadialDecaying,
     build_potential,
     lorentz_norm_21,
     periodic_from_callable,
@@ -50,6 +49,7 @@ from conftest import (
     project_perp,
     random_loop,
     shape_derivative,
+    tabulated,
 )
 
 
@@ -133,9 +133,7 @@ def test_criterion_03_potential_bounds_and_divergence():
             )
         grid -= grid.mean()
         amp, width = rng.uniform(0.02, 0.1), rng.uniform(0.5, 1.5)
-        rad = RadialDecaying(
-            func=lambda r, a=amp, w=width: a * np.exp(-((np.asarray(r) / w) ** 2))
-        )
+        rad = tabulated(lambda r, a=amp, w=width: a * np.exp(-((r / w) ** 2)))
         field = CurvatureField.from_parts(
             constant=rng.uniform(-0.5, 0.5), periodic=grid, radial=rad
         )

@@ -362,9 +362,11 @@ def test_immersed_missing_field_file_exit_2(tmp_path, capsys):
 
 
 # Exports that only tests call: a paper claim that ROADMAP item 3 plans to
-# put in the reports.
+# put in the reports, and the signed curvature K(u), which the solvers and
+# ``check`` form from the jets they already hold (``curves._curvature``).
 TEST_ONLY_EXPORTS = {
     ("minimize", "check_multiplier_bounds"): "the multiplier bounds; ROADMAP item 3",
+    ("curves", "curvature"): "K(u) of one curve; src reads it from its own jets",
 }
 
 
@@ -413,6 +415,35 @@ def test_every_export_has_a_caller():
             if name not in read:
                 unused.add((path.stem, name))
     assert unused == set(TEST_ONLY_EXPORTS)
+
+
+def _takes_fft(node) -> bool:
+    """Whether an AST node reads ``np.fft`` or imports numpy's FFT module."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "fft" and getattr(node.value, "id", None) in ("np", "numpy")
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("numpy.fft") or (
+            module == "numpy" and any(alias.name == "fft" for alias in node.names)
+        )
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.fft") for alias in node.names)
+    return False
+
+
+def test_fft_only_in_the_spectral_kernels():
+    # every 1-D Fourier multiplier goes through curves.apply_symbol and every
+    # change of grid through curves._regrid; fields keeps the 2-D transforms
+    # of the periodic spline and the torus Poisson solve
+    src = Path(prescurve.__file__).resolve().parent
+    sites = {
+        (path.stem, getattr(top, "name", None))
+        for path in sorted(src.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        if any(_takes_fft(node) for node in ast.walk(top))
+    }
+    outside = {site for site in sites if site[0] != "fields"}
+    assert outside == {("curves", "apply_symbol"), ("curves", "_regrid")}
 
 
 def test_package_namespace():
@@ -799,9 +830,9 @@ class TestMagneticCylinderCheck:
         assert main([*argv, "--out", str(tmp_path / "chk")]) == 1
         assert "numerical failure" in capsys.readouterr().err
 
-    # the derivative of circle(1e306) overflows, and numpy warns of it
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    # the derivative of circle(1e306) overflows: check names it before any
+    # diagnostic reads it, and numpy warns of nothing
+    @pytest.mark.filterwarnings("error")
     def test_check_overflowed_speed_exit_1(self, tmp_path, capsys):
         # an infinite speed is named as such, not as a degenerate one
         field = tmp_path / "field256.json"

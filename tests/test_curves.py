@@ -77,6 +77,23 @@ class TestDerivative:
         with pytest.raises(ValueError):
             derivative(unit_circle(), 4)
 
+    @pytest.mark.parametrize("n", [16, 128, 1024])
+    def test_symbol_table(self, n):
+        # the shared derivative symbols are (2 pi i k)^o at period 1 and
+        # (i k)^o at period 2 pi, exactly; a tuple of orders stacks columns,
+        # and every table is read-only, since all callers share it
+        k = np.arange(n // 2 + 1, dtype=float)
+        for period, base in ((1.0, 2j * np.pi * k), (2 * np.pi, 1j * k)):
+            for order in (1, 2, 3):
+                symbol = curves._derivative_symbol(n, period, order)
+                assert not symbol.flags.writeable
+                assert np.array_equal(symbol, base**order)
+            jet = curves._derivative_symbol(n, period, (1, 2))
+            assert not jet.flags.writeable
+            assert np.array_equal(jet, np.stack([base, base**2], axis=1))
+            with pytest.raises(ValueError):
+                jet[0, 0] = 1.0
+
     @pytest.mark.parametrize("n", [16, 64, 512])
     def test_nyquist_mode(self, n):
         # the Nyquist mode is a pure cosine on the nodes: odd derivatives

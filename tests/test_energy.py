@@ -21,7 +21,7 @@ from prescurve.energy import (
     energy_gradient,
     pair,
 )
-from prescurve.fields import CurvatureField, RadialDecaying, periodic_from_callable
+from prescurve.fields import CurvatureField, periodic_from_callable
 
 from conftest import (
     anisotropic_area_by_winding,
@@ -30,6 +30,7 @@ from conftest import (
     random_loop,
     shape_derivative,
     sup_norm,
+    tabulated,
 )
 
 
@@ -78,7 +79,7 @@ class TestAnisotropicArea:
     def test_jordan_circle_radial_field_against_disc_quadrature(self):
         # oracle: A_H = sign(area) * integral of H over the enclosed disc,
         # computed by 2-d polar quadrature
-        rad = RadialDecaying(func=lambda r: np.exp(-np.asarray(r) ** 2))
+        rad = tabulated(lambda r: np.exp(-(r**2)))
         field = CurvatureField.from_parts(radial=rad)
         ctx = build_context(field)
         c = circle(1.3, center=(0.4, -0.2), n=256, orientation=1)  # area < 0

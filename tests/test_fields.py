@@ -36,6 +36,7 @@ from conftest import (
     complex_fft_potential,
     radial_masked,
     sup_norm,
+    tabulated,
     torus_gradient,
     write_field,
 )
@@ -134,24 +135,33 @@ class TestTorusPoisson:
         )
 
 
+def disc_indicator(r0: float):
+    """The indicator of the disc of radius r0, with ``r_max`` = 2 r0: all
+    that ``lorentz_norm_21`` and ``solve_plane_poisson_decaying`` read of a
+    radial part, and unlike a spline table exact at the jump."""
+
+    def indicator(r):
+        return np.where(np.asarray(r) <= r0, 1.0, 0.0)
+
+    indicator.r_max = 2.0 * r0
+    return indicator
+
+
 class TestLorentzNorm:
     def test_disc_indicator_closed_form(self):
         for r0 in (0.5, 1.7):
-            ind = RadialDecaying(
-                func=lambda r, r0=r0: np.where(np.asarray(r) <= r0, 1.0, 0.0),
-                r_max=2 * r0,
-            )
+            ind = disc_indicator(r0)
             # closed form: integral of t^(-1/2) over (0, pi r0^2)
             assert lorentz_norm_21(ind, nr=65536) == pytest.approx(
                 2 * r0 * math.sqrt(math.pi), rel=1e-3
             )
 
     def test_zero(self):
-        z = RadialDecaying(func=lambda r: np.zeros_like(np.asarray(r)), r_max=1.0)
+        z = tabulated(np.zeros_like, r_max=1.0)
         assert lorentz_norm_21(z) == 0.0
 
     def test_gaussian_against_brute_rearrangement(self):
-        gauss = RadialDecaying(func=lambda r: np.exp(-np.asarray(r) ** 2))
+        gauss = tabulated(lambda r: np.exp(-(r**2)))
         # oracle: rearrange |H| sampled on a fine 2-d grid
         L = 6.0
         m = 2000
@@ -170,9 +180,7 @@ class TestLorentzNorm:
 
 class TestPlanePoisson:
     def test_disc_indicator_closed_form(self):
-        ind = RadialDecaying(
-            func=lambda r: np.where(np.asarray(r) <= 1.0, 1.0, 0.0), r_max=2.0
-        )
+        ind = disc_indicator(1.0)
         r, vp = solve_plane_poisson_decaying(ind, nr=16001, r_max=4.0)
         inner = r[(r > 0.05) & (r < 0.95)]
         vin = vp[(r > 0.05) & (r < 0.95)]
@@ -182,12 +190,12 @@ class TestPlanePoisson:
         assert np.abs(vout + 1.0 / (2 * outer)).max() < 1e-3
 
     def test_zero(self):
-        z = RadialDecaying(func=lambda r: np.zeros_like(np.asarray(r)), r_max=1.0)
+        z = tabulated(np.zeros_like, r_max=1.0)
         _, vp = solve_plane_poisson_decaying(z)
         assert np.abs(vp).max() == 0.0
 
     def test_gaussian_divergence(self):
-        gauss = RadialDecaying(func=lambda r: np.exp(-np.asarray(r) ** 2))
+        gauss = tabulated(lambda r: np.exp(-(r**2)))
         field = CurvatureField.from_parts(radial=gauss)
         pot = build_potential(field)
         rng = np.random.default_rng(3)
@@ -200,13 +208,13 @@ class TestPlanePoisson:
         assert np.abs(div - field.value(pts)).max() < 1e-6
 
     def test_decaying_gradient_bound(self):
-        gauss = RadialDecaying(func=lambda r: 0.1 * np.exp(-np.asarray(r) ** 2))
+        gauss = tabulated(lambda r: 0.1 * np.exp(-(r**2)))
         field = CurvatureField.from_parts(radial=gauss)
         pot = build_potential(field)
         assert pot.sup_radial() <= PLANE_GRADIENT_CONSTANT * lorentz_norm_21(gauss) + 1e-6
 
     def test_potential_vanishes_at_infinity(self):
-        gauss = RadialDecaying(func=lambda r: np.exp(-np.asarray(r) ** 2))
+        gauss = tabulated(lambda r: np.exp(-(r**2)))
         field = CurvatureField.from_parts(radial=gauss)
         pot = build_potential(field)
         r_end = float(pot.radial_r[-1])
@@ -386,7 +394,7 @@ class TestCurvatureFieldType:
     def test_value_composite(self):
         xx, yy = cell_grid(64)
         grid = 0.3 * np.sin(2 * np.pi * xx)
-        rad = RadialDecaying(func=lambda r: np.exp(-np.asarray(r) ** 2))
+        rad = tabulated(lambda r: np.exp(-(r**2)))
         field = CurvatureField.from_parts(constant=1.0, periodic=grid, radial=rad)
         val = field.value(np.array([[0.25, 0.0]]))[0]
         assert val == pytest.approx(1.0 + 0.3 + math.exp(-0.0625), abs=1e-6)
@@ -752,7 +760,7 @@ class TestFieldIO:
     def test_roundtrip(self, tmp_path, rng):
         xx, yy = cell_grid(16)
         grid = 0.2 * np.sin(2 * np.pi * (xx + yy))
-        rad = RadialDecaying(func=lambda r: 0.1 * np.exp(-np.asarray(r) ** 2))
+        rad = tabulated(lambda r: 0.1 * np.exp(-(r**2)))
         field = CurvatureField.from_parts(constant=0.4, periodic=grid, radial=rad)
         path = tmp_path / "field.json"
         write_field(field, path, radial_params={"A": 1.0, "gamma": 2.0})

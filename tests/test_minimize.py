@@ -18,7 +18,7 @@ from prescurve.curves import (
 )
 from prescurve.energy import EnergyContext, anisotropic_area, build_context
 from prescurve.errors import FieldTooLarge, SignIncompatible
-from prescurve.fields import CurvatureField, RadialDecaying, periodic_from_callable
+from prescurve.fields import CurvatureField, periodic_from_callable
 from prescurve import minimize
 from prescurve.minimize import (
     COARSE_N,
@@ -36,7 +36,7 @@ from prescurve.minimize import (
     sweep_isoperimetric,
 )
 
-from conftest import dirichlet, disc_scores_general
+from conftest import dirichlet, disc_scores_general, tabulated
 
 S = SHARP_ISOPERIMETRIC
 
@@ -64,7 +64,7 @@ def ctx_mixed():
     grid = periodic_from_callable(
         lambda x, y: 0.3 * np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y), m=64
     )
-    radial = RadialDecaying(func=lambda r: 0.2 * np.exp(-(r**2)))
+    radial = tabulated(lambda r: 0.2 * np.exp(-(r**2)))
     return build_context(CurvatureField.from_parts(constant=0.4, periodic=grid, radial=radial))
 
 
