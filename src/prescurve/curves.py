@@ -29,7 +29,6 @@ __all__ = [
     "derivative",
     "length",
     "signed_area",
-    "curvature",
     "reparametrize_constant_speed",
     "is_simple",
     "curve_reverse",
@@ -121,19 +120,22 @@ def apply_symbol(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spectrum * factor, n=n, axis=0)
 
 
+def _frozen(*arrays):
+    """The arrays, made read-only: cached tables are shared between calls."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=32)
-def _derivative_symbol(n: int, period: float, order) -> np.ndarray:
-    """The symbol (i (2 pi / T) k)^order of the derivative of that order at
-    period T, one entry per rfft mode k = 0..n/2; a tuple of orders gives
-    one column per order.  Built once per (n, period, order) and read-only,
-    since every caller shares it.
+def _derivative_symbol(n: int, period: float, *orders: int) -> np.ndarray:
+    """The symbols (i (2 pi / T) k)^order of the derivatives of the given
+    orders at period T, one row per rfft mode k = 0..n/2 and one column per
+    order.  Built once per (n, period, orders) and read-only, since every
+    caller shares it.
     """
     base = 1j * (2.0 * np.pi / period) * np.arange(n // 2 + 1, dtype=float)
-    if isinstance(order, tuple):
-        symbol = np.stack([base**o for o in order], axis=1)
-    else:
-        symbol = base**order
-    symbol.flags.writeable = False
+    (symbol,) = _frozen(np.stack([base**o for o in orders], axis=1))
     return symbol
 
 
@@ -144,7 +146,7 @@ def derivative(curve: ClosedCurve, order: int = 1) -> np.ndarray:
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    return apply_symbol(curve.samples, _derivative_symbol(curve.n, curve.period, order))
+    return apply_symbol(curve.samples, _derivative_symbol(curve.n, curve.period, order)[:, 0])
 
 
 def _jet(values: np.ndarray, period: float):
@@ -152,7 +154,7 @@ def _jet(values: np.ndarray, period: float):
     from one forward transform.  Each is a contiguous copy of the shape of
     ``values``, so that a reduction over it (``einsum``) adds in the same
     order as over a lone ``derivative``."""
-    jet = apply_symbol(values, _derivative_symbol(len(values), period, (1, 2)))
+    jet = apply_symbol(values, _derivative_symbol(len(values), period, 1, 2))
     return jet[..., 0].copy(), jet[..., 1].copy()
 
 
@@ -197,14 +199,10 @@ def signed_area(curve: ClosedCurve) -> float:
     return float(0.5 * integrand.sum() * curve.period / curve.n)
 
 
-def curvature(curve: ClosedCurve) -> np.ndarray:
-    """Signed curvature (i u' . u'') / |u'|^3 at the sample nodes."""
-    du, d2u = _jet(curve.samples, curve.period)
-    return _curvature(curve, du, d2u, np.hypot(du[:, 0], du[:, 1]))
-
-
 def _curvature(curve: ClosedCurve, du, d2u, speed) -> np.ndarray:
-    """``curvature`` from the sampled u', u'' and speed a caller already has."""
+    """Signed curvature (i u' . u'') / |u'|^3 at the sample nodes, from the
+    sampled u', u'' and speed that a caller already has (``_jet``); raises
+    ``DegenerateSpeed`` on a curve that is not regular."""
     _require_regular(curve, speed)
     return np.einsum("ij,ij->i", rot90(du), d2u) / speed**3
 

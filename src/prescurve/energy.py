@@ -93,5 +93,5 @@ def energy_gradient(curve: ClosedCurve, field: CurvatureField) -> np.ndarray:
         raise DegenerateSpeed("energy gradient needs a regular curve")
     tangent = du / speed[:, None]
     h = field.value(curve.samples)
-    dtangent = apply_symbol(tangent, _derivative_symbol(curve.n, curve.period, 1))
+    dtangent = apply_symbol(tangent, _derivative_symbol(curve.n, curve.period, 1)[:, 0])
     return -dtangent + h[:, None] * rot90(du)

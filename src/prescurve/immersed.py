@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import ClosedCurve, _jet, apply_symbol, trig_resample
+from .curves import ClosedCurve, _frozen, _jet, apply_symbol, trig_resample
 from .errors import (
     DegenerateSpeed,
     MaxIterationsExceeded,
@@ -143,13 +143,6 @@ class LSConfig:
         r = self.r_bracket
         if r is not None and not (len(r) == 2 and 0.0 < r[0] < r[1]):
             raise ValueError(f"'r_bracket' must be a pair 0 < r0 < r1, got {r!r}")
-
-
-def _frozen(*arrays):
-    """The arrays, made read-only: cached tables are shared between calls."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 class _Grid(NamedTuple):

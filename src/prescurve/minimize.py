@@ -193,7 +193,7 @@ def _precondition(grad: np.ndarray, dval: float) -> np.ndarray:
     one per pair of columns."""
     scale = max(dval, 1e-12)
     # the symbol of -d^2/dt^2, (2 pi k)^2, is minus the real second-derivative one
-    k2 = -_derivative_symbol(len(grad), 1.0, 2).real
+    k2 = -_derivative_symbol(len(grad), 1.0, 2)[:, 0].real
     return apply_symbol(grad, 1.0 / (PRECOND_EPS + k2 / scale))
 
 

@@ -7,8 +7,9 @@ from hypothesis import HealthCheck, settings
 
 from prescurve.curves import (
     ClosedCurve,
+    _curvature,
+    _jet,
     apply_symbol,
-    curvature,
     derivative,
     rot90,
     trig_resample,
@@ -75,6 +76,13 @@ def fourier_sum(values: np.ndarray, period: float, t) -> np.ndarray:
         if n % 2 == 0:
             out[rows] += np.multiply.outer(np.cos(np.pi * n * t[rows] / period), nyq)
     return out
+
+
+def curvature(curve) -> np.ndarray:
+    """Signed curvature K(u) at the nodes, formed as the solvers and
+    ``check`` form it: ``curves._curvature`` over one ``curves._jet``."""
+    du, d2u = _jet(curve.samples, curve.period)
+    return _curvature(curve, du, d2u, np.hypot(du[:, 0], du[:, 1]))
 
 
 def dirichlet(curve) -> float:

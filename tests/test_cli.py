@@ -362,11 +362,9 @@ def test_immersed_missing_field_file_exit_2(tmp_path, capsys):
 
 
 # Exports that only tests call: a paper claim that ROADMAP item 3 plans to
-# put in the reports, and the signed curvature K(u), which the solvers and
-# ``check`` form from the jets they already hold (``curves._curvature``).
+# put in the reports.
 TEST_ONLY_EXPORTS = {
     ("minimize", "check_multiplier_bounds"): "the multiplier bounds; ROADMAP item 3",
-    ("curves", "curvature"): "K(u) of one curve; src reads it from its own jets",
 }
 
 

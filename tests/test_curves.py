@@ -12,7 +12,6 @@ from prescurve.curves import (
     ClosedCurve,
     _arcs_interleave,
     circle,
-    curvature,
     curve_reverse,
     derivative,
     is_simple,
@@ -28,6 +27,7 @@ from prescurve.immersed import AnsatzParams, _Frame
 
 from conftest import (
     PointOnCurve,
+    curvature,
     dirichlet,
     fourier_sum,
     random_loop,
@@ -80,15 +80,15 @@ class TestDerivative:
     @pytest.mark.parametrize("n", [16, 128, 1024])
     def test_symbol_table(self, n):
         # the shared derivative symbols are (2 pi i k)^o at period 1 and
-        # (i k)^o at period 2 pi, exactly; a tuple of orders stacks columns,
-        # and every table is read-only, since all callers share it
+        # (i k)^o at period 2 pi, exactly, one column per order, and every
+        # table is read-only, since all callers share it
         k = np.arange(n // 2 + 1, dtype=float)
         for period, base in ((1.0, 2j * np.pi * k), (2 * np.pi, 1j * k)):
             for order in (1, 2, 3):
                 symbol = curves._derivative_symbol(n, period, order)
                 assert not symbol.flags.writeable
-                assert np.array_equal(symbol, base**order)
-            jet = curves._derivative_symbol(n, period, (1, 2))
+                assert np.array_equal(symbol, (base**order)[:, None])
+            jet = curves._derivative_symbol(n, period, 1, 2)
             assert not jet.flags.writeable
             assert np.array_equal(jet, np.stack([base, base**2], axis=1))
             with pytest.raises(ValueError):

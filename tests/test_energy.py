@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from prescurve.curves import (
     ClosedCurve,
     circle,
-    curvature,
     derivative,
     length,
     rot90,
@@ -25,6 +24,7 @@ from prescurve.fields import CurvatureField, periodic_from_callable
 
 from conftest import (
     anisotropic_area_by_winding,
+    curvature,
     dirichlet,
     field_value,
     random_loop,

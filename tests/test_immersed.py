@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prescurve.curves import ClosedCurve, curvature, derivative, is_simple
+from prescurve.curves import ClosedCurve, derivative, is_simple
 from prescurve.errors import NoSignChange
 from prescurve import immersed
 from prescurve.fields import RadialCurvature
@@ -23,6 +23,7 @@ from prescurve.immersed import (
 )
 
 from conftest import (
+    curvature,
     find_radius_in_r,
     fixed_point_rebuilt,
     linearized_coeffs,

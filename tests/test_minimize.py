@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from prescurve.curves import (
     ClosedCurve,
     circle,
-    curvature,
     derivative,
     is_simple,
     length,
@@ -36,7 +35,7 @@ from prescurve.minimize import (
     sweep_isoperimetric,
 )
 
-from conftest import dirichlet, disc_scores_general, tabulated
+from conftest import curvature, dirichlet, disc_scores_general, tabulated
 
 S = SHARP_ISOPERIMETRIC
 
