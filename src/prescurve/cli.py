@@ -32,7 +32,7 @@ from .fields import (
     read_field,
     read_radial_curvature,
 )
-from .immersed import LSConfig, build_immersed_loop, verify_second_multiplier
+from .immersed import LSConfig, build_immersed_loop
 from .minimize import (
     SWEEP_CSV_HEADER,
     MinimizeOptions,
@@ -340,7 +340,7 @@ def cmd_immersed(cfg) -> int:
                 "phi": res.phi.tolist(),
                 "curve_file": f"immersed_n{res.n}_curve.json",
                 "stop_reason": res.stop_reason,
-                "rotation_identity": verify_second_multiplier(res, h)[1],
+                "rotation_identity": res.rotation_identity,
             }
         )
         all_ok = all_ok and res.converged
@@ -363,16 +363,19 @@ def cmd_magnetic(cfg) -> int:
     for key in ("position", "direction"):
         if key in cfg:
             kwargs[key] = _config_list(cfg, key, float, length=2)
+    # both the gyroradius m v / (|e| b) and the b_field map divide by e
+    charge = kwargs.get("charge", 1.0)
+    if charge == 0:
+        raise ValueError(f"config key 'charge' must be nonzero, got {charge!r}")
     b = cfg.get("b")
     if b is not None:
         b = _config_value("b", b, float)
+        if b == 0:
+            raise ValueError(f"config key 'b' must be nonzero, got {b!r}")
     elif "b_field" in cfg:
         # derive the intensity from a curvature field: b = -m v (H - lam)/e,
         # so the transverse orbit follows the shifted-curvature loop
         lam = _config_lam(cfg)
-        charge = kwargs.get("charge", 1.0)
-        if charge == 0:
-            raise ValueError("config key 'charge' must be nonzero with 'b_field'")
         scale = -kwargs.get("mass", 1.0) * kwargs.get("speed", 1.0) / charge
         b = read_field(_config_path(cfg, "b_field")).mapped_at(scale, lam)
     else:
@@ -421,6 +424,8 @@ def cmd_cylinder(cfg) -> int:
 
 def cmd_check(cfg) -> int:
     opts = _config_values(cfg, {"steps": int, "tol": float})
+    if not opts.get("tol", 1.0) > 0:
+        raise ValueError(f"config key 'tol' must be positive, got {opts['tol']!r}")
     lam = _config_lam(cfg)
     path = _config_path(cfg, "curve")
     try:

@@ -159,7 +159,9 @@ def _jet(values: np.ndarray, period: float):
 
 
 def _speed(curve: ClosedCurve) -> np.ndarray:
-    du = derivative(curve, 1)
+    # an overflowing u' is reported by ``_require_regular``, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        du = derivative(curve, 1)
     return np.hypot(du[:, 0], du[:, 1])
 
 

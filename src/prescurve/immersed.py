@@ -16,7 +16,9 @@ component, removed by root-finding in the radius parameter:
    radius already solved and stopping it once its defect is small against
    |lambda1| (an inexact solve) unless lambda1 is at the root tolerance;
 3. lambda2 vanishes by the rotational symmetry of the energy, which the
-   even parity of the iteration preserves exactly.
+   even parity of the iteration preserves exactly; the accepted radius's
+   residual and rotation-invariance integral are read off the last
+   evaluation of its fixed point, not evaluated again.
 
 All quantities here are scalar functions of one 2 pi-periodic variable:
 the ansatz is only rotation-covariant over that period, but its speed,
@@ -50,10 +52,8 @@ __all__ = [
     "LSResult",
     "LSConfig",
     "linf_invert_perp",
-    "curvature_gap",
     "fixed_point_solve",
     "find_radius",
-    "verify_second_multiplier",
     "build_immersed_loop",
 ]
 
@@ -104,6 +104,9 @@ class LSResult:
     #: |lambda1| <= ``tol_root``) or "bracket_end" (lambda1 evaluated to
     #: exactly 0 at an end of the bracket, so no search ran)
     stop_reason: str
+    #: the rotation-invariance integral of (H - K)(w . w') over the period
+    #: at the accepted radius, which vanishes for every closed curve w
+    rotation_identity: float
 
 
 @dataclass(frozen=True)
@@ -251,23 +254,23 @@ def _perturb(frame: _Frame, phi, dphi, d2phi):
     return w, dw, (dw.conjugate() * d2w).imag / speed**3
 
 
-def _gap(frame: _Frame, phi: np.ndarray, h: RadialCurvature) -> np.ndarray:
-    """K - H of the normal perturbation u + phi * normal, sampled."""
-    w, _, kappa = _perturb(frame, phi, *_jet(phi, 2.0 * np.pi))
-    return kappa - h(np.abs(w))
-
-
-def curvature_gap(params: AnsatzParams, phi, h: RadialCurvature) -> np.ndarray:
-    """Curvature gap K(u + phi nu) - H(u + phi nu) at the nodes of ``phi``."""
-    phi = np.asarray(phi, dtype=float)
-    return _gap(_node_frame(params, len(phi)), phi, h)
-
-
 def _multipliers(gap, cos_t, sin_t) -> tuple[float, float]:
     """Kernel multipliers (lambda1, lambda2) of a gap sampled at the nodes
     where ``cos_t`` and ``sin_t`` are given."""
     w = 2.0 * np.pi / len(gap) / np.pi
     return float((gap * cos_t).sum() * w), float((gap * sin_t).sum() * w)
+
+
+class FixedPoint(NamedTuple):
+    """A fixed-point solve and the evaluation of the iterate it stopped on."""
+
+    phi: np.ndarray
+    lambda1: float
+    lambda2: float
+    trace: tuple  # the defect of each iterate
+    gap: np.ndarray  # K - H of w = u + phi * normal at the nodes
+    w: np.ndarray
+    dw: np.ndarray
 
 
 def fixed_point_solve(
@@ -293,9 +296,10 @@ def fixed_point_solve(
     plain step is the first iterate.  Each iterate takes one forward
     transform for phi' and phi'' together and one transform pair for Linv;
     the symbols and the ansatz's waves are built once per (n, mirror,
-    ``num_samples``).  Returns ``(phi, lambda1, lambda2, trace)`` with the
-    kernel multipliers of the residual gap and the per-iteration defect
-    sizes.  Raises ``NotContracting`` after five
+    ``num_samples``).  Returns a ``FixedPoint``: ``(phi, lambda1, lambda2,
+    trace)`` with the kernel multipliers of the residual gap and the
+    per-iteration defect sizes, then that gap and the perturbed curve w
+    and w' it was evaluated on.  Raises ``NotContracting`` after five
     consecutive growing defects and ``MaxIterationsExceeded`` after
     ``config.max_iter`` iterations.
     """
@@ -315,7 +319,8 @@ def fixed_point_solve(
     trace = []
     growing = 0
     for _ in range(config.max_iter):
-        gap = _gap(frame, phi, h)
+        w, dw, kappa = _perturb(frame, phi, *_jet(phi, 2.0 * np.pi))
+        gap = kappa - h(np.abs(w))
         residual = -linf_invert_perp(gap)
         delta = float(np.abs(residual).max())
         if trace and delta > trace[-1]:
@@ -333,7 +338,7 @@ def fixed_point_solve(
             and abs(lam1) > config.tol_root
             and delta <= FORCING * abs(lam1)
         ):
-            return phi, lam1, lam2, tuple(trace)
+            return FixedPoint(phi, lam1, lam2, tuple(trace), gap, w, dw)
         if res_prev is None:
             step = residual
         else:
@@ -427,10 +432,11 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
     Brent's bracketed method may accept as a root comes from a solve run to
     ``config.tol_fp``.  Each ``trace`` row is ``(r, lambda1, iterations,
     defect)`` for one evaluation, with the last defect of its solve; the
-    result's ``iterations`` counts the solve at the accepted radius.  The
-    bracket must satisfy the root-existence inequalities and produce a sign
-    change, else ``NoSignChange``; ``MaxIterationsExceeded`` if |lambda1|
-    stays above ``config.tol_root``.
+    result's ``iterations`` counts the solve at the accepted radius, and
+    its ``residual`` and ``rotation_identity`` come from that solve's last
+    evaluation.  The bracket must satisfy the root-existence inequalities
+    and produce a sign change, else ``NoSignChange``;
+    ``MaxIterationsExceeded`` if |lambda1| stays above ``config.tol_root``.
     """
     config = config or LSConfig()
     tol_root = config.tol_root
@@ -441,15 +447,15 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
             f"bracket ({r0:g}, {r1:g}) violates the root-existence inequalities"
         )
 
-    solved = {}  # r -> (phi, lambda1, lambda2, trace), in evaluation order
+    solved = {}  # r -> FixedPoint, in evaluation order
 
     def lam1_at(r: float) -> float:
         params = AnsatzParams(n=n, R=_radius(r, n, h.gamma), mirror=mirror)
         nearest = min(solved, key=lambda s: abs(s - r), default=None)
-        phi0 = None if nearest is None else solved[nearest][0]
+        phi0 = None if nearest is None else solved[nearest].phi
         sol = fixed_point_solve(params, h, config, phi0, inexact=True)
         solved[r] = sol
-        return sol[1]
+        return sol.lambda1
 
     def endpoint(r: float, other: float):
         # Below the asymptotic regime the contraction can fail near an
@@ -489,42 +495,27 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
             raise MaxIterationsExceeded("radius search did not reach tol_root")
         stop_reason = "tol_root"
 
-    phi, lam1, lam2, trace = solved[r_n]
-    params = AnsatzParams(n=n, R=_radius(r_n, n, h.gamma), mirror=mirror)
-    gap = curvature_gap(params, phi, h)
-    residual = float(np.abs(gap - lam2 * _grid(len(gap)).sin_t).max())
+    sol = solved[r_n]
+    lam1, gap = sol.lambda1, sol.gap
+    residual = float(np.abs(gap - sol.lambda2 * _grid(len(gap)).sin_t).max())
     converged = abs(lam1) <= tol_root and residual <= tol_root + 100.0 * config.tol_fp
+    radial_rate = (sol.w.conjugate() * sol.dw).real
     return LSResult(
         n=n,
-        R=params.R,
+        R=_radius(r_n, n, h.gamma),
         r=r_n,
         mirror=mirror,
-        phi=phi,
+        phi=sol.phi,
         lambda1=lam1,
-        lambda2=lam2,
+        lambda2=sol.lambda2,
         residual=residual,
-        iterations=len(trace),
+        iterations=len(sol.trace),
         radius_evals=len(solved),
-        trace=tuple((r, s[1], len(s[3]), s[3][-1]) for r, s in solved.items()),
+        trace=tuple((r, s.lambda1, len(s.trace), s.trace[-1]) for r, s in solved.items()),
         converged=converged,
         stop_reason=stop_reason,
+        rotation_identity=float((-gap * radial_rate).sum() * 2.0 * np.pi / len(sol.phi)),
     )
-
-
-def verify_second_multiplier(result: LSResult, h: RadialCurvature):
-    """|lambda2| alongside the rotational-invariance integral.
-
-    The integral of (H - K)(w . w') over the period vanishes for *every*
-    closed curve because the energy is rotation invariant; it is returned
-    as an independent consistency residual.
-    """
-    params = AnsatzParams(n=result.n, R=result.R, mirror=result.mirror)
-    phi = result.phi
-    w, dw, kappa = _perturb(_node_frame(params, len(phi)), phi, *_jet(phi, 2.0 * np.pi))
-    gap = kappa - h(np.abs(w))
-    radial_rate = (w.conjugate() * dw).real
-    identity = float((-gap * radial_rate).sum() * 2.0 * np.pi / len(phi))
-    return abs(result.lambda2), identity
 
 
 def build_immersed_loop(

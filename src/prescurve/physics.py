@@ -133,7 +133,7 @@ def integrate_curvature_ode(
     if abs(np.hypot(*v0) - 1.0) > 1e-10:
         raise ValueError("v0 must be a unit vector")
     if steps < 1:
-        raise ValueError("steps must be positive")
+        raise ValueError(f"'steps' must be >= 1, got {steps!r}")
     lg = float(length_guess)
     path, drift, defect = _orbit(field_like, lg, float(lam), u0, v0, lg, 1.0, steps)
     return OdeResult(
@@ -161,7 +161,7 @@ class MagneticConfig:
     steps: int = 4096
 
     def __post_init__(self):
-        for key in ("mass", "speed"):
+        for key in ("mass", "speed", "t_final"):
             value = getattr(self, key)
             if not value > 0:
                 raise ValueError(f"'{key}' must be positive, got {value!r}")

@@ -372,10 +372,39 @@ def sderiv(values: np.ndarray, order: int) -> np.ndarray:
     return apply_symbol(values, (1j * k) ** order)
 
 
+def perturbed(params, phi):
+    """``(w, w', K)`` of the normal perturbation w = u + phi * normal at the
+    nodes of ``phi``: the frame computes its own waves, and each derivative
+    of phi takes its own transform pair."""
+    phi = np.asarray(phi, dtype=float)
+    t = 2.0 * np.pi * np.arange(len(phi)) / len(phi)
+    return _perturb(_Frame(params, t), phi, sderiv(phi, 1), sderiv(phi, 2))
+
+
+def curvature_gap(params, phi, h) -> np.ndarray:
+    """Curvature gap K(u + phi nu) - H(u + phi nu) at the nodes of ``phi``."""
+    w, _, kappa = perturbed(params, phi)
+    return kappa - h(np.abs(w))
+
+
+def verify_second_multiplier(result, h):
+    """|lambda2| of a radius search's result alongside the rotation-invariance
+    integral of (H - K)(w . w') over the period, which vanishes for every
+    closed curve w, both evaluated anew on the result's profile."""
+    params = AnsatzParams(n=result.n, R=result.R, mirror=result.mirror)
+    phi = result.phi
+    w, dw, kappa = perturbed(params, phi)
+    gap = kappa - h(np.abs(w))
+    radial_rate = (w.conjugate() * dw).real
+    identity = float((-gap * radial_rate).sum() * 2.0 * np.pi / len(phi))
+    return abs(result.lambda2), identity
+
+
 def fixed_point_rebuilt(params, h, config=None, phi0=None, inexact=False):
     """``fixed_point_solve`` with nothing shared between iterates: each
     derivative and each Linv takes its own transform pair with its symbol
-    built anew, and the frame computes its own waves."""
+    built anew, and the frame computes its own waves.  Returns the same
+    seven fields: ``(phi, lambda1, lambda2, trace, gap, w, w')``."""
     config = config or LSConfig()
     num = config.num_samples
     t = 2.0 * np.pi * np.arange(num) / num
@@ -391,7 +420,7 @@ def fixed_point_rebuilt(params, h, config=None, phi0=None, inexact=False):
     trace = []
     growing = 0
     for _ in range(config.max_iter):
-        w, _, kappa = _perturb(frame, phi, sderiv(phi, 1), sderiv(phi, 2))
+        w, dw, kappa = _perturb(frame, phi, sderiv(phi, 1), sderiv(phi, 2))
         gap = kappa - h(np.abs(w))
         residual = -apply_symbol(
             gap, np.divide(1.0, 1.0 - k**2, out=np.zeros_like(k), where=k != 1.0)
@@ -406,7 +435,7 @@ def fixed_point_rebuilt(params, h, config=None, phi0=None, inexact=False):
         if delta <= config.tol_fp or (
             inexact and abs(lam1) > config.tol_root and delta <= FORCING * abs(lam1)
         ):
-            return phi, lam1, lam2, tuple(trace)
+            return phi, lam1, lam2, tuple(trace), gap, w, dw
         if res_prev is None:
             step = residual
         else:
@@ -432,9 +461,9 @@ def find_radius_in_r(n, h, config=None):
         params = AnsatzParams(n=n, R=(r * n) ** (1.0 / (h.gamma + 2.0)), mirror=h.A < 0)
         nearest = min(solved, key=lambda s: abs(s - r), default=None)
         phi0 = None if nearest is None else solved[nearest]
-        phi, lam1, _, _ = fixed_point_solve(params, h, config, phi0, inexact=True)
-        solved[r] = phi
-        return lam1
+        sol = fixed_point_solve(params, h, config, phi0, inexact=True)
+        solved[r] = sol.phi
+        return sol.lambda1
 
     f0 = lam1_at(r0)
     r, lam1 = _brent(lam1_at, r0, f0, r1, lam1_at(r1), config.tol_root)

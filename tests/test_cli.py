@@ -251,6 +251,12 @@ def test_malformed_immersed_config_exit_2(tmp_path, capsys, extra, key):
         ("magnetic", {"b": 1.0, "mass": -1}, "'mass'"),
         ("magnetic", {"b": 1.0, "speed": 0}, "'speed'"),
         ("magnetic", {"b": 1.0, "steps": 0}, "'steps'"),
+        ("magnetic", {"b": 0.0}, "'b'"),
+        ("magnetic", {"b": 1.0, "charge": 0}, "'charge'"),
+        ("magnetic", {"b": 1.0, "t_final": 0}, "'t_final'"),
+        ("check", {"steps": 0}, "'steps'"),
+        ("check", {"tol": 0}, "'tol'"),
+        ("check", {"tol": -1e-3}, "'tol'"),
     ],
 )
 def test_malformed_physics_config_exit_2(tmp_path, capsys, field_zero, command, doc, key):
@@ -269,6 +275,7 @@ def test_malformed_physics_config_exit_2(tmp_path, capsys, field_zero, command, 
     assert code == 2
     assert key in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["cylinder", "check"])

@@ -182,6 +182,15 @@ class TestCurvature:
         with pytest.raises(DegenerateSpeed, match=r"^speed is not finite at 64 of 64 samples"):
             curvature(circle(1e306, n=64))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_speed_raises_without_warnings(self):
+        # the speed of circle(1e306) overflows: reparametrizing it raises
+        # DegenerateSpeed, and its length is infinite, with no numpy warning
+        big = circle(1e306, n=64)
+        with pytest.raises(DegenerateSpeed, match=r"^speed is not finite at 64 of 64"):
+            reparametrize_constant_speed(big)
+        assert not math.isfinite(length(big))
+
     def test_parametrization_invariance(self):
         # the same circle traversed over a different period has the same curvature
         fast = circle(1.0, n=256, period=0.5)

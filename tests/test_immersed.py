@@ -14,21 +14,21 @@ from prescurve.immersed import (
     LSConfig,
     _Frame,
     build_immersed_loop,
-    curvature_gap,
     default_bracket,
     find_radius,
     fixed_point_solve,
     linf_invert_perp,
-    verify_second_multiplier,
 )
 
 from conftest import (
     curvature,
+    curvature_gap,
     find_radius_in_r,
     fixed_point_rebuilt,
     linearized_coeffs,
     linf_apply,
     project_perp,
+    verify_second_multiplier,
     winding_number,
 )
 
@@ -186,15 +186,13 @@ class TestCurvatureGap:
 
 class TestFixedPoint:
     def test_converges_quickly_at_model_point(self, h_model):
-        phi, lam1, lam2, trace = fixed_point_solve(
-            AnsatzParams(n=32, R=(1.0 * 32) ** 0.25), h_model
-        )
+        trace = fixed_point_solve(AnsatzParams(n=32, R=(1.0 * 32) ** 0.25), h_model).trace
         assert len(trace) <= 50
         assert trace[-1] <= 1e-10
 
     def test_defect_at_convergence(self, h_model):
         params = AnsatzParams(n=64, R=(1.0 * 64) ** 0.25)
-        phi, lam1, lam2, trace = fixed_point_solve(params, h_model)
+        phi = fixed_point_solve(params, h_model).phi
         gap = curvature_gap(params, phi, h_model)
         # the map of the paper, Linv(L phi - G), against the oracle L
         defect = linf_invert_perp(linf_apply(phi) - gap) - phi
@@ -218,8 +216,8 @@ class TestFixedPoint:
         r0, _ = default_bracket(h_model)
         params = AnsatzParams(n=64, R=(r0 * 64) ** 0.25)
         config = LSConfig()
-        _, lam1_exact, _, exact = fixed_point_solve(params, h_model, config)
-        _, lam1, _, trace = fixed_point_solve(params, h_model, config, inexact=True)
+        _, lam1_exact, _, exact, *_ = fixed_point_solve(params, h_model, config)
+        _, lam1, _, trace, *_ = fixed_point_solve(params, h_model, config, inexact=True)
         assert len(trace) < len(exact)
         assert trace == exact[: len(trace)]
         assert abs(lam1) > config.tol_root
@@ -242,8 +240,12 @@ class TestFixedPoint:
         for phi0 in (None, warm):
             got = fixed_point_solve(params, h, config, phi0, inexact=inexact)
             want = fixed_point_rebuilt(params, h, config, phi0, inexact=inexact)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1:] == want[1:]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                if isinstance(a, np.ndarray):
+                    assert a.tobytes() == b.tobytes()
+                else:
+                    assert a == b
 
     def test_profile_norm_decay(self, h_model):
         sups = {}
@@ -311,9 +313,9 @@ class TestFindRadius:
         calls = []
 
         def zero_at_first_end(*args, **kwargs):
-            phi, lam1, lam2, defects = solve(*args, **kwargs)
+            sol = solve(*args, **kwargs)
             calls.append(args)
-            return phi, (0.0 if len(calls) == 1 else lam1), lam2, defects
+            return sol._replace(lambda1=0.0) if len(calls) == 1 else sol
 
         monkeypatch.setattr(immersed, "fixed_point_solve", zero_at_first_end)
         res = find_radius(64, h_model)
@@ -331,11 +333,11 @@ class TestFindRadius:
         calls = []
 
         def small_at_first_end(*args, **kwargs):
-            phi, lam1, lam2, defects = solve(*args, **kwargs)
+            sol = solve(*args, **kwargs)
             calls.append(args)
             if len(calls) == 1:
-                lam1 = math.copysign(1e-12, lam1)
-            return phi, lam1, lam2, defects
+                sol = sol._replace(lambda1=math.copysign(1e-12, sol.lambda1))
+            return sol
 
         monkeypatch.setattr(immersed, "fixed_point_solve", small_at_first_end)
         h = RadialCurvature(A=amp, gamma=gamma)
@@ -379,7 +381,7 @@ class TestFindRadius:
 
             def lam1_exact(r):
                 R = (r * 64) ** (1.0 / (gamma + 2.0))
-                return fixed_point_solve(AnsatzParams(n=64, R=R, mirror=amp < 0), h)[1]
+                return fixed_point_solve(AnsatzParams(n=64, R=R, mirror=amp < 0), h).lambda1
 
             d = 1e-3 * r_lin
             slope = (lam1_exact(r_lin + d) - lam1_exact(r_lin - d)) / (2.0 * d)
@@ -419,7 +421,7 @@ class TestSecondMultiplier:
             params = AnsatzParams(
                 n=64, R=(r * 64) ** (1.0 / (gamma + 2.0)), mirror=res.mirror
             )
-            phi, lam1_exact, lam2, _ = fixed_point_solve(params, h)
+            phi, lam1_exact, lam2, *_ = fixed_point_solve(params, h)
             assert abs(lam2) <= 4 * EPS * h_sup(params, phi, h)
             if abs(lam1_exact) > config.tol_root:
                 assert np.sign(lam1) == np.sign(lam1_exact)
@@ -431,6 +433,18 @@ class TestSecondMultiplier:
         res = find_radius(64, h_model)
         _, rot = verify_second_multiplier(res, h_model)
         assert abs(rot) < 1e-8
+
+    @pytest.mark.parametrize("amp, gamma", [(1.0, 2.0), (-0.5, 1.5)])
+    def test_accepted_evaluation_matches_oracles(self, amp, gamma):
+        # the residual and the rotation identity are read off the last
+        # evaluation of the accepted radius's solve, bit for bit as the
+        # oracles evaluate the returned profile anew
+        h = RadialCurvature(A=amp, gamma=gamma)
+        res = find_radius(64, h)
+        gap = curvature_gap(AnsatzParams(n=64, R=res.R, mirror=res.mirror), res.phi, h)
+        t = grid_2pi(len(gap))
+        assert res.residual == float(np.abs(gap - res.lambda2 * np.sin(t)).max())
+        assert res.rotation_identity == verify_second_multiplier(res, h)[1]
 
     def test_even_profile_kills_sine_multiplier(self, h_model):
         # any even perturbation gives an even gap, so the sine projection
@@ -463,6 +477,20 @@ class TestBuildLoop:
         curve, _ = build_immersed_loop(32, h_model, LSConfig(samples_per_loop=64))
         ok, pairs = is_simple(curve)
         assert not ok and len(pairs) >= 32
+
+    def test_one_evaluation_at_the_accepted_radius(self, h_model, monkeypatch):
+        # every fixed-point iteration evaluates the perturbed curve once and
+        # the assembly once more; the accepted radius is not evaluated again
+        perturb = immersed._perturb
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return perturb(*args)
+
+        monkeypatch.setattr(immersed, "_perturb", counted)
+        _, res = build_immersed_loop(64, h_model)
+        assert len(calls) == sum(row[2] for row in res.trace) + 1
 
     def test_mirrored_family_negative_amplitude(self):
         h_neg = RadialCurvature(A=-1.0, gamma=2.0)
