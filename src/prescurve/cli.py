@@ -135,13 +135,14 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false
 
 def _config_value(key: str, value, kind):
     """``value`` as ``kind`` (int, float or bool); ints, unlike bools, also
-    pass as floats, and floats must be finite.  Raises ``ValueError`` naming
-    ``key`` otherwise."""
+    pass as floats, and numbers must be finite, ints within a float's
+    range.  Raises ``ValueError`` naming ``key`` otherwise."""
     if kind is bool:
         ok = isinstance(value, bool)
     else:
         ok = isinstance(value, (int, float) if kind is float else int)
-        ok = ok and not isinstance(value, bool) and math.isfinite(value)
+        # compared exactly: math.isfinite would overflow on a huge int
+        ok = ok and not isinstance(value, bool) and abs(value) <= sys.float_info.max
     if not ok:
         raise ValueError(f"config key '{key}' must be {_KIND_NAMES[kind]}, got {value!r}")
     return kind(value)
@@ -427,11 +428,7 @@ def cmd_check(cfg) -> int:
     if not opts.get("tol", 1.0) > 0:
         raise ValueError(f"config key 'tol' must be positive, got {opts['tol']!r}")
     lam = _config_lam(cfg)
-    path = _config_path(cfg, "curve")
-    try:
-        curve = read_curve(path)
-    except (ValueError, KeyError) as exc:
-        raise ValueError(f"cannot parse curve file {path}: {exc}") from exc
+    curve = read_curve(_config_path(cfg, "curve"))
     field = _load_field(cfg)
     report = verify_solution(curve, field, lam)
     # closure of the curvature ODE restarted from the curve's initial data

@@ -501,12 +501,16 @@ def circle(
 
 
 def read_curve(path) -> ClosedCurve:
-    """Read a curve file: JSON with fields {"period", "samples"}."""
+    """Read a curve file: JSON with fields {"period", "samples"}.
+    ``ValueError`` names the file, and the key when one is at fault."""
     doc = _read_json(path)
-    if not isinstance(doc, dict) or "period" not in doc or "samples" not in doc:
-        raise ValueError(f"{path}: not a curve file (need 'period' and 'samples')")
-    samples = _numbers(doc["samples"], "samples")
-    return ClosedCurve(period=_number(doc, "period"), samples=samples)
+    try:
+        if not isinstance(doc, dict) or "period" not in doc or "samples" not in doc:
+            raise ValueError("not a curve file (need 'period' and 'samples')")
+        samples = _numbers(doc["samples"], "samples")
+        return ClosedCurve(period=_number(doc, "period"), samples=samples)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse curve file {path}: {exc}") from None
 
 
 def write_curve(curve: ClosedCurve, path) -> None:

@@ -14,10 +14,6 @@ class NonZeroMean(PrescurveError):
     """The periodic Poisson solver received data with a nonzero cell mean."""
 
 
-class NonIntegrable(PrescurveError):
-    """The decaying radial datum has a numerically divergent tail integral."""
-
-
 class FieldTooLarge(PrescurveError):
     """The vector potential violates the sup-norm smallness the theory needs."""
 

@@ -6,12 +6,14 @@ cell) + radially decaying.  For each part there is a potential construction:
 * periodic: spectral Poisson solve on the unit cell, on the real
   half-spectrum of the grid: one rfft2 of H, then one two-channel irfft2
   straight to the B-spline coefficients of Q,
-* decaying radial: one-dimensional quadrature of the radial Poisson solution,
+* decaying radial: the closed form Q(p) = F(|p|) p/|p|^2, where
+  F(r) = int_0^r s h2(s) ds is integrated exactly, piece by piece, from the
+  cubic spline that defines h2 (:meth:`RadialDecaying.q_profile`),
 * constant c: the linear field c*p/2.
 
 The assembled :class:`VectorPotential` satisfies ``div Q = H``.  Note the
-Poisson solvers themselves return the gradient of the solution of
-``-lap v = H`` (for which ``div grad v = -H``); the assembly step flips the
+periodic Poisson solver returns the gradient of the solution of
+``-lap v = H`` (for which ``div grad v = -H``); the assembly step flips its
 sign so the divergence identity holds for the composite field.
 
 One routine, :func:`h_and_q`, reads H and Q at an array of points;
@@ -24,11 +26,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonIntegrable, NonZeroMean
+from .errors import NonZeroMean
 
 __all__ = [
     "CurvatureField",
@@ -37,7 +40,6 @@ __all__ = [
     "VectorPotential",
     "solve_torus_poisson",
     "lorentz_norm_21",
-    "solve_plane_poisson_decaying",
     "build_potential",
     "q_eval",
     "h_and_q",
@@ -300,11 +302,25 @@ class _CubicSpline:
         self._c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
 
     def __call__(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        i = np.clip(np.searchsorted(self.x, xs, side="right") - 1, 0, len(self.x) - 2)
-        dt = xs - self.x[i]
-        c3, c2, c1, c0 = self._c[:, i]
-        return ((c3 * dt + c2) * dt + c1) * dt + c0
+        i, dt = _piece(self.x, np.asarray(xs, dtype=float))
+        return _horner(self._c[:, i], dt)
+
+
+def _piece(nodes: np.ndarray, xs) -> tuple:
+    """The piece between increasing ``nodes`` of each point, the end pieces
+    taking the points beyond them: its index and the point's offset from
+    its left node."""
+    i = np.clip(np.searchsorted(nodes, xs, side="right") - 1, 0, len(nodes) - 2)
+    return i, xs - nodes[i]
+
+
+def _horner(coeffs: np.ndarray, x) -> np.ndarray:
+    """The polynomials with coefficients ``coeffs`` (highest first, along
+    the first axis) at x."""
+    out = coeffs[0]
+    for c in coeffs[1:]:
+        out = out * x + c
+    return out
 
 
 def _thomas(lower, diag, upper, rhs) -> np.ndarray:
@@ -322,34 +338,54 @@ def _thomas(lower, diag, upper, rhs) -> np.ndarray:
     return np.array(out)
 
 
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Running integral of samples y at uniform step h, from the first sample.
-
-    Each interval takes the three-point rule (5 f0 + 8 f1 - f2) h/12 over
-    itself and its right neighbour; every other interval, and the last,
-    takes it mirrored over its left neighbour, so each pair of intervals
-    sums to Simpson's rule (``scipy.integrate.cumulative_simpson``'s scheme).
-    """
-    w = h / 12.0
-    forward = w * (5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:])  # interval k
-    mirrored = w * (5.0 * y[2:] + 8.0 * y[1:-1] - y[:-2])  # interval k + 1
-    parts = np.append(forward, mirrored[-1])
-    parts[1::2] = mirrored[::2]
-    return np.concatenate([[0.0], np.cumsum(parts)])
-
-
 class RadialDecaying:
     """A radial function r -> h2(r) tending to zero, from a table (r, values):
     the not-a-knot cubic spline through it up to its last radius ``r_max``,
-    and zero beyond."""
+    and zero beyond.
+
+    Its enclosed integral F(r) = int_0^r s h2(s) ds is exact.  On the piece
+    from node x_i, s h2(s) is a quartic in d = s - x_i, so F is F(x_i) plus
+    d g_i(d), g_i a quartic; F at the nodes is the running sum of the
+    pieces.  The radii must be >= 0.  A table whose radii start above 0
+    takes its first piece, extrapolated as ``__call__`` evaluates it, as one
+    more piece from 0.  Beyond ``r_max``, F is constant.
+    """
 
     def __init__(self, table):
-        self._spline = _CubicSpline(*table)
-        self.r_max = float(self._spline.x[-1])
+        spline = self._spline = _CubicSpline(*table)
+        x, (c3, c2, c1, c0) = spline.x, spline._c
+        if x[0] < 0:
+            raise ValueError("a radial table's radii must be >= 0")
+        self.r_max = float(x[-1])
+        if x[0] > 0:
+            # the first piece in powers of s, not of s - x0: a piece from 0
+            x0, (b3, b2, b1, _) = x[0], spline._c[:, 0]
+            shifted = [b3, b2 - 3.0 * b3 * x0, b1 - (2.0 * b2 - 3.0 * b3 * x0) * x0, spline(0.0)]
+            x = np.concatenate([[0.0], x])
+            c3, c2, c1, c0 = np.column_stack([shifted, spline._c])
+        self._nodes, xi = x, x[:-1]
+        # g_i, highest first: int_0^d (x_i + e) p_i(e) de = d g_i(d)
+        self._g = np.stack(
+            [c3 / 5.0, (c2 + xi * c3) / 4.0, (c1 + xi * c2) / 3.0, (c0 + xi * c1) / 2.0, xi * c0]
+        )
+        dx = np.diff(x)
+        self._knots = np.concatenate([[0.0], np.cumsum(dx * _horner(self._g, dx))])
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         return np.where(r <= self.r_max, self._spline(np.minimum(r, self.r_max)), 0.0)
+
+    def q_profile(self, r) -> np.ndarray:
+        """F(r)/r, 0 at r = 0: the profile f of the potential
+        Q(p) = f(|p|) p/|p|, whose divergence is h2(|p|).  On the first
+        piece, from node 0, it is (r/r) g_0(r): no r^2 is formed to
+        underflow."""
+        r = np.asarray(r, dtype=float)
+        i, d = _piece(self._nodes, np.minimum(r, self.r_max))
+        rs = np.where(r > 0, r, 1.0)
+        inside = self._knots[i] / rs + d / rs * _horner(self._g[:, i], d)
+        f = np.where(r <= self.r_max, inside, self._knots[-1] / rs)
+        return np.where(r > 0, f, 0.0)
 
     def linf(self, nr: int = 4096) -> float:
         r = np.linspace(0.0, self.r_max, nr)
@@ -559,45 +595,24 @@ def lorentz_norm_21(h2: RadialDecaying, nr: int = 8192) -> float:
     return float(np.sum(vals * 2.0 * (np.sqrt(tcum[1:]) - np.sqrt(tcum[:-1]))))
 
 
-def solve_plane_poisson_decaying(h2: RadialDecaying, nr: int = 8192, r_max=None):
-    """Radial derivative of the plane Poisson solution of -lap v = H2.
-
-    Returns ``(r, vprime)`` with ``vprime(r) = -(1/r) * int_0^r s H2(s) ds``
-    tabulated on a dense grid.  Raises ``NonIntegrable`` when the tail
-    integral has visibly not settled at the end of the range.
-    """
-    rmax = float(r_max) if r_max is not None else max(2.0 * h2.r_max, 1.0)
-    r = np.linspace(0.0, rmax, nr)
-    integrand = r * h2(r)
-    cum = _cumulative_simpson(integrand, r[1] - r[0])
-    scale = max(np.abs(cum).max(), 1e-300)
-    tail_drift = abs(cum[-1] - cum[int(0.9 * nr)])
-    if tail_drift > 1e-6 * scale and abs(integrand[-1]) > 1e-9 * scale / rmax:
-        raise NonIntegrable(
-            f"tail of int s*H2 ds still drifting by {tail_drift:.3e} at r={rmax:g}"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vprime = np.where(r > 0, -cum / np.where(r > 0, r, 1.0), 0.0)
-    return r, vprime
-
-
 @dataclass(frozen=True)
 class VectorPotential:
     """Composite field Q with div Q = H.
 
     Parts: a periodic gradient, the two-channel cubic B-spline through the
     (M, M, 2) node values ``periodic_gradient`` (divergence equal to the
-    periodic part of H), radial profile ``Q = radial_f(|p|) p/|p|``
-    (divergence equal to the decaying part), and the linear field
-    ``linear_coefficient * p / 2``.  :func:`build_potential` passes the
-    periodic spline itself as ``_spline``, built from its spectrum, and
-    leaves ``periodic_gradient`` None: no grid of Q is formed.  Given node
-    values, the spline is built from them.
+    periodic part of H); the radial part ``F(|p|) p/|p|^2`` of the field's
+    own :class:`RadialDecaying` ``radial``, F(r) = int_0^r s h2(s) ds in
+    closed form (:meth:`RadialDecaying.q_profile`; divergence equal to the
+    decaying part); and the linear field ``linear_coefficient * p / 2``.
+    :func:`build_potential` passes the periodic spline itself as
+    ``_spline``, built from its spectrum, and leaves ``periodic_gradient``
+    None: no grid of Q is formed.  Given node values, the spline is built
+    from them.
     """
 
     periodic_gradient: np.ndarray | None = field(default=None, repr=False)
-    radial_r: np.ndarray | None = field(default=None, repr=False)
-    radial_f: np.ndarray | None = field(default=None, repr=False)
+    radial: RadialDecaying | None = field(default=None, repr=False)
     linear_coefficient: float = 0.0
     _spline: _PeriodicSpline2D | None = field(default=None, repr=False, compare=False)
 
@@ -608,16 +623,6 @@ class VectorPotential:
                 raise ValueError("periodic_gradient must have shape (M, M, 2)")
             object.__setattr__(self, "periodic_gradient", g)
             object.__setattr__(self, "_spline", _PeriodicSpline2D(g))
-        if (self.radial_r is None) != (self.radial_f is None):
-            raise ValueError("radial_r and radial_f must come together")
-        if self.radial_r is not None:
-            r = np.asarray(self.radial_r, dtype=float)
-            f = np.asarray(self.radial_f, dtype=float)
-            object.__setattr__(self, "_radial_spline", _CubicSpline(r, f))
-            object.__setattr__(self, "_radial_rmax", float(r[-1]))
-            object.__setattr__(self, "_radial_tail", float(f[-1]) * float(r[-1]))
-        else:
-            object.__setattr__(self, "_radial_spline", None)
 
     def sup_periodic(self) -> float:
         """max |Q| of the periodic part over the grid nodes."""
@@ -627,22 +632,17 @@ class VectorPotential:
         return float(np.hypot(gx, gy).max())
 
     def sup_radial(self) -> float:
-        if self.radial_f is None:
+        """max |Q| of the radial part over 8193 radii of [0, r_max]
+        (:func:`lorentz_norm_21`'s cell edges); beyond r_max, |Q| falls
+        as 1/|p|."""
+        if self.radial is None:
             return 0.0
-        return float(np.abs(self.radial_f).max())
+        r = np.linspace(0.0, self.radial.r_max, 8193)
+        return float(np.abs(self.radial.q_profile(r)).max())
 
     def sup_zero_mean(self) -> float:
         """Upper bound on the sup norm of the non-linear (zero-mean) part."""
         return self.sup_periodic() + self.sup_radial()
-
-    def radial_profile(self, r) -> np.ndarray:
-        """The scalar f with radial part f(|p|) p / |p|; 1/r tail beyond the
-        tabulated range."""
-        r = np.asarray(r, dtype=float)
-        inside = self._radial_spline(np.minimum(r, self._radial_rmax))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = self._radial_tail / np.where(r > 0, r, 1.0)
-        return np.where(r <= self._radial_rmax, inside, tail)
 
 
 def q_eval(potential: VectorPotential, points) -> np.ndarray:
@@ -697,10 +697,10 @@ def h_and_q(field_: CurvatureField | None, potential: VectorPotential | None, po
             if stencil is None:
                 stencil = spline.stencil(flat)
             q = q + spline.combine(stencil)
-        if potential._radial_spline is not None:
+        if potential.radial is not None:
             if r is None:
                 r = _radius(flat)
-            f = potential.radial_profile(r)
+            f = potential.radial.q_profile(r)
             # f(|p|) p / |p|, 0 at the origin
             with np.errstate(divide="ignore", invalid="ignore"):
                 scale = np.where(r > 0, f / np.where(r > 0, r, 1.0), 0.0)
@@ -720,38 +720,34 @@ def _radius(flat: np.ndarray) -> np.ndarray:
 def build_potential(field_: CurvatureField) -> VectorPotential:
     """Construct the divergence-compatible potential of a curvature field.
 
-    Flips the sign of the Poisson-solution gradients so that div Q = +H.
+    Flips the sign of the periodic Poisson gradient so that div Q = +H.
     The periodic part takes one forward transform, the rfft2 of the H grid
     in :func:`solve_torus_poisson`, and one two-channel irfft2 to the
-    spline coefficients of Q.
+    spline coefficients of Q.  The radial part is the field's own
+    :class:`RadialDecaying`, whose enclosed integral is exact: no table is
+    built.
     """
     spline = None
     if field_.periodic is not None:
         # Q^ = -grad v^: both channels' coefficients from one irfft2
         qhat = solve_torus_poisson(field_.periodic)
         spline = _PeriodicSpline2D.from_spectrum(np.negative(qhat, out=qhat))
-    radial_r = radial_f = None
-    if field_.radial is not None:
-        radial_r, vprime = solve_plane_poisson_decaying(field_.radial)
-        radial_f = -vprime
     return VectorPotential(
-        radial_r=radial_r,
-        radial_f=radial_f,
-        linear_coefficient=field_.constant,
-        _spline=spline,
+        radial=field_.radial, linear_coefficient=field_.constant, _spline=spline
     )
 
 
 def _number(doc: dict, key: str, default=None) -> float:
-    """The finite number stored under ``key``; ``ValueError`` names the key."""
+    """The finite number stored under ``key``: an int or a float, not a bool
+    or a numeric string, which ``float`` would also take; ``ValueError``
+    names the key."""
     value = doc.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"key {key!r} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"key {key!r} must be a number, got {value!r}")
+    # compared exactly, so an int too large for a float fails here, not in float()
+    if not abs(value) <= sys.float_info.max:
         raise ValueError(f"key {key!r} must be finite, got {value!r}")
-    return number
+    return float(value)
 
 
 def _numbers(value, key: str) -> np.ndarray:
@@ -781,8 +777,9 @@ def field_from_dict(doc) -> CurvatureField:
 
     Raises ``ValueError`` naming the key when the document is not an
     object or has a key outside that set, the constant is not a finite
-    number, "radial" is not an object with exactly "r" and "h", or an array
-    is ragged or holds a non-number.
+    number, "radial" is not an object with exactly "r" and "h" that makes a
+    :class:`RadialDecaying` table, or an array is ragged or holds a
+    non-number.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a field must be a JSON object, not {type(doc).__name__}")
@@ -793,7 +790,10 @@ def field_from_dict(doc) -> CurvatureField:
             raise ValueError("key 'radial' must be an object with 'r' and 'h'")
         _known_keys(radial, "'radial'", ("r", "h"))
         table = (_numbers(radial["r"], "radial.r"), _numbers(radial["h"], "radial.h"))
-        radial = RadialDecaying(table=table)
+        try:
+            radial = RadialDecaying(table=table)
+        except ValueError as exc:
+            raise ValueError(f"key 'radial': {exc}") from None
     periodic = doc.get("periodic_grid")
     if periodic is not None:
         periodic = _numbers(periodic, "periodic_grid")

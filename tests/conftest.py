@@ -33,13 +33,18 @@ from prescurve.immersed import (
     fixed_point_solve,
 )
 
-settings.register_profile(
-    "default",
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile("default")
+# the suite's settings on top of Hypothesis's own "default" and "ci"
+# profiles; Hypothesis picks "ci" (derandomized, printing a reproduction
+# blob) when the CI environment variable is set
+for _name in ("default", "ci"):
+    settings.register_profile(
+        _name,
+        settings.get_profile(_name),
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+settings.load_profile(settings.get_current_profile_name())
 
 
 def random_loop(rng, n=256, modes=4, scale=1.0, period=1.0):

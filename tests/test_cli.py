@@ -123,6 +123,11 @@ class TestSolve:
         ('{"periodc_grid": [[0.0, 0.0], [0.0, 0.0]]}', "'periodc_grid'"),
         ('{"constant": 1.0, "Constant": 2.0}', "'Constant'"),
         ('{"radial": {"r": [0, 1, 2, 3], "h": [1, 0, 0, 0], "s": 1}}', "'s'"),
+        ('{"constant": "1.5"}', "'constant'"),
+        ('{"constant": true}', "'constant'"),
+        pytest.param('{"constant": 1' + "0" * 400 + "}", "'constant'", id="huge-int"),
+        ('{"radial": {"r": [-1, 0, 1, 2], "h": [1, 1, 0, 0]}}', "'radial'"),
+        ('{"radial": {"r": [0, 2, 1, 3], "h": [1, 1, 0, 0]}}', "'radial'"),
     ],
 )
 def test_malformed_field_exit_2(tmp_path, capsys, text, key):
@@ -165,6 +170,11 @@ def test_malformed_field_exit_2(tmp_path, capsys, text, key):
         ("sweep", '"x"', "cfg.json"),
         ("solve", "{not json", "cfg.json"),
         ("solve", '{"field": {"periodc_grid": [[0.0]]}, "tau": 1}', "'periodc_grid'"),
+        pytest.param("solve", '{"tau": 1' + "0" * 400 + "}", "'tau'", id="huge-tau"),
+        pytest.param(
+            "sweep", '{"tau_grid": [1.0], "max_iter": 1' + "0" * 400 + "}", "'max_iter'",
+            id="huge-max_iter",
+        ),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, key):
@@ -205,6 +215,13 @@ def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, ke
         ('"tol_fp": -1', "'tol_fp'"),
         ('"max_iter": 0', "'max_iter'"),
         ('"n_list": [32, 32]', "'n_list'"),
+        # a repeated key: the last "radial_params" is the one read
+        ('"radial_params": {"A": true, "gamma": 2.0}', "'A'"),
+        ('"radial_params": {"A": 1.0, "gamma": "2.0"}', "'gamma'"),
+        pytest.param(
+            '"radial_params": {"A": 1.0, "gamma": 2.0, "s0": 1' + "0" * 400 + "}", "'s0'",
+            id="huge-s0",
+        ),
     ],
 )
 def test_malformed_immersed_config_exit_2(tmp_path, capsys, extra, key):
@@ -279,7 +296,9 @@ def test_malformed_physics_config_exit_2(tmp_path, capsys, field_zero, command, 
 
 
 @pytest.mark.parametrize("command", ["cylinder", "check"])
-@pytest.mark.parametrize("period", [None, "x", math.inf])
+@pytest.mark.parametrize(
+    "period", [None, "x", math.inf, "1", True, pytest.param(10**400, id="huge-int")]
+)
 def test_malformed_curve_file_exit_2(tmp_path, capsys, field_zero, command, period):
     path = tmp_path / "curve.json"
     samples = circle(1.0, n=64).samples.tolist()
@@ -313,6 +332,27 @@ def test_malformed_curve_samples_exit_2(tmp_path, capsys, field_zero, command, t
     err = capsys.readouterr().err
     assert code == 2
     assert key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["cylinder", "check", "solve"])
+def test_curve_file_error_names_the_file(tmp_path, capsys, field_zero, command):
+    # 15 samples: the file parses, but is not a curve
+    path = tmp_path / "short_curve.json"
+    path.write_text(json.dumps({"period": 1.0, "samples": [[float(i), 0.0] for i in range(15)]}))
+    argv = [command, "--out", str(tmp_path / "out")]
+    if command == "solve":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": 1.0, "initial_curve": str(path)}))
+        argv += ["--config", str(cfg), "--field", field_zero]
+    else:
+        argv += ["--curve", str(path)]
+    if command == "check":
+        argv += ["--field", field_zero]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"cannot parse curve file {path}: need an even number of samples" in err
     assert "Traceback" not in err
 
 

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy import ndimage
-from scipy.integrate import cumulative_simpson, quad
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+from prescurve import fields
 from prescurve.energy import EnergyContext, build_context
 from prescurve.errors import NonZeroMean
 from prescurve.fields import (
     _CubicSpline,
-    _cumulative_simpson,
     _PeriodicSpline2D,
     PLANE_GRADIENT_CONSTANT,
     TORUS_GRADIENT_CONSTANT,
@@ -27,7 +27,6 @@ from prescurve.fields import (
     q_eval,
     read_field,
     read_radial_curvature,
-    solve_plane_poisson_decaying,
     solve_torus_poisson,
 )
 
@@ -137,8 +136,8 @@ class TestTorusPoisson:
 
 def disc_indicator(r0: float):
     """The indicator of the disc of radius r0, with ``r_max`` = 2 r0: all
-    that ``lorentz_norm_21`` and ``solve_plane_poisson_decaying`` read of a
-    radial part, and unlike a spline table exact at the jump."""
+    that ``lorentz_norm_21`` reads of a radial part, and unlike a spline
+    table exact at the jump."""
 
     def indicator(r):
         return np.where(np.asarray(r) <= r0, 1.0, 0.0)
@@ -178,21 +177,108 @@ class TestLorentzNorm:
         assert lorentz_norm_21(gauss) == pytest.approx(math.pi, rel=1e-6)
 
 
+def radial_part(pot: VectorPotential, r: np.ndarray, angle: float = 0.7) -> np.ndarray:
+    """Q . p/|p| of a potential with no periodic or linear part, at radii r
+    along the ray at ``angle``."""
+    direction = np.array([math.cos(angle), math.sin(angle)])
+    return q_eval(pot, r[:, None] * direction) @ direction
+
+
+def cubic_table(r0: float = 0.0, num: int = 13) -> RadialDecaying:
+    """(1 - r/3)^3 tabulated on [r0, 3]: a not-a-knot spline reproduces a
+    cubic, extrapolated first piece included, so its enclosed integral is
+    F(r) = r^2/2 - r^3/3 + r^4/12 - r^5/135, and F(3) = 0.45 beyond."""
+    r = np.linspace(r0, 3.0, num)
+    return RadialDecaying(table=(r, (1.0 - r / 3.0) ** 3))
+
+
+def gaussian_table(r0: float) -> tuple:
+    """exp(-r^2) tabulated at 4097 radii of [r0, 16], and its potential."""
+    r = np.linspace(r0, 16.0, 4097)
+    gauss = RadialDecaying(table=(r, np.exp(-(r**2))))
+    return r, gauss, build_potential(CurvatureField.from_parts(radial=gauss))
+
+
+def cubic_enclosed(r: np.ndarray) -> np.ndarray:
+    """F(r)/r of :func:`cubic_table`, as the sum of the closed form's
+    terms divided by r."""
+    rr = np.minimum(r, 3.0)
+    return np.where(
+        r <= 3.0, rr / 2 - rr**2 / 3 + rr**3 / 12 - rr**4 / 135, 0.45 / np.where(r > 0, r, 1.0)
+    )
+
+
 class TestPlanePoisson:
     def test_disc_indicator_closed_form(self):
-        ind = disc_indicator(1.0)
-        r, vp = solve_plane_poisson_decaying(ind, nr=16001, r_max=4.0)
-        inner = r[(r > 0.05) & (r < 0.95)]
-        vin = vp[(r > 0.05) & (r < 0.95)]
-        assert np.abs(vin + inner / 2).max() < 1e-3
-        outer = r[r > 1.05]
-        vout = vp[r > 1.05]
-        assert np.abs(vout + 1.0 / (2 * outer)).max() < 1e-3
+        ind = tabulated(disc_indicator(1.0), r_max=4.0, num=16001)
+        pot = build_potential(CurvatureField.from_parts(radial=ind))
+        r = np.linspace(0.0, 6.0, 1201)
+        f = radial_part(pot, r)
+        inner = (r > 0.05) & (r < 0.95)
+        assert np.abs(f[inner] - r[inner] / 2).max() < 1e-3
+        outer = r > 1.05
+        assert np.abs(f[outer] - 1.0 / (2 * r[outer])).max() < 1e-3
 
     def test_zero(self):
         z = tabulated(np.zeros_like, r_max=1.0)
-        _, vp = solve_plane_poisson_decaying(z)
-        assert np.abs(vp).max() == 0.0
+        pot = build_potential(CurvatureField.from_parts(radial=z))
+        assert np.abs(radial_part(pot, np.linspace(0.0, 3.0, 61))).max() == 0.0
+        assert pot.sup_radial() == 0.0
+
+    @pytest.mark.parametrize("r0", [0.0, 0.5])
+    def test_cubic_table_exact(self, r0):
+        pot = build_potential(CurvatureField.from_parts(radial=cubic_table(r0)))
+        r = np.array([1e-300, 1e-160, 1e-8, 0.01, 0.3, 1.0, 2.5, 2.999, 3.0, 3.5, 10.0, 1e6])
+        for angle in (0.0, 0.7, -2.0):
+            got = radial_part(pot, r, angle)
+            want = cubic_enclosed(r)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("r0", [0.0, 0.5])
+    def test_gaussian_table_against_quad(self, r0):
+        # quad of s h2(s) over the same spline, extrapolated below r0
+        r, gauss, pot = gaussian_table(r0)
+        for radius in (0.01, 0.3):
+            val, _ = quad(
+                lambda s: s * gauss(s), 0.0, radius, points=r[(r > 0) & (r < radius)],
+                epsabs=0.0, epsrel=1e-13, limit=500,
+            )
+            got = radial_part(pot, np.array([radius]))[0]
+            assert got == pytest.approx(val / radius, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("r0", [0.0, 0.5])
+    def test_gaussian_table_against_piecewise_gauss(self, r0):
+        # s h2(s) is a quintic on each piece, and on [0, r0] for r0 > 0:
+        # 4-point Gauss-Legendre is exact there, and fsum adds the pieces
+        r, gauss, pot = gaussian_table(r0)
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        for radius in (0.3, 1.0, 2.5, 10.0, 40.0):
+            end = min(radius, 16.0)
+            edges = np.concatenate([[0.0], r[(r > 0) & (r < end)], [end]])
+            half = np.diff(edges)[:, None] / 2
+            s = edges[:-1, None] + half * (nodes + 1)
+            total = math.fsum(((s * gauss(s) * weights) * half).ravel().tolist())
+            got = radial_part(pot, np.array([radius]))[0]
+            assert got == pytest.approx(total / radius, rel=1e-14, abs=0.0)
+
+    def test_no_table_built(self, monkeypatch):
+        # the field's own spline is the only tridiagonal solve
+        gauss = tabulated(lambda r: np.exp(-(r**2)))
+        field = CurvatureField.from_parts(constant=0.5, radial=gauss)
+        calls = []
+        thomas = fields._thomas
+        monkeypatch.setattr(fields, "_thomas", lambda *a: calls.append(1) or thomas(*a))
+        pot = build_potential(field)
+        assert calls == []
+        assert pot.radial is gauss
+
+    def test_sup_radial_bounds_q(self, rng):
+        gauss = tabulated(lambda r: 0.1 * np.exp(-(r**2)))
+        pot = build_potential(CurvatureField.from_parts(radial=gauss))
+        pts = rng.uniform(-40.0, 40.0, size=(2000, 2))
+        ray = radial_part(pot, np.linspace(0.0, 40.0, 100001))
+        assert np.abs(q_eval(pot, pts)).max() <= pot.sup_radial()
+        assert pot.sup_radial() == pytest.approx(np.abs(ray).max(), rel=1e-6)
 
     def test_gaussian_divergence(self):
         gauss = tabulated(lambda r: np.exp(-(r**2)))
@@ -217,7 +303,8 @@ class TestPlanePoisson:
         gauss = tabulated(lambda r: np.exp(-(r**2)))
         field = CurvatureField.from_parts(radial=gauss)
         pot = build_potential(field)
-        r_end = float(pot.radial_r[-1])
+        # twice the table's last radius: the radial part is long 0 there
+        r_end = 2.0 * gauss.r_max
         at_end = np.hypot(*q_eval(pot, np.array([[r_end, 0.0]]))[0])
         assert at_end <= 1e-3 * gauss.linf() * r_end
         # and the tail keeps shrinking beyond the table
@@ -279,17 +366,14 @@ class TestRadialCurvature:
 
 
 def radial_potential(h: RadialCurvature, r_max: float = 100.0, nr: int = 32768):
-    """Potential of a radial curvature profile via the defining quadrature
+    """Potential of a radial curvature profile,
     Q(p) = ((1/|p|) int_0^|p| h(s) s ds) p/|p|.
 
     The asymptotically constant part contributes the linear term p/2; the
-    decaying remainder is tabulated.
+    decaying remainder h - 1 is a :class:`RadialDecaying` table.
     """
     r = np.linspace(0.0, r_max, nr)
-    cum = cumulative_simpson(r * (h(r) - 1.0), x=r, initial=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        decay = np.where(r > 0, cum / np.where(r > 0, r, 1.0), 0.0)
-    return VectorPotential(radial_r=r, radial_f=decay, linear_coefficient=1.0)
+    return VectorPotential(radial=RadialDecaying(table=(r, h(r) - 1.0)), linear_coefficient=1.0)
 
 
 class TestRadialPotential:
@@ -746,14 +830,6 @@ class TestScipyOracles:
     def test_spline_rejects_unordered_nodes(self, x):
         with pytest.raises(ValueError, match="increasing"):
             RadialDecaying(table=(x, [1.0, 0.5, 0.2, 0.0]))
-
-    @pytest.mark.parametrize("n", [3, 4, 101, 8192])
-    def test_simpson_matches_cumulative_simpson(self, n):
-        r = np.linspace(0.0, 7.0, n)
-        y = r * np.exp(-(r**2)) + 0.3 * np.cos(3.0 * r)
-        expected = cumulative_simpson(y, x=r, initial=0.0)
-        err = np.abs(_cumulative_simpson(y, r[1] - r[0]) - expected).max()
-        assert err <= 1e-13 * np.abs(expected).max()
 
 
 class TestFieldIO:
