@@ -214,8 +214,7 @@ def _task_map(cfg):
 
 def _write_json(path: Path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def cmd_solve(cfg) -> int:

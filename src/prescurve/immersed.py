@@ -20,13 +20,13 @@ component, removed by root-finding in the radius parameter:
    residual and rotation-invariance integral are read off the last
    evaluation of its fixed point, not evaluated again.
 
-All quantities here are scalar functions of one 2 pi-periodic variable:
-the ansatz is only rotation-covariant over that period, but its speed,
-curvature and distance from the origin are genuinely periodic, so the
-whole solve runs on a single period with closed-form ansatz derivatives
-and spectral derivatives of the profile.  What does not depend on R (the
-nodes, the spectral symbols and the ansatz's two waves) is built once per
-sample count and loop count and shared by every radius of a search.
+All quantities here are scalar functions of one 2 pi-periodic variable.
+In the rescaled parameter the ansatz's two frequencies differ by exactly 1,
+so what the reduction reads of it (speed, curvature, distance from the
+origin) is a closed-form function of cos t and sin t, and the perturbed
+curve's curvature follows from the normal-graph formula in real arithmetic.
+The R-free tables (cos t, sin t and the spectral symbols) are built once
+per sample count and shared by every radius of a search.
 """
 
 from __future__ import annotations
@@ -149,10 +149,9 @@ class LSConfig:
 
 
 class _Grid(NamedTuple):
-    """The R-free tables of the profile solve at ``num`` nodes; the
+    """The R-free tables at ``num`` uniform nodes of one period; the
     derivative symbols come from ``curves``' shared table."""
 
-    t: np.ndarray  # the nodes
     cos_t: np.ndarray
     sin_t: np.ndarray
     inverse: np.ndarray  # the symbol of Linv: 1/(1 - k^2), 0 on the kernel
@@ -162,72 +161,73 @@ class _Grid(NamedTuple):
 def _grid(num: int) -> _Grid:
     t = 2.0 * np.pi * np.arange(num) / num
     k = np.arange(num // 2 + 1, dtype=float)
-    return _Grid(
-        *_frozen(
-            t,
-            np.cos(t),
-            np.sin(t),
-            np.divide(1.0, 1.0 - k**2, out=np.zeros_like(k), where=k != 1.0),
-        )
-    )
+    inverse = np.divide(1.0, 1.0 - k**2, out=np.zeros_like(k), where=k != 1.0)
+    return _Grid(*_frozen(np.cos(t), np.sin(t), inverse))
 
 
-def _frequencies(params: AnsatzParams, rescaled: bool = True):
-    """Slow and fast frequencies of the ansatz's two waves: (+-1/m, n/m) in
-    the rescaled parameter, (+-1/n, 1) in the full one."""
-    m = params.rescale if rescaled else params.n
-    return params.sign / m, (params.n / m) if rescaled else 1.0
+def _frequencies(params: AnsatzParams) -> tuple[float, float]:
+    """Slow and fast frequencies (a, b) = (+-1/m, n/m) of the ansatz's two
+    waves in the rescaled parameter; b - a = 1 in both families."""
+    return params.sign / params.rescale, params.n / params.rescale
 
 
-@lru_cache(maxsize=8)
-def _node_waves(w1: float, w2: float, num: int):
-    """exp(i w1 t) and exp(i w2 t) at ``num`` uniform nodes."""
-    t = _grid(num).t
-    return _frozen(np.exp(1j * w1 * t), np.exp(1j * w2 * t))
+class _Ansatz(NamedTuple):
+    """Rotation invariants of the ansatz u = R e^{iat} + e^{ibt} at nodes of
+    the rescaled parameter, with s = |u'|, kappa the curvature of u and nu
+    its unit normal i u'/s."""
+
+    s: np.ndarray
+    ds: np.ndarray  # s'
+    ks: np.ndarray  # kappa s
+    dks: np.ndarray  # (kappa s)'
+    u2: np.ndarray  # |u|^2
+    unu: np.ndarray  # u . nu
+    dunu: np.ndarray  # (u . nu)'
+    udu: np.ndarray  # u . u'
 
 
-def _node_frame(params: AnsatzParams, num: int) -> "_Frame":
-    """The rescaled frame at ``num`` uniform nodes.  Its waves do not depend
-    on R, so a radius search builds them once."""
-    waves = _node_waves(*_frequencies(params), num)
-    return _Frame(params, _grid(num).t, waves=waves)
+def _ansatz(params: AnsatzParams, cos_t: np.ndarray, sin_t: np.ndarray) -> _Ansatz:
+    """The ansatz's invariants at the nodes where ``cos_t`` and ``sin_t``
+    are given: each is a function of cos t and sin t alone, since b - a = 1.
+    s^2 = R^2 a^2 + b^2 + 2 R a b cos t and kappa s^3 = R^2 a^3 + b^3
+    + R a b (a + b) cos t."""
+    R = params.R
+    a, b = _frequencies(params)
+    rab, rapb = R * a * b, R * (a + b)
+    s2 = R * R * a * a + b * b + 2.0 * rab * cos_t
+    s = np.sqrt(s2)
+    ds = -rab * sin_t / s
+    ks = (R * R * a**3 + b**3 + rab * (a + b) * cos_t) / s2
+    dks = (-rab * (a + b) * sin_t - 2.0 * ks * s * ds) / s2
+    unu = -(R * R * a + b + rapb * cos_t) / s
+    dunu = (rapb * sin_t - unu * ds) / s
+    return _Ansatz(s, ds, ks, dks, R * R + 1.0 + 2.0 * R * cos_t, unu, dunu, -R * sin_t)
 
 
-class _Frame:
-    """Closed-form ansatz data at sample nodes, as complex arrays.
+def _graph(ans: _Ansatz, phi, dphi, d2phi):
+    """Distance from the origin and signed curvature of w = u + phi nu.
 
-    ``waves`` are exp(i w1 t) and exp(i w2 t) at ``t`` when the caller has
-    them; by default they are computed here.
+    Takes the profile and its first two derivatives at the nodes of ``ans``.
+    With T = u'/s, w' = A T + phi' nu and w'' = (A' - kappa s phi') T
+    + (kappa s A + phi'') nu for A = s (1 - kappa phi), so
+    K(w) = (A (kappa s A + phi'') - phi' (A' - kappa s phi')) / |w'|^3 with
+    |w'|^2 = A^2 + phi'^2, and |w|^2 = |u|^2 + (2 u . nu + phi) phi.
     """
+    A = ans.s - ans.ks * phi
+    dA = ans.ds - ans.dks * phi - ans.ks * dphi
+    speed2 = A * A + dphi * dphi
+    if speed2.min() <= 1e-24 * speed2.max():
+        raise DegenerateSpeed("normal perturbation destroys regularity")
+    cross = A * (ans.ks * A + d2phi) - dphi * (dA - ans.ks * dphi)
+    kappa = cross / (speed2 * np.sqrt(speed2))
+    # rounding can take |w|^2 a hair below 0 where w passes the origin
+    dist = np.sqrt(np.maximum(ans.u2 + (2.0 * ans.unu + phi) * phi, 0.0))
+    return dist, kappa
 
-    __slots__ = ("t", "u", "du", "d2u", "d3u", "nu", "dnu", "d2nu", "speed")
 
-    def __init__(
-        self, params: AnsatzParams, t: np.ndarray, rescaled: bool = True, waves=None
-    ):
-        R = params.R
-        w1, w2 = _frequencies(params, rescaled)  # slow, fast
-        if waves is None:
-            waves = np.exp(1j * w1 * t), np.exp(1j * w2 * t)
-        e1, e2 = waves
-        self.t = t
-        self.u = R * e1 + e2
-        self.du = R * 1j * w1 * e1 + 1j * w2 * e2
-        self.d2u = -R * w1**2 * e1 - w2**2 * e2
-        self.d3u = -R * 1j * w1**3 * e1 - 1j * w2**3 * e2
-        s = np.abs(self.du)
-        self.speed = s
-        self.nu = 1j * self.du / s
-        dot12 = (self.du.conjugate() * self.d2u).real
-        self.dnu = 1j * self.d2u / s - dot12 * 1j * self.du / s**3
-        dot13 = (self.du.conjugate() * self.d3u).real
-        abs2sq = np.abs(self.d2u) ** 2
-        self.d2nu = (
-            1j * self.d3u / s
-            - 2.0 * dot12 * 1j * self.d2u / s**3
-            - (abs2sq + dot13) * 1j * self.du / s**3
-            + 3.0 * dot12**2 * 1j * self.du / s**5
-        )
+def _radial_rate(ans: _Ansatz, phi, dphi) -> np.ndarray:
+    """w . w' of w = u + phi nu: half the derivative of |w|^2."""
+    return ans.udu + dphi * ans.unu + phi * (ans.dunu + dphi)
 
 
 def linf_invert_perp(f: np.ndarray) -> np.ndarray:
@@ -237,21 +237,6 @@ def linf_invert_perp(f: np.ndarray) -> np.ndarray:
     identity L(Linv f) = P f holds exactly on the truncated spectrum.
     """
     return apply_symbol(f, _grid(len(f)).inverse)
-
-
-def _perturb(frame: _Frame, phi, dphi, d2phi):
-    """The normal perturbation w = u + phi * normal at the frame's nodes.
-
-    Takes the profile and its first two derivatives in the frame's
-    parameter; returns ``(w, dw, kappa)`` with the signed curvature of w.
-    """
-    w = frame.u + phi * frame.nu
-    dw = frame.du + dphi * frame.nu + phi * frame.dnu
-    d2w = frame.d2u + d2phi * frame.nu + 2.0 * dphi * frame.dnu + phi * frame.d2nu
-    speed = np.abs(dw)
-    if speed.min() <= 1e-12 * speed.max():
-        raise DegenerateSpeed("normal perturbation destroys regularity")
-    return w, dw, (dw.conjugate() * d2w).imag / speed**3
 
 
 def _multipliers(gap, cos_t, sin_t) -> tuple[float, float]:
@@ -269,8 +254,7 @@ class FixedPoint(NamedTuple):
     lambda2: float
     trace: tuple  # the defect of each iterate
     gap: np.ndarray  # K - H of w = u + phi * normal at the nodes
-    w: np.ndarray
-    dw: np.ndarray
+    radial_rate: np.ndarray  # w . w' at the nodes
 
 
 def fixed_point_solve(
@@ -295,18 +279,18 @@ def fixed_point_solve(
     as the plain iteration but roughly squares the convergence rate; the
     plain step is the first iterate.  Each iterate takes one forward
     transform for phi' and phi'' together and one transform pair for Linv;
-    the symbols and the ansatz's waves are built once per (n, mirror,
-    ``num_samples``).  Returns a ``FixedPoint``: ``(phi, lambda1, lambda2,
+    the ansatz's invariants are built once per solve from the shared cos t
+    and sin t tables.  Returns a ``FixedPoint``: ``(phi, lambda1, lambda2,
     trace)`` with the kernel multipliers of the residual gap and the
-    per-iteration defect sizes, then that gap and the perturbed curve w
-    and w' it was evaluated on.  Raises ``NotContracting`` after five
+    per-iteration defect sizes, then that gap and w . w' of the perturbed
+    curve w it was evaluated on.  Raises ``NotContracting`` after five
     consecutive growing defects and ``MaxIterationsExceeded`` after
     ``config.max_iter`` iterations.
     """
     config = config or LSConfig()
     num = config.num_samples
-    frame = _node_frame(params, num)
     grid = _grid(num)
+    ans = _ansatz(params, grid.cos_t, grid.sin_t)
     if phi0 is None:
         phi = np.zeros(num)
     else:
@@ -319,8 +303,9 @@ def fixed_point_solve(
     trace = []
     growing = 0
     for _ in range(config.max_iter):
-        w, dw, kappa = _perturb(frame, phi, *_jet(phi, 2.0 * np.pi))
-        gap = kappa - h(np.abs(w))
+        dphi, d2phi = _jet(phi, 2.0 * np.pi)
+        dist, kappa = _graph(ans, phi, dphi, d2phi)
+        gap = kappa - h(dist)
         residual = -linf_invert_perp(gap)
         delta = float(np.abs(residual).max())
         if trace and delta > trace[-1]:
@@ -338,7 +323,8 @@ def fixed_point_solve(
             and abs(lam1) > config.tol_root
             and delta <= FORCING * abs(lam1)
         ):
-            return FixedPoint(phi, lam1, lam2, tuple(trace), gap, w, dw)
+            rate = _radial_rate(ans, phi, dphi)
+            return FixedPoint(phi, lam1, lam2, tuple(trace), gap, rate)
         if res_prev is None:
             step = residual
         else:
@@ -435,8 +421,9 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
     result's ``iterations`` counts the solve at the accepted radius, and
     its ``residual`` and ``rotation_identity`` come from that solve's last
     evaluation.  The bracket must satisfy the root-existence inequalities
-    and produce a sign change, else ``NoSignChange``;
-    ``MaxIterationsExceeded`` if |lambda1| stays above ``config.tol_root``.
+    and keep R < n at r1, else ``ValueError``, and produce a sign change,
+    else ``NoSignChange``; ``MaxIterationsExceeded`` if |lambda1| stays
+    above ``config.tol_root``.
     """
     config = config or LSConfig()
     tol_root = config.tol_root
@@ -444,8 +431,12 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
     r0, r1 = config.r_bracket or default_bracket(h)
     if not (2.0 ** ((h.gamma + 2.0) / 2.0) * r0 < abs(h.A) * h.gamma / 2.0 < r1):
         raise ValueError(
-            f"bracket ({r0:g}, {r1:g}) violates the root-existence inequalities"
+            f"'r_bracket' ({r0:g}, {r1:g}) violates the root-existence inequalities"
         )
+    R1 = _radius(r1, n, h.gamma)  # R grows with r: the ansatz needs R < n
+    if not R1 < n:
+        key = "r_bracket" if config.r_bracket else "n_list"
+        raise ValueError(f"'{key}': bracket end r = {r1:g} gives R = {R1:.4g}, not < n = {n}")
 
     solved = {}  # r -> FixedPoint, in evaluation order
 
@@ -499,7 +490,6 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
     lam1, gap = sol.lambda1, sol.gap
     residual = float(np.abs(gap - sol.lambda2 * _grid(len(gap)).sin_t).max())
     converged = abs(lam1) <= tol_root and residual <= tol_root + 100.0 * config.tol_fp
-    radial_rate = (sol.w.conjugate() * sol.dw).real
     return LSResult(
         n=n,
         R=_radius(r_n, n, h.gamma),
@@ -514,7 +504,7 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
         trace=tuple((r, s.lambda1, len(s.trace), s.trace[-1]) for r, s in solved.items()),
         converged=converged,
         stop_reason=stop_reason,
-        rotation_identity=float((-gap * radial_rate).sum() * 2.0 * np.pi / len(sol.phi)),
+        rotation_identity=float((-gap * sol.radial_rate).sum() * 2.0 * np.pi / len(sol.phi)),
     )
 
 
@@ -534,27 +524,34 @@ def build_immersed_loop(
     num_total = config.samples_per_loop * n
     if num_total % 2:
         num_total += 1
-    t_full = 2.0 * np.pi * n * np.arange(num_total) / num_total
-    frame = _Frame(params, t_full, rescaled=False)
+    # node j of the full parameter sits at the rescaled t = 2 pi m j /
+    # num_total, at index m j mod num_total, and has a t = +-2 pi j / num_total
+    grid = _grid(num_total)
+    at = params.rescale * np.arange(num_total) % num_total
+    cos_t, sin_t = grid.cos_t[at], grid.sin_t[at]
+    ans = _ansatz(params, cos_t, sin_t)
 
-    rho = params.rescale / n  # d(rescaled)/d(full parameter)
     phi = result.phi
     jet = np.stack([phi, *_jet(phi, 2.0 * np.pi)], axis=1)
-    # the rescaled parameter rho * t_full = 2 pi (m j mod num_total) / num_total
-    # falls on the uniform grid of num_total nodes, visited in steps of m
-    up = trig_resample(jet, 2.0 * np.pi, nodes=num_total)
-    big = up[params.rescale * np.arange(num_total) % num_total]
-    w, _, kappa = _perturb(frame, big[:, 0], rho * big[:, 1], rho**2 * big[:, 2])
-    min_dist = float(np.abs(w).min())
+    big = trig_resample(jet, 2.0 * np.pi, nodes=num_total)[at]
+    # curvature does not depend on the parametrization, so K is taken in t
+    dist, kappa = _graph(ans, big[:, 0], big[:, 1], big[:, 2])
+    min_dist = float(dist.min())
     if min_dist <= h.s0:
         raise ValueError(
             f"assembled loop reaches |p| = {min_dist:.3f} inside the "
             f"mollification radius {h.s0:g}; the result would depend on it"
         )
-    residual = float(np.abs(kappa - h(np.abs(w))).max())
+    residual = float(np.abs(kappa - h(dist)).max())
+    # w = e^{iat} (R + e^{it} - phi (R a + b e^{it}) / s), as nu = i u'/s
+    a, b = _frequencies(params)
+    g = big[:, 0] / ans.s
+    re = params.R * (1.0 - g * a) + cos_t * (1.0 - g * b)
+    im = sin_t * (1.0 - g * b)
+    cos_a, sin_a = grid.cos_t, params.sign * grid.sin_t
     curve = ClosedCurve(
         period=2.0 * np.pi * n,
-        samples=np.stack([w.real, w.imag], axis=1),
+        samples=np.stack([cos_a * re - sin_a * im, sin_a * re + cos_a * im], axis=1),
     )
     return curve, replace(
         result,

@@ -14,7 +14,12 @@ from prescurve.curves import (
     rot90,
     trig_resample,
 )
-from prescurve.errors import MaxIterationsExceeded, NotContracting, PrescurveError
+from prescurve.errors import (
+    DegenerateSpeed,
+    MaxIterationsExceeded,
+    NotContracting,
+    PrescurveError,
+)
 from prescurve.fields import (
     CurvatureField,
     RadialDecaying,
@@ -27,8 +32,6 @@ from prescurve.immersed import (
     AnsatzParams,
     LSConfig,
     _brent,
-    _Frame,
-    _perturb,
     default_bracket,
     fixed_point_solve,
 )
@@ -377,6 +380,53 @@ def sderiv(values: np.ndarray, order: int) -> np.ndarray:
     return apply_symbol(values, (1j * k) ** order)
 
 
+class _Frame:
+    """Closed-form ansatz data at sample nodes, as complex arrays: the
+    complex-frame oracle of the immersed solve's real invariants.
+
+    The frequencies are (+-1/m, n/m) in the rescaled parameter and
+    (+-1/n, 1) in the full one.
+    """
+
+    def __init__(self, params: AnsatzParams, t: np.ndarray, rescaled: bool = True):
+        R = params.R
+        m = params.rescale if rescaled else params.n
+        w1, w2 = params.sign / m, (params.n / m) if rescaled else 1.0  # slow, fast
+        e1, e2 = np.exp(1j * w1 * t), np.exp(1j * w2 * t)
+        self.u = R * e1 + e2
+        self.du = R * 1j * w1 * e1 + 1j * w2 * e2
+        self.d2u = -R * w1**2 * e1 - w2**2 * e2
+        self.d3u = -R * 1j * w1**3 * e1 - 1j * w2**3 * e2
+        s = np.abs(self.du)
+        self.speed = s
+        self.nu = 1j * self.du / s
+        dot12 = (self.du.conjugate() * self.d2u).real
+        self.dnu = 1j * self.d2u / s - dot12 * 1j * self.du / s**3
+        dot13 = (self.du.conjugate() * self.d3u).real
+        abs2sq = np.abs(self.d2u) ** 2
+        self.d2nu = (
+            1j * self.d3u / s
+            - 2.0 * dot12 * 1j * self.d2u / s**3
+            - (abs2sq + dot13) * 1j * self.du / s**3
+            + 3.0 * dot12**2 * 1j * self.du / s**5
+        )
+
+
+def _perturb(frame: _Frame, phi, dphi, d2phi):
+    """The normal perturbation w = u + phi * normal at the frame's nodes.
+
+    Takes the profile and its first two derivatives in the frame's
+    parameter; returns ``(w, dw, kappa)`` with the signed curvature of w.
+    """
+    w = frame.u + phi * frame.nu
+    dw = frame.du + dphi * frame.nu + phi * frame.dnu
+    d2w = frame.d2u + d2phi * frame.nu + 2.0 * dphi * frame.dnu + phi * frame.d2nu
+    speed = np.abs(dw)
+    if speed.min() <= 1e-12 * speed.max():
+        raise DegenerateSpeed("normal perturbation destroys regularity")
+    return w, dw, (dw.conjugate() * d2w).imag / speed**3
+
+
 def perturbed(params, phi):
     """``(w, w', K)`` of the normal perturbation w = u + phi * normal at the
     nodes of ``phi``: the frame computes its own waves, and each derivative
@@ -408,8 +458,8 @@ def verify_second_multiplier(result, h):
 def fixed_point_rebuilt(params, h, config=None, phi0=None, inexact=False):
     """``fixed_point_solve`` with nothing shared between iterates: each
     derivative and each Linv takes its own transform pair with its symbol
-    built anew, and the frame computes its own waves.  Returns the same
-    seven fields: ``(phi, lambda1, lambda2, trace, gap, w, w')``."""
+    built anew, and the curve is evaluated on the complex frame.  Returns
+    the same six fields: ``(phi, lambda1, lambda2, trace, gap, w . w')``."""
     config = config or LSConfig()
     num = config.num_samples
     t = 2.0 * np.pi * np.arange(num) / num
@@ -440,7 +490,7 @@ def fixed_point_rebuilt(params, h, config=None, phi0=None, inexact=False):
         if delta <= config.tol_fp or (
             inexact and abs(lam1) > config.tol_root and delta <= FORCING * abs(lam1)
         ):
-            return phi, lam1, lam2, tuple(trace), gap, w, dw
+            return phi, lam1, lam2, tuple(trace), gap, (w.conjugate() * dw).real
         if res_prev is None:
             step = residual
         else:

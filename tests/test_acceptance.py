@@ -22,7 +22,6 @@ from prescurve.fields import (
 )
 from prescurve.immersed import (
     AnsatzParams,
-    _Frame,
     build_immersed_loop,
     default_bracket,
     linf_invert_perp,
@@ -43,6 +42,7 @@ from prescurve.physics import (
 )
 
 from conftest import (
+    _Frame,
     anisotropic_area_by_winding,
     linearized_coeffs,
     linf_apply,

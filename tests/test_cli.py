@@ -215,6 +215,10 @@ def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, ke
         ('"tol_fp": -1', "'tol_fp'"),
         ('"max_iter": 0', "'max_iter'"),
         ('"n_list": [32, 32]', "'n_list'"),
+        # both ends of the default bracket give R = (r n)^(1/4) > n = 2
+        ('"radial_params": {"A": 100.0, "gamma": 2.0}, "n_list": [2]', "'n_list'"),
+        ('"n_list": [2], "r_bracket": [0.1, 10.0]', "'r_bracket'"),
+        ('"r_bracket": [0.5, 2.0]', "'r_bracket'"),  # 2^2 r0 >= A gamma / 2
         # a repeated key: the last "radial_params" is the one read
         ('"radial_params": {"A": true, "gamma": 2.0}', "'A'"),
         ('"radial_params": {"A": 1.0, "gamma": "2.0"}', "'gamma'"),

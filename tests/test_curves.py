@@ -23,10 +23,11 @@ from prescurve.curves import (
     write_curve,
 )
 from prescurve.errors import DegenerateSpeed
-from prescurve.immersed import AnsatzParams, _Frame
+from prescurve.immersed import AnsatzParams
 
 from conftest import (
     PointOnCurve,
+    _Frame,
     curvature,
     dirichlet,
     fourier_sum,
