@@ -71,7 +71,6 @@ def _load_config(args) -> dict:
             continue
         cfg[key.replace("-", "_")] = value
     cfg.setdefault("out", "out")
-    cfg.setdefault("jobs", 1)
     return cfg
 
 
@@ -199,7 +198,7 @@ def _task_map(cfg):
     """The ``map`` that runs independent tasks: the builtin one for
     ``jobs`` 1, else the ``map`` of a pool of ``jobs`` processes, which is
     shut down on exit."""
-    jobs = _config_value("jobs", cfg["jobs"], int)
+    jobs = _config_value("jobs", cfg.get("jobs", 1), int)
     if jobs < 1:
         raise ValueError(f"config key 'jobs' must be >= 1, got {jobs!r}")
     if jobs == 1:
@@ -460,10 +459,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, pool=False):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--jobs", type=int, help="parallel workers")
+        if pool:
+            p.add_argument("--jobs", type=int, help="worker processes (default 1)")
+        else:  # one process; 1 is accepted for callers that pass it
+            p.add_argument("--jobs", type=int, choices=(1,), help="1: one process")
 
     p = sub.add_parser("solve", help="area-constrained minimization")
     common(p)
@@ -471,11 +473,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, help="signed area constraint")
 
     p = sub.add_parser("sweep", help="isoperimetric-function sweep")
-    common(p)
+    common(p, pool=True)
     p.add_argument("--field", help="field definition file")
 
     p = sub.add_parser("immersed", help="immersed loops for radial curvature")
-    common(p)
+    common(p, pool=True)
     p.add_argument("--field", help="field file with radial_params")
 
     p = sub.add_parser("magnetic", help="charged-particle trajectory")

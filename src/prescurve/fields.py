@@ -522,19 +522,33 @@ class RadialCurvature:
         if self.s0 <= 0.0:
             raise ValueError("mollification radius s0 must be positive")
         a, g, s0 = self.A, self.gamma, self.s0
-        mat = np.array(
-            [
-                [1.0, s0**2, s0**4],
-                [0.0, 2.0 * s0, 4.0 * s0**3],
-                [0.0, 2.0, 12.0 * s0**2],
-            ]
-        )
-        # h and its first two derivatives at s0
-        jet = [self._outer(s0), -g * a / s0 ** (g + 1.0), g * (g + 1.0) * a / s0 ** (g + 2.0)]
-        object.__setattr__(self, "_poly", np.linalg.solve(mat, np.array(jet)))
+        try:
+            mat = np.array(
+                [
+                    [1.0, s0**2, s0**4],
+                    [0.0, 2.0 * s0, 4.0 * s0**3],
+                    [0.0, 2.0, 12.0 * s0**2],
+                ]
+            )
+            # h's first two derivatives at s0, taken before h: a zero
+            # s0^(gamma+2) raises here, and a positive one keeps s^gamma > 0
+            # for every s >= s0, so _outer never divides by zero
+            d1 = -g * a / s0 ** (g + 1.0)
+            d2 = g * (g + 1.0) * a / s0 ** (g + 2.0)
+            poly = np.linalg.solve(mat, np.array([self._outer(s0), d1, d2]))
+        except (OverflowError, ZeroDivisionError):
+            poly = None
+        if poly is None or not np.isfinite(poly).all():
+            raise ValueError(
+                f"'A' = {a!r}, 'gamma' = {g!r}, 's0' = {s0!r}: the C^2 extension "
+                "below s0 is not finite in floating point"
+            )
+        object.__setattr__(self, "_poly", poly)
 
     def _outer(self, s):
-        return 1.0 + self.A / np.asarray(s, dtype=float) ** self.gamma
+        # s^gamma may overflow to inf for s > 1, where A / inf = 0 is right
+        with np.errstate(over="ignore"):
+            return 1.0 + self.A / np.asarray(s, dtype=float) ** self.gamma
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)

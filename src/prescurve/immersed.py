@@ -428,8 +428,15 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
     config = config or LSConfig()
     tol_root = config.tol_root
     mirror = h.A < 0.0
+    try:
+        power = 2.0 ** ((h.gamma + 2.0) / 2.0)
+    except OverflowError:
+        raise ValueError(
+            f"'gamma' = {h.gamma!r} is too large: the root-existence "
+            "inequalities' 2^((gamma+2)/2) overflows"
+        ) from None
     r0, r1 = config.r_bracket or default_bracket(h)
-    if not (2.0 ** ((h.gamma + 2.0) / 2.0) * r0 < abs(h.A) * h.gamma / 2.0 < r1):
+    if not (power * r0 < abs(h.A) * h.gamma / 2.0 < r1):
         raise ValueError(
             f"'r_bracket' ({r0:g}, {r1:g}) violates the root-existence inequalities"
         )

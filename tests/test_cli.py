@@ -226,6 +226,11 @@ def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, ke
             '"radial_params": {"A": 1.0, "gamma": 2.0, "s0": 1' + "0" * 400 + "}", "'s0'",
             id="huge-s0",
         ),
+        # 2^((gamma+2)/2) in the root-existence inequalities overflows, and
+        # at 1e308 so does h'' at s0; s0^(gamma+2) underflows to zero
+        ('"radial_params": {"A": 1.0, "gamma": 1e308}, "n_list": [32]', "'gamma'"),
+        ('"radial_params": {"A": 1.0, "gamma": 3000}, "n_list": [32]', "'gamma'"),
+        ('"radial_params": {"A": 1.0, "gamma": 2.0, "s0": 1e-300}, "n_list": [32]', "'s0'"),
     ],
 )
 def test_malformed_immersed_config_exit_2(tmp_path, capsys, extra, key):
@@ -396,6 +401,18 @@ def _radial_params_exit_2(tmp_path, capsys, params, key):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "magnetic", "cylinder", "check"])
+@pytest.mark.parametrize("jobs", ["2", "0"])
+def test_one_process_commands_take_only_jobs_1(tmp_path, capsys, command, jobs):
+    # only sweep and immersed run a pool; the others reject any other count
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--jobs", jobs, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--jobs" in err
+    assert "Traceback" not in err
+
+
 def test_radial_params_beta_exit_2(tmp_path, capsys):
     _radial_params_exit_2(tmp_path, capsys, {"A": 1.0, "gamma": 2.0, "beta": 0.5}, "'beta'")
 
@@ -412,10 +429,10 @@ def test_immersed_missing_field_file_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# Exports that only tests call: a paper claim that ROADMAP item 3 plans to
+# Exports that only tests call: a paper claim that ROADMAP item 2 plans to
 # put in the reports.
 TEST_ONLY_EXPORTS = {
-    ("minimize", "check_multiplier_bounds"): "the multiplier bounds; ROADMAP item 3",
+    ("minimize", "check_multiplier_bounds"): "the multiplier bounds; ROADMAP item 2",
 }
 
 

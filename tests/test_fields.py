@@ -356,6 +356,11 @@ class TestRadialCurvature:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    def test_power_overflow_is_silent(self):
+        # s^gamma overflows to inf for s > ~1.4 at gamma 2000; A / inf = 0
+        h = RadialCurvature(A=1.0, gamma=2000.0)
+        assert h(np.array([2.0, 5.0])).tolist() == [1.0, 1.0]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RadialCurvature(A=0.0, gamma=2.0)

@@ -558,6 +558,22 @@ class TestSweep:
         assert seen == taus
         assert rows == sweep_isoperimetric(ctx_periodic, taus)
 
+    def test_solve_order(self, ctx_periodic, monkeypatch):
+        # cold tau_1, then cold and warm at each later tau: the pairs of
+        # adjacent solves that a warm-start win rate is read from
+        solves = []
+        solve = minimize.minimize_area_constrained
+
+        def recording(ctx, tau, opts=None):
+            solves.append((tau, "cold" if opts.initial is None else "warm"))
+            return solve(ctx, tau, opts)
+
+        monkeypatch.setattr(minimize, "minimize_area_constrained", recording)
+        sweep_isoperimetric(ctx_periodic, [0.7, 1.0, 1.4])
+        assert solves == [
+            (0.7, "cold"), (1.0, "cold"), (1.0, "warm"), (1.4, "cold"), (1.4, "warm")
+        ]
+
     def test_validation(self, ctx_zero):
         with pytest.raises(ValueError):
             sweep_isoperimetric(ctx_zero, [])
