@@ -26,11 +26,11 @@ from .fields import (
     DECAYING_ADMISSIBLE_NORM,
     PERIODIC_ADMISSIBLE_OSCILLATION,
     CurvatureField,
+    _number,
     _read_json,
     field_from_dict,
     radial_curvature_from_dict,
     read_field,
-    read_radial_curvature,
 )
 from .immersed import LSConfig, build_immersed_loop
 from .minimize import (
@@ -57,13 +57,10 @@ EXIT_USAGE = 2
 def _load_config(args) -> dict:
     cfg = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ValueError(f"config file not found: {path}")
-        cfg = _read_json(path)
+        cfg = _read_json(args.config)
         if not isinstance(cfg, dict):
             raise ValueError(
-                f"config file {path} must hold a JSON object, not {type(cfg).__name__}"
+                f"config file {args.config} must hold a JSON object, not {type(cfg).__name__}"
             )
     # flags override config keys
     for key, value in vars(args).items():
@@ -102,7 +99,7 @@ def _load_field(cfg) -> CurvatureField:
         raise ValueError(
             f"config key 'field' must be a file path or a JSON object, got {value!r}"
         )
-    return field_from_dict(value)
+    return field_from_dict(value)[0]
 
 
 def _warn_hypotheses(field: CurvatureField) -> None:
@@ -129,22 +126,14 @@ def _warn_hypotheses(field: CurvatureField) -> None:
         )
 
 
-_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
-
-
 def _config_value(key: str, value, kind):
-    """``value`` as ``kind`` (int, float or bool); ints, unlike bools, also
-    pass as floats, and numbers must be finite, ints within a float's
-    range.  Raises ``ValueError`` naming ``key`` otherwise."""
-    if kind is bool:
-        ok = isinstance(value, bool)
-    else:
-        ok = isinstance(value, (int, float) if kind is float else int)
-        # compared exactly: math.isfinite would overflow on a huge int
-        ok = ok and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-    if not ok:
-        raise ValueError(f"config key '{key}' must be {_KIND_NAMES[kind]}, got {value!r}")
-    return kind(value)
+    """``value`` as ``kind``: true or false for bool, else a number by
+    ``fields._number``.  Raises ``ValueError`` naming ``key`` otherwise."""
+    if kind is not bool:
+        return _number(key, value, kind)
+    if not isinstance(value, bool):
+        raise ValueError(f"config key '{key}' must be true or false, got {value!r}")
+    return value
 
 
 def _config_values(cfg, kinds: dict) -> dict:
@@ -294,7 +283,10 @@ def cmd_immersed(cfg) -> int:
     if params is not None:
         h = radial_curvature_from_dict(params)
     elif isinstance(cfg.get("field"), str):
-        h = read_radial_curvature(_config_path(cfg, "field"))
+        path = _config_path(cfg, "field")
+        h = field_from_dict(_read_json(path))[1]
+        if h is None:
+            raise ValueError(f"config key 'field': {path} has no 'radial_params'")
     else:
         raise ValueError("need 'radial_params' or a field file with them")
 

@@ -508,7 +508,7 @@ def read_curve(path) -> ClosedCurve:
         if not isinstance(doc, dict) or "period" not in doc or "samples" not in doc:
             raise ValueError("not a curve file (need 'period' and 'samples')")
         samples = _numbers(doc["samples"], "samples")
-        return ClosedCurve(period=_number(doc, "period"), samples=samples)
+        return ClosedCurve(period=_number("period", doc["period"]), samples=samples)
     except ValueError as exc:
         raise ValueError(f"cannot parse curve file {path}: {exc}") from None
 

@@ -47,7 +47,6 @@ __all__ = [
     "field_from_dict",
     "radial_curvature_from_dict",
     "read_field",
-    "read_radial_curvature",
 ]
 
 #: Sharp constant of the periodic-cell gradient bound.
@@ -751,17 +750,17 @@ def build_potential(field_: CurvatureField) -> VectorPotential:
     )
 
 
-def _number(doc: dict, key: str, default=None) -> float:
-    """The finite number stored under ``key``: an int or a float, not a bool
-    or a numeric string, which ``float`` would also take; ``ValueError``
-    names the key."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"key {key!r} must be a number, got {value!r}")
-    # compared exactly, so an int too large for a float fails here, not in float()
-    if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"key {key!r} must be finite, got {value!r}")
-    return float(value)
+def _number(key: str, value, kind=float):
+    """``value`` as a finite ``kind``, float or int: a JSON number, never a
+    bool or a numeric string, which ``float`` would also take, and an int
+    where ``kind`` is int.  The one scalar rule of field documents, curve
+    files and config keys; ``ValueError`` names ``key``."""
+    ok = isinstance(value, (int, float) if kind is float else int)
+    # compared exactly: math.isfinite would overflow on a huge int
+    if not (ok and not isinstance(value, bool) and abs(value) <= sys.float_info.max):
+        noun = "a finite number" if kind is float else "an integer"
+        raise ValueError(f"key {key!r} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 def _numbers(value, key: str) -> np.ndarray:
@@ -783,17 +782,18 @@ def _known_keys(doc: dict, where: str, keys: tuple) -> None:
             raise ValueError(f"unknown key {key!r} in {where} (keys: {', '.join(keys)})")
 
 
-def field_from_dict(doc) -> CurvatureField:
-    """Build a field from a parsed field document: a JSON object with
-    optional keys {"constant", "periodic_grid", "radial": {"r", "h"},
-    "radial_params"}; "radial_params" is read by
-    :func:`read_radial_curvature`, not here.
+def field_from_dict(doc) -> tuple:
+    """Parse a field document: a JSON object with optional keys
+    {"constant", "periodic_grid", "radial": {"r", "h"}, "radial_params"}.
+    This is the one reader of the format, and it checks every key, whichever
+    part its caller uses.  Returns the :class:`CurvatureField` and the
+    :class:`RadialCurvature` of "radial_params" (None without that key).
 
     Raises ``ValueError`` naming the key when the document is not an
     object or has a key outside that set, the constant is not a finite
     number, "radial" is not an object with exactly "r" and "h" that makes a
-    :class:`RadialDecaying` table, or an array is ragged or holds a
-    non-number.
+    :class:`RadialDecaying` table, an array is ragged or holds a
+    non-number, or "radial_params" fails :func:`radial_curvature_from_dict`.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a field must be a JSON object, not {type(doc).__name__}")
@@ -811,10 +811,14 @@ def field_from_dict(doc) -> CurvatureField:
     periodic = doc.get("periodic_grid")
     if periodic is not None:
         periodic = _numbers(periodic, "periodic_grid")
-    return CurvatureField.from_parts(
-        constant=_number(doc, "constant", 0.0),
-        periodic=periodic,
-        radial=radial,
+    params = doc.get("radial_params")
+    return (
+        CurvatureField.from_parts(
+            constant=_number("constant", doc.get("constant", 0.0)),
+            periodic=periodic,
+            radial=radial,
+        ),
+        None if params is None else radial_curvature_from_dict(params),
     )
 
 
@@ -826,9 +830,9 @@ def radial_curvature_from_dict(params) -> RadialCurvature:
         raise ValueError("'radial_params' must be a JSON object")
     _known_keys(params, "'radial_params'", ("A", "gamma", "s0"))
     return RadialCurvature(
-        A=_number(params, "A"),
-        gamma=_number(params, "gamma"),
-        s0=_number(params, "s0", 1.0),
+        A=_number("A", params.get("A")),
+        gamma=_number("gamma", params.get("gamma")),
+        s0=_number("s0", params.get("s0", 1.0)),
     )
 
 
@@ -846,12 +850,4 @@ def _read_json(path):
 
 def read_field(path) -> CurvatureField:
     """Read a field file; see :func:`field_from_dict` for the format."""
-    return field_from_dict(_read_json(path))
-
-
-def read_radial_curvature(path) -> RadialCurvature:
-    """Read the "radial_params" block of a field file as a RadialCurvature."""
-    doc = _read_json(path)
-    if not isinstance(doc, dict) or doc.get("radial_params") is None:
-        raise ValueError(f"{path}: no 'radial_params' block")
-    return radial_curvature_from_dict(doc["radial_params"])
+    return field_from_dict(_read_json(path))[0]

@@ -23,14 +23,15 @@ import numpy as np
 from .curves import (
     ClosedCurve,
     _curvature,
+    _derivative_symbol,
     _jet,
     _length,
+    apply_symbol,
     length,
     reparametrize_constant_speed,
     rot90,
     trig_resample,
 )
-from .energy import area_gradient, energy_gradient, pair
 from .errors import StepTooLarge
 from .fields import CurvatureField
 
@@ -308,8 +309,11 @@ def verify_solution(curve: ClosedCurve, field: CurvatureField, lam: float) -> So
     Four independent diagnostics: relative speed variation, curvature gap
     sup |K - H + lam|, second-order equation residual
     sup |u'' - Lbar (H - lam) i u'| with Lbar the mean speed, and the L^2
-    norm of the constrained-energy gradient.  Each reads H only, so no
-    vector potential is built.  The first three read one jet of the curve.
+    norm of the constrained-energy gradient.  All four read one jet of the
+    curve and one lookup of H; no vector potential is built.  The gradient
+    is the first variation of L + A_H - lam A: the length part
+    -d/dt(u'/|u'|), formed spectrally, plus (H - lam) i u', taken as
+    ``H i u' - lam i u'``.
     Raises ``DegenerateSpeed``, before any diagnostic, when the speed is
     not finite (an overflowed derivative) or not bounded away from zero.
     """
@@ -322,11 +326,13 @@ def verify_solution(curve: ClosedCurve, field: CurvatureField, lam: float) -> So
     h = field.value(curve.samples)
     curv_res = float(np.abs(kappa - h + lam).max())
     mean_speed = _length(curve, speed) / curve.period
-    ode_res = float(
-        np.abs(d2u - mean_speed * ((h - lam)[:, None] * rot90(du))).max()
-    )
-    grad = energy_gradient(curve, field) - lam * area_gradient(curve)
-    grad_norm = math.sqrt(max(pair(curve, grad, grad), 0.0))
+    normal = rot90(du)
+    ode_res = float(np.abs(d2u - mean_speed * ((h - lam)[:, None] * normal)).max())
+    tangent = du / speed[:, None]
+    dtangent = apply_symbol(tangent, _derivative_symbol(curve.n, curve.period, 1)[:, 0])
+    grad = (-dtangent + h[:, None] * normal) - lam * normal
+    sq = np.einsum("ij,ij->i", grad, grad).sum() * curve.period / curve.n
+    grad_norm = math.sqrt(max(float(sq), 0.0))
     return SolutionReport(
         speed_variation=speed_var,
         curvature_residual=curv_res,

@@ -8,7 +8,9 @@ from hypothesis import HealthCheck, settings
 from prescurve.curves import (
     ClosedCurve,
     _curvature,
+    _derivative_symbol,
     _jet,
+    _length,
     apply_symbol,
     derivative,
     rot90,
@@ -99,6 +101,35 @@ def dirichlet(curve) -> float:
     du = derivative(curve, 1)
     speed = np.hypot(du[:, 0], du[:, 1])
     return float(np.sqrt(curve.period * (speed**2).sum() * curve.period / curve.n))
+
+
+def pair(curve, grad: np.ndarray, direction: np.ndarray) -> float:
+    """L^2 pairing of a sampled gradient with a sampled direction field:
+    the trapezoidal quadrature of their dot product over one period."""
+    return float(np.einsum("ij,ij->i", grad, direction).sum() * curve.period / curve.n)
+
+
+def area_gradient(curve) -> np.ndarray:
+    """L^2 representative of the signed-area first variation: i u'."""
+    return rot90(derivative(curve, 1))
+
+
+def energy_gradient(curve, field: CurvatureField) -> np.ndarray:
+    """L^2 representative of the first variation of L + A_H, from its own
+    u' and its own lookup of H: the length part -d/dt(u'/|u'|) formed
+    spectrally on the interpolant, plus H(u) i u'.  For band-limited test
+    directions phi the pairing reproduces the directional derivative of
+    the energy; ``physics.verify_solution`` forms the constrained gradient
+    ``energy_gradient - lam area_gradient`` with these operations in this
+    order from its one jet."""
+    du = derivative(curve, 1)
+    speed = np.hypot(du[:, 0], du[:, 1])
+    if speed.min() <= 1e-8 * _length(curve, speed) / curve.period:
+        raise DegenerateSpeed("energy gradient needs a regular curve")
+    tangent = du / speed[:, None]
+    h = field.value(curve.samples)
+    dtangent = apply_symbol(tangent, _derivative_symbol(curve.n, curve.period, 1)[:, 0])
+    return -dtangent + h[:, None] * rot90(du)
 
 
 def reparametrize_rebuilt(curve):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from prescurve.curves import ClosedCurve, derivative, is_simple, length
-from prescurve.energy import anisotropic_area, build_context, energy, energy_gradient, pair
+from prescurve.energy import anisotropic_area, build_context, energy
 from prescurve.fields import (
     CurvatureField,
     RadialCurvature,
@@ -44,8 +44,10 @@ from prescurve.physics import (
 from conftest import (
     _Frame,
     anisotropic_area_by_winding,
+    energy_gradient,
     linearized_coeffs,
     linf_apply,
+    pair,
     project_perp,
     random_loop,
     shape_derivative,

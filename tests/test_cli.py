@@ -140,6 +140,54 @@ def test_malformed_field_exit_2(tmp_path, capsys, text, key):
     assert "Traceback" not in err
 
 
+# field documents that each break one key, and the key the error names;
+# each carries valid "radial_params", so that a reader which skipped the
+# other keys would run
+_RADIAL_PARAMS = {"A": 1.0, "gamma": 2.0}
+_BAD_FIELD_DOCS = {
+    "typo": ({"periodc_grid": [[0.0]], "radial_params": _RADIAL_PARAMS}, "'periodc_grid'"),
+    "grid": ({"periodic_grid": "garbage", "radial_params": _RADIAL_PARAMS}, "'periodic_grid'"),
+    "radial_params": ({"radial_params": {"A": "x", "gamma": True, "bogus": 3}}, "'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FIELD_DOCS))
+@pytest.mark.parametrize(
+    "reader", ["solve", "sweep", "check", "magnetic", "immersed", "inline"]
+)
+def test_every_reader_checks_every_field_key(tmp_path, capsys, reader, case):
+    # each subcommand that reads a field document, from a file or inline,
+    # rejects the same documents before it writes anything
+    doc, key = _BAD_FIELD_DOCS[case]
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps(doc))
+    curve = tmp_path / "curve.json"
+    write_curve(circle(1.0, n=64), curve)
+    cfg = {
+        "solve": {"tau": 1.0},
+        "sweep": {"tau_grid": [1.0]},
+        "check": {"curve": str(curve)},
+        "magnetic": {"b_field": str(field)},
+        "immersed": {"n_list": [8]},
+        "inline": {"tau": 1.0, "field": doc},
+    }[reader]
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = [
+        "solve" if reader == "inline" else reader,
+        "--config", str(tmp_path / "cfg.json"),
+        "--out", str(out),
+    ]
+    if reader not in ("magnetic", "inline"):
+        argv += ["--field", str(field)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, text, key",
     [
@@ -378,12 +426,13 @@ def test_unreadable_file_exit_2(tmp_path, capsys, field_zero, flag):
     assert "bad.json" in err
     assert "Traceback" not in err
     if flag == "--config":
-        # a directory passes the config's existence check, then fails to open
-        code = main(argv + [flag, str(tmp_path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert str(tmp_path) in err
-        assert "Traceback" not in err
+        # a directory and a missing file: neither opens, and the error names it
+        for path in (tmp_path, tmp_path / "no_such_cfg.json"):
+            code = main(argv + [flag, str(path)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert str(path) in err
+            assert "Traceback" not in err
 
 
 def _radial_params_exit_2(tmp_path, capsys, params, key):
@@ -692,6 +741,13 @@ class TestImmersed:
             assert d["stop_reason"] == "tol_root"
             # the paper's rotation identity: the integral of (H - K)(w . w')
             assert abs(d["rotation_identity"]) < 1e-8
+
+    def test_field_without_radial_params_exit_2(self, tmp_path, capsys, field_zero):
+        code = main(["immersed", "--field", field_zero, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'radial_params'" in err and field_zero in err
+        assert not (tmp_path / "out").exists()
 
     def test_gamma_validation_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

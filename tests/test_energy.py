@@ -12,21 +12,17 @@ from prescurve.curves import (
     rot90,
     signed_area,
 )
-from prescurve.energy import (
-    anisotropic_area,
-    area_gradient,
-    build_context,
-    energy,
-    energy_gradient,
-    pair,
-)
+from prescurve.energy import anisotropic_area, build_context, energy
 from prescurve.fields import CurvatureField, periodic_from_callable
 
 from conftest import (
     anisotropic_area_by_winding,
+    area_gradient,
     curvature,
     dirichlet,
+    energy_gradient,
     field_value,
+    pair,
     random_loop,
     shape_derivative,
     sup_norm,

@@ -1,4 +1,8 @@
+import copy
+import functools
+import json
 import math
+import operator
 import pickle
 
 import numpy as np
@@ -24,9 +28,9 @@ from prescurve.fields import (
     h_and_q,
     lorentz_norm_21,
     periodic_from_callable,
+    field_from_dict,
     q_eval,
     read_field,
-    read_radial_curvature,
     solve_torus_poisson,
 )
 
@@ -849,14 +853,112 @@ class TestFieldIO:
         assert back.constant == pytest.approx(field.constant)
         pts = rng.uniform(-1, 1, size=(20, 2))
         assert np.abs(back.value(pts) - field.value(pts)).max() < 1e-4
-        h = read_radial_curvature(path)
+        _, h = field_from_dict(json.loads(path.read_text()))
         assert h.gamma == 2.0
 
     def test_missing_radial_params(self, tmp_path):
         path = tmp_path / "field.json"
         write_field(CurvatureField.from_parts(constant=1.0), path)
-        with pytest.raises(ValueError):
-            read_radial_curvature(path)
+        field, h = field_from_dict(json.loads(path.read_text()))
+        assert field.constant == 1.0 and h is None
+
+
+# A valid field document with every key, and the keys of each of its objects.
+_FIELD_DOC = {
+    "constant": 0.25,
+    "periodic_grid": [[0.1, -0.1, 0.0], [0.0, 0.2, -0.2], [0.3, 0.0, -0.3]],
+    "radial": {"r": [0.0, 1.0, 2.0, 3.0, 4.0], "h": [0.5, 0.3, 0.1, 0.02, 0.0]},
+    "radial_params": {"A": 1.0, "gamma": 2.0, "s0": 1.0},
+}
+_FIELD_OBJECTS = {
+    (): _FIELD_DOC,
+    ("radial",): _FIELD_DOC["radial"],
+    ("radial_params",): _FIELD_DOC["radial_params"],
+}
+_SCALAR_KEYS = [("constant",), *(("radial_params", k) for k in ("A", "gamma", "s0"))]
+
+
+def _mutated(path: tuple, value) -> dict:
+    """A copy of the valid document with ``value`` stored at ``path``."""
+    doc = copy.deepcopy(_FIELD_DOC)
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+    return doc
+
+
+@st.composite
+def _bad_field_docs(draw, kind: str):
+    """A valid field document with one mutation of ``kind``, and the key
+    that the mutation breaks."""
+    if kind == "unknown key":
+        where = draw(st.sampled_from(sorted(_FIELD_OBJECTS)))
+        key = draw(st.text(max_size=12).filter(lambda k: k not in _FIELD_OBJECTS[where]))
+        return _mutated(where + (key,), 1.0), key
+    if kind == "bad scalar":
+        path = draw(st.sampled_from(_SCALAR_KEYS))
+        value = draw(
+            st.one_of(
+                st.booleans(),
+                st.text(max_size=8),
+                st.sampled_from([math.nan, math.inf, -math.inf]),
+                st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024)),
+            )
+        )
+        return _mutated(path, value), path[-1]
+    if kind == "not an object":
+        key = draw(st.sampled_from(["radial", "radial_params"]))
+        value = draw(
+            st.one_of(
+                st.booleans(),
+                st.floats(),
+                st.text(max_size=8),
+                st.lists(st.floats(allow_nan=False), max_size=4),
+            )
+        )
+        return _mutated((key,), value), key
+    # "array entry": one entry of an array, true or a numeric string
+    key = draw(st.sampled_from(["periodic_grid", "radial.r", "radial.h"]))
+    path = tuple(key.split(".")) + (draw(st.integers(0, 2)),)
+    if key == "periodic_grid":
+        path += (draw(st.integers(0, 2)),)
+    entry = functools.reduce(operator.getitem, path, _FIELD_DOC)
+    return _mutated(path, draw(st.sampled_from([True, repr(entry)]))), key
+
+
+def _rejected_naming(doc: dict, key: str) -> None:
+    """Assert that parsing ``doc`` raises a ``ValueError`` naming ``key``;
+    any other exception propagates."""
+    try:
+        field_from_dict(doc)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    # one assertion, so that a failing example fails in one place
+    assert message is not None and repr(key) in message, message or "accepted"
+
+
+class TestFieldDocument:
+    def test_valid_document(self):
+        # the start of every mutation parses, so each error is the mutation's
+        field, h = field_from_dict(copy.deepcopy(_FIELD_DOC))
+        assert field.periodic.shape == (3, 3) and field.radial.r_max == 4.0
+        assert h == RadialCurvature(A=1.0, gamma=2.0, s0=1.0)
+
+    @given(
+        st.sampled_from(["unknown key", "bad scalar", "not an object"]).flatmap(
+            _bad_field_docs
+        )
+    )
+    def test_one_mutation_names_its_key(self, case):
+        _rejected_naming(*case)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="arrays read true and numeric strings as numbers (ROADMAP item 4)",
+    )
+    @given(_bad_field_docs("array entry"))
+    def test_array_entry_names_its_key(self, case):
+        _rejected_naming(*case)
 
 
 def test_periodic_from_callable_shape():

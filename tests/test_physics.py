@@ -23,7 +23,14 @@ from prescurve.physics import (
     verify_solution,
 )
 
-from conftest import fourier_sum, random_loop
+from conftest import (
+    area_gradient,
+    energy_gradient,
+    fourier_sum,
+    pair,
+    random_loop,
+    tabulated,
+)
 
 
 def reference_rk4(rhs, y0, t_final, steps):
@@ -398,6 +405,22 @@ class TestVerifySolution:
             rep = verify_solution(ClosedCurve(1.0, pert), field, 0.0)
             resids.append(rep.curvature_residual)
         assert resids[0] < resids[1] < resids[2]
+
+    @pytest.mark.parametrize("lam", [-0.6, 0.0, 1.3])
+    @pytest.mark.parametrize("period", [1.0, 2.0 * math.pi])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_gradient_norm_matches_oracle_bitwise(self, n, period, lam):
+        # the report forms the constrained gradient from its one jet and
+        # one lookup of H, with the oracle's operations in the oracle's order
+        grid = periodic_from_callable(
+            lambda x, y: 0.3 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y), m=32
+        )
+        radial = tabulated(lambda r: 0.2 * np.exp(-(r**2)), num=257)
+        field = CurvatureField.from_parts(constant=0.8, periodic=grid, radial=radial)
+        curve = ClosedCurve(period, random_loop(np.random.default_rng(n), n=n))
+        grad = energy_gradient(curve, field) - lam * area_gradient(curve)
+        want = math.sqrt(max(pair(curve, grad, grad), 0.0))
+        assert verify_solution(curve, field, lam).gradient_norm == want
 
     def test_converged_minimizer(self, periodic_setup):
         ctx, mres = periodic_setup
