@@ -2,7 +2,8 @@
 
 Configuration comes from a JSON document (the same dialect as the curve and
 field files); command-line flags override config keys, which override
-defaults.  Exit codes: 0 success, 1 numerical failure, 2 usage or
+defaults.  A solver's number and bool settings are read off its signature:
+each is the config key of its parameter's name (``_config_args``).  Exit codes: 0 success, 1 numerical failure, 2 usage or
 validation error.  Identical config produces byte-identical outputs
 (floats are written with shortest round-trip decimals).
 """
@@ -10,11 +11,10 @@ validation error.  Identical config produces byte-identical outputs
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
-from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -136,16 +136,6 @@ def _config_value(key: str, value, kind):
     return value
 
 
-def _config_values(cfg, kinds: dict) -> dict:
-    """The keys of ``kinds`` present in ``cfg``, each checked against its
-    kind by ``_config_value``."""
-    return {
-        key: _config_value(key, cfg[key], kind)
-        for key, kind in kinds.items()
-        if key in cfg
-    }
-
-
 def _config_list(cfg, key: str, kind, length=None, default=None) -> tuple:
     """The nonempty list under ``key`` (of ``length`` entries, when given)
     as a tuple of ``kind`` (see ``_config_value``), or ``default`` when the
@@ -160,6 +150,28 @@ def _config_list(cfg, key: str, kind, length=None, default=None) -> tuple:
     return tuple(_config_value(key, v, kind) for v in value)
 
 
+def _config_args(cfg, fn) -> dict:
+    """The config keys that ``fn``'s signature declares, as keyword
+    arguments of ``fn``.  A parameter whose default is a bool, an int, a
+    float or a nonempty tuple of them is the key of its name, of the
+    default's kind: a scalar of its type (``_config_value``) or a list of
+    as many entries of the first entry's type (``_config_list``).  Each
+    such key is read from ``cfg`` when present, else set to its default;
+    other parameters are left out."""
+    args = {}
+    for name, param in inspect.signature(fn).parameters.items():
+        default = param.default
+        entries = default if isinstance(default, tuple) else (default,)
+        if not (entries and all(isinstance(v, (bool, int, float)) for v in entries)):
+            continue
+        kind = type(entries[0])
+        if isinstance(default, tuple):
+            args[name] = _config_list(cfg, name, kind, len(default), default)
+        else:
+            args[name] = _config_value(name, cfg[name], kind) if name in cfg else default
+    return args
+
+
 def _config_lam(cfg) -> float:
     """The multiplier shift under 'lam' (or 'lambda'), default 0."""
     key = "lam" if "lam" in cfg else "lambda"
@@ -167,37 +179,10 @@ def _config_lam(cfg) -> float:
 
 
 def _minimize_options(cfg) -> MinimizeOptions:
-    kwargs = _config_values(
-        cfg,
-        {
-            "n_samples": int,
-            "max_iter": int,
-            "tol_grad": float,
-            "tol_residual": float,
-            "tol_area": float,
-        },
-    )
+    kwargs = _config_args(cfg, MinimizeOptions)
     if "initial_curve" in cfg:
         kwargs["initial"] = read_curve(_config_path(cfg, "initial_curve"))
     return MinimizeOptions(**kwargs)
-
-
-@contextmanager
-def _task_map(cfg):
-    """The ``map`` that runs independent tasks: the builtin one for
-    ``jobs`` 1, else the ``map`` of a pool of ``jobs`` processes, which is
-    shut down on exit."""
-    jobs = _config_value("jobs", cfg.get("jobs", 1), int)
-    if jobs < 1:
-        raise ValueError(f"config key 'jobs' must be >= 1, got {jobs!r}")
-    if jobs == 1:
-        yield map
-        return
-    # imported here: the pool machinery costs every call's start-up otherwise
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(jobs) as pool:
-        yield pool.map
 
 
 def _write_json(path: Path, doc) -> None:
@@ -245,11 +230,20 @@ def cmd_sweep(cfg) -> int:
     field = _load_field(cfg)
     _warn_hypotheses(field)
     grid = check_tau_grid(_config_list(cfg, "tau_grid", float, default=()))
-    warm = _config_value("warm_start", cfg.get("warm_start", True), bool)
+    kwargs = _config_args(cfg, sweep_isoperimetric)
     opts = _minimize_options(cfg)
-    with _task_map(cfg) as task_map:
-        ctx = build_context(field)
-        rows = sweep_isoperimetric(ctx, grid, opts, warm_start=warm, map=task_map)
+    jobs = _config_value("jobs", cfg.get("jobs", 1), int)
+    if jobs < 1:
+        raise ValueError(f"config key 'jobs' must be >= 1, got {jobs!r}")
+    ctx = build_context(field)
+    if jobs == 1:
+        rows = sweep_isoperimetric(ctx, grid, opts, **kwargs)
+    else:
+        # imported here: the pool machinery costs every call's start-up otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(jobs) as pool:
+            rows = sweep_isoperimetric(ctx, grid, opts, map=pool.map, **kwargs)
     out = _out_dir(cfg)
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
@@ -295,21 +289,11 @@ def cmd_immersed(cfg) -> int:
         raise ValueError(f"config key 'n_list' entries must be >= 2, got {list(n_list)!r}")
     if len(set(n_list)) < len(n_list):
         raise ValueError(f"config key 'n_list' repeats an entry, got {list(n_list)!r}")
-    kwargs = _config_values(
-        cfg,
-        {
-            "num_samples": int,
-            "tol_fp": float,
-            "tol_root": float,
-            "max_iter": int,
-            "samples_per_loop": int,
-        },
+    config = LSConfig(
+        **_config_args(cfg, LSConfig),
+        r_bracket=_config_list(cfg, "r_bracket", float, length=2),
     )
-    if "r_bracket" in cfg:
-        kwargs["r_bracket"] = _config_list(cfg, "r_bracket", float, length=2)
-    config = LSConfig(**kwargs)
-    with _task_map(cfg) as task_map:
-        results = list(task_map(partial(build_immersed_loop, h=h, config=config), n_list))
+    results = [build_immersed_loop(n, h, config) for n in n_list]
 
     out = _out_dir(cfg)
     docs = []
@@ -340,22 +324,9 @@ def cmd_immersed(cfg) -> int:
 
 
 def cmd_magnetic(cfg) -> int:
-    kwargs = _config_values(
-        cfg,
-        {
-            "charge": float,
-            "mass": float,
-            "speed": float,
-            "v_parallel": float,
-            "t_final": float,
-            "steps": int,
-        },
-    )
-    for key in ("position", "direction"):
-        if key in cfg:
-            kwargs[key] = _config_list(cfg, key, float, length=2)
+    kwargs = _config_args(cfg, MagneticConfig)
     # both the gyroradius m v / (|e| b) and the b_field map divide by e
-    charge = kwargs.get("charge", 1.0)
+    charge = kwargs["charge"]
     if charge == 0:
         raise ValueError(f"config key 'charge' must be nonzero, got {charge!r}")
     b = cfg.get("b")
@@ -367,7 +338,7 @@ def cmd_magnetic(cfg) -> int:
         # derive the intensity from a curvature field: b = -m v (H - lam)/e,
         # so the transverse orbit follows the shifted-curvature loop
         lam = _config_lam(cfg)
-        scale = -kwargs.get("mass", 1.0) * kwargs.get("speed", 1.0) / charge
+        scale = -kwargs["mass"] * kwargs["speed"] / charge
         b = read_field(_config_path(cfg, "b_field")).mapped_at(scale, lam)
     else:
         raise ValueError("need a field strength 'b' or a 'b_field' file")
@@ -393,12 +364,11 @@ def cmd_magnetic(cfg) -> int:
 
 def cmd_cylinder(cfg) -> int:
     path = _config_path(cfg, "curve")
-    r_range = _config_list(cfg, "r_range", float, length=2, default=(0.5, 2.0))
-    grid = _config_list(cfg, "grid", int, length=2, default=(128, 33))
-    if min(grid) < 2:
-        raise ValueError(f"config key 'grid' entries must be >= 2, got {list(grid)!r}")
+    kwargs = _config_args(cfg, lift_to_cylinder)
+    if min(kwargs["grid"]) < 2:
+        raise ValueError(f"config key 'grid' entries must be >= 2, got {list(kwargs['grid'])!r}")
     curve = read_curve(path)
-    lift = lift_to_cylinder(curve, r_range, grid)
+    lift = lift_to_cylinder(curve, **kwargs)
     out = _out_dir(cfg)
     lift.write_off(out / "cylinder.off")
     z = lift.vertices[:, :, 2]
@@ -414,9 +384,10 @@ def cmd_cylinder(cfg) -> int:
 
 
 def cmd_check(cfg) -> int:
-    opts = _config_values(cfg, {"steps": int, "tol": float})
-    if not opts.get("tol", 1.0) > 0:
-        raise ValueError(f"config key 'tol' must be positive, got {opts['tol']!r}")
+    steps = _config_value("steps", cfg.get("steps", 4096), int)
+    tol = _config_value("tol", cfg.get("tol", 1e-3), float)
+    if not tol > 0:
+        raise ValueError(f"config key 'tol' must be positive, got {tol!r}")
     lam = _config_lam(cfg)
     curve = read_curve(_config_path(cfg, "curve"))
     field = _load_field(cfg)
@@ -424,10 +395,7 @@ def cmd_check(cfg) -> int:
     # closure of the curvature ODE restarted from the curve's initial data
     du = derivative(curve, 1)
     v0 = du[0] / np.hypot(*du[0])
-    ode = integrate_curvature_ode(
-        field.at, lam, curve.samples[0], v0, length(curve), steps=opts.get("steps", 4096)
-    )
-    tol = opts.get("tol", 1e-3)
+    ode = integrate_curvature_ode(field.at, lam, curve.samples[0], v0, length(curve), steps)
     doc = {
         "speed_variation": report.speed_variation,
         "curvature_residual": report.curvature_residual,
@@ -469,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", help="field definition file")
 
     p = sub.add_parser("immersed", help="immersed loops for radial curvature")
-    common(p, pool=True)
+    common(p)
     p.add_argument("--field", help="field file with radial_params")
 
     p = sub.add_parser("magnetic", help="charged-particle trajectory")

@@ -35,4 +35,5 @@ class MaxIterationsExceeded(PrescurveError):
 
 
 class StepTooLarge(PrescurveError):
-    """The ODE integrator lost the conserved speed beyond tolerance."""
+    """The ODE integrator lost the conserved speed beyond tolerance, or its
+    state left the finite floats."""

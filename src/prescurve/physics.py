@@ -68,7 +68,9 @@ def _orbit(f, scale: float, shift: float, position, direction, speed: float,
     reads H in that one Python frame.
     Returns the (steps + 1, 4) states (x, y, u, v) at t = k t_final / steps,
     the drift of |u'| relative to ``speed`` (beyond 1e-6, or NaN, it raises
-    ``StepTooLarge``) and the defect |u(T) - u(0)| + |u'(T) - u'(0)|.
+    ``StepTooLarge``) and the defect |u(T) - u(0)| + |u'(T) - u'(0)|.  A
+    state that leaves the finite floats, such as a position past 1.8e308
+    at a conserved speed, raises ``StepTooLarge`` too.
     """
     if not callable(f):
         const = float(f)
@@ -104,6 +106,9 @@ def _orbit(f, scale: float, shift: float, position, direction, speed: float,
     drift = float(np.abs(speeds - speed).max() / speed)
     if not drift <= 1e-6:
         raise StepTooLarge(f"speed drift {drift:.3e} is not below 1e-6; reduce the step")
+    finite = np.isfinite(path).all(axis=1)
+    if not finite.all():
+        raise StepTooLarge(f"state not finite from step {finite.argmin()} of {steps}")
     defect = float(
         np.hypot(*(path[-1, :2] - path[0, :2]))
         + np.hypot(*(path[-1, 2:] - path[0, 2:]))
@@ -126,8 +131,8 @@ def integrate_curvature_ode(
     ``v0`` is the unit initial direction; the initial velocity is
     length_guess * v0, so a correct guess closes the curve at t = 1.  The
     closure defect |u(1) - u(0)| + |u'(1) - u'(0)| and the relative speed
-    drift are reported; a drift beyond 1e-6, or NaN, raises
-    ``StepTooLarge``.
+    drift are reported; a drift beyond 1e-6, or NaN, or a state that is not
+    finite raises ``StepTooLarge``.
     """
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)

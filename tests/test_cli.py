@@ -5,17 +5,22 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import prescurve
-from prescurve.cli import main
+from prescurve.cli import _config_args, main
 from prescurve.curves import ClosedCurve, circle, read_curve, write_curve
 from prescurve.fields import CurvatureField, periodic_from_callable
+from prescurve.immersed import LSConfig
+from prescurve.minimize import MinimizeOptions, sweep_isoperimetric
+from prescurve.physics import MagneticConfig, lift_to_cylinder
 
 from conftest import TwoFramePoint, write_field
 
@@ -251,9 +256,6 @@ def test_malformed_config_exit_2(tmp_path, capsys, field_zero, command, text, ke
         ('"r_bracket": [0.1]', "'r_bracket'"),
         ('"r_bracket": [0.1, Infinity]', "'r_bracket'"),
         ('"r_bracket": "0.1, 2"', "'r_bracket'"),
-        ('"jobs": null', "'jobs'"),
-        ('"jobs": 0', "'jobs'"),
-        ('"jobs": -1', "'jobs'"),
         ('"n_list": [1]', "'n_list'"),
         ('"n_list": [-3]', "'n_list'"),
         ('"num_samples": 63', "'num_samples'"),
@@ -450,10 +452,10 @@ def _radial_params_exit_2(tmp_path, capsys, params, key):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["solve", "magnetic", "cylinder", "check"])
+@pytest.mark.parametrize("command", ["solve", "immersed", "magnetic", "cylinder", "check"])
 @pytest.mark.parametrize("jobs", ["2", "0"])
 def test_one_process_commands_take_only_jobs_1(tmp_path, capsys, command, jobs):
-    # only sweep and immersed run a pool; the others reject any other count
+    # only sweep runs a pool; the others reject any other count
     with pytest.raises(SystemExit) as exc:
         main([command, "--jobs", jobs, "--out", str(tmp_path)])
     err = capsys.readouterr().err
@@ -476,6 +478,102 @@ def test_immersed_missing_field_file_exit_2(tmp_path, capsys):
     assert code == 2
     assert "'field'" in err
     assert "Traceback" not in err
+
+
+@dataclass(frozen=True)
+class _Settings:
+    """A solver config with one parameter of each kind."""
+
+    target: object
+    flag: bool = True
+    count: int = 3
+    tol: float = 1e-6
+    pair: tuple = (0.5, 2.0)
+    shape: tuple = (8, 4)
+    bracket: tuple | None = None
+
+
+def _solver(data, settings=None, warm=False, scale=1.0, label="x", map=map, grid=(2, 3)):
+    """A solver function whose settings are keyword parameters."""
+
+
+def test_config_args_defaults():
+    # parameters with no default, a None default, or a default that is not
+    # a number, a bool or a tuple of them are no config keys
+    assert _config_args({}, _Settings) == {
+        "flag": True, "count": 3, "tol": 1e-6, "pair": (0.5, 2.0), "shape": (8, 4),
+    }
+    assert _config_args({}, _solver) == {"warm": False, "scale": 1.0, "grid": (2, 3)}
+
+
+def test_config_args_given_values_override():
+    cfg = {
+        "flag": False, "count": 5, "tol": 1, "pair": [1, 3], "shape": [16, 2],
+        "target": "t", "bracket": [0.1, 1.0], "data": 1, "label": 2, "unknown": None,
+    }
+    args = _config_args(cfg, _Settings)
+    assert args == {"flag": False, "count": 5, "tol": 1.0, "pair": (1.0, 3.0), "shape": (16, 2)}
+    assert type(args["tol"]) is float and {type(v) for v in args["pair"]} == {float}
+    assert _Settings(target=0, **args).shape == (16, 2)
+    assert _config_args(cfg | {"scale": 2, "grid": [4, 5]}, _solver) == {
+        "warm": False, "scale": 2.0, "grid": (4, 5),
+    }
+
+
+@pytest.mark.parametrize(
+    "fn, key, value",
+    [
+        (_Settings, "flag", "yes"),
+        (_Settings, "flag", 1),
+        (_Settings, "count", 2.5),
+        (_Settings, "count", True),
+        (_Settings, "tol", "1e-6"),
+        (_Settings, "tol", None),
+        (_Settings, "tol", math.inf),
+        (_Settings, "pair", 0.5),
+        (_Settings, "pair", [1.0]),
+        (_Settings, "pair", [1.0, 2.0, 3.0]),
+        (_Settings, "pair", [1.0, "2"]),
+        (_Settings, "shape", [8, 4.5]),
+        (_Settings, "shape", []),
+        (_solver, "warm", None),
+        (_solver, "scale", [1.0]),
+        (_solver, "grid", (4, 5)),  # a JSON document holds lists, never tuples
+    ],
+)
+def test_config_args_wrong_kind_names_key(fn, key, value):
+    with pytest.raises(ValueError, match=f"key '{key}'"):
+        _config_args({key: value}, fn)
+
+
+# the signature that declares the number and bool keys of each subcommand
+CONFIG_KEY_OWNERS = {
+    "solve": MinimizeOptions,
+    "sweep": sweep_isoperimetric,
+    "immersed": LSConfig,
+    "magnetic": MagneticConfig,
+    "cylinder": lift_to_cylinder,
+}
+
+
+def test_readme_config_defaults_match_signatures():
+    # each default that README lists in parentheses is the signature's own
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Config keys per subcommand")[1].split("\n## ")[0]
+    bullets = dict(re.findall(r"^\* `(\w+)`:(.*?)(?=^\* |\n\n)", section, re.M | re.S))
+    decoder = json.JSONDecoder()
+    checked = 0
+    for command, owner in CONFIG_KEY_OWNERS.items():
+        for key, default in _config_args({}, owner).items():
+            match = re.search(rf"`{key}` \(", bullets[command])
+            assert match, f"README lists no default of {command}'s '{key}'"
+            listed = decoder.raw_decode(bullets[command][match.end():])[0]
+            if isinstance(default, tuple):
+                assert listed == list(default), (command, key)
+            else:
+                assert (type(listed), listed) == (type(default), default), (command, key)
+            checked += 1
+    assert checked == 21
 
 
 # Exports that only tests call: a paper claim that ROADMAP item 2 plans to
@@ -769,29 +867,6 @@ class TestImmersed:
         )
         assert main(["immersed", "--config", str(cfg)]) == 2
 
-    def test_parallel_jobs_match_serial(self, tmp_path, field_radial):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_list": [32, 64]}))
-        outs = []
-        for name, jobs in (("ser", "1"), ("par", "2")):
-            out = tmp_path / name
-            code = main(
-                [
-                    "immersed",
-                    "--field",
-                    field_radial,
-                    "--config",
-                    str(cfg),
-                    "--jobs",
-                    jobs,
-                    "--out",
-                    str(out),
-                ]
-            )
-            assert code == 0
-            outs.append((out / "immersed_results.json").read_bytes())
-        assert outs[0] == outs[1]
-
 
 def _orbit_frames(argv) -> tuple:
     """``main(argv)``'s exit code and the codes of the Python frames entered
@@ -862,6 +937,18 @@ class TestMagneticCylinderCheck:
         out = tmp_path / "out"
         assert main(["magnetic", "--config", str(cfg), "--out", str(out)]) == 1
         assert "speed drift nan" in capsys.readouterr().err
+        assert not (out / "magnetic_report.json").exists()
+
+    def test_magnetic_overflowed_position_exit_1(self, tmp_path, capsys):
+        # m v overflows, so the positions reach inf while the speed drift
+        # stays 0: no report of NaN and Infinity, which are not JSON
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"b": 1.0, "mass": 1e308, "speed": 1e308}))
+        out = tmp_path / "out"
+        assert main(["magnetic", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "numerical failure: state not finite" in err
+        assert "Traceback" not in err
         assert not (out / "magnetic_report.json").exists()
 
     def test_field_orbit_evaluates_points_with_at(self, tmp_path, field_periodic, value_calls):

@@ -169,6 +169,14 @@ class TestCurvatureOde:
         with pytest.raises(StepTooLarge):
             simulate_magnetic(MagneticConfig(b=1e308, speed=1e10, steps=8))
 
+    def test_position_past_the_floats_raises(self):
+        # a straight line at a conserved speed: the drift stays 0 while the
+        # position overflows to inf, which is not an orbit either
+        with pytest.raises(StepTooLarge, match="state not finite from step 1 of 8"):
+            integrate_curvature_ode(0.0, 0.0, (1e308, 0.0), (1.0, 0.0), 1e308, steps=8)
+        with pytest.raises(StepTooLarge, match="state not finite"):
+            simulate_magnetic(MagneticConfig(b=1.0, mass=1e308, speed=1e308, steps=8))
+
 
 class TestAgainstArrayOracle:
     def test_curvature_ode_on_field(self, periodic_setup):
