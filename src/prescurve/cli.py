@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._text import rows_text
 from .curves import derivative, length, read_curve, write_curve
 from .energy import build_context
 from .errors import PrescurveError
@@ -343,21 +344,28 @@ def cmd_magnetic(cfg) -> int:
     else:
         raise ValueError("need a field strength 'b' or a 'b_field' file")
     mc = MagneticConfig(b=b, **kwargs)
+    if not math.isfinite(mc.v_parallel * mc.t_final):
+        raise PrescurveError("the axial position v_parallel * t_final overflows")
     sim = simulate_magnetic(mc)
-    out = _out_dir(cfg)
-    rows = np.column_stack([sim.times, sim.trajectory]).tolist()
-    text = "".join(f"{t!r},{x!r},{y!r},{z!r}\n" for t, x, y, z in rows)
-    with open(out / "trajectory.csv", "w", encoding="utf-8") as fh:
-        fh.write("t,x,y,z\n" + text)
-    center = sim.trajectory[:-1, :2].mean(axis=0)
-    radii = np.hypot(*(sim.trajectory[:, :2] - center).T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # summed as always; a sum that leaves the floats is named below
+        center = sim.trajectory[:-1, :2].mean(axis=0)
+        radii = np.hypot(*(sim.trajectory[:, :2] - center).T)
+        measured = float(radii.mean())
     report = {
-        "gyroradius_measured": float(radii.mean()),
+        "gyroradius_measured": measured,
         "closure_defect": sim.closure_defect,
         "speed_drift": sim.speed_drift,
     }
     if isinstance(b, float):
         report["gyroradius_expected"] = gyroradius(mc)
+    for key, value in report.items():
+        if not math.isfinite(value):
+            raise PrescurveError(f"'{key}' overflows: {value}")
+    out = _out_dir(cfg)
+    text = rows_text(np.column_stack([sim.times, sim.trajectory]), ",", "\n")
+    with open(out / "trajectory.csv", "w", encoding="utf-8") as fh:
+        fh.write("t,x,y,z\n" + text + "\n")
     _write_json(out / "magnetic_report.json", report)
     return EXIT_OK
 

@@ -13,12 +13,12 @@ curvature +1 and signed area -pi; tests record this pairing explicitly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from ._text import rows_text
 from .errors import DegenerateSpeed
 from .fields import _number, _numbers, _read_json
 
@@ -204,9 +204,16 @@ def signed_area(curve: ClosedCurve) -> float:
 def _curvature(curve: ClosedCurve, du, d2u, speed) -> np.ndarray:
     """Signed curvature (i u' . u'') / |u'|^3 at the sample nodes, from the
     sampled u', u'' and speed that a caller already has (``_jet``); raises
-    ``DegenerateSpeed`` on a curve that is not regular."""
+    ``DegenerateSpeed`` on a curve that is not regular, or whose speed**3
+    underflows to 0 or overflows."""
     _require_regular(curve, speed)
-    return np.einsum("ij,ij->i", rot90(du), d2u) / speed**3
+    with np.errstate(over="ignore"):
+        cube = speed**3
+    if not (cube.min() > 0.0 and cube.max() < np.inf):
+        raise DegenerateSpeed(
+            f"speed**3 leaves the positive floats: it spans [{cube.min()}, {cube.max()}]"
+        )
+    return np.einsum("ij,ij->i", rot90(du), d2u) / cube
 
 
 #: Oversampling factor of the table that ``trig_resample`` reads off.
@@ -514,12 +521,8 @@ def read_curve(path) -> ClosedCurve:
 
 
 def write_curve(curve: ClosedCurve, path) -> None:
-    # json emits floats via repr, i.e. shortest round-trip decimals; dumps,
-    # unlike dump to a file, takes the C encoder; a fresh tolist() holds no
-    # cycle, so the encoder need not track the lists it has entered
-    text = json.dumps(
-        {"period": float(curve.period), "samples": curve.samples.tolist()},
-        check_circular=False,
-    )
+    # the text of json.dumps({"period": ..., "samples": ...}): its floats
+    # are repr, its separators ", " and ": "
+    samples = rows_text(curve.samples, ", ", "], [")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(f'{{"period": {float(curve.period)!r}, "samples": [[{samples}]]}}\n')

@@ -951,6 +951,44 @@ class TestMagneticCylinderCheck:
         assert "Traceback" not in err
         assert not (out / "magnetic_report.json").exists()
 
+    def test_trajectory_text_matches_repr(self, tmp_path):
+        # a gyroradius of 1e-5: times and coordinates below 1e-4, which repr
+        # writes with an exponent, next to positional ones
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"b": 1e5, "v_parallel": 3e3, "t_final": 6.3e-5, "steps": 256})
+        )
+        out = tmp_path / "out"
+        assert main(["magnetic", "--config", str(cfg), "--out", str(out)]) == 0
+        text = (out / "trajectory.csv").read_text(encoding="utf-8")
+        rows = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
+        assert text == "t,x,y,z\n" + "".join(f"{t!r},{x!r},{y!r},{z!r}\n" for t, x, y, z in rows)
+        values = np.abs(rows)
+        assert ((values > 0) & (values < 1e-4)).sum() > 256 and (values >= 1e-4).any()
+        assert "e-05" in text and "0.0,0.0,0.0,0.0" in text
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            # the sum of the positions overflows in the mean
+            ({"b": 1.0, "speed": 1e306}, "gyroradius_measured"),
+            # m v overflows
+            ({"b": 1.0, "mass": 1e200, "speed": 1e200, "t_final": 1e-100}, "gyroradius_expected"),
+            # z = v_parallel t overflows
+            ({"b": 1.0, "v_parallel": 1e308, "t_final": 10.0}, "v_parallel * t_final"),
+        ],
+    )
+    def test_magnetic_overflowed_report_exit_1(self, tmp_path, capsys, config, key):
+        # no report with Infinity in it, which is not JSON, and no warning
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["magnetic", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and key in err and "overflows" in err
+        assert not (out / "magnetic_report.json").exists()
+        assert not (out / "trajectory.csv").exists()
+
     def test_field_orbit_evaluates_points_with_at(self, tmp_path, field_periodic, value_calls):
         # the b_field orbit reads H one point at a time, never via value()
         cfg = tmp_path / "cfg.json"
@@ -1054,6 +1092,19 @@ class TestMagneticCylinderCheck:
         assert "numerical failure: speed is not finite at 64 of 64 samples (e.g. inf)" in err
         assert "threshold" not in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("radius, cube", [(1e-300, "0.0"), (1e300, "inf")])
+    def test_check_speed_cubed_out_of_range_exit_1(self, tmp_path, capsys, radius, cube):
+        # the curvature divides by speed**3, which underflows to 0 or
+        # overflows here though the speed itself is a fine float
+        field = tmp_path / "field1.json"
+        write_field(CurvatureField.from_parts(constant=1.0), field)
+        write_curve(circle(radius, n=64), tmp_path / "c.json")
+        argv = ["check", "--curve", str(tmp_path / "c.json"), "--field", str(field), "--lam", "0"]
+        assert main([*argv, "--out", str(tmp_path / "chk")]) == 1
+        err = capsys.readouterr().err
+        assert f"numerical failure: speed**3 leaves the positive floats: it spans [{cube}" in err
+        assert not (tmp_path / "chk" / "check_report.json").exists()
 
     def _orbit_outputs(self, tmp_path, field, steps=2048) -> dict:
         """check and a b_field magnetic orbit (charge 3, mass 0.7, speed 1.3)

@@ -511,9 +511,13 @@ class TestCurveIO:
 
     def test_text_matches_json_dump(self, tmp_path):
         # the written text is exactly what json.dump of per-sample Python
-        # floats gives, awkward decimals and signed zero included
+        # floats gives, awkward decimals and every value that repr writes
+        # off the positional range included: zeros, subnormals, |v| < 1e-4
+        # and |v| >= 1e16
         awkward = [0.1, 1.0 / 3.0, -0.0, 1e-300, 1e17, -2.5e-8, 7.0, -1.0 / 3.0]
-        samples = np.array(awkward * 4).reshape(16, 2)
+        fallback = [0.0, 5e-324, -2.2250738585072009e-308, 9.999999999999999e-05, 1e-4,
+                    9999999999999998.0, 1e16, -1.7976931348623157e308]
+        samples = np.array((awkward + fallback) * 2).reshape(16, 2)
         c = ClosedCurve(2.0 * np.pi * 3, samples)
         path = tmp_path / "curve.json"
         write_curve(c, path)
@@ -528,7 +532,9 @@ class TestCurveIO:
             )
             fh.write("\n")
         assert path.read_bytes() == old.read_bytes()
-        assert "-0.0" in path.read_text() and "1e-300" in path.read_text()
+        text = path.read_text()
+        for word in ("-0.0", "1e-300", "5e-324", "9.999999999999999e-05", "0.0001", "1e+16"):
+            assert word in text
         # and what json.dumps gives with default settings (circular check on)
         doc = {"period": float(c.period), "samples": c.samples.tolist()}
         assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"

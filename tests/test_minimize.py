@@ -67,6 +67,17 @@ def ctx_mixed():
     return build_context(CurvatureField.from_parts(constant=0.4, periodic=grid, radial=radial))
 
 
+def lattice_pair(m: int, cells) -> tuple:
+    """A skewed periodic wave on an m x m grid, and the same grid rolled by
+    (p/8, q/8) of a cell for ``cells`` = (p, q)."""
+    grid = periodic_from_callable(
+        lambda x, y: 0.5 * np.cos(2 * np.pi * (x - 2 * y) + 0.3) + 0.2 * np.sin(4 * np.pi * y),
+        m=m,
+    )
+    p, q = cells
+    return grid, np.roll(grid, (p * m // 8, q * m // 8), axis=(0, 1))
+
+
 def radius_stats(result: MinimizeResult):
     pts = result.curve.samples
     center = pts.mean(axis=0)
@@ -431,12 +442,8 @@ class TestInitialCircle:
     def test_lattice_translation(self, m, cells):
         # H rolled by p M/8, q M/8 nodes is H moved by (p/8, q/8): the score
         # of the disc about (a/8, b/8) moves to the center ((a+p)/8, (b+q)/8)
-        grid = periodic_from_callable(
-            lambda x, y: 0.5 * np.cos(2 * np.pi * (x - 2 * y) + 0.3) + 0.2 * np.sin(4 * np.pi * y),
-            m=m,
-        )
+        grid, rolled = lattice_pair(m, cells)
         p, q = cells
-        rolled = np.roll(grid, (p * m // 8, q * m // 8), axis=(0, 1))
         centers = np.array([(a / 8, b / 8) for a in range(8) for b in range(8)])
         scores = []
         for g in (grid, rolled):
@@ -445,6 +452,48 @@ class TestInitialCircle:
         moved = [((a - p) % 8) * 8 + (b - q) % 8 for a in range(8) for b in range(8)]
         assert np.abs(scores[1] - scores[0][moved]).max() <= 1e-14 * np.pi * 0.3**2 * 0.9
         assert not np.allclose(scores[1], scores[0], rtol=0.0, atol=1e-3)
+
+
+class TestEquivariance:
+    """Symmetries of the field carry over to the solve."""
+
+    OPTS = MinimizeOptions(n_samples=128)
+
+    @pytest.mark.parametrize("tau", [0.8, -1.5])
+    @pytest.mark.parametrize("cells", [(1, 0), (0, 1), (3, 5)])
+    def test_lattice_translation_of_the_solve(self, cells, tau):
+        # the rolled field gives the same energy, multiplier and iteration
+        # count; samples are not compared, since a tie between lattice
+        # centres may pick an equivalent one
+        solves = [
+            minimize_area_constrained(
+                build_context(CurvatureField.from_parts(constant=0.2, periodic=grid)),
+                tau,
+                self.OPTS,
+            )
+            for grid in lattice_pair(64, cells)
+        ]
+        base, moved = solves
+        assert base.converged and moved.converged
+        assert moved.energy_value == pytest.approx(base.energy_value, rel=0.0, abs=1e-13)
+        assert moved.lam == pytest.approx(base.lam, rel=0.0, abs=1e-13)
+        assert moved.iterations == base.iterations
+
+    @pytest.mark.parametrize("a", [0.3, 0.8])
+    def test_sign_symmetry(self, a):
+        # (H, tau) -> (-H, -tau) reverses the orientation and keeps S_H; for
+        # a sin 2 pi x sin 2 pi y, -H is H moved by half a cell, so S_H(-tau)
+        # of H is the same number
+        grid = periodic_from_callable(
+            lambda x, y: a * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y), m=64
+        )
+        pos = build_context(CurvatureField.from_parts(periodic=grid))
+        neg = build_context(CurvatureField.from_parts(periodic=-grid))
+        for tau in (1.0, 2.5, 4.0):
+            s_h = minimize_area_constrained(pos, tau, self.OPTS).energy_value
+            for ctx in (neg, pos):
+                other = minimize_area_constrained(ctx, -tau, self.OPTS).energy_value
+                assert other == pytest.approx(s_h, rel=0.0, abs=1e-13)
 
 
 class TestProjection:

@@ -1,0 +1,138 @@
+"""``_text.rows_text`` against ``repr``: digits, layout and fallback."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from prescurve._text import BLOCK, rows_text
+
+# the two callers' separators: curve files (JSON) and trajectory.csv
+SEPARATORS = [(", ", "], ["), (",", "\n")]
+
+
+def joined(values, sep, row_sep) -> str:
+    """The reference: ``repr`` of each value, joined row by row."""
+    return row_sep.join(sep.join(repr(v) for v in row) for row in np.asarray(values).tolist())
+
+
+def assert_matches(values, sep=",", row_sep="\n"):
+    values = np.asarray(values, dtype=float)
+    values = values.reshape(-1, 1) if values.ndim == 1 else values
+    text = rows_text(values, sep, row_sep)
+    expected = joined(values, sep, row_sep)
+    if text != expected:
+        pairs = zip(text.split(row_sep), expected.split(row_sep))
+        bad = [(got, want) for got, want in pairs if got != want]
+        pytest.fail(f"text differs from repr in {len(bad)} rows, e.g. {bad[:5]}")
+
+
+def with_neighbours(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    around = np.concatenate(
+        [values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)]
+    )
+    around = around[np.isfinite(around)]
+    return np.concatenate([around, -around])
+
+
+def bit_patterns(rng, size, exponents=(0, 2047)) -> np.ndarray:
+    """Finite floats of random sign and significand, biased exponent drawn
+    from ``exponents`` (inclusive)."""
+    sign = rng.integers(0, 2, size=size, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(exponents[0], exponents[1] + 1, size=size, dtype=np.uint64)
+    significand = rng.integers(0, 1 << 52, size=size, dtype=np.uint64)
+    values = (sign | (exponent << np.uint64(52)) | significand).view(np.float64)
+    return values[np.isfinite(values)]
+
+
+class TestDigits:
+    def test_positional_range_patterns(self, rng):
+        # biased exponents 1009..1076 cover 2^-14 .. 2^54: the positional
+        # range 1e-4 <= |v| < 1e16 and a margin on both sides
+        assert_matches(bit_patterns(rng, 1_000_000, exponents=(1009, 1076)))
+
+    def test_any_patterns(self, rng):
+        assert_matches(bit_patterns(rng, 200_000))
+
+    def test_powers_of_two_and_ten(self):
+        powers = [2.0**e for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)]
+        assert_matches(with_neighbours(powers))
+
+    def test_edges_of_the_positional_range(self):
+        # 1e-4 is written "0.0001" and 1e16 "1e+16"; the largest double
+        # below 1e16 is 9999999999999998.0
+        edges = [1e-4, 1e-5, 9999999999999998.0, 1e16, 1e15, 0.001, 0.1, 1.0, 10.0]
+        assert_matches(with_neighbours(edges))
+        assert rows_text([[1e-4, 9999999999999998.0, 1e16]], ",", "\n") == (
+            "0.0001,9999999999999998.0,1e+16"
+        )
+
+    def test_integers_near_two_to_the_53(self):
+        near = 2.0**53 + np.arange(-1000, 1001)
+        assert_matches(with_neighbours(np.concatenate([near, near / 2, near * 2])))
+
+    def test_halfway_values(self, rng):
+        # c = m 2^z with m odd and z = k - q - 1 puts v 10^-k exactly halfway
+        # between two integers (k = floor(log10 2^q)), so where no shorter
+        # decimal fits, the even one of the two nearest is written
+        values = []
+        for q in range(-66, 2):
+            z = ((q * 661971961083) >> 41) - q - 1
+            if 0 <= z <= 52:
+                m = rng.integers(1 << (52 - z), 1 << (53 - z), size=2000) | 1
+                values.append(np.ldexp((m << z).astype(float), q))
+        assert_matches(np.concatenate(values))
+
+    def test_zeros_and_subnormals(self, rng):
+        tiny = np.float64(5e-324)
+        subnormal = rng.integers(1, 1 << 52, size=10_000).astype(np.float64) * tiny
+        values = np.concatenate([[0.0, -0.0, tiny, -tiny, 2.2250738585072009e-308], subnormal])
+        assert_matches(with_neighbours(values))
+        # the shortest digits of the smallest subnormal are "5", not "4.9"
+        assert rows_text([[5e-324, -0.0, 0.0]], ",", "\n") == "5e-324,-0.0,0.0"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k
+                ),
+                min_size=1,
+                max_size=40,
+            )
+        ),
+        st.sampled_from(SEPARATORS),
+    )
+    def test_any_finite_rows(self, rows, separators):
+        sep, row_sep = separators
+        assert rows_text(np.array(rows), sep, row_sep) == joined(rows, sep, row_sep)
+
+
+class TestLayout:
+    def test_blocks(self, rng):
+        # several blocks of whole rows and a short last one
+        k = 3
+        values = rng.normal(size=(2 * (BLOCK // k) + 5, k)) * 10.0 ** rng.integers(-6, 18, (1, k))
+        for sep, row_sep in SEPARATORS:
+            assert_matches(values, sep, row_sep)
+
+    def test_separators_of_any_length(self):
+        values = [[1.5, -0.25], [3.0, 1e-7]]
+        for sep, row_sep in [("", ""), (" ; ", "|"), ("<eight!>", "0123456789abcdefg")]:
+            assert rows_text(values, sep, row_sep) == joined(values, sep, row_sep)
+
+    def test_empty(self):
+        assert rows_text(np.empty((0, 2)), ",", "\n") == ""
+        assert rows_text(np.empty((3, 0)), ",", "\n") == "\n\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_not_finite_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            rows_text([[1.0, bad]], ",", "\n")
+
+    def test_shape_and_separator_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            rows_text([1.0, 2.0], ",", "\n")
+        with pytest.raises(ValueError, match="NUL"):
+            rows_text([[1.0, 2.0]], "\0", "\n")
