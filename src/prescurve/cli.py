@@ -73,8 +73,14 @@ def _load_config(args) -> dict:
 
 
 def _out_dir(cfg) -> Path:
+    """The output directory, made if missing; ``ValueError`` naming 'out'
+    when it cannot be made (it names a file, or a path beneath one)."""
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        message = f"config key 'out': cannot make directory {out}: {exc.strerror}"
+        raise ValueError(message) from None
     return out
 
 
@@ -233,18 +239,7 @@ def cmd_sweep(cfg) -> int:
     grid = check_tau_grid(_config_list(cfg, "tau_grid", float, default=()))
     kwargs = _config_args(cfg, sweep_isoperimetric)
     opts = _minimize_options(cfg)
-    jobs = _config_value("jobs", cfg.get("jobs", 1), int)
-    if jobs < 1:
-        raise ValueError(f"config key 'jobs' must be >= 1, got {jobs!r}")
-    ctx = build_context(field)
-    if jobs == 1:
-        rows = sweep_isoperimetric(ctx, grid, opts, **kwargs)
-    else:
-        # imported here: the pool machinery costs every call's start-up otherwise
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(jobs) as pool:
-            rows = sweep_isoperimetric(ctx, grid, opts, map=pool.map, **kwargs)
+    rows = sweep_isoperimetric(build_context(field), grid, opts, **kwargs)
     out = _out_dir(cfg)
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
@@ -427,13 +422,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pool=False):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default: out)")
-        if pool:
-            p.add_argument("--jobs", type=int, help="worker processes (default 1)")
-        else:  # one process; 1 is accepted for callers that pass it
-            p.add_argument("--jobs", type=int, choices=(1,), help="1: one process")
+        # every command runs in one process; 1 is accepted for callers that pass it
+        p.add_argument("--jobs", type=int, choices=(1,), help="1: one process")
 
     p = sub.add_parser("solve", help="area-constrained minimization")
     common(p)
@@ -441,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, help="signed area constraint")
 
     p = sub.add_parser("sweep", help="isoperimetric-function sweep")
-    common(p, pool=True)
+    common(p)
     p.add_argument("--field", help="field definition file")
 
     p = sub.add_parser("immersed", help="immersed loops for radial curvature")

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._text import rows_text
 from .errors import DegenerateSpeed
-from .fields import _number, _numbers, _read_json
+from .fields import _known_keys, _number, _numbers, _read_json
 
 __all__ = [
     "ClosedCurve",
@@ -70,14 +70,14 @@ class ClosedCurve:
     def __post_init__(self):
         samples = np.ascontiguousarray(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != 2:
-            raise ValueError("samples must have shape (N, 2)")
+            raise ValueError(f"'samples' must have shape (N, 2), got {samples.shape}")
         n = samples.shape[0]
         if n < 16 or n % 2:
-            raise ValueError(f"need an even number of samples >= 16, got {n}")
+            raise ValueError(f"need an even number of samples >= 16 in 'samples', got {n}")
         if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
+            raise ValueError("'samples' must be finite")
         if not (self.period > 0 and np.isfinite(self.period)):
-            raise ValueError("period must be positive and finite")
+            raise ValueError(f"'period' must be positive and finite, got {self.period!r}")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -508,12 +508,14 @@ def circle(
 
 
 def read_curve(path) -> ClosedCurve:
-    """Read a curve file: JSON with fields {"period", "samples"}.
-    ``ValueError`` names the file, and the key when one is at fault."""
+    """Read a curve file: a JSON object with keys "period" and "samples"
+    and no others.  ``ValueError`` names the file, and the key when one is
+    at fault."""
     doc = _read_json(path)
     try:
         if not isinstance(doc, dict) or "period" not in doc or "samples" not in doc:
             raise ValueError("not a curve file (need 'period' and 'samples')")
+        _known_keys(doc, "a curve file", ("period", "samples"))
         samples = _numbers(doc["samples"], "samples")
         return ClosedCurve(period=_number("period", doc["period"]), samples=samples)
     except ValueError as exc:

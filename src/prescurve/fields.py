@@ -98,16 +98,9 @@ class _PeriodicSpline2D:
         cells /= np.multiply.outer(s, s[: m // 2 + 1])
         coeffs = np.fft.irfft2(cells, s=(m, m))
         pad = [(0, 0)] * (cells.ndim - 2) + [(1, 3), (1, 3)]
-        self.__setstate__({"m": m, "_coeffs": np.pad(coeffs, pad, mode="wrap")})
-
-    def __getstate__(self):
-        # a memoryview does not pickle; __setstate__ makes a new one
-        return {"m": self.m, "_coeffs": self._coeffs}
-
-    def __setstate__(self, state):
-        self.m = state["m"]
-        self._coeffs = state["_coeffs"]
-        width = self.m + 4
+        self.m = m
+        self._coeffs = np.pad(coeffs, pad, mode="wrap")
+        width = m + 4
         # one flat view per channel, one entry per padded node
         self._tables = list(self._coeffs.reshape(-1, width * width))
         self._flat = memoryview(self._tables[0])
@@ -171,19 +164,14 @@ class _SplinePoint:
 
     :meth:`at` is the one-point kernel, one Python frame per read.  It keeps
     the last cell's 16 coefficients, one entry: successive stages of an
-    orbit mostly read the same cell.  It pickles as its spline and map.
+    orbit mostly read the same cell.
     """
 
     def __init__(self, spline: _PeriodicSpline2D, base: float, scale=1.0, shift=0.0):
-        self.spline = spline
         self.m, self.flat = spline.m, spline._flat
         self.base, self.scale, self.shift = base, scale, shift
         # the flat index of the last cell read, then its 16 coefficients
         self.cell = (-1,) + (0.0,) * 16
-
-    def __reduce__(self):
-        # a memoryview does not pickle, and the cell need not
-        return _SplinePoint, (self.spline, self.base, self.scale, self.shift)
 
     def at(self, x: float, y: float) -> float:
         """The map of the spline at (x, y), as a float; NaN when the grid

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -476,26 +475,21 @@ def sweep_isoperimetric(
     tau_grid,
     opts: MinimizeOptions | None = None,
     warm_start: bool = True,
-    map=map,
 ) -> list[SweepRow]:
     """Run the constrained minimization over a grid of area values.
 
     The grid must be sorted and nonzero.  Each tau is solved cold, from
-    its competitor circle, through ``map(solve, taus)``, whose results are
-    read lazily in tau order: the builtin ``map`` runs the solves in turn,
-    a process pool's ``map`` concurrently.  With ``warm_start`` each tau is
-    also solved, in the calling process, from the previous converged
-    minimizer rescaled to the new area, and the lower converged energy is
-    kept, since S_H(tau) is an infimum.  With the builtin ``map`` the
-    solves run in the order cold tau_1, cold tau_2, warm tau_2, cold
-    tau_3, ...
+    its competitor circle.  With ``warm_start`` it is also solved from the
+    previous converged minimizer rescaled to the new area, and the lower
+    converged energy is kept, since S_H(tau) is an infimum.  The solves
+    run in turn: cold tau_1, cold tau_2, warm tau_2, cold tau_3, ...
     """
     taus = check_tau_grid(tau_grid)
     opts = opts or MinimizeOptions()
     rows = []
     prev_curve = None
-    cold = map(partial(minimize_area_constrained, ctx, opts=opts), taus)
-    for tau, result in zip(taus, cold):
+    for tau in taus:
+        result = minimize_area_constrained(ctx, tau, opts)
         if warm_start and prev_curve is not None:
             warm = minimize_area_constrained(
                 ctx, tau, replace(opts, initial=prev_curve)

@@ -1,5 +1,4 @@
 import ast
-import concurrent.futures
 import importlib
 import inspect
 import json
@@ -23,14 +22,6 @@ from prescurve.minimize import MinimizeOptions, sweep_isoperimetric
 from prescurve.physics import MagneticConfig, lift_to_cylinder
 
 from conftest import TwoFramePoint, write_field
-
-
-SWEEP_FILES = (
-    "sweep.csv",
-    "plot_tau_vs_SH.csv",
-    "plot_tau_vs_lambda.csv",
-    "plot_sqrt_tau_vs_stilde.csv",
-)
 
 
 @pytest.fixture
@@ -211,14 +202,11 @@ def test_every_reader_checks_every_field_key(tmp_path, capsys, reader, case):
         ("sweep", '{"tau_grid": [0.5, "1"]}', "'tau_grid'"),
         ("sweep", '{"tau_grid": 1.0}', "'tau_grid'"),
         ("sweep", '{"tau_grid": [1.0], "n_samples": true}', "'n_samples'"),
-        ("sweep", '{"tau_grid": [1.0], "jobs": null}', "'jobs'"),
         ("solve", '{"tau": 1, "initial_curve": "missing.json"}', "'initial_curve'"),
         ("solve", '{"tau": 1, "initial_curve": 5}', "'initial_curve'"),
         ("sweep", '{"tau_grid": [1.0], "initial_curve": ""}', "'initial_curve'"),
-        ("sweep", '{"tau_grid": [1.0, 0.5], "warm_start": false, "jobs": 2}', "'tau_grid'"),
+        ("sweep", '{"tau_grid": [1.0, 0.5], "warm_start": false}', "'tau_grid'"),
         ("sweep", '{"tau_grid": [1.0], "warm_start": "no"}', "'warm_start'"),
-        ("sweep", '{"tau_grid": [1.0], "jobs": 0}', "'jobs'"),
-        ("sweep", '{"tau_grid": [1.0], "jobs": -1}', "'jobs'"),
         ("solve", "[1, 2]", "cfg.json"),
         ("sweep", '"x"', "cfg.json"),
         ("solve", "{not json", "cfg.json"),
@@ -379,6 +367,13 @@ def test_malformed_curve_file_exit_2(tmp_path, capsys, field_zero, command, peri
         ('{"period": 1.0, "samples": [[0.0, 1.0]', "curve.json"),
         ('{"period": 1.0, "samples": [[0.0, 1.0], [0.5]]}', "'samples'"),
         ('{"period": 1.0, "samples": [[0.0, "x"], [0.5, 1.0]]}', "'samples'"),
+        pytest.param(
+            json.dumps(
+                {"period": 1.0, "perod": 2, "samples": circle(1.0, n=16).samples.tolist()}
+            ),
+            "'perod'",
+            id="unknown-key-perod",
+        ),
     ],
 )
 def test_malformed_curve_samples_exit_2(tmp_path, capsys, field_zero, command, text, key):
@@ -413,6 +408,24 @@ def test_curve_file_error_names_the_file(tmp_path, capsys, field_zero, command):
     assert code == 2
     assert f"cannot parse curve file {path}: need an even number of samples" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["cylinder", "check"])
+@pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath-file"])
+def test_out_not_a_directory_exit_2(tmp_path, capsys, field_zero, command, beneath):
+    curve = tmp_path / "curve.json"
+    write_curve(circle(1.0, n=64), curve)
+    out = tmp_path / "afile"
+    out.write_text("kept\n")
+    argv = [command, "--curve", str(curve), "--out", str(out / "sub" if beneath else out)]
+    if command == "check":
+        argv += ["--field", field_zero]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'out'" in err
+    assert "Traceback" not in err
+    assert out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("flag", ["--config", "--field", "--curve"])
@@ -452,10 +465,12 @@ def _radial_params_exit_2(tmp_path, capsys, params, key):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["solve", "immersed", "magnetic", "cylinder", "check"])
+@pytest.mark.parametrize(
+    "command", ["solve", "sweep", "immersed", "magnetic", "cylinder", "check"]
+)
 @pytest.mark.parametrize("jobs", ["2", "0"])
 def test_one_process_commands_take_only_jobs_1(tmp_path, capsys, command, jobs):
-    # only sweep runs a pool; the others reject any other count
+    # every command runs in one process and rejects any other count
     with pytest.raises(SystemExit) as exc:
         main([command, "--jobs", jobs, "--out", str(tmp_path)])
     err = capsys.readouterr().err
@@ -683,10 +698,15 @@ import sys
 import prescurve.cli
 code = prescurve.cli.main(sys.argv[1:])
 print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
 """
 
 
-def test_sweep_runs_without_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def sweep_run(tmp_path_factory):
+    """A whole ``sweep`` run in a fresh interpreter, through
+    ``_NO_SCIPY_RUN``: its completed process and its working directory."""
+    tmp_path = tmp_path_factory.mktemp("sweep_run")
     # a periodic grid and a radial table reach the B-spline, the radial
     # Poisson quadrature and both cubic splines
     r = np.linspace(0.0, 3.0, 32)
@@ -699,7 +719,7 @@ def test_sweep_runs_without_scipy(tmp_path):
         "radial": {"r": r.tolist(), "h": (0.1 * np.exp(-(r**2))).tolist()},
     }
     (tmp_path / "field.json").write_text(json.dumps(field))
-    (tmp_path / "cfg.json").write_text(json.dumps({"tau_grid": [0.5], "n_samples": 64}))
+    (tmp_path / "cfg.json").write_text(json.dumps({"tau_grid": [0.5, 0.7], "n_samples": 64}))
     src = Path(prescurve.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = ["sweep", "--field", "field.json", "--config", "cfg.json", "--out", "out"]
@@ -707,24 +727,21 @@ def test_sweep_runs_without_scipy(tmp_path):
         [sys.executable, "-c", _NO_SCIPY_RUN, *argv],
         cwd=tmp_path, capture_output=True, text=True, env=env, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "[]"]
-    assert (tmp_path / "out" / "sweep.csv").is_file()
+    return proc, tmp_path
 
 
-def test_import_starts_no_pool_machinery():
-    # the process pool is imported only when a command runs with jobs > 1
-    src = Path(prescurve.__file__).resolve().parents[1]
-    code = (
-        "import sys, prescurve.cli; "
-        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)), timeout=300,
-    )
+def test_sweep_runs_without_scipy(sweep_run):
+    proc, cwd = sweep_run
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]"]
+    assert proc.stdout.splitlines()[0].split() == ["0", "[]"]
+    assert (cwd / "out" / "sweep.csv").is_file()
+
+
+def test_import_starts_no_pool_machinery(sweep_run):
+    # a whole sweep, warm start included, loads no process-pool modules
+    proc, _ = sweep_run
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == "[]"
 
 
 class TestSweep:
@@ -752,42 +769,6 @@ class TestSweep:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tau_grid": []}))
         assert main(["sweep", "--field", field_zero, "--config", str(cfg)]) == 2
-
-    @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
-    def test_parallel_rows_match_sequential(
-        self, tmp_path, monkeypatch, field_periodic, warm_start
-    ):
-        pools = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        base = {"tau_grid": [0.7, 1.0, 1.4], "warm_start": warm_start}
-        outs = []
-        for name, jobs in (("seq", 1), ("par", 3)):
-            cfg = tmp_path / f"{name}.json"
-            cfg.write_text(json.dumps({**base, "jobs": jobs}))
-            out = tmp_path / name
-            assert (
-                main(
-                    [
-                        "sweep",
-                        "--field",
-                        field_periodic,
-                        "--config",
-                        str(cfg),
-                        "--out",
-                        str(out),
-                    ]
-                )
-                == 0
-            )
-            assert len(pools) == (jobs > 1)
-            outs.append([(out / f).read_bytes() for f in SWEEP_FILES])
-        assert outs[0] == outs[1]
 
     def test_deterministic_outputs(self, tmp_path, field_periodic):
         cfg = tmp_path / "cfg.json"

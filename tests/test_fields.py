@@ -3,7 +3,6 @@ import functools
 import json
 import math
 import operator
-import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from prescurve import fields
+from prescurve.curves import circle, read_curve
 from prescurve.energy import EnergyContext, build_context
 from prescurve.errors import NonZeroMean
 from prescurve.fields import (
@@ -582,14 +582,6 @@ class TestPointEvaluation:
         for x, y in rows:
             assert math.isnan(field.at(x, y))
 
-    def test_pickle_after_at(self):
-        field = POINT_FIELDS["periodic+radial"]
-        pts = np.array([[0.3, -0.7], [12.5, 3.25], [-0.01, 0.02]])
-        before = [field.at(x, y) for x, y in pts]
-        copy = pickle.loads(pickle.dumps(field))
-        assert [copy.at(x, y) for x, y in pts] == before
-        np.testing.assert_array_equal(copy.value(pts), field.value(pts))
-
 
 def _crossing_path(n=4000):
     """Points along a curve that crosses many cells of each grid in small
@@ -620,16 +612,6 @@ class TestPointEvaluator:
         got = [field.at(x, y) for x, y in pts.tolist()]
         np.testing.assert_array_equal(got, field.value(pts))
         assert got[0] != got[1] != got[2]
-
-    @pytest.mark.parametrize("name", ["periodic", "constant+periodic"])
-    def test_pickle_round_trip(self, name):
-        field = POINT_FIELDS[name]
-        pts = _crossing_path(500)
-        before = [field.at(x, y) for x, y in pts.tolist()]
-        copy = pickle.loads(pickle.dumps(field))
-        assert [copy.at(x, y) for x, y in pts.tolist()] == before
-        at = pickle.loads(pickle.dumps(field.mapped_at(-0.5, 0.25)))
-        assert [at(x, y) for x, y in pts.tolist()] == [-0.5 * (h - 0.25) for h in before]
 
     @pytest.mark.parametrize("name", sorted(POINT_FIELDS))
     def test_mapped_matches_closure(self, name):
@@ -816,12 +798,6 @@ class TestScipyOracles:
             want = spline.combine(spline.stencil(pts + shift / m))
             assert np.abs(row - want).max() <= 1e-14 * scale
 
-    def test_channels_survive_pickle(self, rng):
-        pot = build_potential(CurvatureField.from_parts(periodic=_rough_grid(16, 5)))
-        copy = pickle.loads(pickle.dumps(pot))
-        pts = rng.normal(size=(50, 2))
-        np.testing.assert_array_equal(q_eval(copy, pts), q_eval(pot, pts))
-
     @pytest.mark.parametrize("nodes", ["uniform", "nonuniform"])
     def test_spline_matches_cubic_spline(self, nodes, rng):
         if nodes == "uniform":
@@ -924,11 +900,11 @@ def _bad_field_docs(draw, kind: str):
     return _mutated(path, draw(st.sampled_from([True, repr(entry)]))), key
 
 
-def _rejected_naming(doc: dict, key: str) -> None:
-    """Assert that parsing ``doc`` raises a ``ValueError`` naming ``key``;
+def _rejected_naming(doc: dict, key: str, parse=field_from_dict) -> None:
+    """Assert that ``parse(doc)`` raises a ``ValueError`` naming ``key``;
     any other exception propagates."""
     try:
-        field_from_dict(doc)
+        parse(doc)
         message = None
     except ValueError as exc:
         message = str(exc)
@@ -959,6 +935,79 @@ class TestFieldDocument:
     @given(_bad_field_docs("array entry"))
     def test_array_entry_names_its_key(self, case):
         _rejected_naming(*case)
+
+
+# a valid curve document: 16 samples of a circle, the fewest a curve takes
+_CURVE_DOC = {"period": 1.0, "samples": circle(1.0, n=16).samples.tolist()}
+
+
+@st.composite
+def _bad_curve_docs(draw):
+    """A valid curve document with one mutation, and the key it breaks."""
+    doc = copy.deepcopy(_CURVE_DOC)
+    samples = doc["samples"]
+    kind = draw(st.sampled_from(["unknown key", "period", "samples"]))
+    if kind == "unknown key":
+        key = draw(st.text(max_size=12).filter(lambda k: k not in _CURVE_DOC))
+        doc[key] = 2
+        return doc, key
+    if kind == "period":
+        doc["period"] = draw(
+            st.one_of(
+                st.booleans(),
+                st.text(max_size=8),
+                st.sampled_from([math.nan, math.inf, -math.inf]),
+                st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024)),
+                st.floats(max_value=0.0, allow_nan=False) | st.integers(max_value=0),
+            )
+        )
+        return doc, "period"
+    row = draw(st.integers(0, len(samples) - 1))
+    doc["samples"] = draw(
+        st.sampled_from(
+            [
+                # ragged
+                samples[:row] + [samples[row][:1]] + samples[row + 1 :],
+                samples[:row] + [samples[row] + [0.0]] + samples[row + 1 :],
+                samples[:row] + [0.5] + samples[row + 1 :],
+                # an odd count, fewer than 16 rows, or 3 columns
+                samples[:-1],
+                samples + [samples[row]],
+                samples[: 2 * (row // 2)],
+                [r + [0.0] for r in samples],
+            ]
+        )
+        | st.one_of(
+            # not an array
+            st.none(),
+            st.booleans(),
+            st.floats(),
+            st.text(max_size=8),
+            st.dictionaries(st.text(max_size=4), st.floats(allow_nan=False), max_size=3),
+        )
+    )
+    return doc, "samples"
+
+
+def _read_curve_doc(directory, doc):
+    """``read_curve`` of ``doc``, written to a file in ``directory``."""
+    path = directory / "curve.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return read_curve(path)
+
+
+class TestCurveDocument:
+    """``read_curve`` of a curve file with one key at fault names the key,
+    as ``field_from_dict`` does for a field document."""
+
+    def test_valid_document(self, tmp_path):
+        curve = _read_curve_doc(tmp_path, copy.deepcopy(_CURVE_DOC))
+        assert curve.period == 1.0 and curve.n == 16
+
+    @given(_bad_curve_docs())
+    def test_one_mutation_names_its_key(self, tmp_path_factory, case):
+        read = functools.partial(_read_curve_doc, tmp_path_factory.mktemp("curve"))
+        _rejected_naming(*case, parse=read)
 
 
 def test_periodic_from_callable_shape():
