@@ -14,11 +14,13 @@ import argparse
 import inspect
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from ._read import read_json, read_numeric
 from ._text import rows_text
 from .curves import derivative, length, read_curve, write_curve
 from .energy import build_context
@@ -28,7 +30,6 @@ from .fields import (
     PERIODIC_ADMISSIBLE_OSCILLATION,
     CurvatureField,
     _number,
-    _read_json,
     field_from_dict,
     radial_curvature_from_dict,
     read_field,
@@ -58,7 +59,7 @@ EXIT_USAGE = 2
 def _load_config(args) -> dict:
     cfg = {}
     if args.config:
-        cfg = _read_json(args.config)
+        cfg = read_json(args.config)
         if not isinstance(cfg, dict):
             raise ValueError(
                 f"config file {args.config} must hold a JSON object, not {type(cfg).__name__}"
@@ -69,7 +70,21 @@ def _load_config(args) -> dict:
             continue
         cfg[key.replace("-", "_")] = value
     cfg.setdefault("out", "out")
+    _check_out(cfg["out"])
     return cfg
+
+
+def _check_out(value) -> None:
+    """``ValueError`` naming 'out' unless ``value`` is a path that is a
+    directory or whose nearest existing ancestor is one: checked before the
+    work, making nothing (:func:`_out_dir` makes it after)."""
+    if not isinstance(value, str):
+        raise ValueError(f"config key 'out' must be a directory path, got {value!r}")
+    out = Path(value)
+    found = next((p for p in (out, *out.parents) if os.path.lexists(p)), Path("."))
+    if not os.path.isdir(found):
+        message = f"config key 'out': cannot make directory {out}: {found} is not a directory"
+        raise ValueError(message)
 
 
 def _out_dir(cfg) -> Path:
@@ -274,7 +289,7 @@ def cmd_immersed(cfg) -> int:
         h = radial_curvature_from_dict(params)
     elif isinstance(cfg.get("field"), str):
         path = _config_path(cfg, "field")
-        h = field_from_dict(_read_json(path))[1]
+        h = field_from_dict(read_numeric(path))[1]
         if h is None:
             raise ValueError(f"config key 'field': {path} has no 'radial_params'")
     else:

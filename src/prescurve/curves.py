@@ -20,7 +20,8 @@ import numpy as np
 
 from ._text import rows_text
 from .errors import DegenerateSpeed
-from .fields import _known_keys, _number, _numbers, _read_json
+from ._read import read_numeric
+from .fields import _known_keys, _number, _numbers
 
 __all__ = [
     "ClosedCurve",
@@ -511,7 +512,7 @@ def read_curve(path) -> ClosedCurve:
     """Read a curve file: a JSON object with keys "period" and "samples"
     and no others.  ``ValueError`` names the file, and the key when one is
     at fault."""
-    doc = _read_json(path)
+    doc = read_numeric(path)
     try:
         if not isinstance(doc, dict) or "period" not in doc or "samples" not in doc:
             raise ValueError("not a curve file (need 'period' and 'samples')")

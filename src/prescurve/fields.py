@@ -24,13 +24,13 @@ one stencil (:meth:`_PeriodicSpline2D.lattice_stencil`).
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._read import read_numeric
 from .errors import NonZeroMean
 
 __all__ = [
@@ -752,12 +752,23 @@ def _number(key: str, value, kind=float):
 
 
 def _numbers(value, key: str) -> np.ndarray:
-    """``value`` as an array of finite floats; ``ValueError`` names ``key``
-    when it is ragged or holds anything else."""
+    """``value``, an array of :func:`._read.read_numeric` or nested lists, as an
+    array of finite floats; ``ValueError`` names ``key`` when it is ragged
+    or holds anything but numbers: a bool or a string, which
+    ``np.asarray(..., dtype=float)`` would take, or an int beyond the
+    floats."""
     try:
         array = np.asarray(value, dtype=float)
+        # a list's entries are checked; a read array holds only numbers
+        entries = () if isinstance(value, np.ndarray) else np.asarray(value, dtype=object).flat
+        kinds = set(map(type, entries))
+        numbers = all(k is not bool and issubclass(k, (int, float, np.number)) for k in kinds)
+    except OverflowError:
+        raise ValueError(f"key {key!r} must hold finite numbers") from None
     except (TypeError, ValueError):
-        raise ValueError(f"key {key!r} must be a rectangular array of numbers") from None
+        numbers = False
+    if not numbers:
+        raise ValueError(f"key {key!r} must be a rectangular array of numbers")
     if not np.isfinite(array).all():
         raise ValueError(f"key {key!r} must hold finite numbers")
     return array
@@ -824,18 +835,6 @@ def radial_curvature_from_dict(params) -> RadialCurvature:
     )
 
 
-def _read_json(path):
-    """The JSON document in the file ``path``; ``ValueError`` names the file
-    when it cannot be read or is not UTF-8 JSON."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
-        raise ValueError(f"{path} is not valid JSON: {exc}") from None
-
-
 def read_field(path) -> CurvatureField:
     """Read a field file; see :func:`field_from_dict` for the format."""
-    return field_from_dict(_read_json(path))[0]
+    return field_from_dict(read_numeric(path))[0]

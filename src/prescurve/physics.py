@@ -207,6 +207,10 @@ def gyroradius(cfg: MagneticConfig) -> float:
     return cfg.mass * cfg.speed / (abs(cfg.charge) * abs(float(cfg.b)))
 
 
+#: Faces of an OFF mesh formatted at a time, about.
+OFF_BLOCK = 4096
+
+
 @dataclass(frozen=True)
 class CylinderLift:
     """Structured surface mesh (u1(theta), u2(theta), log r).
@@ -231,17 +235,20 @@ class CylinderLift:
         verts[:, :, 2] = np.log(self.r)[None, :]
         return verts
 
-    def faces(self) -> np.ndarray:
-        """Triangle indices into the flattened vertex grid, wrapping theta.
+    def faces(self, rows=None) -> np.ndarray:
+        """Triangle indices into the flattened vertex grid, wrapping theta:
+        those of every quad, or of the quads in the increasing index array
+        ``rows`` of theta rows.
 
         Quad (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1),
         d = (i, j+1) and gives triangles (a, b, c), (a, c, d), in order of
         i, then j.
         """
         nt, nr = len(self.points), len(self.r)
+        i = np.arange(nt) if rows is None else rows
         j = np.arange(nr - 1)
-        a = np.arange(nt)[:, None] * nr + j
-        b = (np.arange(1, nt + 1) % nt)[:, None] * nr + j
+        a = i[:, None] * nr + j
+        b = ((i + 1) % nt)[:, None] * nr + j
         tris = np.stack(
             [np.stack([a, b, b + 1], axis=-1), np.stack([a, b + 1, a + 1], axis=-1)],
             axis=2,
@@ -251,15 +258,19 @@ class CylinderLift:
     def write_off(self, path) -> None:
         """ASCII OFF mesh: vertices (``x y z`` in shortest round-trip
         decimals, in the order of the flattened grid) then triangular
-        faces."""
+        faces, written a block of theta rows at a time: about
+        ``OFF_BLOCK`` faces, or those rows' vertices."""
         xy = [f"{x!r} {y!r} " for x, y in self.points.tolist()]
-        z = [repr(v) for v in np.log(self.r).tolist()]
-        faces = self.faces().tolist()
-        lines = ["OFF", f"{len(xy) * len(z)} {len(faces)} 0"]
-        lines += [p + q for p in xy for q in z]
-        lines += [f"3 {a} {b} {c}" for a, b, c in faces]
+        z = [f"{v!r}\n" for v in np.log(self.r).tolist()]
+        nt, nr = len(xy), len(z)
+        step = max(1, OFF_BLOCK // max(1, 2 * (nr - 1)))  # theta rows a block
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"OFF\n{nt * nr} {2 * nt * (nr - 1)} 0\n")
+            for start in range(0, nt, step):
+                fh.write("".join([p + q for p in xy[start : start + step] for q in z]))
+            for start in range(0, nt, step):
+                faces = self.faces(np.arange(start, min(start + step, nt))).tolist()
+                fh.write("".join([f"3 {a} {b} {c}\n" for a, b, c in faces]))
 
     def conformality_residual(self) -> float:
         """Finite-difference sup of dU/dr . dU/dtheta over the mesh."""

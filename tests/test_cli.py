@@ -124,6 +124,21 @@ class TestSolve:
         pytest.param('{"constant": 1' + "0" * 400 + "}", "'constant'", id="huge-int"),
         ('{"radial": {"r": [-1, 0, 1, 2], "h": [1, 1, 0, 0]}}', "'radial'"),
         ('{"radial": {"r": [0, 2, 1, 3], "h": [1, 1, 0, 0]}}', "'radial'"),
+        # array entries: only numbers, never a bool, a string or an int
+        # beyond the floats
+        ('{"periodic_grid": [[0.5, true], [-0.5, 0.0]]}', "'periodic_grid'"),
+        ('{"periodic_grid": [[0.5, -0.5], ["0.5", 0.0]]}', "'periodic_grid'"),
+        pytest.param(
+            '{"periodic_grid": [[0.5, 1' + "0" * 400 + '], [-0.5, 0.0]]}',
+            "'periodic_grid'",
+            id="huge-int-grid-entry",
+        ),
+        ('{"radial": {"r": [0, 1, 2, "3"], "h": [1, 0, 0, 0]}}', "'radial.r'"),
+        pytest.param(
+            '{"radial": {"r": [0, 1, 2, 3], "h": [1, 0, 0, -1' + "0" * 400 + "]}}",
+            "'radial.h'",
+            id="huge-int-radial-entry",
+        ),
     ],
 )
 def test_malformed_field_exit_2(tmp_path, capsys, text, key):
@@ -368,6 +383,16 @@ def test_malformed_curve_file_exit_2(tmp_path, capsys, field_zero, command, peri
         ('{"period": 1.0, "samples": [[0.0, 1.0], [0.5]]}', "'samples'"),
         ('{"period": 1.0, "samples": [[0.0, "x"], [0.5, 1.0]]}', "'samples'"),
         pytest.param(
+            json.dumps({"period": 1.0, "samples": [[0.0, True]] + [[0.5, 1.0]] * 15}),
+            "'samples'",
+            id="true-entry",
+        ),
+        pytest.param(
+            json.dumps({"period": 1.0, "samples": [[0.0, 10**400]] + [[0.5, 1.0]] * 15}),
+            "'samples'",
+            id="huge-int-entry",
+        ),
+        pytest.param(
             json.dumps(
                 {"period": 1.0, "perod": 2, "samples": circle(1.0, n=16).samples.tolist()}
             ),
@@ -426,6 +451,37 @@ def test_out_not_a_directory_exit_2(tmp_path, capsys, field_zero, command, benea
     assert "'out'" in err
     assert "Traceback" not in err
     assert out.read_text() == "kept\n"
+
+
+def test_out_checked_before_the_work(tmp_path, capsys, field_zero, monkeypatch):
+    # an --out that cannot be a directory fails before any solve, and the
+    # file it names is kept
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before --out was checked")
+
+    monkeypatch.setattr("prescurve.minimize.minimize_area_constrained", solve)
+    monkeypatch.setattr("prescurve.cli.minimize_area_constrained", solve)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau_grid": [1.0, 2.0, 3.0, 4.0], "n_samples": 4096}))
+    out = tmp_path / "afile"
+    out.write_text("kept\n")
+    code = main(["sweep", "--field", field_zero, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'out'" in err
+    assert "Traceback" not in err
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("value", [5, None, ["out"]])
+def test_out_not_a_path_exit_2(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radial_params": {"A": 1.0, "gamma": 2.0}, "out": value}))
+    code = main(["immersed", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'out'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--config", "--field", "--curve"])
