@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Build the immersed-loop family for a radial curvature profile.
 
-Prints the radius parameter, multiplier, residual and profile norm for each
-loop count, and the observed decay exponent of the profile norm.
+The radius searches of all loop counts run together.  Prints the radius
+parameter, multiplier, residual and profile norm for each loop count, and
+the observed decay exponent of the profile norm.
 """
 
 import argparse
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from prescurve import RadialCurvature, build_immersed_loop, write_curve
-from prescurve.immersed import LSConfig
+from prescurve.immersed import LSConfig, find_radii
 
 
 def main():
@@ -28,8 +29,10 @@ def main():
 
     sups = []
     print(f"{'n':>5} {'r_n':>10} {'R_n':>8} {'lambda1':>10} {'residual':>10} {'|phi|':>10}")
-    for n in args.n:
-        curve, res = build_immersed_loop(n, h, LSConfig())
+    config = LSConfig()
+    for found in find_radii(args.n, h, config):
+        n = found.n
+        curve, res = build_immersed_loop(n, h, config, result=found)
         write_curve(curve, out / f"immersed_n{n}.json")
         sups.append(float(np.abs(res.phi).max()))
         print(

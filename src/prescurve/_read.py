@@ -17,7 +17,8 @@ __all__ = ["read_json", "read_numeric"]
 
 def read_json(path):
     """The JSON document in the file ``path``; ``ValueError`` names the file
-    when it cannot be read or is not UTF-8 JSON."""
+    when it cannot be read, is not UTF-8 JSON or nests deeper than the
+    decoder can recurse."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -25,6 +26,8 @@ def read_json(path):
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path} nests its JSON too deeply to read") from None
 
 
 #: Text of an array decoded at a time, in bytes: whole rows of about this.
@@ -65,7 +68,7 @@ def _numeric_doc(path):
             data = fh.read()
         doc, end = _object(data, _match(_OPEN, data, 0).end() - 1, 1)
         return doc if _SPACE.match(data, end).end() == len(data) else None
-    except (OSError, ValueError, OverflowError):
+    except (OSError, ValueError, OverflowError, RecursionError):
         return None
 
 

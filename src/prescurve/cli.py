@@ -34,7 +34,7 @@ from .fields import (
     radial_curvature_from_dict,
     read_field,
 )
-from .immersed import LSConfig, build_immersed_loop
+from .immersed import LSConfig, build_immersed_loop, find_radii
 from .minimize import (
     SWEEP_CSV_HEADER,
     MinimizeOptions,
@@ -208,8 +208,32 @@ def _minimize_options(cfg) -> MinimizeOptions:
 
 
 def _write_json(path: Path, doc) -> None:
+    _write_text(path, json.dumps(doc, indent=1))
+
+
+def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1) + "\n")
+        fh.write(text + "\n")
+
+
+def _results_text(docs) -> str:
+    """``json.dumps(docs, indent=1)`` for a list of loop documents whose
+    "phi" values are float arrays.  A finite array is written by
+    ``rows_text``, one value a line at the indentation json gives it there;
+    any other is left to json, for its ``NaN`` and ``Infinity``."""
+    finite = [bool(np.isfinite(doc["phi"]).all()) for doc in docs]
+    text = json.dumps(
+        [{**doc, "phi": None if ok else doc["phi"].tolist()} for doc, ok in zip(docs, finite)],
+        indent=1,
+    )
+    parts = text.split('"phi": null')
+    arrays = [
+        "[\n   " + rows_text(doc["phi"].reshape(-1, 1), "", ",\n   ") + "\n  ]"
+        if len(doc["phi"]) else "[]"
+        for doc, ok in zip(docs, finite)
+        if ok
+    ]
+    return parts[0] + "".join(f'"phi": {array}{part}' for array, part in zip(arrays, parts[1:]))
 
 
 def cmd_solve(cfg) -> int:
@@ -304,7 +328,12 @@ def cmd_immersed(cfg) -> int:
         **_config_args(cfg, LSConfig),
         r_bracket=_config_list(cfg, "r_bracket", float, length=2),
     )
-    results = [build_immersed_loop(n, h, config) for n in n_list]
+    # the searches of all n run together; each loop is assembled in list
+    # order, and the first n whose search failed raises there
+    results = [
+        build_immersed_loop(res.n, h, config, result=res)
+        for res in find_radii(n_list, h, config)
+    ]
 
     out = _out_dir(cfg)
     docs = []
@@ -323,14 +352,14 @@ def cmd_immersed(cfg) -> int:
                 "iterations": res.iterations,
                 "radius_evals": res.radius_evals,
                 "converged": res.converged,
-                "phi": res.phi.tolist(),
+                "phi": res.phi,
                 "curve_file": f"immersed_n{res.n}_curve.json",
                 "stop_reason": res.stop_reason,
                 "rotation_identity": res.rotation_identity,
             }
         )
         all_ok = all_ok and res.converged
-    _write_json(out / "immersed_results.json", docs)
+    _write_text(out / "immersed_results.json", _results_text(docs))
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 

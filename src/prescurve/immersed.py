@@ -27,6 +27,11 @@ origin) is a closed-form function of cos t and sin t, and the perturbed
 curve's curvature follows from the normal-graph formula in real arithmetic.
 The R-free tables (cos t, sin t and the spectral symbols) are built once
 per sample count and shared by every radius of a search.
+
+Each search is a generator that yields its fixed-point requests, so the
+searches of several loop counts (``find_radii``) run in lockstep: every
+fixed-point iteration is one pass over the stack of their live solves,
+with each row's arithmetic that of a lone solve.
 """
 
 from __future__ import annotations
@@ -38,12 +43,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import ClosedCurve, _frozen, _jet, apply_symbol, trig_resample
+from .curves import (
+    ClosedCurve,
+    _derivative_symbol,
+    _frozen,
+    _jet,
+    apply_symbol,
+    trig_resample,
+)
 from .errors import (
     DegenerateSpeed,
     MaxIterationsExceeded,
     NoSignChange,
     NotContracting,
+    PrescurveError,
 )
 from .fields import RadialCurvature
 
@@ -54,6 +67,7 @@ __all__ = [
     "linf_invert_perp",
     "fixed_point_solve",
     "find_radius",
+    "find_radii",
     "build_immersed_loop",
 ]
 
@@ -155,6 +169,7 @@ class _Grid(NamedTuple):
     cos_t: np.ndarray
     sin_t: np.ndarray
     inverse: np.ndarray  # the symbol of Linv: 1/(1 - k^2), 0 on the kernel
+    perp: np.ndarray  # the symbol of P: 1, 0 on the kernel
 
 
 @lru_cache(maxsize=8)
@@ -162,7 +177,7 @@ def _grid(num: int) -> _Grid:
     t = 2.0 * np.pi * np.arange(num) / num
     k = np.arange(num // 2 + 1, dtype=float)
     inverse = np.divide(1.0, 1.0 - k**2, out=np.zeros_like(k), where=k != 1.0)
-    return _Grid(*_frozen(np.cos(t), np.sin(t), inverse))
+    return _Grid(*_frozen(np.cos(t), np.sin(t), inverse, (k != 1.0).astype(float)))
 
 
 def _frequencies(params: AnsatzParams) -> tuple[float, float]:
@@ -212,12 +227,17 @@ def _graph(ans: _Ansatz, phi, dphi, d2phi):
     + (kappa s A + phi'') nu for A = s (1 - kappa phi), so
     K(w) = (A (kappa s A + phi'') - phi' (A' - kappa s phi')) / |w'|^3 with
     |w'|^2 = A^2 + phi'^2, and |w|^2 = |u|^2 + (2 u . nu + phi) phi.
+    Rows of (B, N) arrays are B curves; the ``DegenerateSpeed`` raised when
+    a curve loses regularity holds their indices in ``rows``.
     """
     A = ans.s - ans.ks * phi
     dA = ans.ds - ans.dks * phi - ans.ks * dphi
     speed2 = A * A + dphi * dphi
-    if speed2.min() <= 1e-24 * speed2.max():
-        raise DegenerateSpeed("normal perturbation destroys regularity")
+    degenerate = speed2.min(axis=-1) <= 1e-24 * speed2.max(axis=-1)
+    if degenerate.any():
+        exc = DegenerateSpeed("normal perturbation destroys regularity")
+        exc.rows = np.flatnonzero(degenerate)
+        raise exc
     cross = A * (ans.ks * A + d2phi) - dphi * (dA - ans.ks * dphi)
     kappa = cross / (speed2 * np.sqrt(speed2))
     # rounding can take |w|^2 a hair below 0 where w passes the origin
@@ -234,16 +254,26 @@ def linf_invert_perp(f: np.ndarray) -> np.ndarray:
     """Solve phi'' + phi = P f with phi orthogonal to cos and sin.
 
     Mode k maps to 1/(1 - k^2); the kernel modes are projected away, so the
-    identity L(Linv f) = P f holds exactly on the truncated spectrum.
+    identity L(Linv f) = P f holds exactly on the truncated spectrum.  A
+    (B, N) ``f`` is B profiles, each solved as it would be alone.
     """
-    return apply_symbol(f, _grid(len(f)).inverse)
+    f = np.asarray(f, dtype=float)
+    return apply_symbol(f.T, _grid(f.shape[-1]).inverse).T
 
 
-def _multipliers(gap, cos_t, sin_t) -> tuple[float, float]:
-    """Kernel multipliers (lambda1, lambda2) of a gap sampled at the nodes
-    where ``cos_t`` and ``sin_t`` are given."""
-    w = 2.0 * np.pi / len(gap) / np.pi
-    return float((gap * cos_t).sum() * w), float((gap * sin_t).sum() * w)
+def _along_rows(stack: np.ndarray, symbol: np.ndarray):
+    """``apply_symbol`` on each row of the C-contiguous (B, N) ``stack``,
+    one C-contiguous (B, N) array per column of ``symbol``: a sum along a
+    row of it then adds in the order of a sum over that row alone."""
+    out = apply_symbol(stack.T, symbol)
+    return [np.ascontiguousarray(out[..., j].T) for j in range(out.shape[-1])]
+
+
+def _multipliers(gap, cos_t, sin_t):
+    """Kernel multipliers (lambda1, lambda2) of each row of a gap sampled
+    at the nodes where ``cos_t`` and ``sin_t`` are given."""
+    w = 2.0 * np.pi / gap.shape[-1] / np.pi
+    return (gap * cos_t).sum(axis=-1) * w, (gap * sin_t).sum(axis=-1) * w
 
 
 class FixedPoint(NamedTuple):
@@ -285,60 +315,176 @@ def fixed_point_solve(
     per-iteration defect sizes, then that gap and w . w' of the perturbed
     curve w it was evaluated on.  Raises ``NotContracting`` after five
     consecutive growing defects and ``MaxIterationsExceeded`` after
-    ``config.max_iter`` iterations.
+    ``config.max_iter`` iterations.  This is the batch of one of the
+    lockstep kernel that ``find_radii`` runs its searches on.
     """
     config = config or LSConfig()
     num = config.num_samples
+    if phi0 is not None:
+        phi0 = np.asarray(phi0, dtype=float)
+        if phi0.shape != (num,):
+            raise ValueError(f"phi0 must have shape ({num},), got {phi0.shape}")
+
+    def one():
+        return (yield params, phi0)
+
+    return _value(_lockstep([one()], h, config, inexact)[0])
+
+
+def _value(outcome):
+    """What a search returned, or raise the exception it raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+class _Solve:
+    """A live solve of ``_lockstep``: the index of its search, its defects
+    so far and its run of growing defects."""
+
+    __slots__ = ("search", "trace", "growing")
+
+    def __init__(self, search: int):
+        self.search, self.trace, self.growing = search, [], 0
+
+
+def _secant(phi, phi_prev, residual, res_prev):
+    """The secant (depth-1 Anderson) step of each row from its last two
+    iterates and their residuals, the weight clipped to [-10, 10]."""
+    dres = residual - res_prev
+    gamma = np.empty((len(dres), 1))
+    for j, (res, d) in enumerate(zip(residual, dres)):
+        denom = float(np.dot(d, d))
+        g = float(np.dot(res, d)) / denom if denom > 0 else 0.0
+        gamma[j] = min(max(g, -10.0), 10.0)
+    return residual - gamma * (phi - phi_prev + dres)
+
+
+def _lockstep(searches, h: RadialCurvature, config: LSConfig, inexact: bool) -> list:
+    """Run the generators ``searches`` to their ends, solving their fixed
+    points in lockstep.
+
+    A search yields a request ``(params, phi0)``, ``phi0`` None or
+    ``config.num_samples`` floats, and is sent the ``FixedPoint`` of
+    ``fixed_point_solve(params, h, config, phi0, inexact)``, or thrown the
+    exception that solve raises.  Every iteration
+    is one pass over the (B, N) stack of the live solves, one row each.  A
+    row's arithmetic is a lone solve's: the same elementwise operations,
+    sums along contiguous rows and a ``np.dot`` per row for the secant
+    weight, so each solve ends bit for bit as it would alone.  A row whose
+    solve stops is refilled from its search's next request, and dropped
+    when the search ends.  Returns what each search returned, or the
+    exception it raised, in the order of ``searches``; once one raises, the
+    searches after it are dropped, and their entries are None.
+    """
+    num = config.num_samples
     grid = _grid(num)
-    ans = _ansatz(params, grid.cos_t, grid.sin_t)
-    if phi0 is None:
-        phi = np.zeros(num)
-    else:
-        phi = np.array(phi0, dtype=float)
-        if phi.shape != (num,):
-            raise ValueError(f"phi0 must have shape ({num},), got {phi.shape}")
-        phi = apply_symbol(phi, (np.arange(num // 2 + 1) != 1).astype(float))
-    phi_prev = None
-    res_prev = None
-    trace = []
-    growing = 0
-    for _ in range(config.max_iter):
-        dphi, d2phi = _jet(phi, 2.0 * np.pi)
-        dist, kappa = _graph(ans, phi, dphi, d2phi)
+    # column-major, so that each row's product is contiguous for its
+    # inverse transform
+    jet = np.asfortranarray(_derivative_symbol(num, 2.0 * np.pi, 1, 2))
+    outcomes = [None] * len(searches)
+    cut = len(searches)  # the first search that raised
+
+    def reply(i: int, value, failed: bool):
+        """Send ``value`` to search i (throw it, when ``failed``); its next
+        solve as (i, ansatz, start profile), or None once it has ended."""
+        nonlocal cut
+        search = searches[i]
+        try:
+            params, phi0 = search.throw(value) if failed else search.send(value)
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+            return None
+        except Exception as exc:
+            outcomes[i], cut = exc, min(cut, i)
+            return None
+        # the map never touches the cos and sin modes: a start drops them
+        start = np.zeros(num) if phi0 is None else apply_symbol(phi0, grid.perp)
+        return i, _ansatz(params, grid.cos_t, grid.sin_t), start
+
+    rows = [reply(i, None, False) for i in range(len(searches)) if i < cut]
+    rows = [row for row in rows if row and row[0] < cut]
+    solves = [_Solve(i) for i, _, _ in rows]
+    phi = np.array([start for _, _, start in rows]).reshape(-1, num)
+    stack = np.stack([ans for _, ans, _ in rows], axis=1) if rows else None
+    # a row's last iterate and residual, read once its solve has a trace
+    phi_prev = res_prev = phi
+
+    def settle(starts: dict):
+        """Start each row's new solve, ``starts[row]``; drop the rows whose
+        search has ended (``starts[row]`` None) or comes after ``cut``."""
+        nonlocal solves, phi, phi_prev, res_prev, stack
+        for j, row in starts.items():
+            if row is not None:
+                solves[j] = _Solve(row[0])
+                stack[:, j], phi[j] = row[1], row[2]
+        keep = [
+            j
+            for j, solve in enumerate(solves)
+            if solve.search < cut and starts.get(j, True) is not None
+        ]
+        if len(keep) < len(solves):
+            solves = [solves[j] for j in keep]
+            phi, phi_prev, res_prev = phi[keep], phi_prev[keep], res_prev[keep]
+            stack = stack[:, keep]
+
+    while solves:
+        ans = _Ansatz(*stack)
+        dphi, d2phi = _along_rows(phi, jet)
+        try:
+            dist, kappa = _graph(ans, phi, dphi, d2phi)
+        except DegenerateSpeed as exc:
+            # those rows' solves raise; the others evaluate again
+            settle({
+                j: reply(solves[j].search, DegenerateSpeed(*exc.args), True)
+                for j in exc.rows.tolist()
+            })
+            continue
         gap = kappa - h(dist)
-        residual = -linf_invert_perp(gap)
-        delta = float(np.abs(residual).max())
-        if trace and delta > trace[-1]:
-            growing += 1
-            if growing >= 5:
-                raise NotContracting(
-                    f"defect grew for 5 consecutive iterations (now {delta:.3e})"
-                )
-        else:
-            growing = 0
-        trace.append(delta)
+        residual = np.ascontiguousarray(-linf_invert_perp(gap))
         lam1, lam2 = _multipliers(gap, grid.cos_t, grid.sin_t)
-        if delta <= config.tol_fp or (
-            inexact
-            and abs(lam1) > config.tol_root
-            and delta <= FORCING * abs(lam1)
-        ):
-            rate = _radial_rate(ans, phi, dphi)
-            return FixedPoint(phi, lam1, lam2, tuple(trace), gap, rate)
-        if res_prev is None:
-            step = residual
+        starts = {}  # the next solve of each row whose solve stopped
+        more, first = [], []  # the rows going on after two or more iterates, after one
+        defects = np.abs(residual).max(axis=1).tolist()
+        for j, (solve, d, l1) in enumerate(zip(solves, defects, lam1.tolist())):
+            trace = solve.trace
+            if trace and d > trace[-1]:
+                solve.growing += 1
+                if solve.growing >= 5:
+                    exc = NotContracting(f"defect grew for 5 consecutive iterations (now {d:.3e})")
+                    starts[j] = reply(solve.search, exc, True)
+                    continue
+            else:
+                solve.growing = 0
+            trace.append(d)
+            if d <= config.tol_fp or (
+                inexact and abs(l1) > config.tol_root and d <= FORCING * abs(l1)
+            ):
+                rate = _radial_rate(_Ansatz(*stack[:, j]), phi[j], dphi[j])
+                sol = FixedPoint(
+                    phi[j].copy(), l1, float(lam2[j]), tuple(trace), gap[j].copy(), rate
+                )
+                starts[j] = reply(solve.search, sol, False)
+            elif len(trace) == config.max_iter:
+                exc = MaxIterationsExceeded(
+                    f"fixed-point defect not below {config.tol_fp:g} "
+                    f"after {config.max_iter} iterations"
+                )
+                starts[j] = reply(solve.search, exc, True)
+            else:
+                (more if len(trace) > 1 else first).append(j)
+        if len(more) == len(solves):
+            nxt = phi + _secant(phi, phi_prev, residual, res_prev)
         else:
-            dres = residual - res_prev
-            denom = float(np.dot(dres, dres))
-            gamma = float(np.dot(residual, dres)) / denom if denom > 0 else 0.0
-            gamma = min(max(gamma, -10.0), 10.0)
-            step = residual - gamma * (phi - phi_prev + dres)
-        phi_prev, res_prev = phi, residual
-        phi = phi + step
-    raise MaxIterationsExceeded(
-        f"fixed-point defect not below {config.tol_fp:g} "
-        f"after {config.max_iter} iterations"
-    )
+            nxt = np.empty_like(phi)  # a stopped row's is refilled or dropped
+            if more:
+                mixed = _secant(phi[more], phi_prev[more], residual[more], res_prev[more])
+                nxt[more] = phi[more] + mixed
+            if first:  # a solve's first step is its residual
+                nxt[first] = phi[first] + residual[first]
+        phi_prev, res_prev, phi = phi, residual, nxt
+        settle(starts)
+    return outcomes
 
 
 def default_bracket(h: RadialCurvature) -> tuple[float, float]:
@@ -359,8 +505,9 @@ MAX_ROOT_STEPS = 200
 FORCING = 0.1
 
 
-def _brent(f, a: float, fa: float, b: float, fb: float, tol_f: float):
-    """Root of ``f`` in the bracket [a, b] with fa * fb < 0 (Brent 1973).
+def _brent(a: float, fa: float, b: float, fb: float, tol_f: float):
+    """Root of f in the bracket [a, b] with fa * fb < 0 (Brent 1973), as a
+    generator: it yields each point x where it needs f and is sent f(x).
 
     Takes inverse-quadratic or secant steps while they stay inside the
     bracket and shrink it fast enough, and bisection otherwise.  Stops when
@@ -400,32 +547,14 @@ def _brent(f, a: float, fa: float, b: float, fb: float, tol_f: float):
             d = e = m
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
+        fb = yield b
     return b, fb
 
 
-def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> LSResult:
-    """Search the radius parameter until the cosine multiplier vanishes.
-
-    The bracket ends are solved at exactly r0 and r1; Brent's method then
-    runs in s = log r, because lambda1 depends on r through the power
-    R = (r n)^(1/(gamma+2)) and is far from linear in r across the
-    bracket.  The accepted r is the radius that was solved.  Each
-    evaluation runs the fixed point at R = (r n)^(1/(gamma+2)),
-    started from the profile of the nearest radius solved so far, and
-    inexactly: it stops at defect <= ``FORCING`` |lambda1| while |lambda1|
-    exceeds ``config.tol_root`` (Eisenstat & Walker 1996), so every value
-    Brent's bracketed method may accept as a root comes from a solve run to
-    ``config.tol_fp``.  Each ``trace`` row is ``(r, lambda1, iterations,
-    defect)`` for one evaluation, with the last defect of its solve; the
-    result's ``iterations`` counts the solve at the accepted radius, and
-    its ``residual`` and ``rotation_identity`` come from that solve's last
-    evaluation.  The bracket must satisfy the root-existence inequalities
-    and keep R < n at r1, else ``ValueError``, and produce a sign change,
-    else ``NoSignChange``; ``MaxIterationsExceeded`` if |lambda1| stays
-    above ``config.tol_root``.
-    """
-    config = config or LSConfig()
+def _search(n: int, h: RadialCurvature, config: LSConfig):
+    """The radius search of ``find_radius`` as a generator: it yields each
+    fixed-point request ``(params, phi0)``, is sent that solve's
+    ``FixedPoint`` or thrown its exception, and returns the ``LSResult``."""
     tol_root = config.tol_root
     mirror = h.A < 0.0
     try:
@@ -447,11 +576,10 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
 
     solved = {}  # r -> FixedPoint, in evaluation order
 
-    def lam1_at(r: float) -> float:
+    def lam1_at(r: float):
         params = AnsatzParams(n=n, R=_radius(r, n, h.gamma), mirror=mirror)
         nearest = min(solved, key=lambda s: abs(s - r), default=None)
-        phi0 = None if nearest is None else solved[nearest].phi
-        sol = fixed_point_solve(params, h, config, phi0, inexact=True)
+        sol = yield params, None if nearest is None else solved[nearest].phi
         solved[r] = sol
         return sol.lambda1
 
@@ -461,15 +589,15 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
         # endpoint toward the other one until the solve succeeds.
         for _ in range(16):
             try:
-                return r, lam1_at(r)
+                return r, (yield from lam1_at(r))
             except (NotContracting, MaxIterationsExceeded):
                 r = r + 0.25 * (other - r)
         raise NotContracting(
             f"fixed point fails everywhere near the bracket end {r:g}"
         )
 
-    r0, f_lo = endpoint(r0, r1)
-    r1, f_hi = endpoint(r1, r0)
+    r0, f_lo = yield from endpoint(r0, r1)
+    r1, f_hi = yield from endpoint(r1, r0)
     if f_lo == 0.0:
         r_n, stop_reason = r0, "bracket_end"
     elif f_hi == 0.0:
@@ -482,12 +610,14 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
         # each s = log r maps back to the exact radius solved there, and
         # the bracket ends to r0 and r1 themselves
         radius = {math.log(r0): r0, math.log(r1): r1}
-
-        def lam1_at_log(s: float) -> float:
-            radius[s] = math.exp(s)
-            return lam1_at(radius[s])
-
-        s_n, f_n = _brent(lam1_at_log, math.log(r0), f_lo, math.log(r1), f_hi, tol_root)
+        steps = _brent(math.log(r0), f_lo, math.log(r1), f_hi, tol_root)
+        try:
+            s = next(steps)
+            while True:
+                radius[s] = math.exp(s)
+                s = steps.send((yield from lam1_at(radius[s])))
+        except StopIteration as stop:
+            s_n, f_n = stop.value
         r_n = radius[s_n]
         if abs(f_n) > tol_root:
             raise MaxIterationsExceeded("radius search did not reach tol_root")
@@ -515,18 +645,79 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
     )
 
 
+def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> LSResult:
+    """Search the radius parameter until the cosine multiplier vanishes.
+
+    The bracket ends are solved at exactly r0 and r1; Brent's method then
+    runs in s = log r, because lambda1 depends on r through the power
+    R = (r n)^(1/(gamma+2)) and is far from linear in r across the
+    bracket.  The accepted r is the radius that was solved.  Each
+    evaluation runs the fixed point at R = (r n)^(1/(gamma+2)),
+    started from the profile of the nearest radius solved so far, and
+    inexactly: it stops at defect <= ``FORCING`` |lambda1| while |lambda1|
+    exceeds ``config.tol_root`` (Eisenstat & Walker 1996), so every value
+    Brent's bracketed method may accept as a root comes from a solve run to
+    ``config.tol_fp``.  Each ``trace`` row is ``(r, lambda1, iterations,
+    defect)`` for one evaluation, with the last defect of its solve; the
+    result's ``iterations`` counts the solve at the accepted radius, and
+    its ``residual`` and ``rotation_identity`` come from that solve's last
+    evaluation.  The bracket must satisfy the root-existence inequalities
+    and keep R < n at r1, else ``ValueError``, and produce a sign change,
+    else ``NoSignChange``; ``MaxIterationsExceeded`` if |lambda1| stays
+    above ``config.tol_root``.  Each evaluation is one call of
+    ``fixed_point_solve``; ``find_radii`` runs several searches at once.
+    """
+    config = config or LSConfig()
+    search = _search(n, h, config)
+    value, failed = None, False
+    while True:
+        try:
+            params, phi0 = search.throw(value) if failed else search.send(value)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            value = fixed_point_solve(params, h, config, phi0, inexact=True)
+            failed = False
+        except PrescurveError as exc:
+            value, failed = exc, True
+
+
+def find_radii(n_list, h: RadialCurvature, config: LSConfig | None = None):
+    """``find_radius`` for each n of ``n_list``, with the searches run in
+    lockstep: each fixed-point iteration is one pass over the live solves
+    of all of them, and every result is bit for bit ``find_radius``'s.
+
+    The searches all run before this returns.  Returns an iterator over the
+    results in the order of ``n_list``, which raises, in place of a result,
+    the exception that n's search raised, as a loop over ``find_radius``
+    would at that n.
+    """
+    config = config or LSConfig()
+    searches = [_search(n, h, config) for n in n_list]
+    return map(_value, _lockstep(searches, h, config, inexact=True))
+
+
 def build_immersed_loop(
-    n: int, h: RadialCurvature, config: LSConfig | None = None
+    n: int,
+    h: RadialCurvature,
+    config: LSConfig | None = None,
+    *,
+    result: LSResult | None = None,
 ):
     """Assemble the full immersed loop over its whole period.
 
-    Runs the radius search, then evaluates the perturbed ansatz on the
-    unrescaled parameter over period 2 pi n.  Checks that the assembled
-    curve is regular, that its curvature matches H to the combined solver
-    tolerance, and that it stays outside the mollification radius of h.
+    Runs the radius search, unless ``result`` is one already found for
+    (n, h, config), as by ``find_radii``; then evaluates the perturbed
+    ansatz on the unrescaled parameter over period 2 pi n.  Checks that the
+    assembled curve is regular, that its curvature matches H to the
+    combined solver tolerance, and that it stays outside the mollification
+    radius of h.
     """
     config = config or LSConfig()
-    result = find_radius(n, h, config)
+    if result is None:
+        result = find_radius(n, h, config)
+    elif result.n != n:
+        raise ValueError(f"result is for n = {result.n}, not n = {n}")
     params = AnsatzParams(n=n, R=result.R, mirror=result.mirror)
     num_total = config.samples_per_loop * n
     if num_total % 2:

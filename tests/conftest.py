@@ -19,6 +19,7 @@ from prescurve.curves import (
 from prescurve.errors import (
     DegenerateSpeed,
     MaxIterationsExceeded,
+    NoSignChange,
     NotContracting,
     PrescurveError,
 )
@@ -33,6 +34,7 @@ from prescurve.immersed import (
     FORCING,
     AnsatzParams,
     LSConfig,
+    LSResult,
     _brent,
     default_bracket,
     fixed_point_solve,
@@ -535,6 +537,95 @@ def fixed_point_rebuilt(params, h, config=None, phi0=None, inexact=False):
     raise MaxIterationsExceeded("fixed-point defect not below tol_fp")
 
 
+def brent(f, a, fa, b, fb, tol_f):
+    """Drive the generator ``immersed._brent`` with the function ``f``:
+    the root ``(x, f(x))`` that Brent's method stops on."""
+    steps = _brent(a, fa, b, fb, tol_f)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def find_radius_sequential(n, h, config=None):
+    """The radius search of ``find_radius``, written as one loop of calls:
+    ``fixed_point_solve`` per evaluation, the bracket-end walk, then
+    ``brent`` in log r.  The sequential oracle of the lockstep searches."""
+    config = config or LSConfig()
+    tol_root = config.tol_root
+    mirror = h.A < 0.0
+    power = 2.0 ** ((h.gamma + 2.0) / 2.0)
+    r0, r1 = config.r_bracket or default_bracket(h)
+    if not (power * r0 < abs(h.A) * h.gamma / 2.0 < r1):
+        raise ValueError(
+            f"'r_bracket' ({r0:g}, {r1:g}) violates the root-existence inequalities"
+        )
+    R1 = (r1 * n) ** (1.0 / (h.gamma + 2.0))
+    if not R1 < n:
+        key = "r_bracket" if config.r_bracket else "n_list"
+        raise ValueError(f"'{key}': bracket end r = {r1:g} gives R = {R1:.4g}, not < n = {n}")
+    solved = {}
+
+    def lam1_at(r):
+        params = AnsatzParams(n=n, R=(r * n) ** (1.0 / (h.gamma + 2.0)), mirror=mirror)
+        nearest = min(solved, key=lambda s: abs(s - r), default=None)
+        phi0 = None if nearest is None else solved[nearest].phi
+        sol = fixed_point_solve(params, h, config, phi0, inexact=True)
+        solved[r] = sol
+        return sol.lambda1
+
+    def endpoint(r, other):
+        for _ in range(16):
+            try:
+                return r, lam1_at(r)
+            except (NotContracting, MaxIterationsExceeded):
+                r = r + 0.25 * (other - r)
+        raise NotContracting(f"fixed point fails everywhere near the bracket end {r:g}")
+
+    r0, f_lo = endpoint(r0, r1)
+    r1, f_hi = endpoint(r1, r0)
+    if f_lo == 0.0:
+        r_n, stop_reason = r0, "bracket_end"
+    elif f_hi == 0.0:
+        r_n, stop_reason = r1, "bracket_end"
+    elif f_lo * f_hi > 0.0:
+        raise NoSignChange(f"lambda1({r0:g}) = {f_lo:.3e} and lambda1({r1:g}) = {f_hi:.3e}")
+    else:
+        radius = {math.log(r0): r0, math.log(r1): r1}
+
+        def lam1_at_log(s):
+            radius[s] = math.exp(s)
+            return lam1_at(radius[s])
+
+        s_n, f_n = brent(lam1_at_log, math.log(r0), f_lo, math.log(r1), f_hi, tol_root)
+        r_n = radius[s_n]
+        if abs(f_n) > tol_root:
+            raise MaxIterationsExceeded("radius search did not reach tol_root")
+        stop_reason = "tol_root"
+    sol = solved[r_n]
+    gap = sol.gap
+    sin_t = np.sin(2.0 * np.pi * np.arange(len(gap)) / len(gap))
+    residual = float(np.abs(gap - sol.lambda2 * sin_t).max())
+    return LSResult(
+        n=n,
+        R=(r_n * n) ** (1.0 / (h.gamma + 2.0)),
+        r=r_n,
+        mirror=mirror,
+        phi=sol.phi,
+        lambda1=sol.lambda1,
+        lambda2=sol.lambda2,
+        residual=residual,
+        iterations=len(sol.trace),
+        radius_evals=len(solved),
+        trace=tuple((r, s.lambda1, len(s.trace), s.trace[-1]) for r, s in solved.items()),
+        converged=abs(sol.lambda1) <= tol_root and residual <= tol_root + 100.0 * config.tol_fp,
+        stop_reason=stop_reason,
+        rotation_identity=float((-gap * sol.radial_rate).sum() * 2.0 * np.pi / len(sol.phi)),
+    )
+
+
 def find_radius_in_r(n, h, config=None):
     """The radius search with Brent's method in r itself, warm-started
     inexact solves as in ``find_radius`` (no bracket-end walk).  Returns
@@ -552,7 +643,7 @@ def find_radius_in_r(n, h, config=None):
         return sol.lambda1
 
     f0 = lam1_at(r0)
-    r, lam1 = _brent(lam1_at, r0, f0, r1, lam1_at(r1), config.tol_root)
+    r, lam1 = brent(lam1_at, r0, f0, r1, lam1_at(r1), config.tol_root)
     return r, lam1, len(solved)
 
 

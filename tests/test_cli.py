@@ -506,6 +506,27 @@ def test_unreadable_file_exit_2(tmp_path, capsys, field_zero, flag):
             assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize(
+    "flag, key", [("--config", "tau"), ("--field", "periodic_grid"), ("--curve", "samples")]
+)
+def test_deeply_nested_file_exit_2(tmp_path, capsys, field_zero, flag, key, closed):
+    # 100000 nested arrays under a key the reader looks into: past json's
+    # recursion limit, whether the array is closed (then the numeric reader
+    # decodes it a slice at a time) or not
+    depth = 100_000
+    deep = tmp_path / "deep.json"
+    deep.write_text(f'{{"{key}": ' + "[" * depth + ("]" * depth + "}" if closed else ""))
+    curve = tmp_path / "curve.json"
+    write_curve(circle(1.0, n=64), curve)
+    argv = ["check", "--curve", str(curve), "--field", field_zero, "--out", str(tmp_path)]
+    code = main(argv + [flag, str(deep)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{deep} nests its JSON too deeply" in err
+    assert "Traceback" not in err
+
+
 def _radial_params_exit_2(tmp_path, capsys, params, key):
     """``params`` as a config's and as a field file's "radial_params" both
     exit 2 naming ``key``."""
@@ -876,6 +897,37 @@ class TestImmersed:
             assert d["stop_reason"] == "tol_root"
             # the paper's rotation identity: the integral of (H - K)(w . w')
             assert abs(d["rotation_identity"]) < 1e-8
+
+    def test_failing_loop_count_exit_1(self, tmp_path, capsys):
+        # the loops are searched together, but the run fails as a loop over
+        # n_list would: at n = 16, which has no root in the bracket, with
+        # the message of n = 16 alone
+        cfg = tmp_path / "cfg.json"
+        errors = []
+        for n_list in ([16], [64, 16], [16, 64]):
+            doc = {"radial_params": {"A": 1.0, "gamma": 2.0}, "n_list": n_list}
+            cfg.write_text(json.dumps(doc))
+            code = main(["immersed", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("numerical failure: lambda1(")
+        assert errors == [errors[0]] * 3
+        assert not (tmp_path / "out" / "immersed_results.json").exists()
+
+    def test_loop_order_keeps_curve_bytes(self, tmp_path):
+        # each curve file is the same whichever loops share its call, in
+        # whatever order
+        cfg = tmp_path / "cfg.json"
+        texts = []
+        for n_list in ([32, 64], [64, 32]):
+            doc = {"radial_params": {"A": 1.0, "gamma": 2.0}, "n_list": n_list}
+            cfg.write_text(json.dumps(doc))
+            out = tmp_path / "-".join(map(str, n_list))
+            assert main(["immersed", "--config", str(cfg), "--out", str(out)]) == 0
+            texts.append({n: (out / f"immersed_n{n}_curve.json").read_bytes() for n in (32, 64)})
+            results = (out / "immersed_results.json").read_text()
+            assert results == json.dumps(json.loads(results), indent=1) + "\n"
+        assert texts[0] == texts[1]
 
     def test_field_without_radial_params_exit_2(self, tmp_path, capsys, field_zero):
         code = main(["immersed", "--field", field_zero, "--out", str(tmp_path / "out")])

@@ -1,12 +1,13 @@
 import math
+import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from prescurve.curves import ClosedCurve, derivative, is_simple
-from prescurve.errors import NoSignChange
+from prescurve.errors import DegenerateSpeed, NoSignChange
 from prescurve import immersed
 from prescurve.fields import RadialCurvature
 from prescurve.immersed import (
@@ -18,6 +19,7 @@ from prescurve.immersed import (
     _radial_rate,
     build_immersed_loop,
     default_bracket,
+    find_radii,
     find_radius,
     fixed_point_solve,
     linf_invert_perp,
@@ -29,6 +31,7 @@ from conftest import (
     curvature,
     curvature_gap,
     find_radius_in_r,
+    find_radius_sequential,
     fixed_point_rebuilt,
     linearized_coeffs,
     linf_apply,
@@ -444,6 +447,84 @@ class TestFindRadius:
         res = find_radius(64, RadialCurvature(A=amp, gamma=gamma))
         assert res.converged
         assert sum(row[2] for row in res.trace) <= 60
+
+
+def bits(value):
+    """``value`` with every float as its bytes: equal bits compare equal,
+    and 0.0 differs from -0.0."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return value
+
+
+def assert_same_result(got, want):
+    for field in fields(want):
+        name = field.name
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+
+
+class TestFamily:
+    @pytest.mark.parametrize("n_list", [(32, 64, 128), (128, 32), (64,)])
+    @pytest.mark.parametrize("amp, gamma", FAMILY)
+    def test_lockstep_matches_sequential_oracle(self, amp, gamma, n_list):
+        # each search, run in lockstep with the others in any list order,
+        # ends bit for bit as the search run alone by one loop of solves
+        h = RadialCurvature(A=amp, gamma=gamma)
+        results = list(find_radii(n_list, h))
+        assert [res.n for res in results] == list(n_list)
+        for res, n in zip(results, n_list):
+            assert_same_result(res, find_radius_sequential(n, h))
+
+    def test_find_radius_matches_sequential_oracle(self, h_model):
+        assert_same_result(find_radius(64, h_model), find_radius_sequential(64, h_model))
+
+    @pytest.mark.parametrize("n_list", [(16,), (64, 16), (16, 64), (128, 64, 16, 2)])
+    def test_failing_search_raises_in_list_order(self, h_model, n_list):
+        # n = 16 has no sign change in the bracket; the family yields the
+        # results before it, then raises what a loop of sequential searches
+        # raises at the first failing n
+        with pytest.raises(Exception) as want:
+            expected = []
+            for n in n_list:
+                expected.append(find_radius_sequential(n, h_model))
+        results = find_radii(n_list, h_model)
+        for res in expected:
+            assert_same_result(next(results), res)
+        with pytest.raises(type(want.value)) as got:
+            next(results)
+        assert type(got.value) is type(want.value) is NoSignChange
+        assert str(got.value) == str(want.value)
+
+    def test_degenerate_row_fails_only_its_search(self, h_model, monkeypatch):
+        # a curve that loses regularity in one row of the stack fails that
+        # row's search alone; the other row's result is unchanged
+        graph = immersed._graph
+        calls = []
+
+        def degenerate_on_third(ans, phi, *args):
+            calls.append(None)
+            if len(calls) == 3:
+                assert len(phi) == 2
+                exc = DegenerateSpeed("normal perturbation destroys regularity")
+                exc.rows = np.array([1])
+                raise exc
+            return graph(ans, phi, *args)
+
+        monkeypatch.setattr(immersed, "_graph", degenerate_on_third)
+        results = find_radii((128, 64), h_model)
+        monkeypatch.setattr(immersed, "_graph", graph)
+        assert_same_result(next(results), find_radius_sequential(128, h_model))
+        with pytest.raises(DegenerateSpeed, match="destroys regularity"):
+            next(results)
+
+    def test_start_of_wrong_shape_raises(self, h_model):
+        params = AnsatzParams(n=64, R=64**0.25)
+        with pytest.raises(ValueError, match=r"phi0 must have shape \(512,\), got \(7,\)"):
+            fixed_point_solve(params, h_model, phi0=np.zeros(7))
 
 
 class TestSecondMultiplier:

@@ -1,10 +1,14 @@
-"""``_text.rows_text`` against ``repr``: digits, layout and fallback."""
+"""``_text.rows_text`` against ``repr``: digits, layout and fallback; the
+results writer that splices it into ``json.dumps`` text."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prescurve._text import BLOCK, rows_text
+from prescurve.cli import _results_text
 
 # the two callers' separators: curve files (JSON) and trajectory.csv
 SEPARATORS = [(", ", "], ["), (",", "\n")]
@@ -136,3 +140,32 @@ class TestLayout:
             rows_text([1.0, 2.0], ",", "\n")
         with pytest.raises(ValueError, match="NUL"):
             rows_text([[1.0, 2.0]], "\0", "\n")
+
+
+# a loop document of ``immersed_results.json``: scalars of each JSON kind
+# around the "phi" array, as ``cli.cmd_immersed`` writes it
+_SCALARS = st.one_of(
+    st.floats(), st.integers(-(10**6), 10**6), st.booleans(), st.text(max_size=8), st.none()
+)
+_PHI = st.lists(st.floats(width=64), max_size=12).map(lambda v: np.array(v, dtype=float))
+_DOC = st.tuples(
+    st.dictionaries(st.sampled_from(["n", "R", "residual", "x"]), _SCALARS, max_size=3),
+    _PHI,
+    st.dictionaries(st.sampled_from(["stop_reason", "rotation_identity"]), _SCALARS, max_size=2),
+).map(lambda parts: {**parts[0], "phi": parts[1], **parts[2]})
+
+
+class TestResultsText:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_DOC, max_size=4))
+    def test_equals_json_dumps(self, docs):
+        # the phi arrays, finite or not and empty or not, and every scalar
+        # come out as json.dumps(indent=1) writes the same lists
+        lists = [{**doc, "phi": doc["phi"].tolist()} for doc in docs]
+        assert _results_text(docs) == json.dumps(lists, indent=1)
+
+    def test_non_finite_in_json_spelling(self):
+        docs = [{"phi": np.array([1.0, np.nan, -np.inf])}, {"phi": np.array([0.5, -0.0])}]
+        text = _results_text(docs)
+        assert "NaN" in text and "-Infinity" in text and "nan" not in text
+        assert json.loads(text)[1]["phi"] == [0.5, -0.0]
