@@ -1,9 +1,10 @@
-"""Decimal text of float arrays, byte for byte equal to ``repr``.
+"""Decimal text of float and integer arrays, byte for byte equal to ``repr``.
 
 ``rows_text(values, sep, row_sep)`` returns
-``row_sep.join(sep.join(repr(v) for v in row) for row in values)`` for a
-finite (N, K) float array.  It works on blocks of values with uint64
-arithmetic instead of one ``repr`` call per value.
+``row_sep.join(sep.join(repr(v) for v in row) for row in values.tolist())``
+for a finite (N, K) float array or an (N, K) integer array.  It works on
+blocks of values with uint64 arithmetic instead of one ``repr`` call per
+value.
 
 Digits.  ``repr`` writes the shortest decimal that reads back as the same
 float and, of those, the one nearest to it.  For v = c 2^q (c the 53-bit
@@ -21,6 +22,11 @@ one pass that drops the NUL bytes joins them.  Values off the positional
 range -- 0.0, -0.0, subnormals, |v| < 1e-4 and |v| >= 1e16, which
 ``repr`` writes as "0.0" or with an exponent -- take ``repr`` one at a
 time into their own words.
+
+Integers.  A value 0 <= v < 10^8 is one word: its eight digits from the
+same lanes as a float's, leading zeros dropped.  Any other integer takes
+``repr`` one at a time into three words, which every value of an array
+holding one gets.
 """
 
 from __future__ import annotations
@@ -150,7 +156,7 @@ def _nonzero_bytes(x):
 
 def _fill(words, values):
     """Write the text of each value of a 1-D finite float64 array into the
-    first six words of its row of ``words``: the sign and the digit before
+    six words of its row of ``words``: the sign and the digit before
     the point ("0" when |v| < 1); the digits d1..d16 before the point; the
     point, with the fraction's leading zeros and d0 when |v| < 1; the
     digits d1..d16 after it without trailing zeros.  NUL fills the rest."""
@@ -188,7 +194,27 @@ def _fill(words, values):
     words[:, 5] = (w2 | _ZEROS) & keep2
     if slow.size:  # at most 24 characters each
         text = b"".join(repr(v).encode("ascii").ljust(48, b"\0") for v in values[slow].tolist())
-        words[slow, :6] = np.frombuffer(text, dtype="<u8").reshape(-1, 6)
+        words[slow] = np.frombuffer(text, dtype="<u8").reshape(-1, 6)
+
+
+def _fill_int(words, values):
+    """Write the text of each value of a 1-D integer array into its row of
+    ``words``, one word or three: the digits of 0 <= v < 10^8 without
+    leading zeros, ``repr`` of any other value (three words only).  NUL
+    fills the rest."""
+    fast = (values >= 0) & (values < 10**8)
+    digits = _ascii8(np.where(fast, values, 0).astype(_U))
+    # keep the last digit and every byte from the first nonzero one on
+    lead = digits | _U(1 << 56)
+    lead = lead | (lead << _U(8))
+    lead = lead | (lead << _U(16))
+    lead = lead | (lead << _U(32))
+    words[:, 0] = (digits | _ZEROS) & _nonzero_bytes(lead)
+    words[:, 1:] = 0
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # at most 20 characters each
+        text = b"".join(repr(v).encode("ascii").ljust(24, b"\0") for v in values[slow].tolist())
+        words[slow] = np.frombuffer(text, dtype="<u8").reshape(-1, 3)
 
 
 def _sep_words(text: str, n_words: int):
@@ -199,27 +225,34 @@ def _sep_words(text: str, n_words: int):
 
 
 def rows_text(values, sep: str, row_sep: str) -> str:
-    """``row_sep.join(sep.join(repr(v) for v in row) for row in values)``
-    for a finite (N, K) float array; raises ``ValueError`` on a value that
-    is not finite.  Separators are ASCII without NUL."""
-    values = np.asarray(values, dtype=np.float64)
+    """``row_sep.join(sep.join(repr(v) for v in row) for row in
+    values.tolist())`` for an (N, K) array: of integers, or of floats
+    (anything else is taken as float64), where a value that is not finite
+    raises ``ValueError``.  Separators are ASCII without NUL."""
+    values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"values must have shape (N, K), got {values.shape}")
-    if not np.isfinite(values).all():
-        raise ValueError("values must be finite")
+    if values.dtype.kind in "iu":
+        fill = _fill_int
+        width = 1 if values.size == 0 or (values.min() >= 0 and values.max() < 10**8) else 3
+    else:
+        values = values.astype(np.float64, copy=False)
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        fill, width = _fill, 6
     n, k = values.shape
     if n == 0 or k == 0:
         return row_sep.join([""] * n)
     n_sep = -(-max(len(sep), len(row_sep), 1) // 8)
     seps = np.stack([_sep_words(sep, n_sep)] * (k - 1) + [_sep_words(row_sep, n_sep)])
     rows = min(n, max(1, BLOCK // k))
-    buffer = np.empty((rows, k, 6 + n_sep), dtype="<u8")
-    buffer[:, :, 6:] = seps
+    buffer = np.empty((rows, k, width + n_sep), dtype="<u8")
+    buffer[:, :, width:] = seps
     chunks = []
     for start in range(0, n, rows):
         block = values[start : start + rows]
         words = buffer[: len(block)]
-        _fill(words.reshape(-1, 6 + n_sep), np.ascontiguousarray(block).reshape(-1))
+        fill(words.reshape(-1, width + n_sep)[:, :width], np.ascontiguousarray(block).reshape(-1))
         chunks.append(words.tobytes().translate(None, b"\0"))
     text = b"".join(chunks).decode("ascii")
     return text[: len(text) - len(row_sep)]

@@ -265,7 +265,9 @@ def _regrid(values: np.ndarray, m: int) -> np.ndarray:
         if n % 2 == 0:
             # on the finer grid the Nyquist mode gains a conjugate partner
             coef[n // 2] *= 0.5
-        return np.fft.irfft(coef, n=m, axis=0) * (m / n)
+        out = np.fft.irfft(coef, n=m, axis=0)
+        out *= m / n
+        return out
     full = np.fft.fft(values, axis=0)
     half = n // 2
     if n % 2 == 0:

@@ -4,17 +4,18 @@ A curvature function splits as constant + periodic (zero mean on the unit
 cell) + radially decaying.  For each part there is a potential construction:
 
 * periodic: spectral Poisson solve on the unit cell, on the real
-  half-spectrum of the grid: one rfft2 of H, then one two-channel irfft2
-  straight to the B-spline coefficients of Q,
+  half-spectrum of the grid: one rfft2 of H, then, one channel at a time,
+  the inverse transform of each component straight to the B-spline
+  coefficients of Q,
 * decaying radial: the closed form Q(p) = F(|p|) p/|p|^2, where
   F(r) = int_0^r s h2(s) ds is integrated exactly, piece by piece, from the
   cubic spline that defines h2 (:meth:`RadialDecaying.q_profile`),
 * constant c: the linear field c*p/2.
 
 The assembled :class:`VectorPotential` satisfies ``div Q = H``.  Note the
-periodic Poisson solver returns the gradient of the solution of
-``-lap v = H`` (for which ``div grad v = -H``); the assembly step flips its
-sign so the divergence identity holds for the composite field.
+periodic Poisson solver returns the spectrum of the solution of
+``-lap v = H`` (for which ``div grad v = -H``); the assembly step takes
+Q = -grad v so the divergence identity holds for the composite field.
 
 One routine, :func:`h_and_q`, reads H and Q at an array of points;
 :meth:`CurvatureField.value` and :func:`q_eval` are its two halves.
@@ -59,6 +60,21 @@ PERIODIC_ADMISSIBLE_OSCILLATION = 2.0 * math.sqrt(2.0)
 DECAYING_ADMISSIBLE_NORM = (2.0 / math.pi) ** 1.5
 
 
+#: Values of a spline's table inverted at a time: whole rows of about this.
+TABLE_BLOCK = 1 << 12
+
+
+def _spline_rows(cells: np.ndarray) -> np.ndarray:
+    """The first pass of the inverse 2-d real DFT of the cubic B-spline
+    coefficients of the (M, M) grid whose 2-d real DFT is ``cells``, shape
+    (M, M//2 + 1): ``cells`` divided by the B-spline symbol in place, then
+    inverted over its rows (axis 0), as ``np.fft.irfft2`` begins."""
+    m = len(cells)
+    s = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)) / 6.0
+    cells /= np.multiply.outer(s, s[: m // 2 + 1])
+    return np.fft.ifft(cells, axis=0)
+
+
 class _PeriodicSpline2D:
     """Cubic B-spline interpolation of unit-cell data, exactly 1-periodic.
 
@@ -67,42 +83,60 @@ class _PeriodicSpline2D:
 
     The coefficients are the grid's 2-d real DFT divided by the sampled
     B-spline symbol s(kx) s(ky), s(k) = (4 + 2 cos 2 pi k/M)/6, which is
-    real and even, so the inverse transform is real; :meth:`from_spectrum`
-    starts from a DFT that a caller already has.  They are stored once,
-    channels first (each channel one contiguous (M + 4, M + 4) block), and
-    wrap-padded by one node before and three after on each axis, so no
-    stencil index needs a wrap: ``(x*M) % M`` rounds to M itself for a tiny
-    negative x, whose stencil then reaches node M + 2.  Evaluation uses
-    ``scipy.ndimage``'s weights and summation order (``map_coordinates``
-    with ``mode="grid-wrap"``), and matches it bit for bit.
+    real and even, so the inverse transform is real.  They are built a
+    channel at a time (:func:`_spline_rows`, then :meth:`_invert_columns`);
+    :meth:`from_rows` starts from channels whose DFT a caller already has.
+    They are stored once, channels first (each channel one contiguous
+    (M + 4, M + 4) block), and wrap-padded by one node before and three
+    after on each axis, so no stencil index needs a wrap: ``(x*M) % M``
+    rounds to M itself for a tiny negative x, whose stencil then reaches
+    node M + 2.  Evaluation uses ``scipy.ndimage``'s weights and summation
+    order (``map_coordinates`` with ``mode="grid-wrap"``), and matches it
+    bit for bit.
     """
 
     def __init__(self, grid: np.ndarray):
-        # channels first, so that each 2-d transform reads contiguous data
-        self._prefilter(np.fft.rfft2(np.moveaxis(grid, (0, 1), (-2, -1))))
+        planes = [grid] if grid.ndim == 2 else [grid[:, :, c] for c in range(grid.shape[2])]
+        # each channel's spectrum goes once its rows are inverted
+        self._invert_columns([_spline_rows(np.fft.rfft2(p)) for p in planes], grid.ndim == 3)
 
     @classmethod
-    def from_spectrum(cls, cells: np.ndarray) -> _PeriodicSpline2D:
-        """The spline of the grid whose 2-d real DFT is ``cells``: shape
-        (M, M//2 + 1), or (C, M, M//2 + 1) for C channels, channels first.
-        ``cells`` is overwritten."""
+    def from_rows(cls, rows: list) -> _PeriodicSpline2D:
+        """The spline of C channels, channels first, whose first inverse
+        passes (:func:`_spline_rows`) are the C arrays of the list
+        ``rows``."""
         spline = cls.__new__(cls)
-        spline._prefilter(cells)
+        spline._invert_columns(rows, channels=True)
         return spline
 
-    def _prefilter(self, cells: np.ndarray) -> None:
-        """Store the coefficients of the spectrum ``cells``, dividing it by
-        the symbol in place."""
-        m = cells.shape[-2]
-        s = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)) / 6.0
-        cells /= np.multiply.outer(s, s[: m // 2 + 1])
-        coeffs = np.fft.irfft2(cells, s=(m, m))
-        pad = [(0, 0)] * (cells.ndim - 2) + [(1, 3), (1, 3)]
-        self.m = m
-        self._coeffs = np.pad(coeffs, pad, mode="wrap")
+    def _invert_columns(self, rows: list, channels: bool) -> None:
+        """Store the coefficients: each channel's ``rows`` inverted over its
+        columns, ``TABLE_BLOCK`` values at a time, into the interior of one
+        padded table, whose wrap border is then copied from the interior.
+        The 1-d transforms are ``np.fft.irfft2``'s, so the table equals
+        ``np.pad(irfft2(...), ..., mode="wrap")`` bit for bit."""
+        m = len(rows[0])
         width = m + 4
+        coeffs = np.empty((len(rows), width, width) if channels else (width, width))
+        step = max(1, TABLE_BLOCK // m)
+        for table, part in zip(coeffs.reshape(-1, width, width), rows):
+            for first in range(0, m, step):
+                block = part[first : first + step]
+                table[1 + first : 1 + first + len(block), 1 : m + 1] = np.fft.irfft(
+                    block, n=m, axis=-1
+                )
+        # padded node i is node (i - 1) mod M; copied in this order, a
+        # border wider than M (M < 3) wraps from nodes already copied
+        wrap = ((0, m), (m + 1, 1), (m + 2, 2), (m + 3, 3))
+        inner = coeffs[..., 1 : m + 1, :]
+        for dst, src in wrap:
+            inner[..., dst] = inner[..., src]
+        for dst, src in wrap:
+            coeffs[..., dst, :] = coeffs[..., src, :]
+        self.m = m
+        self._coeffs = coeffs
         # one flat view per channel, one entry per padded node
-        self._tables = list(self._coeffs.reshape(-1, width * width))
+        self._tables = list(coeffs.reshape(-1, width * width))
         self._flat = memoryview(self._tables[0])
         self._stencil = (np.arange(4)[:, None] * width + np.arange(4))[:, :, None]
 
@@ -401,7 +435,7 @@ class CurvatureField:
                 raise ValueError("periodic part must be a square grid")
             if not np.all(np.isfinite(grid)):
                 raise ValueError("periodic part must be finite")
-            scale = max(np.abs(grid).max(), abs(self.constant), 1.0)
+            scale = max(grid.max(), -grid.min(), abs(self.constant), 1.0)
             if abs(grid.mean()) > 1e-12 * scale:
                 raise ValueError(
                     "periodic grid must have zero mean; use from_parts() to "
@@ -555,31 +589,44 @@ def periodic_from_callable(func, m: int = 256) -> np.ndarray:
     return np.asarray(func(xx, yy), dtype=float)
 
 
-def solve_torus_poisson(grid: np.ndarray) -> np.ndarray:
-    """Spectral gradient of the unit-cell Poisson solution of -lap v = H.
+def _wavenumbers(m: int) -> tuple:
+    """The wavenumbers of an (M, M//2 + 1) half-spectrum: kx of each row,
+    shape (M, 1), and ky of each column, shape (M//2 + 1,)."""
+    return np.fft.fftfreq(m, d=1.0 / m)[:, None], np.arange(m // 2 + 1, dtype=float)
 
-    ``grid`` (M, M) must have zero mean.  Returns grad v as the 2-d real DFT
-    of its grid values, channels first: the (2, M, M//2 + 1) half-spectrum
-    that ``np.fft.irfft2(..., s=(M, M))`` turns into the (2, M, M) grid.
-    One rfft2 gives H^, then grad v^ = 2 pi i k H^ / (4 pi^2 |k|^2); the
-    zero mode of v is zero, and so is the odd symbol 2 pi i k at a Nyquist
-    frequency, as the real part of the full complex solve leaves it.
+
+def _gradient_symbols(m: int) -> tuple:
+    """The symbols 2 pi i k of d/dx and d/dy on an (M, M//2 + 1)
+    half-spectrum, shapes (M, 1) and (M//2 + 1,).  Each is zero at its
+    Nyquist frequency, as the real part of the full complex solve leaves
+    the odd symbol there."""
+    kx, ky = _wavenumbers(m)
+    return (
+        np.where(2.0 * np.abs(kx) == m, 0.0, 2j * np.pi * kx),
+        np.where(2.0 * ky == m, 0.0, 2j * np.pi * ky),
+    )
+
+
+def solve_torus_poisson(grid: np.ndarray) -> np.ndarray:
+    """Spectral solution of the unit-cell Poisson equation -lap v = H.
+
+    ``grid`` (M, M) must have zero mean.  Returns v as the 2-d real DFT of
+    its grid values: the (M, M//2 + 1) half-spectrum that
+    ``np.fft.irfft2(..., s=(M, M))`` turns into the (M, M) grid.  One rfft2
+    gives H^, then v^ = H^ / (4 pi^2 |k|^2); the zero mode of v is zero.
+    grad v^ is v^ times the symbols of :func:`_gradient_symbols`.
     """
     grid = np.asarray(grid, dtype=float)
     m = grid.shape[0]
-    sup = max(np.abs(grid).max(), 1e-300)
+    sup = max(grid.max(), -grid.min(), 1e-300)
     if abs(grid.mean()) > 1e-10 * sup:
         raise NonZeroMean(f"cell mean {grid.mean():.3e} exceeds 1e-10 * sup")
     vhat = np.fft.rfft2(grid)  # H^, divided into v^ in place
-    kx = np.fft.fftfreq(m, d=1.0 / m)[:, None]
-    ky = np.arange(m // 2 + 1, dtype=float)
+    kx, ky = _wavenumbers(m)
     k2 = kx**2 + ky**2
     k2[0, 0] = np.inf  # v has no zero mode
     vhat /= 4.0 * np.pi**2 * k2
-    grad = np.empty((2,) + vhat.shape, dtype=complex)
-    np.multiply(np.where(2.0 * np.abs(kx) == m, 0.0, 2j * np.pi * kx), vhat, out=grad[0])
-    np.multiply(np.where(2.0 * ky == m, 0.0, 2j * np.pi * ky), vhat, out=grad[1])
-    return grad
+    return vhat
 
 
 def lorentz_norm_21(h2: RadialDecaying, nr: int = 8192) -> float:
@@ -607,9 +654,9 @@ class VectorPotential:
     closed form (:meth:`RadialDecaying.q_profile`; divergence equal to the
     decaying part); and the linear field ``linear_coefficient * p / 2``.
     :func:`build_potential` passes the periodic spline itself as
-    ``_spline``, built from its spectrum, and leaves ``periodic_gradient``
-    None: no grid of Q is formed.  Given node values, the spline is built
-    from them.
+    ``_spline``, built from the spectrum of each channel, and leaves
+    ``periodic_gradient`` None: no grid of Q is formed.  Given node values,
+    the spline is built from them.
     """
 
     periodic_gradient: np.ndarray | None = field(default=None, repr=False)
@@ -723,16 +770,25 @@ def build_potential(field_: CurvatureField) -> VectorPotential:
 
     Flips the sign of the periodic Poisson gradient so that div Q = +H.
     The periodic part takes one forward transform, the rfft2 of the H grid
-    in :func:`solve_torus_poisson`, and one two-channel irfft2 to the
-    spline coefficients of Q.  The radial part is the field's own
+    in :func:`solve_torus_poisson`.  One channel of Q at a time, its
+    spectrum -grad v^ is made, prefiltered and inverted over its rows, then
+    dropped; once v^ is gone too, each channel's rows are inverted over its
+    columns straight into its slot of the spline's table.  No two-channel
+    spectrum and no grid of Q exist.  The radial part is the field's own
     :class:`RadialDecaying`, whose enclosed integral is exact: no table is
     built.
     """
     spline = None
     if field_.periodic is not None:
-        # Q^ = -grad v^: both channels' coefficients from one irfft2
-        qhat = solve_torus_poisson(field_.periodic)
-        spline = _PeriodicSpline2D.from_spectrum(np.negative(qhat, out=qhat))
+        vhat = solve_torus_poisson(field_.periodic)
+        rows = []
+        for symbol in _gradient_symbols(len(vhat)):
+            # Q^ = -grad v^ of one channel, dropped once its rows are inverted
+            cells = np.multiply(symbol, vhat)
+            rows.append(_spline_rows(np.negative(cells, out=cells)))
+            del cells
+        del vhat  # before the table is made
+        spline = _PeriodicSpline2D.from_rows(rows)
     return VectorPotential(
         radial=field_.radial, linear_coefficient=field_.constant, _spline=spline
     )

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._text import rows_text
 from .curves import (
     ClosedCurve,
     _curvature,
@@ -258,8 +259,9 @@ class CylinderLift:
     def write_off(self, path) -> None:
         """ASCII OFF mesh: vertices (``x y z`` in shortest round-trip
         decimals, in the order of the flattened grid) then triangular
-        faces, written a block of theta rows at a time: about
-        ``OFF_BLOCK`` faces, or those rows' vertices."""
+        faces (``3 a b c``, through :func:`._text.rows_text`), written a
+        block of theta rows at a time: about ``OFF_BLOCK`` faces, or those
+        rows' vertices."""
         xy = [f"{x!r} {y!r} " for x, y in self.points.tolist()]
         z = [f"{v!r}\n" for v in np.log(self.r).tolist()]
         nt, nr = len(xy), len(z)
@@ -269,8 +271,9 @@ class CylinderLift:
             for start in range(0, nt, step):
                 fh.write("".join([p + q for p in xy[start : start + step] for q in z]))
             for start in range(0, nt, step):
-                faces = self.faces(np.arange(start, min(start + step, nt))).tolist()
-                fh.write("".join([f"3 {a} {b} {c}\n" for a, b, c in faces]))
+                faces = self.faces(np.arange(start, min(start + step, nt)))
+                rows = np.column_stack([np.full(len(faces), 3), faces])
+                fh.write(rows_text(rows, " ", "\n") + "\n")
 
     def conformality_residual(self) -> float:
         """Finite-difference sup of dU/dr . dU/dtheta over the mesh."""

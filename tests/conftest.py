@@ -28,6 +28,7 @@ from prescurve.fields import (
     RadialDecaying,
     VectorPotential,
     _cubic_weights,
+    _gradient_symbols,
     solve_torus_poisson,
 )
 from prescurve.immersed import (
@@ -88,6 +89,18 @@ def fourier_sum(values: np.ndarray, period: float, t) -> np.ndarray:
         if n % 2 == 0:
             out[rows] += np.multiply.outer(np.cos(np.pi * n * t[rows] / period), nyq)
     return out
+
+
+def zero_padded_resample(values: np.ndarray, m: int) -> np.ndarray:
+    """The trigonometric interpolant of N ``values`` at m > N uniform nodes,
+    from the zero-padded spectrum, scaled by a product that allocates its
+    own result: the reference that ``trig_resample(..., nodes=m)`` must
+    equal byte for byte."""
+    n = len(values)
+    coef = np.fft.rfft(values, axis=0)
+    if n % 2 == 0:
+        coef[n // 2] *= 0.5
+    return np.fft.irfft(coef, n=m, axis=0) * (m / n)
 
 
 def curvature(curve) -> np.ndarray:
@@ -236,11 +249,35 @@ def spline_at(spline, x: float, y: float) -> float:
     return total
 
 
+def gradient_spectrum(grid: np.ndarray) -> np.ndarray:
+    """grad v, -lap v = H, as the (2, M, M//2 + 1) two-channel half-spectrum,
+    channels first: ``solve_torus_poisson``'s v^ times each symbol of
+    ``fields._gradient_symbols``, stacked.  Negated, its whole-grid table
+    (``padded_coefficients``) is the one the potential's must equal."""
+    vhat = solve_torus_poisson(grid)
+    grad = np.empty((2,) + vhat.shape, dtype=complex)
+    for c, symbol in enumerate(_gradient_symbols(len(vhat))):
+        np.multiply(symbol, vhat, out=grad[c])
+    return grad
+
+
 def torus_gradient(grid: np.ndarray) -> np.ndarray:
-    """The (M, M, 2) grid of grad v, -lap v = H, from the half-spectrum
-    that ``solve_torus_poisson`` returns."""
+    """The (M, M, 2) grid of grad v, -lap v = H, from its two-channel
+    half-spectrum."""
     m = grid.shape[0]
-    return np.moveaxis(np.fft.irfft2(solve_torus_poisson(grid), s=(m, m)), 0, -1)
+    return np.moveaxis(np.fft.irfft2(gradient_spectrum(grid), s=(m, m)), 0, -1)
+
+
+def padded_coefficients(cells: np.ndarray) -> np.ndarray:
+    """The wrap-padded B-spline coefficient table of the grid whose 2-d
+    real DFT is ``cells``, (M, M//2 + 1) or (C, M, M//2 + 1) channels
+    first, built with whole-grid transforms: the symbol division, one
+    ``irfft2`` over all channels, then ``np.pad``.  The reference that
+    ``fields._PeriodicSpline2D``'s table must equal byte for byte."""
+    m = cells.shape[-2]
+    s = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)) / 6.0
+    coeffs = np.fft.irfft2(cells / np.multiply.outer(s, s[: m // 2 + 1]), s=(m, m))
+    return np.pad(coeffs, [(0, 0)] * (cells.ndim - 2) + [(1, 3), (1, 3)], mode="wrap")
 
 
 def complex_fft_potential(field: CurvatureField) -> VectorPotential:
@@ -259,6 +296,18 @@ def complex_fft_potential(field: CurvatureField) -> VectorPotential:
     gx = np.fft.ifft2(2j * np.pi * kx * vhat).real
     gy = np.fft.ifft2(2j * np.pi * ky * vhat).real
     return VectorPotential(periodic_gradient=-np.stack([gx, gy], axis=-1))
+
+
+def write_off_fstrings(lift, path) -> None:
+    """``CylinderLift.write_off`` with one f-string per face: the reference
+    that the rows_text face writer must equal byte for byte."""
+    xy = [f"{x!r} {y!r} " for x, y in lift.points.tolist()]
+    z = [f"{v!r}\n" for v in np.log(lift.r).tolist()]
+    nt, nr = len(xy), len(z)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"OFF\n{nt * nr} {2 * nt * (nr - 1)} 0\n")
+        fh.write("".join([p + q for p in xy for q in z]))
+        fh.write("".join([f"3 {a} {b} {c}\n" for a, b, c in lift.faces().tolist()]))
 
 
 def disc_scores_general(ctx, centers: np.ndarray, radius: float) -> np.ndarray:

@@ -34,6 +34,7 @@ from conftest import (
     random_loop,
     reparametrize_rebuilt,
     winding_number,
+    zero_padded_resample,
 )
 
 
@@ -602,6 +603,18 @@ def test_trig_resample_full_spectrum_off_grid(n):
         assert np.abs(exact - trig_resample(values, period, grid)).max() <= tol
         column = trig_resample(values[:, 0], period, nodes=m)
         assert np.abs(column - exact[:, 0]).max() <= tol
+
+
+@pytest.mark.parametrize("n", [15, 16, 64, 1024])
+def test_trig_resample_zero_padded_bytes(n):
+    # above N the zero-padded inverse is scaled in place: the same bytes as
+    # the scaled copy, for one column and for two
+    values = np.random.default_rng(n).normal(size=(n, 2))
+    for m in (n + 1, 2 * n + 1, 4 * n, 16 * n):
+        for data in (values, values[:, 0]):
+            got = trig_resample(data, 2.5, nodes=m)
+            want = zero_padded_resample(data, m)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,8 @@ from prescurve.fields import (
 from conftest import (
     TwoFramePoint,
     complex_fft_potential,
+    gradient_spectrum,
+    padded_coefficients,
     radial_masked,
     sup_norm,
     tabulated,
@@ -107,17 +109,47 @@ class TestTorusPoisson:
         assert np.abs(got - oracle._spline._coeffs).max() <= 16 * EPS * qmax
 
     def test_one_forward_transform(self, monkeypatch):
-        # a potential build takes the rfft2 of the H grid and one irfft2 to
-        # both channels' coefficients; no complex 2-d transform, no grid of Q
+        # a potential build takes the rfft2 of the H grid, then, a channel
+        # at a time, irfft2's two 1-d passes: the ifft over the rows of the
+        # channel's spectrum and (one block at M = 64) the irfft over its
+        # columns into the spline's table; no complex 2-d transform, no
+        # grid of Q
         field = CurvatureField.from_parts(periodic=_rough_grid(64, 3))
+        assert fields.TABLE_BLOCK // 64 >= 64
         calls = []
-        for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+        names = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2")
+        for name in names + ("fftn", "ifftn", "rfftn", "irfftn"):
             def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
         build_potential(field)
-        assert calls == ["rfft2", "irfft2"]
+        assert calls == ["rfft2", "ifft", "ifft", "irfft", "irfft"]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 33, 64, 256])
+    def test_tables_match_padded_irfft2(self, m):
+        # the field's and the potential's tables, built a channel at a time
+        # and padded in place, equal the whole-grid construction byte for
+        # byte: np.pad of one irfft2 of the field's spectrum, and of the
+        # potential's two-channel spectrum -grad v^
+        field = CurvatureField.from_parts(constant=0.3, periodic=_rough_grid(m, 8))
+        want = padded_coefficients(np.fft.rfft2(field.periodic))
+        got = field._spline._coeffs
+        assert got.shape == want.shape == (m + 4, m + 4)
+        assert got.tobytes() == want.tobytes()
+        want = padded_coefficients(np.negative(gradient_spectrum(field.periodic)))
+        got = build_potential(field)._spline._coeffs
+        assert got.shape == want.shape == (2, m + 4, m + 4)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [8, 33, 64, 256])
+    def test_node_value_table_matches_padded_irfft2(self, m, rng):
+        # a spline through (M, M, 2) node values, a channel at a time
+        grid = rng.normal(size=(m, m, 2))
+        want = padded_coefficients(np.fft.rfft2(np.moveaxis(grid, (0, 1), (-2, -1))))
+        got = VectorPotential(periodic_gradient=grid)._spline._coeffs
+        assert got.shape == want.shape == (2, m + 4, m + 4)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [8, 33, 64])
     def test_spline_node_values(self, m, rng):
@@ -854,6 +886,42 @@ class TestFieldIO:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * grid.nbytes
+
+    @staticmethod
+    def _traced_peaks(tmp_path) -> tuple:
+        """The traced peaks of ``read_field`` and of ``build_context`` on a
+        256^2 field file, each over the grid's bytes; the second counts the
+        field the read made, as a solve holds it."""
+        m = 256
+        x = np.arange(m) / m
+        grid = 0.5 * np.outer(np.sin(2 * np.pi * (x + 0.01)), np.sin(2 * np.pi * (x - 0.02)))
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"constant": 0.0, "periodic_grid": grid.tolist()}) + "\n")
+        tracemalloc.start()
+        try:
+            field = read_field(path)
+            read = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            build_context(field)
+            context = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return read / grid.nbytes, context / grid.nbytes
+
+    def test_read_peak(self, tmp_path):
+        # the spline's spectrum goes before its padded table is made, and
+        # the table is padded in place: about 4.35 times the grid's bytes
+        # in a fresh process, where the whole-grid irfft2 and np.pad took
+        # 5.30
+        read, _ = self._traced_peaks(tmp_path)
+        assert read <= 4.5
+
+    def test_context_peak(self, tmp_path):
+        # the potential's spline a channel at a time, with no two-channel
+        # spectrum and no two-channel irfft2: about 6.43 times the grid's
+        # bytes, field included, where the whole-grid build took 8.39
+        _, context = self._traced_peaks(tmp_path)
+        assert context <= 6.6
 
 
 # An int that the drawn ints never reach, written as the text -0.

@@ -30,6 +30,7 @@ from conftest import (
     pair,
     random_loop,
     tabulated,
+    write_off_fstrings,
 )
 
 
@@ -367,6 +368,15 @@ class TestCylinderLift:
         path = tmp_path / "mesh.off"
         lift.write_off(path)
         assert path.read_bytes() == reference_off(lift)
+
+    @pytest.mark.parametrize("grid", [(2, 2), (256, 33), (1024, 101)])
+    def test_off_bytes_match_fstring_writer(self, tmp_path, grid):
+        # the faces through rows_text, in blocks of theta rows, against one
+        # f-string per face; (1024, 101) has 6-digit indices
+        lift = lift_to_cylinder(circle(1.3, n=128), (0.4, 3.0), grid)
+        lift.write_off(tmp_path / "mesh.off")
+        write_off_fstrings(lift, tmp_path / "reference.off")
+        assert (tmp_path / "mesh.off").read_bytes() == (tmp_path / "reference.off").read_bytes()
 
     @pytest.mark.parametrize("grid", [(3, 2), (1, 4), (64, 33)])
     def test_faces_match_loop(self, grid):

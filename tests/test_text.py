@@ -113,6 +113,61 @@ class TestDigits:
         assert rows_text(np.array(rows), sep, row_sep) == joined(rows, sep, row_sep)
 
 
+class TestIntegers:
+    """Integer arrays: each value as ``repr`` of its int, the OFF faces'
+    separators included."""
+
+    def test_every_count_of_digits(self):
+        # every value below 10^5, and each power of ten up to 10^8 with its
+        # neighbours, where the count of leading zeros to drop changes
+        powers = np.array([10**e + d for e in range(9) for d in (-1, 0, 1)])
+        for values in (np.arange(100_000).reshape(-1, 4), powers.reshape(-1, 1)):
+            for sep, row_sep in SEPARATORS + [(" ", "\n")]:
+                assert rows_text(values, sep, row_sep) == joined(values, sep, row_sep)
+
+    def test_outside_eight_digits(self, rng):
+        # negatives and values of 10^8 and above take repr, beside values
+        # that take the lanes, in every integer kind
+        edges = [0, 7, -1, -99999999, 10**8, 2**31, 2**63 - 1, -(2**63)]
+        values = np.concatenate([edges, rng.integers(-(2**62), 2**62, size=4000)])
+        values[::3] = rng.integers(0, 10**8, size=len(values[::3]))
+        assert_int_rows(values.reshape(-1, 4))
+        assert_int_rows(np.array([[2**64 - 1, 10**8 - 1, 10**8]], dtype=np.uint64))
+        for dtype in (np.int8, np.uint8, np.int16, np.uint32):
+            info = np.iinfo(dtype)
+            assert_int_rows(np.array([[info.min, 0, info.max, 1]], dtype=dtype))
+
+    def test_blocks_of_three_words(self):
+        # one value past eight digits gives every value three words: blocks
+        # with and without such values, before and after them
+        for values in (
+            np.concatenate([[10**9], np.arange(3 * BLOCK)]),
+            np.concatenate([np.arange(3 * BLOCK), [-1]]),
+        ):
+            assert_int_rows(values.reshape(-1, 1))
+            assert_int_rows(values[1:].reshape(-1, 3))
+
+    def test_block_of_faces(self):
+        # more rows than one block, as CylinderLift.write_off gives them
+        faces = np.column_stack([np.full(3 * BLOCK, 3), np.arange(9 * BLOCK).reshape(-1, 3)])
+        assert rows_text(faces, " ", "\n") == "\n".join(
+            f"3 {a} {b} {c}" for _, a, b, c in faces.tolist()
+        )
+
+    @given(
+        st.lists(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=3, max_size=3), max_size=30),
+        st.sampled_from(SEPARATORS),
+    )
+    def test_any_int64_rows(self, rows, separators):
+        values = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        assert rows_text(values, *separators) == joined(values, *separators)
+
+
+def assert_int_rows(values):
+    for sep, row_sep in SEPARATORS:
+        assert rows_text(values, sep, row_sep) == joined(values, sep, row_sep)
+
+
 class TestLayout:
     def test_blocks(self, rng):
         # several blocks of whole rows and a short last one
