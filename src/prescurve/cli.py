@@ -15,6 +15,7 @@ import inspect
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -459,8 +460,19 @@ def cmd_check(cfg) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads a negative decimal in exponent form
+    too (``-5.3e-05``, as ``repr`` writes one) as a value, not a flag; on
+    Python 3.11 argparse reads only ``-5`` and ``-0.5`` as numbers.  Its
+    subcommands' parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prescurve",
         description="closed planar curves with prescribed curvature",
     )

@@ -163,12 +163,14 @@ class _PeriodicSpline2D:
     def lattice_stencil(self, points: np.ndarray) -> tuple:
         """The stencil of an (N, 2) array of finite points for reads at
         whole-cell shifts of them (:meth:`combine_shifted`): the (2, N)
-        integer nodes, not wrapped into the cell, and the (4, 4, N) products
-        of the two axes' weights."""
-        coords = points.T * self.m
+        integer nodes, wrapped into [0, M) so that no coordinate overflows
+        the integer cast, and the (4, 4, N) products of the two axes'
+        weights."""
+        m = self.m
+        coords = points.T * m
         nodes = np.floor(coords)
         wx, wy = _cubic_weights(coords - nodes).transpose(1, 0, 2)  # (2, 4, N)
-        return nodes.astype(np.intp), wx[:, None, :] * wy[None, :, :]
+        return (nodes % m).astype(np.intp), wx[:, None, :] * wy[None, :, :]
 
     def combine_shifted(self, stencil: tuple, shifts: np.ndarray) -> np.ndarray:
         """The spline of an (M, M) grid at the points of a lattice stencil

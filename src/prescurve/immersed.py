@@ -28,10 +28,12 @@ curve's curvature follows from the normal-graph formula in real arithmetic.
 The R-free tables (cos t, sin t and the spectral symbols) are built once
 per sample count and shared by every radius of a search.
 
-Each search is a generator that yields its fixed-point requests, so the
-searches of several loop counts (``find_radii``) run in lockstep: every
-fixed-point iteration is one pass over the stack of their live solves,
-with each row's arithmetic that of a lone solve.
+Each search is a generator that yields its fixed-point requests, and one
+routine answers them: the searches of several loop counts (``find_radii``;
+``find_radius`` is the family of one) run in lockstep, every fixed-point
+iteration one pass over the stack of their live solves, with each row's
+arithmetic that of a lone solve.  ``fixed_point_solve``, one solve on its
+own, is the batch of one.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .errors import (
     MaxIterationsExceeded,
     NoSignChange,
     NotContracting,
-    PrescurveError,
 )
 from .fields import RadialCurvature
 
@@ -65,7 +66,6 @@ __all__ = [
     "LSResult",
     "LSConfig",
     "linf_invert_perp",
-    "fixed_point_solve",
     "find_radius",
     "find_radii",
     "build_immersed_loop",
@@ -444,7 +444,7 @@ def _lockstep(searches, h: RadialCurvature, config: LSConfig, inexact: bool) -> 
         residual = np.ascontiguousarray(-linf_invert_perp(gap))
         lam1, lam2 = _multipliers(gap, grid.cos_t, grid.sin_t)
         starts = {}  # the next solve of each row whose solve stopped
-        more, first = [], []  # the rows going on after two or more iterates, after one
+        more = []  # the rows going on after two or more iterates
         defects = np.abs(residual).max(axis=1).tolist()
         for j, (solve, d, l1) in enumerate(zip(solves, defects, lam1.tolist())):
             trace = solve.trace
@@ -471,18 +471,14 @@ def _lockstep(searches, h: RadialCurvature, config: LSConfig, inexact: bool) -> 
                     f"after {config.max_iter} iterations"
                 )
                 starts[j] = reply(solve.search, exc, True)
-            else:
-                (more if len(trace) > 1 else first).append(j)
-        if len(more) == len(solves):
-            nxt = phi + _secant(phi, phi_prev, residual, res_prev)
-        else:
-            nxt = np.empty_like(phi)  # a stopped row's is refilled or dropped
-            if more:
-                mixed = _secant(phi[more], phi_prev[more], residual[more], res_prev[more])
-                nxt[more] = phi[more] + mixed
-            if first:  # a solve's first step is its residual
-                nxt[first] = phi[first] + residual[first]
-        phi_prev, res_prev, phi = phi, residual, nxt
+            elif len(trace) > 1:
+                more.append(j)
+        # a solve's first step is its residual; a stopped row's step is
+        # never read, as the row is refilled or dropped
+        step = residual.copy()
+        if more:
+            step[more] = _secant(phi[more], phi_prev[more], residual[more], res_prev[more])
+        phi_prev, res_prev, phi = phi, residual, phi + step
         settle(starts)
     return outcomes
 
@@ -552,7 +548,7 @@ def _brent(a: float, fa: float, b: float, fb: float, tol_f: float):
 
 
 def _search(n: int, h: RadialCurvature, config: LSConfig):
-    """The radius search of ``find_radius`` as a generator: it yields each
+    """One radius search of ``find_radii`` as a generator: it yields each
     fixed-point request ``(params, phi0)``, is sent that solve's
     ``FixedPoint`` or thrown its exception, and returns the ``LSResult``."""
     tol_root = config.tol_root
@@ -583,17 +579,20 @@ def _search(n: int, h: RadialCurvature, config: LSConfig):
         solved[r] = sol
         return sol.lambda1
 
-    def endpoint(r: float, other: float):
+    def endpoint(end: float, other: float):
         # Below the asymptotic regime the contraction can fail near an
         # endpoint (the inner loops dive toward the origin); walk the
         # endpoint toward the other one until the solve succeeds.
+        r = end
         for _ in range(16):
             try:
                 return r, (yield from lam1_at(r))
-            except (NotContracting, MaxIterationsExceeded):
+            except (NotContracting, MaxIterationsExceeded) as exc:
+                tried, error = r, exc
                 r = r + 0.25 * (other - r)
         raise NotContracting(
-            f"fixed point fails everywhere near the bracket end {r:g}"
+            f"fixed point fails at 16 radii walked from the bracket end {end:g} "
+            f"toward {other:g}; at the last, r = {tried:g}: {error}"
         )
 
     r0, f_lo = yield from endpoint(r0, r1)
@@ -646,7 +645,16 @@ def _search(n: int, h: RadialCurvature, config: LSConfig):
 
 
 def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> LSResult:
-    """Search the radius parameter until the cosine multiplier vanishes.
+    """The radius search of the one loop count n, ``find_radii`` of (n,):
+    returns its result or raises its exception."""
+    return next(find_radii((n,), h, config))
+
+
+def find_radii(n_list, h: RadialCurvature, config: LSConfig | None = None):
+    """Search the radius parameter of each n of ``n_list`` until the cosine
+    multiplier vanishes, the searches run in lockstep: each fixed-point
+    iteration is one pass over the live solves of all of them, and every
+    result is bit for bit that of the search run alone.
 
     The bracket ends are solved at exactly r0 and r1; Brent's method then
     runs in s = log r, because lambda1 depends on r through the power
@@ -664,28 +672,8 @@ def find_radius(n: int, h: RadialCurvature, config: LSConfig | None = None) -> L
     evaluation.  The bracket must satisfy the root-existence inequalities
     and keep R < n at r1, else ``ValueError``, and produce a sign change,
     else ``NoSignChange``; ``MaxIterationsExceeded`` if |lambda1| stays
-    above ``config.tol_root``.  Each evaluation is one call of
-    ``fixed_point_solve``; ``find_radii`` runs several searches at once.
-    """
-    config = config or LSConfig()
-    search = _search(n, h, config)
-    value, failed = None, False
-    while True:
-        try:
-            params, phi0 = search.throw(value) if failed else search.send(value)
-        except StopIteration as stop:
-            return stop.value
-        try:
-            value = fixed_point_solve(params, h, config, phi0, inexact=True)
-            failed = False
-        except PrescurveError as exc:
-            value, failed = exc, True
-
-
-def find_radii(n_list, h: RadialCurvature, config: LSConfig | None = None):
-    """``find_radius`` for each n of ``n_list``, with the searches run in
-    lockstep: each fixed-point iteration is one pass over the live solves
-    of all of them, and every result is bit for bit ``find_radius``'s.
+    above ``config.tol_root``.  Each evaluation is the solve of
+    ``fixed_point_solve(params, h, config, phi0, inexact=True)``.
 
     The searches all run before this returns.  Returns an iterator over the
     results in the order of ``n_list``, which raises, in place of a result,

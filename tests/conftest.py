@@ -37,6 +37,7 @@ from prescurve.immersed import (
     LSConfig,
     LSResult,
     _brent,
+    _search,
     default_bracket,
     fixed_point_solve,
 )
@@ -598,6 +599,22 @@ def brent(f, a, fa, b, fb, tol_f):
         return stop.value
 
 
+def search(n, h, config, first):
+    """Drive the generator ``immersed._search`` with ``fixed_point_solve``:
+    each request is answered with ``fixed_point_solve(..., inexact=True)``,
+    the first answer mapped by ``first``.  The ``LSResult`` the search
+    returns; a solve that raises raises here."""
+    steps = _search(n, h, config)
+    try:
+        params, phi0 = next(steps)
+        sol = first(fixed_point_solve(params, h, config, phi0, inexact=True))
+        while True:
+            params, phi0 = steps.send(sol)
+            sol = fixed_point_solve(params, h, config, phi0, inexact=True)
+    except StopIteration as stop:
+        return stop.value
+
+
 def find_radius_sequential(n, h, config=None):
     """The radius search of ``find_radius``, written as one loop of calls:
     ``fixed_point_solve`` per evaluation, the bracket-end walk, then
@@ -625,13 +642,18 @@ def find_radius_sequential(n, h, config=None):
         solved[r] = sol
         return sol.lambda1
 
-    def endpoint(r, other):
+    def endpoint(end, other):
+        r = end
         for _ in range(16):
             try:
                 return r, lam1_at(r)
-            except (NotContracting, MaxIterationsExceeded):
+            except (NotContracting, MaxIterationsExceeded) as exc:
+                tried, error = r, exc
                 r = r + 0.25 * (other - r)
-        raise NotContracting(f"fixed point fails everywhere near the bracket end {r:g}")
+        raise NotContracting(
+            f"fixed point fails at 16 radii walked from the bracket end {end:g} "
+            f"toward {other:g}; at the last, r = {tried:g}: {error}"
+        )
 
     r0, f_lo = endpoint(r0, r1)
     r1, f_hi = endpoint(r1, r0)

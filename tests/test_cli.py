@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import prescurve
-from prescurve.cli import _config_args, main
+from prescurve.cli import _build_parser, _config_args, main
 from prescurve.curves import ClosedCurve, circle, read_curve, write_curve
 from prescurve.fields import CurvatureField, periodic_from_callable
 from prescurve.immersed import LSConfig
@@ -556,6 +556,15 @@ def test_one_process_commands_take_only_jobs_1(tmp_path, capsys, command, jobs):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["-2.5", "-1e-1", "-5.3e-05", "-1E5"])
+@pytest.mark.parametrize("command, flag", [("solve", "--tau"), ("check", "--lam")])
+def test_negative_number_flag_values(command, flag, value):
+    # repr writes a small |lambda| in exponent form, and check --lam takes
+    # it as printed: a negative number in any float form is a value
+    args = _build_parser().parse_args([command, flag, value])
+    assert getattr(args, flag[2:]) == float(value)
+
+
 def test_radial_params_beta_exit_2(tmp_path, capsys):
     _radial_params_exit_2(tmp_path, capsys, {"A": 1.0, "gamma": 2.0, "beta": 0.5}, "'beta'")
 
@@ -913,6 +922,24 @@ class TestImmersed:
         assert errors[0].startswith("numerical failure: lambda1(")
         assert errors == [errors[0]] * 3
         assert not (tmp_path / "out" / "immersed_results.json").exists()
+
+    def test_endpoint_walk_names_its_end_and_cause(self, tmp_path, capsys):
+        # with one iteration no fixed point converges: the walk from the
+        # lower end r0 = 0.225 toward r1 = 2.2 fails at all 16 radii it
+        # tries, and the message names r0, the last radius tried and the
+        # last solve's error
+        cfg = tmp_path / "cfg.json"
+        doc = {"radial_params": {"A": 1.0, "gamma": 2.0}, "n_list": [32], "max_iter": 1}
+        cfg.write_text(json.dumps(doc))
+        assert main(["immersed", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        r = 0.225
+        for _ in range(15):
+            r += 0.25 * (2.2 - r)
+        assert capsys.readouterr().err == (
+            "numerical failure: fixed point fails at 16 radii walked from the "
+            f"bracket end 0.225 toward 2.2; at the last, r = {r:g}: fixed-point "
+            "defect not below 1e-10 after 1 iterations\n"
+        )
 
     def test_loop_order_keeps_curve_bytes(self, tmp_path):
         # each curve file is the same whichever loops share its call, in

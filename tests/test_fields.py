@@ -831,6 +831,21 @@ class TestScipyOracles:
             want = spline.combine(spline.stencil(pts + shift / m))
             assert np.abs(row - want).max() <= 1e-14 * scale
 
+    @pytest.mark.parametrize("scale", [1e40, 1e300])
+    def test_lattice_stencil_of_huge_points(self, scale, rng):
+        # a point whose x*M passes 2^63 has its node wrapped into [0, M)
+        # before the integer cast, which would overflow (a RuntimeWarning,
+        # an error under the suite's filterwarnings); such a point is a
+        # whole number of cells, so the read is that of combine
+        m = 8
+        spline = _PeriodicSpline2D(_rough_grid(m, 7))
+        pts = scale * rng.normal(size=(50, 2))
+        stencil = spline.lattice_stencil(pts)
+        np.testing.assert_array_equal(stencil[0], np.floor(pts.T * m) % m)
+        got = spline.combine_shifted(stencil, np.zeros((1, 2), dtype=np.intp))
+        want = spline.combine(spline.stencil(pts))
+        assert np.abs(got[0] - want).max() <= 1e-14 * np.abs(spline._coeffs).max()
+
     @pytest.mark.parametrize("nodes", ["uniform", "nonuniform"])
     def test_spline_matches_cubic_spline(self, nodes, rng):
         if nodes == "uniform":

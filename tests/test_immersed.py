@@ -38,6 +38,7 @@ from conftest import (
     perturbed,
     project_perp,
     sderiv,
+    search,
     verify_second_multiplier,
     winding_number,
 )
@@ -356,42 +357,25 @@ class TestFindRadius:
         assert res.stop_reason == "tol_root"
         assert abs(res.lambda1) <= LSConfig().tol_root < abs(res.trace[0][1])
 
-    def test_stop_reason_bracket_end(self, h_model, monkeypatch):
+    def test_stop_reason_bracket_end(self, h_model):
         # lambda1 exactly 0 at the lower end: that end is the radius, and
         # no search runs past the two bracket ends
-        solve = immersed.fixed_point_solve
-        calls = []
-
-        def zero_at_first_end(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            calls.append(args)
-            return sol._replace(lambda1=0.0) if len(calls) == 1 else sol
-
-        monkeypatch.setattr(immersed, "fixed_point_solve", zero_at_first_end)
-        res = find_radius(64, h_model)
+        res = search(64, h_model, LSConfig(), lambda sol: sol._replace(lambda1=0.0))
         assert res.stop_reason == "bracket_end"
         assert res.r == default_bracket(h_model)[0]
         assert res.lambda1 == 0.0 and res.radius_evals == 2
 
     @pytest.mark.parametrize("amp, gamma", FAMILY)
-    def test_bracket_end_accepted_by_brent(self, amp, gamma, monkeypatch):
+    def test_bracket_end_accepted_by_brent(self, amp, gamma):
         # |lambda1| within tol_root but not 0 at the lower end: Brent's
         # method, run in log r, accepts that end at once, and the result is
         # the radius solved there, r0 itself (at (-0.5, 1.5),
         # exp(log r0) != r0)
-        solve = immersed.fixed_point_solve
-        calls = []
+        def small(sol):
+            return sol._replace(lambda1=math.copysign(1e-12, sol.lambda1))
 
-        def small_at_first_end(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            calls.append(args)
-            if len(calls) == 1:
-                sol = sol._replace(lambda1=math.copysign(1e-12, sol.lambda1))
-            return sol
-
-        monkeypatch.setattr(immersed, "fixed_point_solve", small_at_first_end)
         h = RadialCurvature(A=amp, gamma=gamma)
-        res = find_radius(64, h)
+        res = search(64, h, LSConfig(), small)
         assert res.stop_reason == "tol_root"
         assert res.r == default_bracket(h)[0]
         assert abs(res.lambda1) == 1e-12 and res.radius_evals == 2
@@ -481,6 +465,22 @@ class TestFamily:
 
     def test_find_radius_matches_sequential_oracle(self, h_model):
         assert_same_result(find_radius(64, h_model), find_radius_sequential(64, h_model))
+
+    def test_one_lockstep_run_per_call(self, h_model, monkeypatch):
+        # find_radius is the family of one: its whole search, and that of
+        # build_immersed_loop, is one lockstep run, not one per evaluation
+        lockstep = immersed._lockstep
+        calls = []
+
+        def counted(searches, *args, **kwargs):
+            calls.append(len(searches))
+            return lockstep(searches, *args, **kwargs)
+
+        monkeypatch.setattr(immersed, "_lockstep", counted)
+        find_radius(64, h_model)
+        assert calls == [1]
+        build_immersed_loop(64, h_model)
+        assert calls == [1, 1]
 
     @pytest.mark.parametrize("n_list", [(16,), (64, 16), (16, 64), (128, 64, 16, 2)])
     def test_failing_search_raises_in_list_order(self, h_model, n_list):
