@@ -29,7 +29,7 @@ def main():
         lambda x, y: args.amplitude * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y),
         m=256,
     )
-    field = CurvatureField.from_parts(periodic=grid)
+    field = CurvatureField(periodic=grid)
     ctx = build_context(field)
     taus = np.geomspace(10 ** (-args.decades / 2), 10 ** (args.decades / 2), args.points)
     rows = sweep_isoperimetric(ctx, taus, MinimizeOptions())

@@ -39,7 +39,7 @@ def main():
     grid = periodic_from_callable(
         lambda x, y: 0.4 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y), m=256
     )
-    field = CurvatureField.from_parts(periodic=grid)
+    field = CurvatureField(periodic=grid)
     ctx = build_context(field)
     res = minimize_area_constrained(ctx, 1.0)
     du = derivative(res.curve, 1)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._read import read_json, read_numeric
+from ._read import read_json
 from ._text import rows_text
 from .curves import derivative, length, read_curve, write_curve
 from .energy import build_context
@@ -112,17 +112,20 @@ def _config_path(cfg, key: str) -> Path:
     return path
 
 
-def _load_field(cfg) -> CurvatureField:
-    if "field" not in cfg:
-        raise ValueError("no field given (config key 'field' or --field PATH)")
-    value = cfg["field"]
+def _load_field(cfg, key: str = "field") -> tuple:
+    """The field document under ``key`` (``field``, or ``b_field``): a file
+    path, read by ``fields.read_field``, or an inline object, parsed by
+    ``fields.field_from_dict``.  Returns the field and the
+    ``RadialCurvature`` of its ``radial_params`` (None without them);
+    ``ValueError`` naming the key when it is absent or neither."""
+    if key not in cfg:
+        raise ValueError(f"no field given (config key '{key}')")
+    value = cfg[key]
     if isinstance(value, str):
-        return read_field(_config_path(cfg, "field"))
+        return read_field(_config_path(cfg, key))
     if not isinstance(value, dict):
-        raise ValueError(
-            f"config key 'field' must be a file path or a JSON object, got {value!r}"
-        )
-    return field_from_dict(value)[0]
+        raise ValueError(f"config key '{key}' must be a file path or a JSON object, got {value!r}")
+    return field_from_dict(value)
 
 
 def _warn_hypotheses(field: CurvatureField) -> None:
@@ -238,7 +241,7 @@ def _results_text(docs) -> str:
 
 
 def cmd_solve(cfg) -> int:
-    field = _load_field(cfg)
+    field = _load_field(cfg)[0]
     _warn_hypotheses(field)
     tau = cfg.get("tau")
     if tau is not None:
@@ -274,7 +277,7 @@ def cmd_solve(cfg) -> int:
 
 
 def cmd_sweep(cfg) -> int:
-    field = _load_field(cfg)
+    field = _load_field(cfg)[0]
     _warn_hypotheses(field)
     grid = check_tau_grid(_config_list(cfg, "tau_grid", float, default=()))
     kwargs = _config_args(cfg, sweep_isoperimetric)
@@ -312,13 +315,14 @@ def cmd_immersed(cfg) -> int:
     params = cfg.get("radial_params")
     if params is not None:
         h = radial_curvature_from_dict(params)
-    elif isinstance(cfg.get("field"), str):
-        path = _config_path(cfg, "field")
-        h = field_from_dict(read_numeric(path))[1]
+    elif "field" in cfg:
+        h = _load_field(cfg)[1]
         if h is None:
-            raise ValueError(f"config key 'field': {path} has no 'radial_params'")
+            value = cfg["field"]
+            where = value if isinstance(value, str) else "the inline object"
+            raise ValueError(f"config key 'field': {where} has no 'radial_params'")
     else:
-        raise ValueError("need 'radial_params' or a field file with them")
+        raise ValueError("need 'radial_params' or a 'field' with them")
 
     n_list = _config_list(cfg, "n_list", int, default=(32, 64))
     if min(n_list) < 2:
@@ -380,9 +384,11 @@ def cmd_magnetic(cfg) -> int:
         # so the transverse orbit follows the shifted-curvature loop
         lam = _config_lam(cfg)
         scale = -kwargs["mass"] * kwargs["speed"] / charge
-        b = read_field(_config_path(cfg, "b_field")).mapped_at(scale, lam)
+        field = _load_field(cfg, "b_field")[0]
+        _warn_hypotheses(field)
+        b = field.mapped_at(scale, lam)
     else:
-        raise ValueError("need a field strength 'b' or a 'b_field' file")
+        raise ValueError("need a field strength 'b' or a 'b_field'")
     mc = MagneticConfig(b=b, **kwargs)
     if not math.isfinite(mc.v_parallel * mc.t_final):
         raise PrescurveError("the axial position v_parallel * t_final overflows")
@@ -419,7 +425,7 @@ def cmd_cylinder(cfg) -> int:
     lift = lift_to_cylinder(curve, **kwargs)
     out = _out_dir(cfg)
     lift.write_off(out / "cylinder.off")
-    z = lift.vertices[:, :, 2]
+    z = np.log(lift.r)
     _write_json(
         out / "cylinder_report.json",
         {
@@ -438,7 +444,8 @@ def cmd_check(cfg) -> int:
         raise ValueError(f"config key 'tol' must be positive, got {tol!r}")
     lam = _config_lam(cfg)
     curve = read_curve(_config_path(cfg, "curve"))
-    field = _load_field(cfg)
+    field = _load_field(cfg)[0]
+    _warn_hypotheses(field)
     report = verify_solution(curve, field, lam)
     # closure of the curvature ODE restarted from the curve's initial data
     du = derivative(curve, 1)

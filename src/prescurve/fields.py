@@ -78,14 +78,14 @@ def _spline_rows(cells: np.ndarray) -> np.ndarray:
 class _PeriodicSpline2D:
     """Cubic B-spline interpolation of unit-cell data, exactly 1-periodic.
 
-    ``grid[i, j]`` is the value at ``(i/M, j/M)``.  An (M, M, C) grid gives
-    C channels that share each point's stencil indices and weights.
+    ``grid[i, j]`` of an (M, M) grid is the value at ``(i/M, j/M)``.
+    :meth:`from_rows` builds C channels that share each point's stencil
+    indices and weights, from channels whose DFT a caller already has.
 
     The coefficients are the grid's 2-d real DFT divided by the sampled
     B-spline symbol s(kx) s(ky), s(k) = (4 + 2 cos 2 pi k/M)/6, which is
     real and even, so the inverse transform is real.  They are built a
-    channel at a time (:func:`_spline_rows`, then :meth:`_invert_columns`);
-    :meth:`from_rows` starts from channels whose DFT a caller already has.
+    channel at a time (:func:`_spline_rows`, then :meth:`_invert_columns`).
     They are stored once, channels first (each channel one contiguous
     (M + 4, M + 4) block), and wrap-padded by one node before and three
     after on each axis, so no stencil index needs a wrap: ``(x*M) % M``
@@ -96,9 +96,7 @@ class _PeriodicSpline2D:
     """
 
     def __init__(self, grid: np.ndarray):
-        planes = [grid] if grid.ndim == 2 else [grid[:, :, c] for c in range(grid.shape[2])]
-        # each channel's spectrum goes once its rows are inverted
-        self._invert_columns([_spline_rows(np.fft.rfft2(p)) for p in planes], grid.ndim == 3)
+        self._invert_columns([_spline_rows(np.fft.rfft2(grid))], channels=False)
 
     @classmethod
     def from_rows(cls, rows: list) -> _PeriodicSpline2D:
@@ -420,10 +418,12 @@ class RadialDecaying:
 class CurvatureField:
     """Curvature H = constant + periodic(p) + decaying(|p|).
 
-    ``periodic`` is an M x M grid of zero-mean values on the unit cell
-    (``periodic[i, j] = H1(i/M, j/M)``); use :meth:`from_parts` to fold a
-    nonzero grid mean into the constant.  ``radial`` tends to zero at
-    infinity.
+    ``periodic`` is a nonempty M x M grid of finite values on the unit cell
+    (``periodic[i, j] = H1(i/M, j/M)``); its mean is folded into the
+    constant, so the stored grid has zero mean.  ``radial`` tends to zero
+    at infinity.  ``ValueError`` when the grid is not a nonempty square, or
+    it, its mean or the constant plus that mean is not finite in floating
+    point.
     """
 
     constant: float = 0.0
@@ -431,36 +431,29 @@ class CurvatureField:
     radial: RadialDecaying | None = None
 
     def __post_init__(self):
+        constant = float(self.constant)
+        spline = point = None
         if self.periodic is not None:
             grid = np.ascontiguousarray(self.periodic, dtype=float)
-            if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
-                raise ValueError("periodic part must be a square grid")
-            if not np.all(np.isfinite(grid)):
-                raise ValueError("periodic part must be finite")
-            scale = max(grid.max(), -grid.min(), abs(self.constant), 1.0)
-            if abs(grid.mean()) > 1e-12 * scale:
-                raise ValueError(
-                    "periodic grid must have zero mean; use from_parts() to "
-                    "fold the mean into the constant"
-                )
+            if grid.ndim != 2 or grid.shape[0] != grid.shape[1] or not grid.size:
+                raise ValueError(f"periodic part must be a nonempty square grid, got {grid.shape}")
+            # a non-finite entry or an overflowing sum makes the mean, and so
+            # every entry less it, non-finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = grid.mean()
+                grid = grid - mean
+            constant += float(mean)
+            if not (np.isfinite(grid).all() and math.isfinite(constant)):
+                raise ValueError("periodic part, its mean and the constant plus it must be finite")
             object.__setattr__(self, "periodic", grid)
             spline = _PeriodicSpline2D(grid)
-            point = _SplinePoint(spline, float(self.constant))
+            point = _SplinePoint(spline, constant)
             if self.radial is None:
                 # H is the constant plus the spline: one frame a point (see at)
                 object.__setattr__(self, "at", point.at)
-        else:
-            spline = point = None
+        object.__setattr__(self, "constant", constant)
         object.__setattr__(self, "_spline", spline)
         object.__setattr__(self, "_point", point)
-
-    @classmethod
-    def from_parts(cls, constant=0.0, periodic=None, radial=None):
-        if periodic is not None:
-            periodic = np.asarray(periodic, dtype=float)
-            constant = float(constant) + float(periodic.mean())
-            periodic = periodic - periodic.mean()
-        return cls(constant=float(constant), periodic=periodic, radial=radial)
 
     def value(self, points) -> np.ndarray:
         """H at an (..., 2) array of plane points: :func:`h_and_q`'s H half."""
@@ -647,32 +640,20 @@ def lorentz_norm_21(h2: RadialDecaying, nr: int = 8192) -> float:
 
 @dataclass(frozen=True)
 class VectorPotential:
-    """Composite field Q with div Q = H.
+    """Composite field Q with div Q = H, as :func:`build_potential` makes it.
 
-    Parts: a periodic gradient, the two-channel cubic B-spline through the
-    (M, M, 2) node values ``periodic_gradient`` (divergence equal to the
-    periodic part of H); the radial part ``F(|p|) p/|p|^2`` of the field's
-    own :class:`RadialDecaying` ``radial``, F(r) = int_0^r s h2(s) ds in
-    closed form (:meth:`RadialDecaying.q_profile`; divergence equal to the
-    decaying part); and the linear field ``linear_coefficient * p / 2``.
-    :func:`build_potential` passes the periodic spline itself as
-    ``_spline``, built from the spectrum of each channel, and leaves
-    ``periodic_gradient`` None: no grid of Q is formed.  Given node values,
-    the spline is built from them.
+    Parts: a periodic gradient, the two-channel cubic B-spline ``_spline``
+    built from the spectrum of each channel (divergence equal to the
+    periodic part of H; no grid of Q is formed); the radial part
+    ``F(|p|) p/|p|^2`` of the field's own :class:`RadialDecaying`
+    ``radial``, F(r) = int_0^r s h2(s) ds in closed form
+    (:meth:`RadialDecaying.q_profile`; divergence equal to the decaying
+    part); and the linear field ``linear_coefficient * p / 2``.
     """
 
-    periodic_gradient: np.ndarray | None = field(default=None, repr=False)
     radial: RadialDecaying | None = field(default=None, repr=False)
     linear_coefficient: float = 0.0
     _spline: _PeriodicSpline2D | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.periodic_gradient is not None:
-            g = np.ascontiguousarray(self.periodic_gradient, dtype=float)
-            if g.ndim != 3 or g.shape[2] != 2 or g.shape[0] != g.shape[1]:
-                raise ValueError("periodic_gradient must have shape (M, M, 2)")
-            object.__setattr__(self, "periodic_gradient", g)
-            object.__setattr__(self, "_spline", _PeriodicSpline2D(g))
 
     def sup_periodic(self) -> float:
         """max |Q| of the periodic part over the grid nodes."""
@@ -850,7 +831,8 @@ def field_from_dict(doc) -> tuple:
     object or has a key outside that set, the constant is not a finite
     number, "radial" is not an object with exactly "r" and "h" that makes a
     :class:`RadialDecaying` table, an array is ragged or holds a
-    non-number, or "radial_params" fails :func:`radial_curvature_from_dict`.
+    non-number, "periodic_grid" fails :class:`CurvatureField`'s checks, or
+    "radial_params" fails :func:`radial_curvature_from_dict`.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a field must be a JSON object, not {type(doc).__name__}")
@@ -868,15 +850,13 @@ def field_from_dict(doc) -> tuple:
     periodic = doc.get("periodic_grid")
     if periodic is not None:
         periodic = _numbers(periodic, "periodic_grid")
+    constant = _number("constant", doc.get("constant", 0.0))
+    try:
+        field_ = CurvatureField(constant=constant, periodic=periodic, radial=radial)
+    except ValueError as exc:
+        raise ValueError(f"key 'periodic_grid': {exc}") from None
     params = doc.get("radial_params")
-    return (
-        CurvatureField.from_parts(
-            constant=_number("constant", doc.get("constant", 0.0)),
-            periodic=periodic,
-            radial=radial,
-        ),
-        None if params is None else radial_curvature_from_dict(params),
-    )
+    return field_, None if params is None else radial_curvature_from_dict(params)
 
 
 def radial_curvature_from_dict(params) -> RadialCurvature:
@@ -893,6 +873,9 @@ def radial_curvature_from_dict(params) -> RadialCurvature:
     )
 
 
-def read_field(path) -> CurvatureField:
-    """Read a field file; see :func:`field_from_dict` for the format."""
-    return field_from_dict(read_numeric(path))[0]
+def read_field(path) -> tuple:
+    """Read a field file: the :class:`CurvatureField` and the
+    :class:`RadialCurvature` of its "radial_params" (None without that
+    key), as :func:`field_from_dict` returns them; see there for the
+    format."""
+    return field_from_dict(read_numeric(path))

@@ -227,22 +227,20 @@ def _graph(ans: _Ansatz, phi, dphi, d2phi):
     + (kappa s A + phi'') nu for A = s (1 - kappa phi), so
     K(w) = (A (kappa s A + phi'') - phi' (A' - kappa s phi')) / |w'|^3 with
     |w'|^2 = A^2 + phi'^2, and |w|^2 = |u|^2 + (2 u . nu + phi) phi.
-    Rows of (B, N) arrays are B curves; the ``DegenerateSpeed`` raised when
-    a curve loses regularity holds their indices in ``rows``.
+    Rows of (B, N) arrays are B curves.  Also returns whether each curve
+    has lost regularity, its speed nearly vanishing: a bool, or a (B,)
+    array.  Such a curve's K may be infinite or NaN, with no warning.
     """
     A = ans.s - ans.ks * phi
     dA = ans.ds - ans.dks * phi - ans.ks * dphi
     speed2 = A * A + dphi * dphi
     degenerate = speed2.min(axis=-1) <= 1e-24 * speed2.max(axis=-1)
-    if degenerate.any():
-        exc = DegenerateSpeed("normal perturbation destroys regularity")
-        exc.rows = np.flatnonzero(degenerate)
-        raise exc
     cross = A * (ans.ks * A + d2phi) - dphi * (dA - ans.ks * dphi)
-    kappa = cross / (speed2 * np.sqrt(speed2))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kappa = cross / (speed2 * np.sqrt(speed2))
     # rounding can take |w|^2 a hair below 0 where w passes the origin
     dist = np.sqrt(np.maximum(ans.u2 + (2.0 * ans.unu + phi) * phi, 0.0))
-    return dist, kappa
+    return dist, kappa, degenerate
 
 
 def _radial_rate(ans: _Ansatz, phi, dphi) -> np.ndarray:
@@ -431,22 +429,22 @@ def _lockstep(searches, h: RadialCurvature, config: LSConfig, inexact: bool) -> 
     while solves:
         ans = _Ansatz(*stack)
         dphi, d2phi = _along_rows(phi, jet)
-        try:
-            dist, kappa = _graph(ans, phi, dphi, d2phi)
-        except DegenerateSpeed as exc:
-            # those rows' solves raise; the others evaluate again
-            settle({
-                j: reply(solves[j].search, DegenerateSpeed(*exc.args), True)
-                for j in exc.rows.tolist()
-            })
-            continue
-        gap = kappa - h(dist)
-        residual = np.ascontiguousarray(-linf_invert_perp(gap))
-        lam1, lam2 = _multipliers(gap, grid.cos_t, grid.sin_t)
+        dist, kappa, degenerate = _graph(ans, phi, dphi, d2phi)
+        # a degenerate row's K need not be finite, and what follows from it
+        # is never read
+        with np.errstate(invalid="ignore", over="ignore"):
+            gap = kappa - h(dist)
+            residual = np.ascontiguousarray(-linf_invert_perp(gap))
+            lam1, lam2 = _multipliers(gap, grid.cos_t, grid.sin_t)
         starts = {}  # the next solve of each row whose solve stopped
         more = []  # the rows going on after two or more iterates
         defects = np.abs(residual).max(axis=1).tolist()
-        for j, (solve, d, l1) in enumerate(zip(solves, defects, lam1.tolist())):
+        rows = zip(solves, defects, lam1.tolist(), degenerate.tolist())
+        for j, (solve, d, l1, lost) in enumerate(rows):
+            if lost:
+                exc = DegenerateSpeed("normal perturbation destroys regularity")
+                starts[j] = reply(solve.search, exc, True)
+                continue
             trace = solve.trace
             if trace and d > trace[-1]:
                 solve.growing += 1
@@ -721,7 +719,9 @@ def build_immersed_loop(
     jet = np.stack([phi, *_jet(phi, 2.0 * np.pi)], axis=1)
     big = trig_resample(jet, 2.0 * np.pi, nodes=num_total)[at]
     # curvature does not depend on the parametrization, so K is taken in t
-    dist, kappa = _graph(ans, big[:, 0], big[:, 1], big[:, 2])
+    dist, kappa, degenerate = _graph(ans, big[:, 0], big[:, 1], big[:, 2])
+    if degenerate:
+        raise DegenerateSpeed("normal perturbation destroys regularity")
     min_dist = float(dist.min())
     if min_dist <= h.s0:
         raise ValueError(

@@ -27,8 +27,8 @@ from .curves import (
     _derivative_symbol,
     _jet,
     _length,
+    _speed,
     apply_symbol,
-    length,
     reparametrize_constant_speed,
     rot90,
     trig_resample,
@@ -219,12 +219,14 @@ class CylinderLift:
     The mesh is the product of the ntheta curve points and the nr values of
     log r, so it is stored as those two factors; ``vertices`` builds the
     (ntheta, nr, 3) grid from them, and ``write_off`` formats each point
-    and each log r once.
+    and each log r once.  ``speed`` is |u'(theta)| at the samples of the
+    reparametrized curve, 1 where theta is arclength.
     """
 
     theta: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
     points: np.ndarray = field(repr=False)  # (ntheta, 2)
+    speed: np.ndarray = field(repr=False)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -276,12 +278,10 @@ class CylinderLift:
                 fh.write(rows_text(rows, " ", "\n") + "\n")
 
     def conformality_residual(self) -> float:
-        """Finite-difference sup of dU/dr . dU/dtheta over the mesh."""
-        v = self.vertices
-        du_theta = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / 2.0
-        du_r = np.gradient(v, axis=1)
-        dots = np.einsum("ijk,ijk->ij", du_theta, du_r)
-        return float(np.abs(dots).max())
+        """max | |u'(theta)| - 1 |: how far theta is from arclength.  The
+        coordinate lines are orthogonal by construction, so the lift is
+        conformal in (theta, log r) exactly when the curve has unit speed."""
+        return float(np.abs(self.speed - 1.0).max())
 
 
 def lift_to_cylinder(
@@ -297,10 +297,12 @@ def lift_to_cylinder(
     if not 0 < r_lo < r_hi:
         raise ValueError(f"'r_range' must have 0 < r_min < r_max, got {list(r_range)!r}")
     cs = reparametrize_constant_speed(curve)
-    total = length(cs)
+    speed = _speed(cs)
+    total = _length(cs, speed)
     theta = total * np.arange(ntheta) / ntheta
     pts = trig_resample(cs.samples, cs.period, nodes=ntheta)
-    return CylinderLift(theta=theta, r=np.geomspace(r_lo, r_hi, nr), points=pts)
+    speed = speed * (cs.period / total)  # |u'(theta)|, as theta = total t / period
+    return CylinderLift(theta=theta, r=np.geomspace(r_lo, r_hi, nr), points=pts, speed=speed)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,10 @@ from prescurve.errors import (
 from prescurve.fields import (
     CurvatureField,
     RadialDecaying,
-    VectorPotential,
     _cubic_weights,
     _gradient_symbols,
+    _PeriodicSpline2D,
+    _spline_rows,
     solve_torus_poisson,
 )
 from prescurve.immersed import (
@@ -281,11 +282,19 @@ def padded_coefficients(cells: np.ndarray) -> np.ndarray:
     return np.pad(coeffs, [(0, 0)] * (cells.ndim - 2) + [(1, 3), (1, 3)], mode="wrap")
 
 
-def complex_fft_potential(field: CurvatureField) -> VectorPotential:
-    """The periodic part of the vector potential as it was built by a full
-    complex-FFT Poisson solve: fft2 of the H grid, one ifft2 per component
-    of grad v (real parts), then the spline through the grid of Q = -grad v,
-    which takes a second forward transform."""
+def node_value_spline(grid: np.ndarray) -> _PeriodicSpline2D:
+    """The cubic B-spline through the node values of an (M, M, C) grid, C
+    channels, channels first: each channel's rfft2 and first inverse pass
+    (``fields._spline_rows``), then ``_PeriodicSpline2D.from_rows``."""
+    rows = [_spline_rows(np.fft.rfft2(grid[:, :, c])) for c in range(grid.shape[2])]
+    return _PeriodicSpline2D.from_rows(rows)
+
+
+def complex_fft_q(field: CurvatureField) -> np.ndarray:
+    """The (M, M, 2) grid of the periodic part of the vector potential, Q =
+    -grad v, as it was built by a full complex-FFT Poisson solve: fft2 of
+    the H grid, then one ifft2 per component of grad v (real parts).  Its
+    spline (``node_value_spline``) takes a second forward transform."""
     grid = field.periodic
     m = grid.shape[0]
     hhat = np.fft.fft2(grid)
@@ -296,7 +305,7 @@ def complex_fft_potential(field: CurvatureField) -> VectorPotential:
         vhat = np.where(k2 > 0, hhat / (4.0 * np.pi**2 * k2), 0.0)
     gx = np.fft.ifft2(2j * np.pi * kx * vhat).real
     gy = np.fft.ifft2(2j * np.pi * ky * vhat).real
-    return VectorPotential(periodic_gradient=-np.stack([gx, gy], axis=-1))
+    return -np.stack([gx, gy], axis=-1)
 
 
 def write_off_fstrings(lift, path) -> None:

@@ -72,7 +72,7 @@ def sine_field_half():
     grid = periodic_from_callable(
         lambda x, y: 0.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y), m=256
     )
-    return build_context(CurvatureField.from_parts(periodic=grid))
+    return build_context(CurvatureField(periodic=grid))
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ def model_radial():
 
 def test_criterion_01_classical_isoperimetry():
     start = time.monotonic()
-    ctx = build_context(CurvatureField.from_parts(constant=0.0))
+    ctx = build_context(CurvatureField(constant=0.0))
     taus = np.geomspace(0.1, 10.0, 10)
     worst_ratio = 0.0
     worst_circle = 0.0
@@ -105,7 +105,7 @@ def test_criterion_02_constant_curvature_circles():
     worst_radius = 0.0
     worst_lam = 0.0
     for h0 in (0.5, 1.0, 2.0):
-        ctx = build_context(CurvatureField.from_parts(constant=h0))
+        ctx = build_context(CurvatureField(constant=h0))
         tau = -math.pi / h0**2  # K = +h0 circle area under the convention
         res = minimize_area_constrained(ctx, tau)
         assert res.converged
@@ -136,7 +136,7 @@ def test_criterion_03_potential_bounds_and_divergence():
         grid -= grid.mean()
         amp, width = rng.uniform(0.02, 0.1), rng.uniform(0.5, 1.5)
         rad = tabulated(lambda r, a=amp, w=width: a * np.exp(-((r / w) ** 2)))
-        field = CurvatureField.from_parts(
+        field = CurvatureField(
             constant=rng.uniform(-0.5, 0.5), periodic=grid, radial=rad
         )
         assert field.admissibility()["combined_ok"]
@@ -162,7 +162,7 @@ def test_criterion_03_potential_bounds_and_divergence():
 
 
 def test_criterion_04_winding_divergence_identity(sine_field_half):
-    field = CurvatureField.from_parts(
+    field = CurvatureField(
         constant=1.0, periodic=sine_field_half.field.periodic
     )
     ctx = build_context(field)
@@ -459,7 +459,7 @@ def test_criterion_12_simplicity_of_weak_field_minimizers():
     grid = periodic_from_callable(
         lambda x, y: 0.1 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y), m=256
     )
-    ctx = build_context(CurvatureField.from_parts(periodic=grid))
+    ctx = build_context(CurvatureField(periodic=grid))
     all_simple = True
     for tau in (0.5, 0.875, 1.25, 1.625, 2.0):
         res = minimize_area_constrained(ctx, tau)

@@ -27,7 +27,7 @@ from conftest import TwoFramePoint, write_field
 @pytest.fixture
 def field_zero(tmp_path):
     path = tmp_path / "field0.json"
-    write_field(CurvatureField.from_parts(constant=0.0), path)
+    write_field(CurvatureField(constant=0.0), path)
     return str(path)
 
 
@@ -37,7 +37,7 @@ def field_periodic(tmp_path):
         lambda x, y: 0.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y), m=128
     )
     path = tmp_path / "fieldp.json"
-    write_field(CurvatureField.from_parts(periodic=grid), path)
+    write_field(CurvatureField(periodic=grid), path)
     return str(path)
 
 
@@ -45,7 +45,7 @@ def field_periodic(tmp_path):
 def field_radial(tmp_path):
     path = tmp_path / "fieldr.json"
     write_field(
-        CurvatureField.from_parts(constant=0.0),
+        CurvatureField(constant=0.0),
         path,
         radial_params={"A": 1.0, "gamma": 2.0},
     )
@@ -86,19 +86,29 @@ class TestSolve:
         code = main(["solve", "--field", field_zero, "--tau", "0"])
         assert code == 2
 
-    def test_inadmissible_field_warns_but_runs(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["solve", "check", "magnetic"])
+    def test_inadmissible_field_warns_but_runs(self, tmp_path, capsys, command):
+        # oscillation 8 > 2 sqrt 2: every subcommand that reads H warns
         grid = periodic_from_callable(
             lambda x, y: 4.0 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y), m=64
         )
         path = tmp_path / "loud.json"
-        write_field(CurvatureField.from_parts(periodic=grid), path)
-        out = tmp_path / "out"
-        code = main(
-            ["solve", "--field", str(path), "--tau", "-3.0", "--out", str(out)]
+        write_field(CurvatureField(periodic=grid), path)
+        curve = tmp_path / "curve.json"
+        write_curve(circle(1.0, n=64), curve)
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"b_field": str(path), "t_final": 1.0, "steps": 256})
         )
+        args = {
+            "solve": ["--field", str(path), "--tau", "-3.0"],
+            "check": ["--field", str(path), "--curve", str(curve)],
+            "magnetic": ["--config", str(tmp_path / "cfg.json")],
+        }[command]
+        out = tmp_path / "out"
+        code = main([command, *args, "--out", str(out)])
         err = capsys.readouterr().err
-        assert "warning" in err
-        assert (out / "solve_report.json").exists()
+        assert "warning: periodic oscillation 8 exceeds" in err
+        assert (out / f"{command}_report.json").exists()
         assert code in (0, 1)  # existence is not guaranteed out of hypothesis
 
 
@@ -533,7 +543,7 @@ def _radial_params_exit_2(tmp_path, capsys, params, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"radial_params": params, "n_list": [8]}))
     field = tmp_path / "field.json"
-    write_field(CurvatureField.from_parts(constant=0.0), field, radial_params=params)
+    write_field(CurvatureField(constant=0.0), field, radial_params=params)
     for argv in (["--config", str(cfg)], ["--field", str(field)]):
         code = main(["immersed", *argv, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -956,6 +966,18 @@ class TestImmersed:
             assert results == json.dumps(json.loads(results), indent=1) + "\n"
         assert texts[0] == texts[1]
 
+    def test_inline_field_matches_radial_params(self, tmp_path):
+        # radial_params read from an inline field object, as from the key
+        texts = []
+        params = {"radial_params": _RADIAL_PARAMS}
+        for doc in (params, {"field": params}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**doc, "n_list": [32]}))
+            out = tmp_path / str(len(texts))
+            assert main(["immersed", "--config", str(cfg), "--out", str(out)]) == 0
+            texts.append([(out / name).read_bytes() for name in sorted(os.listdir(out))])
+        assert texts[0] == texts[1]
+
     def test_field_without_radial_params_exit_2(self, tmp_path, capsys, field_zero):
         code = main(["immersed", "--field", field_zero, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -1045,6 +1067,17 @@ class TestMagneticCylinderCheck:
         assert main(["magnetic", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "magnetic_report.json").read_text())
         assert report["speed_drift"] < 1e-8
+
+    def test_magnetic_inline_b_field_matches_file(self, tmp_path, field_periodic):
+        # the field file's object inline in the config: the same orbit
+        texts = []
+        for b_field in (field_periodic, json.loads(Path(field_periodic).read_text())):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"b_field": b_field, "lam": 1.8, "t_final": 2.0}))
+            out = tmp_path / str(len(texts))
+            assert main(["magnetic", "--config", str(cfg), "--out", str(out)]) == 0
+            texts.append((out / "trajectory.csv").read_bytes())
+        assert texts[0] == texts[1]
 
     def test_magnetic_nan_drift_exit_1(self, tmp_path, capsys):
         # the orbit overflows to NaN, and a NaN speed drift fails the check
@@ -1186,7 +1219,7 @@ class TestMagneticCylinderCheck:
         # the check fails with a message (warnings fail the tests)
         field = tmp_path / "field256.json"
         grid = periodic_from_callable(lambda x, y: 0.5 * np.sin(2 * np.pi * x), m=256)
-        write_field(CurvatureField.from_parts(periodic=grid), field)
+        write_field(CurvatureField(periodic=grid), field)
         loop = circle(1e295, center=(1e306, 0.0), n=64)
         write_curve(ClosedCurve(2 * math.pi * 1e295, loop.samples), tmp_path / "far.json")
         argv = ["check", "--curve", str(tmp_path / "far.json"), "--field", str(field)]
@@ -1200,7 +1233,7 @@ class TestMagneticCylinderCheck:
         # an infinite speed is named as such, not as a degenerate one
         field = tmp_path / "field256.json"
         grid = periodic_from_callable(lambda x, y: 0.5 * np.sin(2 * np.pi * x), m=256)
-        write_field(CurvatureField.from_parts(periodic=grid), field)
+        write_field(CurvatureField(periodic=grid), field)
         write_curve(circle(1e306, n=64), tmp_path / "big.json")
         argv = ["check", "--curve", str(tmp_path / "big.json"), "--field", str(field)]
         assert main([*argv, "--out", str(tmp_path / "chk")]) == 1
@@ -1214,7 +1247,7 @@ class TestMagneticCylinderCheck:
         # the curvature divides by speed**3, which underflows to 0 or
         # overflows here though the speed itself is a fine float
         field = tmp_path / "field1.json"
-        write_field(CurvatureField.from_parts(constant=1.0), field)
+        write_field(CurvatureField(constant=1.0), field)
         write_curve(circle(radius, n=64), tmp_path / "c.json")
         argv = ["check", "--curve", str(tmp_path / "c.json"), "--field", str(field), "--lam", "0"]
         assert main([*argv, "--out", str(tmp_path / "chk")]) == 1

@@ -40,12 +40,12 @@ def rescaled_anisotropic_area(curve, ctx, tau: float) -> float:
 
 @pytest.fixture(scope="module")
 def ctx_one():
-    return build_context(CurvatureField.from_parts(constant=1.0))
+    return build_context(CurvatureField(constant=1.0))
 
 
 @pytest.fixture(scope="module")
 def ctx_zero():
-    return build_context(CurvatureField.from_parts(constant=0.0))
+    return build_context(CurvatureField(constant=0.0))
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ def ctx_periodic():
         + 0.1 * np.cos(4 * np.pi * x),
         m=256,
     )
-    return build_context(CurvatureField.from_parts(constant=0.3, periodic=grid))
+    return build_context(CurvatureField(constant=0.3, periodic=grid))
 
 
 def wobbly_curve(seed=1, n=256):
@@ -76,7 +76,7 @@ class TestAnisotropicArea:
         # oracle: A_H = sign(area) * integral of H over the enclosed disc,
         # computed by 2-d polar quadrature
         rad = tabulated(lambda r: np.exp(-(r**2)))
-        field = CurvatureField.from_parts(radial=rad)
+        field = CurvatureField(radial=rad)
         ctx = build_context(field)
         c = circle(1.3, center=(0.4, -0.2), n=256, orientation=1)  # area < 0
         nr, na = 400, 256
@@ -242,7 +242,7 @@ class TestRescaledFamily:
         grid = periodic_from_callable(
             lambda x, y: 0.4 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y), m=64
         )
-        ctx = build_context(CurvatureField.from_parts(periodic=grid))
+        ctx = build_context(CurvatureField(periodic=grid))
         rng = np.random.default_rng(seed)
         c = ClosedCurve(1.0, random_loop(rng))
         val = rescaled_anisotropic_area(c, ctx, tau)

@@ -42,12 +42,12 @@ S = SHARP_ISOPERIMETRIC
 
 @pytest.fixture(scope="module")
 def ctx_zero():
-    return build_context(CurvatureField.from_parts(constant=0.0))
+    return build_context(CurvatureField(constant=0.0))
 
 
 @pytest.fixture(scope="module")
 def ctx_one():
-    return build_context(CurvatureField.from_parts(constant=1.0))
+    return build_context(CurvatureField(constant=1.0))
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ def ctx_periodic():
     grid = periodic_from_callable(
         lambda x, y: 0.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y), m=256
     )
-    return build_context(CurvatureField.from_parts(periodic=grid))
+    return build_context(CurvatureField(periodic=grid))
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def ctx_mixed():
         lambda x, y: 0.3 * np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y), m=64
     )
     radial = tabulated(lambda r: 0.2 * np.exp(-(r**2)))
-    return build_context(CurvatureField.from_parts(constant=0.4, periodic=grid, radial=radial))
+    return build_context(CurvatureField(constant=0.4, periodic=grid, radial=radial))
 
 
 def lattice_pair(m: int, cells) -> tuple:
@@ -276,7 +276,7 @@ def test_refinement_invariance(amplitude, phase, tau):
         * np.sin(2 * np.pi * (y + py)),
         m=64,
     )
-    ctx = build_context(CurvatureField.from_parts(periodic=grid))
+    ctx = build_context(CurvatureField(periodic=grid))
     coarse, fine = (
         minimize_area_constrained(ctx, tau, MinimizeOptions(n_samples=n))
         for n in (256, 1024)
@@ -424,7 +424,7 @@ class TestInitialCircle:
             + 0.3 * np.sin(2 * np.pi * (x + 2 * y)),
             m=m,
         )
-        field = CurvatureField.from_parts(constant=constant, periodic=grid)
+        field = CurvatureField(constant=constant, periodic=grid)
         ctx = EnergyContext(field=field, potential=None)  # the search reads H only
         radius = math.sqrt(tau / math.pi)
         centers = np.array([(0.0, 0.0)] + [(a / 8, b / 8) for a in range(8) for b in range(8)])
@@ -447,7 +447,7 @@ class TestInitialCircle:
         centers = np.array([(a / 8, b / 8) for a in range(8) for b in range(8)])
         scores = []
         for g in (grid, rolled):
-            ctx = EnergyContext(field=CurvatureField.from_parts(constant=0.2, periodic=g), potential=None)
+            ctx = EnergyContext(field=CurvatureField(constant=0.2, periodic=g), potential=None)
             scores.append(_disc_scores(ctx, centers, 0.3))
         moved = [((a - p) % 8) * 8 + (b - q) % 8 for a in range(8) for b in range(8)]
         assert np.abs(scores[1] - scores[0][moved]).max() <= 1e-14 * np.pi * 0.3**2 * 0.9
@@ -467,7 +467,7 @@ class TestEquivariance:
         # centres may pick an equivalent one
         solves = [
             minimize_area_constrained(
-                build_context(CurvatureField.from_parts(constant=0.2, periodic=grid)),
+                build_context(CurvatureField(constant=0.2, periodic=grid)),
                 tau,
                 self.OPTS,
             )
@@ -487,8 +487,8 @@ class TestEquivariance:
         grid = periodic_from_callable(
             lambda x, y: a * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y), m=64
         )
-        pos = build_context(CurvatureField.from_parts(periodic=grid))
-        neg = build_context(CurvatureField.from_parts(periodic=-grid))
+        pos = build_context(CurvatureField(periodic=grid))
+        neg = build_context(CurvatureField(periodic=-grid))
         for tau in (1.0, 2.5, 4.0):
             s_h = minimize_area_constrained(pos, tau, self.OPTS).energy_value
             for ctx in (neg, pos):
@@ -587,7 +587,7 @@ class TestSweep:
     def test_reflection_symmetry(self, ctx_periodic):
         # sweeps of (H, tau) and (-H, -tau) agree
         neg = build_context(
-            CurvatureField.from_parts(periodic=-ctx_periodic.field.periodic)
+            CurvatureField(periodic=-ctx_periodic.field.periodic)
         )
         rows_pos = sweep_isoperimetric(ctx_periodic, [0.7, 1.0])
         rows_neg = sweep_isoperimetric(neg, [-1.0, -0.7])
@@ -643,7 +643,7 @@ class TestMultiplierBounds:
         grid = periodic_from_callable(
             lambda x, y: 40.0 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y), m=128
         )
-        ctx = build_context(CurvatureField.from_parts(periodic=grid))
+        ctx = build_context(CurvatureField(periodic=grid))
         with pytest.raises(FieldTooLarge):
             check_multiplier_bounds(1.0, 0.0, ctx)
 
@@ -653,7 +653,7 @@ class TestSimplicityOfWeakFieldMinimizers:
         grid = periodic_from_callable(
             lambda x, y: 0.1 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y), m=128
         )
-        ctx = build_context(CurvatureField.from_parts(periodic=grid))
+        ctx = build_context(CurvatureField(periodic=grid))
         for tau in (0.5, -1.2, 2.0):
             res = minimize_area_constrained(ctx, tau)
             assert res.converged

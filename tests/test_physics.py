@@ -118,7 +118,7 @@ def periodic_setup():
     grid = periodic_from_callable(
         lambda x, y: 0.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y), m=256
     )
-    ctx = build_context(CurvatureField.from_parts(periodic=grid))
+    ctx = build_context(CurvatureField(periodic=grid))
     res = minimize_area_constrained(ctx, 1.0)
     assert res.converged
     return ctx, res
@@ -316,6 +316,14 @@ class TestCylinderLift:
         lift = lift_to_cylinder(mres.curve, (0.5, 2.0), (128, 17))
         assert lift.conformality_residual() <= 1e-8
 
+    def test_conformality_residual_of_an_ellipse(self):
+        # the arclength resampling of a 3:1 ellipse is exact only to its
+        # Newton tolerance, so theta's distance from arclength, 1.16e-8 here,
+        # shows
+        t = 2.0 * np.pi * np.arange(256) / 256
+        ellipse = ClosedCurve(2.0 * np.pi, np.stack([3.0 * np.cos(t), np.sin(t)], axis=1))
+        assert 1e-9 < lift_to_cylinder(ellipse).conformality_residual() < 1e-7
+
     def test_mean_curvature_half(self):
         # finite-difference fundamental forms on the lifted unit cylinder
         lift = lift_to_cylinder(circle(1.0, n=256), (0.8, 1.25), (256, 65))
@@ -407,13 +415,13 @@ class TestCylinderLift:
 
 class TestVerifySolution:
     def test_exact_circle(self):
-        field = CurvatureField.from_parts(constant=1.0)
+        field = CurvatureField(constant=1.0)
         rep = verify_solution(circle(1.0, n=256), field, 0.0)
         assert rep.max_residual() < 1e-8
         assert rep.ok()
 
     def test_perturbation_monotone(self):
-        field = CurvatureField.from_parts(constant=1.0)
+        field = CurvatureField(constant=1.0)
         base = circle(1.0, n=256)
         t = 2 * np.pi * np.arange(256) / 256
         bump = np.stack([np.cos(3 * t), np.sin(5 * t)], axis=1)
@@ -434,7 +442,7 @@ class TestVerifySolution:
             lambda x, y: 0.3 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y), m=32
         )
         radial = tabulated(lambda r: 0.2 * np.exp(-(r**2)), num=257)
-        field = CurvatureField.from_parts(constant=0.8, periodic=grid, radial=radial)
+        field = CurvatureField(constant=0.8, periodic=grid, radial=radial)
         curve = ClosedCurve(period, random_loop(np.random.default_rng(n), n=n))
         grad = energy_gradient(curve, field) - lam * area_gradient(curve)
         want = math.sqrt(max(pair(curve, grad, grad), 0.0))
