@@ -280,9 +280,7 @@ def cmd_sweep(cfg) -> int:
     field = _load_field(cfg)[0]
     _warn_hypotheses(field)
     grid = check_tau_grid(_config_list(cfg, "tau_grid", float, default=()))
-    kwargs = _config_args(cfg, sweep_isoperimetric)
-    opts = _minimize_options(cfg)
-    rows = sweep_isoperimetric(build_context(field), grid, opts, **kwargs)
+    rows = sweep_isoperimetric(build_context(field), grid, _minimize_options(cfg))
     out = _out_dir(cfg)
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")

@@ -29,7 +29,6 @@ __all__ = [
     "apply_symbol",
     "derivative",
     "length",
-    "signed_area",
     "reparametrize_constant_speed",
     "is_simple",
     "curve_reverse",
@@ -195,7 +194,8 @@ def signed_area(curve: ClosedCurve) -> float:
 
     Translation invariant and 2-homogeneous under scaling about the origin.
     With the i = (+pi/2)-rotation convention the *clockwise* circle has
-    positive area.
+    positive area.  A solve sums its area error this way from the jet it
+    already holds; this is the definition the tests hold it to.
     """
     du = derivative(curve, 1)
     integrand = np.einsum("ij,ij->i", curve.samples, rot90(du))

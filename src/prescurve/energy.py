@@ -1,9 +1,12 @@
 """The prescribed-curvature energy L + A_H.
 
 The weighted area is the line integral of the vector potential along the
-curve.  Its independent oracle lives in ``tests/``: a plane quadrature of
-the winding number against H, which agrees with the line integral for any
-potential with div Q = H.  The L^2 gradient of L + A_H is formed in
+curve.  ``energy`` and ``anisotropic_area`` define L + A_H: a solve sums
+S_H from its last trial's Q and u' the same way
+(``minimize.minimize_area_constrained``), and the tests hold it to them.
+The weighted area's independent oracle lives in ``tests/``: a plane
+quadrature of the winding number against H, which agrees with the line
+integral for any potential with div Q = H.  The L^2 gradient of L + A_H is formed in
 ``physics.verify_solution``, from the jet it already holds.
 
 H and Q come from ``fields.h_and_q``, through its halves
@@ -23,7 +26,6 @@ __all__ = [
     "EnergyContext",
     "build_context",
     "anisotropic_area",
-    "energy",
 ]
 
 

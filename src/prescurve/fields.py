@@ -422,8 +422,8 @@ class CurvatureField:
     (``periodic[i, j] = H1(i/M, j/M)``); its mean is folded into the
     constant, so the stored grid has zero mean.  ``radial`` tends to zero
     at infinity.  ``ValueError`` when the grid is not a nonempty square, or
-    it, its mean or the constant plus that mean is not finite in floating
-    point.
+    it, its mean, the constant plus that mean or its spline coefficients
+    are not finite in floating point.
     """
 
     constant: float = 0.0
@@ -446,7 +446,11 @@ class CurvatureField:
             if not (np.isfinite(grid).all() and math.isfinite(constant)):
                 raise ValueError("periodic part, its mean and the constant plus it must be finite")
             object.__setattr__(self, "periodic", grid)
-            spline = _PeriodicSpline2D(grid)
+            # finite values whose spectrum overflows give a non-finite table
+            with np.errstate(over="ignore", invalid="ignore"):
+                spline = _PeriodicSpline2D(grid)
+            if not np.isfinite(spline._coeffs).all():
+                raise ValueError("periodic part's spline coefficients overflow")
             point = _SplinePoint(spline, constant)
             if self.radial is None:
                 # H is the constant plus the spline: one frame a point (see at)

@@ -577,17 +577,26 @@ def _search(n: int, h: RadialCurvature, config: LSConfig):
         solved[r] = sol
         return sol.lambda1
 
+    walks = []  # how each bracket end that was walked got there
+
     def endpoint(end: float, other: float):
         # Below the asymptotic regime the contraction can fail near an
         # endpoint (the inner loops dive toward the origin); walk the
         # endpoint toward the other one until the solve succeeds.
         r = end
-        for _ in range(16):
+        for failed in range(16):
             try:
-                return r, (yield from lam1_at(r))
+                f = yield from lam1_at(r)
             except (NotContracting, MaxIterationsExceeded) as exc:
                 tried, error = r, exc
                 r = r + 0.25 * (other - r)
+                continue
+            if failed:
+                walks.append(
+                    f"; bracket end {r:g} walked from {end:g} "
+                    f"({failed} solve{'s' * (failed > 1)} failed)"
+                )
+            return r, f
         raise NotContracting(
             f"fixed point fails at 16 radii walked from the bracket end {end:g} "
             f"toward {other:g}; at the last, r = {tried:g}: {error}"
@@ -602,6 +611,7 @@ def _search(n: int, h: RadialCurvature, config: LSConfig):
     elif f_lo * f_hi > 0.0:
         raise NoSignChange(
             f"lambda1({r0:g}) = {f_lo:.3e} and lambda1({r1:g}) = {f_hi:.3e}"
+            + "".join(walks)
         )
     else:
         # each s = log r maps back to the exact radius solved there, and

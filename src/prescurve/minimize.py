@@ -13,13 +13,15 @@ by scaling about the curve mean (the area is translation invariant and
 2-homogeneous), with an integer recentering every ``RECENTER_EVERY``
 iterations for periodic fields so iterates stay in a bounded slab.
 
-Each trial curve is evaluated once: one jet of the unprojected trial,
-u' and u'' from one forward transform through ``curves.apply_symbol``,
-gives the signed area, the projection scale s and, as s u' and s u'',
-the derivatives of the projected curve; one lookup of H and Q on a
-shared B-spline stencil gives the objective
-sqrt(sum |u'|^2 / N) + sum Q . i u' / N.  The accepted trial's u', u''
-and H then make the next gradient.
+Each trial curve is evaluated once, by ``_trial``, the only projection
+onto the constraint: one jet of the unprojected trial, u' and u'' from
+one forward transform through ``curves.apply_symbol``, gives the signed
+area, the projection scale s and, as s u' and s u'', the derivatives of
+the projected curve; one lookup of H and Q on a shared B-spline stencil
+gives the objective sqrt(sum |u'|^2 / N) + sum Q . i u' / N.  The
+accepted trial's u', u'' and H then make the next gradient.  The final
+report is the trial of the constant-speed reparametrized iterate and one
+jet of its samples; no lookup of H or Q follows that trial.
 
 A solve at more than ``COARSE_N`` nodes runs in two stages (nested
 iteration, the first stage of full multigrid; Brandt, Math. Comp. 31
@@ -63,10 +65,9 @@ from .curves import (
     is_simple,
     reparametrize_constant_speed,
     rot90,
-    signed_area,
     trig_resample,
 )
-from .energy import EnergyContext, energy
+from .energy import EnergyContext
 from .errors import DegenerateSpeed, FieldTooLarge, SignIncompatible
 from .fields import h_and_q
 
@@ -160,33 +161,6 @@ class SweepRow:
         )
 
 
-def _off_side(area: float, tau: float) -> bool:
-    """Whether an area is of the wrong sign, or too small, to scale onto tau."""
-    return area * tau <= 0.0 or abs(area) < 1e-6 * abs(tau)
-
-
-def _project_area(samples: np.ndarray, period: float, tau: float) -> np.ndarray:
-    """Scale about the mean so the signed area equals tau exactly.
-
-    A tiny wrong-sign area is repaired by reversing the parameter; a large
-    one raises ``SignIncompatible``.
-    """
-    curve = ClosedCurve(period=period, samples=samples)
-    area = signed_area(curve)
-    if _off_side(area, tau):
-        if abs(area) > 0.1 * abs(tau):
-            raise SignIncompatible(
-                f"iterate area {area:.3e} opposes target {tau:.3e}"
-            )
-        curve = curve_reverse(curve)
-        samples = curve.samples
-        area = signed_area(curve)
-        if _off_side(area, tau):
-            raise SignIncompatible("iterate area degenerate; cannot project")
-    center = samples.mean(axis=0)
-    return center + math.sqrt(tau / area) * (samples - center)
-
-
 def _precondition(grad: np.ndarray, dval: float) -> np.ndarray:
     """Mode-wise Sobolev smoothing of sampled L^2 gradients (period 1),
     one per pair of columns."""
@@ -199,12 +173,13 @@ def _precondition(grad: np.ndarray, dval: float) -> np.ndarray:
 @dataclass(frozen=True)
 class _Trial:
     """A trial curve projected onto the area constraint, with the data its
-    objective and the next gradient read."""
+    objective, the next gradient and the final report read."""
 
     samples: np.ndarray  # the projected curve
     du: np.ndarray  # u' of the projected curve
     d2u: np.ndarray  # u'' of the projected curve
     h: np.ndarray  # H at the samples
+    q: np.ndarray  # Q at the samples
     dval: float  # Dirichlet value sqrt(sum |u'|^2 / N)
     value: float  # objective D + A_H
 
@@ -214,14 +189,21 @@ def _trial(ctx: EnergyContext, samples: np.ndarray, tau: float) -> _Trial:
 
     One jet gives u' and u'', hence the signed area and the scale s about
     the mean; the projected curve's derivatives are s u' and s u''.  An
-    area that scaling cannot reach takes ``_project_area``'s
-    reverse-and-retry path, which may raise ``SignIncompatible``.
+    area that scaling cannot reach, if at most |tau| / 10, is reversed
+    (``curve_reverse``) and evaluated again; else, or if that fails too,
+    ``SignIncompatible`` is raised.
     """
     n = len(samples)
-    du, d2u = _jet(samples, 1.0)
-    area = 0.5 * float(np.einsum("ij,ij->", samples, rot90(du))) / n
-    if _off_side(area, tau):
-        return _trial(ctx, _project_area(samples, 1.0, tau), tau)
+    for reversed_ in (False, True):
+        du, d2u = _jet(samples, 1.0)
+        area = 0.5 * float(np.einsum("ij,ij->", samples, rot90(du))) / n
+        if area * tau > 0.0 and abs(area) >= 1e-6 * abs(tau):
+            break
+        if reversed_:
+            raise SignIncompatible("iterate area degenerate; cannot project")
+        if abs(area) > 0.1 * abs(tau):
+            raise SignIncompatible(f"iterate area {area:.3e} opposes target {tau:.3e}")
+        samples = curve_reverse(ClosedCurve(period=1.0, samples=samples)).samples
     scale = math.sqrt(tau / area)
     center = samples.mean(axis=0)
     samples = center + scale * (samples - center)
@@ -230,7 +212,7 @@ def _trial(ctx: EnergyContext, samples: np.ndarray, tau: float) -> _Trial:
     h, q = h_and_q(ctx.field, ctx.potential, samples)
     dval = math.sqrt(float(np.einsum("ij,ij->", du, du)) / n)
     value = dval + float(np.einsum("ij,ij->", q, rot90(du))) / n
-    return _Trial(samples, du, d2u, h, dval, value)
+    return _Trial(samples, du, d2u, h, q, dval, value)
 
 
 def _descend(ctx: EnergyContext, cur: _Trial, tau: float, step: float, tol_grad: float):
@@ -384,19 +366,14 @@ def minimize_area_constrained(
     n = opts.n_samples
     n_start = min(n, COARSE_N)
     if opts.initial is not None:
-        start = opts.initial
-        if start.n != n_start:
-            samples = trig_resample(start.samples, start.period, nodes=n_start)
-            start = ClosedCurve(period=start.period, samples=samples)
-        if start.period != 1.0:
-            # the constrained problem is posed at period 1; the functionals
-            # are parametrization covariant, so reuse the samples there
-            start = ClosedCurve(period=1.0, samples=start.samples)
+        # the constrained problem is posed at period 1; the functionals are
+        # parametrization covariant, so the samples are reused there
+        start = trig_resample(opts.initial.samples, opts.initial.period, nodes=n_start)
     else:
-        start = _initial_circle(ctx, tau, n_start)
+        start = _initial_circle(ctx, tau, n_start).samples
 
     cur, step, iterations, stop_reason = _stage(
-        ctx, _trial(ctx, start.samples, tau), tau, 1.0, 0, opts
+        ctx, _trial(ctx, start, tau), tau, 1.0, 0, opts
     )
     samples = cur.samples
     if n_start < n:
@@ -409,25 +386,29 @@ def minimize_area_constrained(
             )
             samples = cur.samples
 
-    final = reparametrize_constant_speed(ClosedCurve(period=1.0, samples=samples))
-    final = ClosedCurve(period=1.0, samples=_project_area(final.samples, 1.0, tau))
-    # u', u'', the speed, K and H of the final curve, each computed once
-    du, d2u = _jet(final.samples, 1.0)
+    final = _trial(ctx, reparametrize_constant_speed(ClosedCurve(1.0, samples)).samples, tau)
+    curve = ClosedCurve(period=1.0, samples=final.samples)
+    # the samples' own u' and u'' (the trial's s u' and s u'' match them
+    # only to rounding), with the trial's H and Q
+    du, d2u = _jet(curve.samples, 1.0)
     speed = np.hypot(du[:, 0], du[:, 1])
-    kappa = _curvature(final, du, d2u, speed)
-    hvals = ctx.field.value(final.samples)
-    lam = extract_lagrange_multiplier(kappa, hvals, speed)
-    residual = float(np.abs(kappa - hvals + lam).max())
-    area_error = abs(signed_area(final) - tau)
+    kappa = _curvature(curve, du, d2u, speed)
+    lam = extract_lagrange_multiplier(kappa, final.h, speed)
+    residual = float(np.abs(kappa - final.h + lam).max())
+    # the area and S_H = L + A_H, summed as signed_area, length and
+    # anisotropic_area sum them
+    idu = rot90(du)
+    area_error = float(abs(0.5 * np.einsum("ij,ij->i", curve.samples, idu).sum() / n - tau))
+    s_h = float(speed.sum() / n + np.einsum("ij,ij->i", final.q, idu).sum() / n)
     converged = (
         residual <= opts.tol_residual
         and area_error <= opts.tol_area
         and stop_reason != "max_iter"
     )
     return MinimizeResult(
-        curve=final,
+        curve=curve,
         lam=lam,
-        energy_value=energy(final, ctx),
+        energy_value=s_h,
         curvature_residual=residual,
         area_error=area_error,
         iterations=iterations,
@@ -471,16 +452,13 @@ def check_tau_grid(tau_grid) -> list[float]:
 
 
 def sweep_isoperimetric(
-    ctx: EnergyContext,
-    tau_grid,
-    opts: MinimizeOptions | None = None,
-    warm_start: bool = True,
+    ctx: EnergyContext, tau_grid, opts: MinimizeOptions | None = None
 ) -> list[SweepRow]:
     """Run the constrained minimization over a grid of area values.
 
     The grid must be sorted and nonzero.  Each tau is solved cold, from
-    its competitor circle.  With ``warm_start`` it is also solved from the
-    previous converged minimizer rescaled to the new area, and the lower
+    its competitor circle and, after the first, also from the previous
+    converged minimizer rescaled to the new area; the lower
     converged energy is kept, since S_H(tau) is an infimum.  The solves
     run in turn: cold tau_1, cold tau_2, warm tau_2, cold tau_3, ...
     """
@@ -490,7 +468,7 @@ def sweep_isoperimetric(
     prev_curve = None
     for tau in taus:
         result = minimize_area_constrained(ctx, tau, opts)
-        if warm_start and prev_curve is not None:
+        if prev_curve is not None:
             warm = minimize_area_constrained(
                 ctx, tau, replace(opts, initial=prev_curve)
             )

@@ -651,14 +651,23 @@ def find_radius_sequential(n, h, config=None):
         solved[r] = sol
         return sol.lambda1
 
+    walks = []
+
     def endpoint(end, other):
         r = end
-        for _ in range(16):
+        for failed in range(16):
             try:
-                return r, lam1_at(r)
+                f = lam1_at(r)
             except (NotContracting, MaxIterationsExceeded) as exc:
                 tried, error = r, exc
                 r = r + 0.25 * (other - r)
+                continue
+            if failed:
+                walks.append(
+                    f"; bracket end {r:g} walked from {end:g} "
+                    f"({failed} solve{'s' * (failed > 1)} failed)"
+                )
+            return r, f
         raise NotContracting(
             f"fixed point fails at 16 radii walked from the bracket end {end:g} "
             f"toward {other:g}; at the last, r = {tried:g}: {error}"
@@ -671,7 +680,9 @@ def find_radius_sequential(n, h, config=None):
     elif f_hi == 0.0:
         r_n, stop_reason = r1, "bracket_end"
     elif f_lo * f_hi > 0.0:
-        raise NoSignChange(f"lambda1({r0:g}) = {f_lo:.3e} and lambda1({r1:g}) = {f_hi:.3e}")
+        raise NoSignChange(
+            f"lambda1({r0:g}) = {f_lo:.3e} and lambda1({r1:g}) = {f_hi:.3e}" + "".join(walks)
+        )
     else:
         radius = {math.log(r0): r0, math.log(r1): r1}
 

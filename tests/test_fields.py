@@ -536,6 +536,20 @@ class TestCurvatureFieldType:
         assert rep["periodic_oscillation"] == pytest.approx(4.0)
         assert not rep["periodic_ok"]
 
+    def test_overflowing_spectrum_rejected(self):
+        # finite entries of zero mean whose spectrum overflows: no spline
+        with pytest.raises(ValueError, match="spline coefficients overflow"):
+            CurvatureField(periodic=_checkerboard(16, 1e306))
+        # one step down the same grid builds finite tables, the potential too
+        field = CurvatureField(periodic=_checkerboard(16, 1e300))
+        assert np.isfinite(field._spline._coeffs).all()
+        assert np.isfinite(build_potential(field)._spline._coeffs).all()
+
+
+def _checkerboard(m, amplitude):
+    # +-amplitude alternating in each direction: the Nyquist mode alone
+    return amplitude * (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
+
 
 def _rough_grid(m, seed):
     # random nodal data: every spline coefficient of the stencil matters
@@ -1104,10 +1118,14 @@ def _bad_field_docs(draw, kind: str):
         return _mutated((key,), value), key
     if kind == "grid":
         # a grid of numbers that is empty, not square, not 2-d, or whose sum
-        # overflows though every entry is finite
+        # or spectrum overflows though every entry is finite
         value = draw(
             st.sampled_from(
-                [[], [[]], [[0.0, 0.0]], [[0.1, -0.1, 0.0]] * 2, [[[0.0]]], [[1e308] * 2] * 2]
+                [
+                    [], [[]], [[0.0, 0.0]], [[0.1, -0.1, 0.0]] * 2, [[[0.0]]],
+                    [[1e308] * 2] * 2, [[1e308, -1e308], [-1e308, 1e308]],
+                    _checkerboard(16, 1e306).tolist(),
+                ]
             )
         )
         return _mutated(("periodic_grid",), value), "periodic_grid"

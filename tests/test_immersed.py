@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from prescurve.curves import ClosedCurve, derivative, is_simple
-from prescurve.errors import DegenerateSpeed, NoSignChange
+from prescurve.errors import DegenerateSpeed, NoSignChange, NotContracting
 from prescurve import immersed
 from prescurve.fields import RadialCurvature
 from prescurve.immersed import (
     AnsatzParams,
+    FixedPoint,
     LSConfig,
     _ansatz,
     _graph,
@@ -328,6 +329,29 @@ class TestFindRadius:
         # below n ~ 32 the kernel equation has no root in the legal bracket
         with pytest.raises(NoSignChange):
             find_radius(16, h_model)
+
+    def test_no_sign_change_names_the_walked_end(self, h_model):
+        # the first three solves at the lower end fail, so the end walks up
+        # three times; same-sign answers there and at the upper end then
+        # raise NoSignChange, which says where the lower end came from
+        r0, r1 = default_bracket(h_model)
+        steps = immersed._search(64, h_model, LSConfig())
+        radii = [next(steps)[0].R]
+        for _ in range(3):
+            radii.append(steps.throw(NotContracting("stalled"))[0].R)
+        zeros = np.zeros(16)
+        answer = FixedPoint(zeros, 1.0, 0.0, (0.0,), zeros, zeros)
+        steps.send(answer)
+        with pytest.raises(NoSignChange) as err:
+            steps.send(answer._replace(lambda1=2.0))
+        walked = r0
+        for _ in range(3):
+            walked += 0.25 * (r1 - walked)
+        assert radii == sorted(radii) and len(set(radii)) == 4
+        assert str(err.value) == (
+            f"lambda1({walked:g}) = 1.000e+00 and lambda1({r1:g}) = 2.000e+00"
+            f"; bracket end {walked:g} walked from {r0:g} (3 solves failed)"
+        )
 
     def test_root_trend_toward_half_gamma_amplitude(self, h_model):
         # leading order of the kernel equation: r_n -> A gamma / 2 = 1

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prescurve import curves, energy as energy_module, fields
 from prescurve.curves import (
     ClosedCurve,
     circle,
+    curve_reverse,
     derivative,
     is_simple,
     length,
     signed_area,
 )
-from prescurve.energy import EnergyContext, anisotropic_area, build_context
+from prescurve.energy import EnergyContext, anisotropic_area, build_context, energy
 from prescurve.errors import FieldTooLarge, SignIncompatible
 from prescurve.fields import CurvatureField, periodic_from_callable
 from prescurve import minimize
@@ -27,7 +29,6 @@ from prescurve.minimize import (
     _descend,
     _disc_scores,
     _initial_circle,
-    _project_area,
     _trial,
     check_multiplier_bounds,
     extract_lagrange_multiplier,
@@ -331,7 +332,8 @@ class TestTrial:
         t = np.arange(64) / 64
         pts = 0.056 * np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1)
         trial = _trial(ctx_periodic, pts, 2.0)
-        np.testing.assert_allclose(trial.samples, _project_area(pts, 1.0, 2.0), atol=1e-14)
+        flipped = curve_reverse(ClosedCurve(1.0, pts)).samples
+        np.testing.assert_array_equal(trial.samples, _trial(ctx_periodic, flipped, 2.0).samples)
         assert signed_area(ClosedCurve(1.0, trial.samples)) == pytest.approx(2.0, abs=1e-12)
         with pytest.raises(SignIncompatible):
             _trial(ctx_periodic, circle(1.0, n=64, orientation=1).samples, math.pi)
@@ -495,25 +497,55 @@ class TestEquivariance:
                 other = minimize_area_constrained(ctx, -tau, self.OPTS).energy_value
                 assert other == pytest.approx(s_h, rel=0.0, abs=1e-13)
 
+    # a cell of H at 64 nodes; tiled k x k and multiplied by k, it is the
+    # grid of H_k(p) = k H(k p)
+    SCALED_CELL = periodic_from_callable(
+        lambda x, y: 0.5 * np.sin(2 * np.pi * (x + 0.01)) * np.sin(2 * np.pi * (y - 0.02)),
+        m=64,
+    )
+
+    @pytest.mark.parametrize("tau", [1.0, -2.0])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_scaling(self, k, tau):
+        # u -> u / k carries curves of area tau in H to curves of area
+        # tau / k^2 in H_k, with k S_H(H_k, tau / k^2) = S_H(H, tau) and
+        # multiplier k lambda; converged is not compared, since its
+        # tolerances are absolute
+        opts = MinimizeOptions(n_samples=256)
+        cell = self.SCALED_CELL
+        base = minimize_area_constrained(build_context(CurvatureField(periodic=cell)), tau, opts)
+        scaled_field = CurvatureField(periodic=k * np.tile(cell, (k, k)))
+        scaled = minimize_area_constrained(build_context(scaled_field), tau / k**2, opts)
+        assert k * scaled.energy_value == pytest.approx(base.energy_value, rel=1e-10, abs=0.0)
+        assert scaled.lam == pytest.approx(k * base.lam, rel=1e-6, abs=0.0)
+
 
 class TestProjection:
-    def test_exact_area(self):
+    # a trial is the one projection onto the area constraint
+    def test_exact_area(self, ctx_periodic):
         t = np.arange(64) / 64
         pts = np.stack([2.0 * np.cos(-2 * np.pi * t), np.sin(-2 * np.pi * t)], axis=1)
-        out = _project_area(pts, 1.0, 1.3)
+        out = _trial(ctx_periodic, pts, 1.3).samples
         assert signed_area(ClosedCurve(1.0, out)) == pytest.approx(1.3, abs=1e-14)
 
-    def test_wrong_sign_large_raises(self):
+    def test_wrong_sign_large_raises(self, ctx_periodic):
         c = circle(1.0, n=64, orientation=1)  # area -pi
-        with pytest.raises(SignIncompatible):
-            _project_area(c.samples, 1.0, math.pi)
+        with pytest.raises(SignIncompatible, match="opposes target"):
+            _trial(ctx_periodic, c.samples, math.pi)
 
-    def test_wrong_sign_small_reflects(self):
+    def test_wrong_sign_small_reflects(self, ctx_periodic):
         t = np.arange(64) / 64
         # tiny counterclockwise loop: area -0.01 against target +2
         pts = 0.056 * np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1)
-        out = _project_area(pts, 1.0, 2.0)
+        out = _trial(ctx_periodic, pts, 2.0).samples
         assert signed_area(ClosedCurve(1.0, out)) == pytest.approx(2.0, abs=1e-12)
+
+    def test_degenerate_area_raises(self, ctx_periodic):
+        # area +3e-8 of the right sign is too small to scale onto 2, and
+        # reversed it has the wrong sign
+        c = circle(1e-4, n=64, orientation=-1)
+        with pytest.raises(SignIncompatible, match="degenerate"):
+            _trial(ctx_periodic, c.samples, 2.0)
 
 
 def multiplier(curve, ctx) -> float:
@@ -551,6 +583,41 @@ class TestMultiplier:
         gap = curvature(c) - ctx_periodic.field.value(c.samples) + res.lam
         assert res.curvature_residual == float(np.abs(gap).max())
         assert res.area_error == abs(signed_area(c) - 1.0)
+
+    def test_final_report_reads_the_last_trial(self, ctx_periodic, monkeypatch):
+        # H, Q and S_H of the returned curve come from the solve's last
+        # trial: after it no lookup of H or Q, and no length or energy
+        events = []
+
+        def logged(name, fn):
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                events.append(name)
+                return out
+
+            return call
+
+        targets = [
+            (minimize, "_trial"),
+            (minimize, "h_and_q"),
+            (fields, "q_eval"),
+            (energy_module, "q_eval"),
+            (CurvatureField, "value"),
+            (curves, "length"),
+            (energy_module, "length"),
+            (energy_module, "energy"),
+            (energy_module, "anisotropic_area"),
+        ]
+        for owner, name in targets:
+            monkeypatch.setattr(owner, name, logged(name, getattr(owner, name)))
+        for name in ("energy", "length", "q_eval"):
+            if hasattr(minimize, name):
+                monkeypatch.setattr(minimize, name, logged(name, getattr(minimize, name)))
+        res = minimize_area_constrained(ctx_periodic, 1.0, MinimizeOptions(n_samples=256))
+        last = len(events) - events[::-1].index("_trial")
+        assert "h_and_q" in events[:last] and events[last:] == []
+        monkeypatch.undo()
+        assert res.energy_value == pytest.approx(energy(res.curve, ctx_periodic), rel=1e-14)
 
     def test_matching_constant_curvature(self, ctx_one):
         # circle of radius 1/H0 with K = H0 gives lambda = 0
