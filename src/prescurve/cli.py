@@ -2,7 +2,7 @@
 
 Configuration comes from a JSON document (the same dialect as the curve and
 field files); command-line flags override config keys, which override
-defaults.  A solver's number and bool settings are read off its signature:
+defaults.  A solver's number settings are read off its signature:
 each is the config key of its parameter's name (``_config_args``).  Exit codes: 0 success, 1 numerical failure, 2 usage or
 validation error.  Identical config produces byte-identical outputs
 (floats are written with shortest round-trip decimals).
@@ -152,19 +152,9 @@ def _warn_hypotheses(field: CurvatureField) -> None:
         )
 
 
-def _config_value(key: str, value, kind):
-    """``value`` as ``kind``: true or false for bool, else a number by
-    ``fields._number``.  Raises ``ValueError`` naming ``key`` otherwise."""
-    if kind is not bool:
-        return _number(key, value, kind)
-    if not isinstance(value, bool):
-        raise ValueError(f"config key '{key}' must be true or false, got {value!r}")
-    return value
-
-
 def _config_list(cfg, key: str, kind, length=None, default=None) -> tuple:
     """The nonempty list under ``key`` (of ``length`` entries, when given)
-    as a tuple of ``kind`` (see ``_config_value``), or ``default`` when the
+    as a tuple of ``kind`` (see ``fields._number``), or ``default`` when the
     key is absent."""
     if key not in cfg:
         return default
@@ -173,14 +163,14 @@ def _config_list(cfg, key: str, kind, length=None, default=None) -> tuple:
         noun = "integers" if kind is int else "numbers"
         size = "nonempty" if length is None else f"{length}-entry"
         raise ValueError(f"config key '{key}' must be a {size} list of {noun}, got {value!r}")
-    return tuple(_config_value(key, v, kind) for v in value)
+    return tuple(_number(key, v, kind) for v in value)
 
 
 def _config_args(cfg, fn) -> dict:
     """The config keys that ``fn``'s signature declares, as keyword
-    arguments of ``fn``.  A parameter whose default is a bool, an int, a
-    float or a nonempty tuple of them is the key of its name, of the
-    default's kind: a scalar of its type (``_config_value``) or a list of
+    arguments of ``fn``.  A parameter whose default is an int, a float or
+    a nonempty tuple of them is the key of its name, of the default's
+    kind: a scalar of its type (``fields._number``) or a list of
     as many entries of the first entry's type (``_config_list``).  Each
     such key is read from ``cfg`` when present, else set to its default;
     other parameters are left out."""
@@ -188,20 +178,20 @@ def _config_args(cfg, fn) -> dict:
     for name, param in inspect.signature(fn).parameters.items():
         default = param.default
         entries = default if isinstance(default, tuple) else (default,)
-        if not (entries and all(isinstance(v, (bool, int, float)) for v in entries)):
+        if not (entries and all(type(v) in (int, float) for v in entries)):
             continue
         kind = type(entries[0])
         if isinstance(default, tuple):
             args[name] = _config_list(cfg, name, kind, len(default), default)
         else:
-            args[name] = _config_value(name, cfg[name], kind) if name in cfg else default
+            args[name] = _number(name, cfg[name], kind) if name in cfg else default
     return args
 
 
 def _config_lam(cfg) -> float:
     """The multiplier shift under 'lam' (or 'lambda'), default 0."""
     key = "lam" if "lam" in cfg else "lambda"
-    return _config_value(key, cfg.get(key, 0.0), float)
+    return _number(key, cfg.get(key, 0.0), float)
 
 
 def _minimize_options(cfg) -> MinimizeOptions:
@@ -245,7 +235,7 @@ def cmd_solve(cfg) -> int:
     _warn_hypotheses(field)
     tau = cfg.get("tau")
     if tau is not None:
-        tau = _config_value("tau", tau, float)
+        tau = _number("tau", tau, float)
     if not tau:
         raise ValueError("need a nonzero area value (config key 'tau' or --tau)")
     opts = _minimize_options(cfg)
@@ -374,7 +364,7 @@ def cmd_magnetic(cfg) -> int:
         raise ValueError(f"config key 'charge' must be nonzero, got {charge!r}")
     b = cfg.get("b")
     if b is not None:
-        b = _config_value("b", b, float)
+        b = _number("b", b, float)
         if b == 0:
             raise ValueError(f"config key 'b' must be nonzero, got {b!r}")
     elif "b_field" in cfg:
@@ -436,8 +426,8 @@ def cmd_cylinder(cfg) -> int:
 
 
 def cmd_check(cfg) -> int:
-    steps = _config_value("steps", cfg.get("steps", 4096), int)
-    tol = _config_value("tol", cfg.get("tol", 1e-3), float)
+    steps = _number("steps", cfg.get("steps", 4096), int)
+    tol = _number("tol", cfg.get("tol", 1e-3), float)
     if not tol > 0:
         raise ValueError(f"config key 'tol' must be positive, got {tol!r}")
     lam = _config_lam(cfg)

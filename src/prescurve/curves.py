@@ -89,9 +89,6 @@ class ClosedCurve:
         """The sample parameters t_j = period * j / N."""
         return self.period * np.arange(self.n) / self.n
 
-    def mean(self) -> np.ndarray:
-        return self.samples.mean(axis=0)
-
     def diameter(self) -> float:
         lo = self.samples.min(axis=0)
         hi = self.samples.max(axis=0)

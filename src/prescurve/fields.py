@@ -881,5 +881,10 @@ def read_field(path) -> tuple:
     """Read a field file: the :class:`CurvatureField` and the
     :class:`RadialCurvature` of its "radial_params" (None without that
     key), as :func:`field_from_dict` returns them; see there for the
-    format."""
-    return field_from_dict(read_numeric(path))
+    format.  ``ValueError`` names the file, and the key when one is at
+    fault."""
+    doc = read_numeric(path)
+    try:
+        return field_from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse field file {path}: {exc}") from None

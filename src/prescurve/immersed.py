@@ -371,9 +371,9 @@ def _lockstep(searches, h: RadialCurvature, config: LSConfig, inexact: bool) -> 
     sums along contiguous rows and a ``np.dot`` per row for the secant
     weight, so each solve ends bit for bit as it would alone.  A row whose
     solve stops is refilled from its search's next request, and dropped
-    when the search ends.  Returns what each search returned, or the
-    exception it raised, in the order of ``searches``; once one raises, the
-    searches after it are dropped, and their entries are None.
+    when the search ends.  Every search runs to its own end: one that
+    raises stops no other.  Returns what each search returned, or the
+    exception it raised, in the order of ``searches``.
     """
     num = config.num_samples
     grid = _grid(num)
@@ -381,12 +381,10 @@ def _lockstep(searches, h: RadialCurvature, config: LSConfig, inexact: bool) -> 
     # inverse transform
     jet = np.asfortranarray(_derivative_symbol(num, 2.0 * np.pi, 1, 2))
     outcomes = [None] * len(searches)
-    cut = len(searches)  # the first search that raised
 
     def reply(i: int, value, failed: bool):
         """Send ``value`` to search i (throw it, when ``failed``); its next
         solve as (i, ansatz, start profile), or None once it has ended."""
-        nonlocal cut
         search = searches[i]
         try:
             params, phi0 = search.throw(value) if failed else search.send(value)
@@ -394,14 +392,14 @@ def _lockstep(searches, h: RadialCurvature, config: LSConfig, inexact: bool) -> 
             outcomes[i] = stop.value
             return None
         except Exception as exc:
-            outcomes[i], cut = exc, min(cut, i)
+            outcomes[i] = exc
             return None
         # the map never touches the cos and sin modes: a start drops them
         start = np.zeros(num) if phi0 is None else apply_symbol(phi0, grid.perp)
         return i, _ansatz(params, grid.cos_t, grid.sin_t), start
 
-    rows = [reply(i, None, False) for i in range(len(searches)) if i < cut]
-    rows = [row for row in rows if row and row[0] < cut]
+    rows = [reply(i, None, False) for i in range(len(searches))]
+    rows = [row for row in rows if row]
     solves = [_Solve(i) for i, _, _ in rows]
     phi = np.array([start for _, _, start in rows]).reshape(-1, num)
     stack = np.stack([ans for _, ans, _ in rows], axis=1) if rows else None
@@ -410,17 +408,13 @@ def _lockstep(searches, h: RadialCurvature, config: LSConfig, inexact: bool) -> 
 
     def settle(starts: dict):
         """Start each row's new solve, ``starts[row]``; drop the rows whose
-        search has ended (``starts[row]`` None) or comes after ``cut``."""
+        search has ended (``starts[row]`` None)."""
         nonlocal solves, phi, phi_prev, res_prev, stack
         for j, row in starts.items():
             if row is not None:
                 solves[j] = _Solve(row[0])
                 stack[:, j], phi[j] = row[1], row[2]
-        keep = [
-            j
-            for j, solve in enumerate(solves)
-            if solve.search < cut and starts.get(j, True) is not None
-        ]
+        keep = [j for j in range(len(solves)) if starts.get(j, True) is not None]
         if len(keep) < len(solves):
             solves = [solves[j] for j in keep]
             phi, phi_prev, res_prev = phi[keep], phi_prev[keep], res_prev[keep]
@@ -683,10 +677,11 @@ def find_radii(n_list, h: RadialCurvature, config: LSConfig | None = None):
     above ``config.tol_root``.  Each evaluation is the solve of
     ``fixed_point_solve(params, h, config, phi0, inexact=True)``.
 
-    The searches all run before this returns.  Returns an iterator over the
-    results in the order of ``n_list``, which raises, in place of a result,
-    the exception that n's search raised, as a loop over ``find_radius``
-    would at that n.
+    The searches all run before this returns, each to its own end.
+    Returns an iterator over them in the order of ``n_list``: each ``next``
+    returns that n's result or raises, in its place, the exception that n's
+    search raised, as ``find_radius`` at that n would; after a failed n,
+    iteration goes on to the next n.
     """
     config = config or LSConfig()
     searches = [_search(n, h, config) for n in n_list]

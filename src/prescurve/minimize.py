@@ -23,6 +23,12 @@ accepted trial's u', u'' and H then make the next gradient.  The final
 report is the trial of the constant-speed reparametrized iterate and one
 jet of its samples; no lookup of H or Q follows that trial.
 
+Scaling keeps a curve's orientation, so a trial that cannot reach tau
+raises, and the solve fixes the orientation once: a start curve that its
+first trial rejects (an ``initial`` curve that runs the other way, or a
+sweep's warm start across a sign change of tau) is reversed by
+``curves.curve_reverse``.
+
 A solve at more than ``COARSE_N`` nodes runs in two stages (nested
 iteration, the first stage of full multigrid; Brandt, Math. Comp. 31
 (1977)): the descent runs at ``COARSE_N`` nodes from the start curve
@@ -189,21 +195,15 @@ def _trial(ctx: EnergyContext, samples: np.ndarray, tau: float) -> _Trial:
 
     One jet gives u' and u'', hence the signed area and the scale s about
     the mean; the projected curve's derivatives are s u' and s u''.  An
-    area that scaling cannot reach, if at most |tau| / 10, is reversed
-    (``curve_reverse``) and evaluated again; else, or if that fails too,
-    ``SignIncompatible`` is raised.
+    area that scaling cannot reach, of the other sign or below
+    1e-6 |tau|, raises ``SignIncompatible``: a trial never changes the
+    curve's orientation, which the solve fixes at its start.
     """
     n = len(samples)
-    for reversed_ in (False, True):
-        du, d2u = _jet(samples, 1.0)
-        area = 0.5 * float(np.einsum("ij,ij->", samples, rot90(du))) / n
-        if area * tau > 0.0 and abs(area) >= 1e-6 * abs(tau):
-            break
-        if reversed_:
-            raise SignIncompatible("iterate area degenerate; cannot project")
-        if abs(area) > 0.1 * abs(tau):
-            raise SignIncompatible(f"iterate area {area:.3e} opposes target {tau:.3e}")
-        samples = curve_reverse(ClosedCurve(period=1.0, samples=samples)).samples
+    du, d2u = _jet(samples, 1.0)
+    area = 0.5 * float(np.einsum("ij,ij->", samples, rot90(du))) / n
+    if not (area * tau > 0.0 and abs(area) >= 1e-6 * abs(tau)):
+        raise SignIncompatible(f"iterate area {area:.3e} cannot be scaled onto tau = {tau:.3e}")
     scale = math.sqrt(tau / area)
     center = samples.mean(axis=0)
     samples = center + scale * (samples - center)
@@ -357,7 +357,10 @@ def minimize_area_constrained(
     ``converged`` holds when the residual and area tolerances are met and
     the descent stopped before the iteration cap.  A result is returned
     even when the cap is hit.  Above ``COARSE_N`` samples the descent runs
-    at ``COARSE_N`` nodes first; ``iterations`` counts both stages.
+    at ``COARSE_N`` nodes first; ``iterations`` counts both stages.  The
+    start curve may run either way: one that ``_trial`` rejects is
+    reversed once, and a start rejected both ways raises the second
+    ``SignIncompatible``.
     """
     if tau == 0.0:
         raise ValueError("tau must be nonzero")
@@ -372,9 +375,13 @@ def minimize_area_constrained(
     else:
         start = _initial_circle(ctx, tau, n_start).samples
 
-    cur, step, iterations, stop_reason = _stage(
-        ctx, _trial(ctx, start, tau), tau, 1.0, 0, opts
-    )
+    try:
+        first = _trial(ctx, start, tau)
+    except SignIncompatible:
+        # reversing a curve negates its area, so a start of either
+        # orientation serves; a start that fails both ways raises here
+        first = _trial(ctx, curve_reverse(ClosedCurve(1.0, start)).samples, tau)
+    cur, step, iterations, stop_reason = _stage(ctx, first, tau, 1.0, 0, opts)
     samples = cur.samples
     if n_start < n:
         # nested iteration: the coarse minimizer, resampled exactly, starts
@@ -460,7 +467,9 @@ def sweep_isoperimetric(
     its competitor circle and, after the first, also from the previous
     converged minimizer rescaled to the new area; the lower
     converged energy is kept, since S_H(tau) is an infimum.  The solves
-    run in turn: cold tau_1, cold tau_2, warm tau_2, cold tau_3, ...
+    run in turn: cold tau_1, cold tau_2, warm tau_2, cold tau_3, ...  A
+    grid may change sign: the warm start across the change is reversed at
+    the start of its solve, as any start of the other orientation is.
     """
     taus = check_tau_grid(tau_grid)
     opts = opts or MinimizeOptions()

@@ -15,7 +15,7 @@ import pytest
 
 import prescurve
 from prescurve.cli import _build_parser, _config_args, main
-from prescurve.curves import ClosedCurve, circle, read_curve, write_curve
+from prescurve.curves import ClosedCurve, circle, curve_reverse, read_curve, write_curve
 from prescurve.fields import CurvatureField, periodic_from_callable
 from prescurve.immersed import LSConfig
 from prescurve.minimize import MinimizeOptions
@@ -76,6 +76,27 @@ class TestSolve:
         report = json.loads((out / "solve_report.json").read_text())
         assert report["stop_reason"] == "max_iter"
         assert report["iterations"] == 2 and not report["converged"]
+
+    def test_counterclockwise_start(self, tmp_path, field_zero):
+        # a start that runs the other way is reversed at the start of the
+        # solve: from the counterclockwise unit circle (area -pi) the solve
+        # at tau = 1 is the solve from that circle reversed, bit for bit
+        ccw = circle(1.0, n=128, orientation=1)
+        outs = []
+        for name, start in (("ccw", ccw), ("reversed", curve_reverse(ccw))):
+            path = tmp_path / f"{name}.json"
+            write_curve(start, path)
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"tau": 1.0, "initial_curve": str(path)}))
+            out = tmp_path / name
+            argv = ["solve", "--field", field_zero, "--config", str(cfg), "--out", str(out)]
+            assert main(argv) == 0
+            outs.append(out)
+        report = json.loads((outs[0] / "solve_report.json").read_text())
+        assert report["converged"]
+        assert report["energy"] == pytest.approx(math.sqrt(4 * math.pi), abs=1e-9)
+        for name in ("minimizer_curve.json", "solve_report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_missing_field_exit_2(self, tmp_path, capsys):
         code = main(["solve", "--field", str(tmp_path / "nope.json"), "--tau", "1"])
@@ -449,6 +470,27 @@ def test_curve_file_error_names_the_file(tmp_path, capsys, field_zero, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "check", "magnetic", "immersed"])
+def test_field_file_error_names_the_file(tmp_path, capsys, command):
+    # a grid entry that is not a number: the message names the file and the key
+    path = tmp_path / "bad_field.json"
+    doc = {"periodic_grid": [[0.5, True], [-0.5, 0.0]], "radial_params": {"A": 1.0, "gamma": 2.0}}
+    path.write_text(json.dumps(doc))
+    curve = tmp_path / "curve.json"
+    write_curve(circle(1.0, n=64), curve)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b_field": str(path), "tau": 1.0, "curve": str(curve)}))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command != "magnetic":
+        argv += ["--field", str(path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    message = f"cannot parse field file {path}: key 'periodic_grid' must be a rectangular array"
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["cylinder", "check"])
 @pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath-file"])
 def test_out_not_a_directory_exit_2(tmp_path, capsys, field_zero, command, beneath):
@@ -597,7 +639,8 @@ def test_immersed_missing_field_file_exit_2(tmp_path, capsys):
 
 @dataclass(frozen=True)
 class _Settings:
-    """A solver config with one parameter of each kind."""
+    """A solver config with one parameter of each kind; the bool is no
+    config key."""
 
     target: object
     flag: bool = True
@@ -614,11 +657,11 @@ def _solver(data, settings=None, warm=False, scale=1.0, label="x", map=map, grid
 
 def test_config_args_defaults():
     # parameters with no default, a None default, or a default that is not
-    # a number, a bool or a tuple of them are no config keys
+    # a number or a tuple of numbers (a bool among them) are no config keys
     assert _config_args({}, _Settings) == {
-        "flag": True, "count": 3, "tol": 1e-6, "pair": (0.5, 2.0), "shape": (8, 4),
+        "count": 3, "tol": 1e-6, "pair": (0.5, 2.0), "shape": (8, 4),
     }
-    assert _config_args({}, _solver) == {"warm": False, "scale": 1.0, "grid": (2, 3)}
+    assert _config_args({}, _solver) == {"scale": 1.0, "grid": (2, 3)}
 
 
 def test_config_args_given_values_override():
@@ -627,19 +670,19 @@ def test_config_args_given_values_override():
         "target": "t", "bracket": [0.1, 1.0], "data": 1, "label": 2, "unknown": None,
     }
     args = _config_args(cfg, _Settings)
-    assert args == {"flag": False, "count": 5, "tol": 1.0, "pair": (1.0, 3.0), "shape": (16, 2)}
+    assert args == {"count": 5, "tol": 1.0, "pair": (1.0, 3.0), "shape": (16, 2)}
     assert type(args["tol"]) is float and {type(v) for v in args["pair"]} == {float}
     assert _Settings(target=0, **args).shape == (16, 2)
     assert _config_args(cfg | {"scale": 2, "grid": [4, 5]}, _solver) == {
-        "warm": False, "scale": 2.0, "grid": (4, 5),
+        "scale": 2.0, "grid": (4, 5),
     }
 
 
 @pytest.mark.parametrize(
     "fn, key, value",
     [
-        (_Settings, "flag", "yes"),
-        (_Settings, "flag", 1),
+        (_Settings, "count", None),
+        (_Settings, "tol", False),
         (_Settings, "count", 2.5),
         (_Settings, "count", True),
         (_Settings, "tol", "1e-6"),
@@ -651,7 +694,7 @@ def test_config_args_given_values_override():
         (_Settings, "pair", [1.0, "2"]),
         (_Settings, "shape", [8, 4.5]),
         (_Settings, "shape", []),
-        (_solver, "warm", None),
+        (_solver, "scale", True),
         (_solver, "scale", [1.0]),
         (_solver, "grid", (4, 5)),  # a JSON document holds lists, never tuples
     ],
@@ -661,7 +704,7 @@ def test_config_args_wrong_kind_names_key(fn, key, value):
         _config_args({key: value}, fn)
 
 
-# the signature that declares the number and bool keys of each subcommand
+# the signature that declares the number keys of each subcommand
 CONFIG_KEY_OWNERS = {
     "solve": MinimizeOptions,
     "immersed": LSConfig,
@@ -863,6 +906,20 @@ class TestSweep:
             assert vals[6] == "true"
         stilde = (out / "plot_sqrt_tau_vs_stilde.csv").read_text().splitlines()
         assert stilde[0] == "sqrt_tau,stilde"
+
+    def test_grid_changing_sign(self, tmp_path, field_zero):
+        # the warm start from tau = -1 runs the other way from tau = 1: it is
+        # reversed at the start of its solve, and both rows converge
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau_grid": [-1.0, 1.0]}))
+        argv = ["sweep", "--field", field_zero, "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [-1.0, 1.0]
+        for row in rows:
+            assert float(row[1]) == pytest.approx(math.sqrt(4 * math.pi), abs=1e-6)
+            assert row[6] == "true"
 
     def test_empty_grid_exit_2(self, tmp_path, field_zero):
         cfg = tmp_path / "cfg.json"

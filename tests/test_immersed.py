@@ -524,6 +524,14 @@ class TestFamily:
         assert type(got.value) is type(want.value) is NoSignChange
         assert str(got.value) == str(want.value)
 
+    def test_failed_search_drops_no_other(self, h_model):
+        # every search runs to its own end: after n = 16 raises, the next
+        # call returns n = 64's result, that search run alone
+        results = find_radii((16, 64), h_model)
+        with pytest.raises(NoSignChange):
+            next(results)
+        assert_same_result(next(results), find_radius_sequential(64, h_model))
+
     def test_degenerate_row_fails_only_its_search(self, h_model, monkeypatch):
         # a curve that loses regularity in one row of the stack fails that
         # row's search alone; the other row's result is unchanged

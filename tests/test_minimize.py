@@ -1,6 +1,8 @@
 import collections
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -328,15 +330,22 @@ class TestTrial:
         assert np.abs(trial.du - du).max() <= 1e-12 * np.abs(du).max()
 
     def test_wrong_sign_takes_the_reverse_path(self, ctx_periodic):
-        # the tiny counterclockwise loop of TestProjection, through a trial
+        # a trial never reverses a curve: the tiny counterclockwise loop of
+        # TestProjection raises.  A solve reverses such a start once, before
+        # its first trial, so it is the solve from the reversed loop, bit
+        # for bit
         t = np.arange(64) / 64
         pts = 0.056 * np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1)
-        trial = _trial(ctx_periodic, pts, 2.0)
-        flipped = curve_reverse(ClosedCurve(1.0, pts)).samples
-        np.testing.assert_array_equal(trial.samples, _trial(ctx_periodic, flipped, 2.0).samples)
-        assert signed_area(ClosedCurve(1.0, trial.samples)) == pytest.approx(2.0, abs=1e-12)
-        with pytest.raises(SignIncompatible):
-            _trial(ctx_periodic, circle(1.0, n=64, orientation=1).samples, math.pi)
+        with pytest.raises(SignIncompatible, match="cannot be scaled onto tau = 2.000e"):
+            _trial(ctx_periodic, pts, 2.0)
+        opts = MinimizeOptions(n_samples=64, max_iter=20)
+        got = minimize_area_constrained(
+            ctx_periodic, 2.0, replace(opts, initial=ClosedCurve(1.0, pts))
+        )
+        flipped = curve_reverse(ClosedCurve(1.0, pts))
+        want = minimize_area_constrained(ctx_periodic, 2.0, replace(opts, initial=flipped))
+        np.testing.assert_array_equal(got.curve.samples, want.curve.samples)
+        assert (got.energy_value, got.iterations) == (want.energy_value, want.iterations)
 
     def test_iteration_memory_per_sample(self, ctx_periodic):
         # one descent iteration holds O(N) arrays with a small constant:
@@ -530,22 +539,32 @@ class TestProjection:
 
     def test_wrong_sign_large_raises(self, ctx_periodic):
         c = circle(1.0, n=64, orientation=1)  # area -pi
-        with pytest.raises(SignIncompatible, match="opposes target"):
+        message = "iterate area -3.142e+00 cannot be scaled onto tau = 3.142e+00"
+        with pytest.raises(SignIncompatible, match=re.escape(message)):
             _trial(ctx_periodic, c.samples, math.pi)
 
     def test_wrong_sign_small_reflects(self, ctx_periodic):
         t = np.arange(64) / 64
-        # tiny counterclockwise loop: area -0.01 against target +2
+        # tiny counterclockwise loop: area -0.01 against target +2; a trial
+        # raises, and a solve started from it reverses it at its start
         pts = 0.056 * np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1)
-        out = _trial(ctx_periodic, pts, 2.0).samples
-        assert signed_area(ClosedCurve(1.0, out)) == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(SignIncompatible, match="iterate area -9.8"):
+            _trial(ctx_periodic, pts, 2.0)
+        opts = MinimizeOptions(n_samples=64, initial=ClosedCurve(1.0, pts))
+        res = minimize_area_constrained(ctx_periodic, 2.0, opts)
+        assert signed_area(res.curve) == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_area_raises(self, ctx_periodic):
         # area +3e-8 of the right sign is too small to scale onto 2, and
-        # reversed it has the wrong sign
+        # reversed it has the wrong sign: as a solve's start it fails both
+        # ways, and the solve raises the reversed start's error
         c = circle(1e-4, n=64, orientation=-1)
-        with pytest.raises(SignIncompatible, match="degenerate"):
+        message = "iterate area {} cannot be scaled onto tau = 2.000e+00"
+        with pytest.raises(SignIncompatible, match=re.escape(message.format("3.142e-08"))):
             _trial(ctx_periodic, c.samples, 2.0)
+        opts = MinimizeOptions(n_samples=64, initial=c)
+        with pytest.raises(SignIncompatible, match=re.escape(message.format("-3.142e-08"))):
+            minimize_area_constrained(ctx_periodic, 2.0, opts)
 
 
 def multiplier(curve, ctx) -> float:
